@@ -5,12 +5,12 @@
  * check in one table.
  *
  * Two engine configurations run at equal devices:
- *  - baseline: per-device 1 Hz tick events + global-lookahead epochs
- *    (the pre-optimization engine, kept selectable via
- *    ScenarioConfig::{batched_ticks, adaptive_lookahead}), and
- *  - optimized: batched per-shard ticks + per-pair adaptive lookahead
- *    with direct same-shard delivery, at 1, 2 and 4 shard kernels
- *    (plus HIVEMIND_SHARDS if it names another count).
+ *  - baseline: global-lookahead epochs (the pre-optimization window
+ *    policy, kept selectable via ScenarioConfig::adaptive_lookahead),
+ *    and
+ *  - optimized: per-pair adaptive lookahead with direct same-shard
+ *    delivery, at 1, 2 and 4 shard kernels (plus HIVEMIND_SHARDS if it
+ *    names another count).
  *
  * Every row must report the same checksum — optimization legs
  * included — or the sharding is broken, not just slow.
@@ -111,7 +111,6 @@ main()
     // Baseline leg: the engine every optimization is measured against
     // and must stay byte-identical to.
     platform::ScenarioConfig base_sc = shard_scenario();
-    base_sc.batched_ticks = false;
     base_sc.adaptive_lookahead = false;
     platform::ShardedScenarioResult baseline =
         platform::run_scenario_sharded(base_sc, opt, dep, 1);

@@ -12,6 +12,12 @@
  * The sweep points are independent, so they run on the run_sweep()
  * thread pool; set HIVEMIND_SWEEP_THREADS=1 for a serial reference
  * run (the table and the BENCH json are identical either way).
+ *
+ * A second table runs Scenario A itself on the sharded scenario
+ * engine at {512, 1024, 2048} drones x {1, 2, 4} shard kernels and
+ * writes BENCH_shard_scaling.json. The exit code is that table's
+ * checksum gate alone: every shard count must reproduce the one-shard
+ * digest of its swarm size.
  */
 
 #include <chrono>
@@ -19,7 +25,7 @@
 
 #include "analytic/model.hpp"
 #include "bench_util.hpp"
-#include "platform/sharded_swarm.hpp"
+#include "platform/sharded_scenario.hpp"
 
 using namespace hivemind;
 using namespace hivemind::bench;
@@ -47,6 +53,17 @@ struct Row
     std::size_t drones = 0;
     analytic::AnalyticOutput hive_a, centr_a, hive_b, centr_b;
 };
+
+/** Scenario A for the shard axis: a fixed 10 s window of load. */
+platform::ScenarioConfig
+shard_scenario()
+{
+    platform::ScenarioConfig sc = scenario_a();
+    sc.targets = 30;
+    sc.field_size_m = 512.0;
+    sc.time_cap = 10 * sim::kSecond;
+    return sc;
+}
 
 Row
 evaluate_point(std::size_t n)
@@ -120,36 +137,37 @@ main()
 
     // --- Shard-count axis: the same swarm on 1/2/4 shard kernels ---
     // Discrete-event counterpart of the analytic sweep above: the
-    // SwarmRuntime partitions the swarm across threads while the
-    // conservative sync keeps the run byte-identical, so the speedup
-    // column is pure wall-clock and the checksum column is the proof
-    // nothing else moved. Single-core hosts (CI) still verify the
-    // checksums; the speedup needs real cores to show.
+    // sharded scenario engine partitions the swarm across threads
+    // while the conservative sync keeps the run byte-identical, so the
+    // speedup column is pure wall-clock and the checksum column is the
+    // proof nothing else moved. Single-core hosts (CI) still verify
+    // the checksums; the speedup needs real cores to show.
     print_header("Fig. 17b (sharded runtime)",
-                 "Wall-clock per shard count, same-seed checksum "
+                 "Scenario A, 10 s mission, infrastructure scaled: "
+                 "wall-clock per shard count, same-seed checksum "
                  "verified across counts");
     const unsigned hw_threads = std::thread::hardware_concurrency();
     std::printf("host hardware threads: %u\n\n", hw_threads);
-    std::printf("%-8s %-7s %12s %12s %10s %9s %10s\n", "devices",
-                "shards", "events", "epochs", "wall(s)", "speedup",
+    std::printf("%-8s %-7s %10s %12s %10s %9s  %s\n", "devices",
+                "shards", "tasks", "epochs", "wall(s)", "speedup",
                 "checksum");
 
     Json shard_rows = Json::array();
     const std::size_t device_counts[] = {512, 1024, 2048};
     const int shard_counts[] = {1, 2, 4};
+    const platform::ScenarioConfig sc = shard_scenario();
+    const platform::PlatformOptions opt =
+        platform::PlatformOptions::hivemind();
     bool checksums_ok = true;
     for (std::size_t devices : device_counts) {
+        platform::DeploymentConfig dep = paper_deployment(42);
+        dep.devices = devices;
+        dep.scale_infra = true;
         std::uint64_t reference = 0;
         double wall_one = 0.0;
         for (int shards : shard_counts) {
-            platform::ShardedSwarmConfig cfg;
-            cfg.shards = shards;
-            cfg.devices = devices;
-            cfg.seed = 42;
-            cfg.duration = 10 * sim::kSecond;
-            cfg.obstacle_work = 64;
-            platform::ShardedSwarmResult r =
-                platform::run_sharded_swarm(cfg);
+            platform::ShardedScenarioResult r =
+                platform::run_scenario_sharded(sc, opt, dep, shards);
             if (shards == 1) {
                 reference = r.checksum;
                 wall_one = r.wall_s;
@@ -168,9 +186,10 @@ main()
             else
                 std::snprintf(speedup_col, sizeof speedup_col, "%8.2fx",
                               speedup);
-            std::printf("%-8zu %-7d %12llu %12llu %10.3f %s %10llx\n",
+            std::printf("%-8zu %-7d %10llu %12llu %10.3f %s  %016llx\n",
                         devices, shards,
-                        static_cast<unsigned long long>(r.executed),
+                        static_cast<unsigned long long>(
+                            r.metrics.tasks_completed),
                         static_cast<unsigned long long>(r.epochs),
                         r.wall_s, speedup_col,
                         static_cast<unsigned long long>(r.checksum));
@@ -178,7 +197,7 @@ main()
                 Json::object()
                     .kv("devices", static_cast<std::uint64_t>(devices))
                     .kv("shards", static_cast<std::uint64_t>(shards))
-                    .kv("events", r.executed)
+                    .kv("tasks_completed", r.metrics.tasks_completed)
                     .kv("epochs", r.epochs)
                     .kv("forwarded", r.forwarded)
                     .kv("wall_s", r.wall_s)

@@ -23,7 +23,8 @@
  *  - ServerCrash / DatastoreOutage fire on the cloud shard, where the
  *    FaaS cluster and DataStore live in a sharded scenario.
  *  - ControllerCrash / ControllerFailover / ControllerPartition fire
- *    on shard 0, where the SwarmController lives. When the scenario
+ *    on shard 0, where the scenario engine's controller tier lives
+ *    (load balancer, failure detector, HA cluster). When the scenario
  *    runs the HA stack (`controller_ha`), recovery is driven by the
  *    HA election/replay machinery itself and route_plan() only
  *    schedules the crash; without HA it keeps the legacy fixed

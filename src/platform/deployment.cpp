@@ -5,9 +5,10 @@
 
 namespace hivemind::platform {
 
-Deployment::Deployment(const DeploymentConfig& config,
-                       const PlatformOptions& options)
-    : config_(config), options_(options), rng_(config.seed)
+CloudTier::CloudTier(sim::Simulator& simulator, sim::Rng& rng,
+                     const DeploymentConfig& config,
+                     const PlatformOptions& options, sim::Rng* radio_loss)
+    : simulator_(&simulator), config_(config), options_(options)
 {
     // --- Network ---
     net::TopologyConfig net = config_.net;
@@ -23,12 +24,13 @@ Deployment::Deployment(const DeploymentConfig& config,
             static_cast<double>(config_.servers) * factor);
         net.servers = config_.servers;
     }
-    network_ = std::make_unique<net::SwarmTopology>(simulator_, net, &rng_);
+    network_ = std::make_unique<net::SwarmTopology>(simulator, net,
+                                                    radio_loss);
 
     // --- Cloud ---
     cluster_ = std::make_unique<cloud::Cluster>(
         config_.servers, config_.cores_per_server, config_.server_memory_mb);
-    store_ = std::make_unique<cloud::DataStore>(simulator_, rng_,
+    store_ = std::make_unique<cloud::DataStore>(simulator, rng,
                                                 config_.store);
 
     cloud::FaasConfig faas = config_.faas;
@@ -44,29 +46,20 @@ Deployment::Deployment(const DeploymentConfig& config,
         // cloud quota, under HiveMind's full-control deployment.
         faas.max_concurrency = 100000;
     }
-    faas_ = std::make_unique<cloud::FaasRuntime>(simulator_, rng_, *cluster_,
+    faas_ = std::make_unique<cloud::FaasRuntime>(simulator, rng, *cluster_,
                                                  *store_, faas);
-    iaas_ = std::make_unique<cloud::IaasPool>(simulator_, rng_,
-                                              config_.iaas);
+    iaas_ = std::make_unique<cloud::IaasPool>(simulator, rng, config_.iaas);
 
     if (options_.smart_scheduler) {
         scheduler_ = std::make_unique<core::HiveMindScheduler>(
-            simulator_, rng_, *faas_, config_.scheduler);
+            simulator, rng, *faas_, config_.scheduler);
         scheduler_->install();
     }
-
-    // --- Edge devices ---
-    devices_.reserve(config_.devices);
-    for (std::size_t i = 0; i < config_.devices; ++i) {
-        devices_.push_back(std::make_unique<edge::Device>(
-            simulator_, rng_, i, config_.device_spec));
-    }
-    radio_settled_.assign(config_.devices, 0);
 }
 
 void
-Deployment::cloud_invoke(const cloud::InvokeRequest& request, int parallelism,
-                         std::function<void(const CloudResult&)> done)
+CloudTier::invoke(const cloud::InvokeRequest& request, int parallelism,
+                  std::function<void(const CloudResult&)> done)
 {
     if (options_.kind == PlatformKind::CentralizedIaas) {
         iaas_->submit(request.work_core_ms,
@@ -108,11 +101,25 @@ Deployment::cloud_invoke(const cloud::InvokeRequest& request, int parallelism,
     }
 }
 
+Deployment::Deployment(const DeploymentConfig& config,
+                       const PlatformOptions& options)
+    : rng_(config.seed), cloud_(simulator_, rng_, config, options, &rng_)
+{
+    // --- Edge devices ---
+    const std::size_t n = cloud_.config().devices;
+    devices_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        devices_.push_back(std::make_unique<edge::Device>(
+            simulator_, rng_, i, cloud_.config().device_spec));
+    }
+    radio_settled_.assign(n, 0);
+}
+
 void
 Deployment::settle_radio_energy()
 {
     for (std::size_t i = 0; i < devices_.size(); ++i) {
-        std::uint64_t total = network_->device_bytes(i);
+        std::uint64_t total = cloud_.network().device_bytes(i);
         std::uint64_t delta = total - radio_settled_[i];
         radio_settled_[i] = total;
         devices_[i]->account_radio(delta);

@@ -4,19 +4,24 @@
  * @file
  * Deployment: one fully wired swarm + cloud instance.
  *
- * A Deployment instantiates the whole stack for one experiment run —
- * simulator, network topology, cluster, data store, FaaS runtime,
- * IaaS pool, edge devices, and (for HiveMind) the scheduler — and
- * applies the PlatformOptions feature flags: FPGA RPC offload on the
- * cloud NICs, the remote-memory data-sharing fabric, and the
- * HiveMind scheduler with its wide keep-alive window and co-location
- * policy. cloud_invoke() routes a task to whichever cloud backend the
- * platform uses and normalizes the resulting stage breakdown.
+ * CloudTier is the one builder of the serverless cloud — network
+ * topology, cluster, data store, FaaS runtime, IaaS pool and (for
+ * HiveMind) the scheduler — and applies the PlatformOptions feature
+ * flags: FPGA RPC offload on the cloud NICs, the remote-memory
+ * data-sharing fabric, and the HiveMind scheduler with its wide
+ * keep-alive window and co-location policy. Its invoke() routes a
+ * task to whichever cloud backend the platform uses and normalizes
+ * the resulting stage breakdown.
+ *
+ * A Deployment is that cloud tier on its own simulator, plus the edge
+ * devices: the whole stack for one single-kernel experiment run. The
+ * sharded scenario engine holds a bare CloudTier on its cloud shard.
  */
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cloud/datastore.hpp"
@@ -64,25 +69,36 @@ struct CloudResult
     std::size_t server = cloud::kNoServer;
 };
 
-/** One wired-up experiment instance. */
-class Deployment
+/**
+ * The serverless cloud tier of one deployment, built on a kernel and
+ * RNG the caller owns (and must keep alive). Construction order —
+ * topology, cluster, store, FaaS, IaaS, scheduler — fixes the RNG
+ * draw order, so a given kernel + seed always wires the same cloud.
+ */
+class CloudTier
 {
   public:
-    Deployment(const DeploymentConfig& config,
-               const PlatformOptions& options);
+    /**
+     * @param radio_loss RNG the topology's wireless hops draw loss
+     *        from; nullptr when the caller simulates the radio segment
+     *        itself and the topology only carries the wired legs.
+     */
+    CloudTier(sim::Simulator& simulator, sim::Rng& rng,
+              const DeploymentConfig& config, const PlatformOptions& options,
+              sim::Rng* radio_loss);
 
-    sim::Simulator& simulator() { return simulator_; }
-    sim::Rng& rng() { return rng_; }
+    sim::Simulator& simulator() { return *simulator_; }
     net::SwarmTopology& network() { return *network_; }
+    const net::SwarmTopology& network() const { return *network_; }
     cloud::Cluster& cluster() { return *cluster_; }
     cloud::DataStore& store() { return *store_; }
     cloud::FaasRuntime& faas() { return *faas_; }
+    const cloud::FaasRuntime& faas() const { return *faas_; }
     cloud::IaasPool& iaas() { return *iaas_; }
     /** Non-null when the HiveMind scheduler is installed. */
     core::HiveMindScheduler* scheduler() { return scheduler_.get(); }
-    edge::Device& device(std::size_t i) { return *devices_[i]; }
-    std::size_t device_count() const { return devices_.size(); }
     const PlatformOptions& options() const { return options_; }
+    /** The sizing actually built (servers grown by scale_infra). */
     const DeploymentConfig& config() const { return config_; }
 
     /**
@@ -91,23 +107,56 @@ class Deployment
      * reserved IaaS pool for CentralizedIaas), with @p parallelism
      * intra-task fan-out where the backend supports it.
      */
-    void cloud_invoke(const cloud::InvokeRequest& request, int parallelism,
-                      std::function<void(const CloudResult&)> done);
-
-    /** Charge each device's radio energy from the topology counters. */
-    void settle_radio_energy();
+    void invoke(const cloud::InvokeRequest& request, int parallelism,
+                std::function<void(const CloudResult&)> done);
 
   private:
+    sim::Simulator* simulator_;
     DeploymentConfig config_;
     PlatformOptions options_;
-    sim::Simulator simulator_;
-    sim::Rng rng_;
     std::unique_ptr<net::SwarmTopology> network_;
     std::unique_ptr<cloud::Cluster> cluster_;
     std::unique_ptr<cloud::DataStore> store_;
     std::unique_ptr<cloud::FaasRuntime> faas_;
     std::unique_ptr<cloud::IaasPool> iaas_;
     std::unique_ptr<core::HiveMindScheduler> scheduler_;
+};
+
+/** One wired-up experiment instance: a cloud tier plus the swarm. */
+class Deployment
+{
+  public:
+    Deployment(const DeploymentConfig& config,
+               const PlatformOptions& options);
+
+    sim::Simulator& simulator() { return simulator_; }
+    sim::Rng& rng() { return rng_; }
+    net::SwarmTopology& network() { return cloud_.network(); }
+    cloud::Cluster& cluster() { return cloud_.cluster(); }
+    cloud::DataStore& store() { return cloud_.store(); }
+    cloud::FaasRuntime& faas() { return cloud_.faas(); }
+    cloud::IaasPool& iaas() { return cloud_.iaas(); }
+    /** Non-null when the HiveMind scheduler is installed. */
+    core::HiveMindScheduler* scheduler() { return cloud_.scheduler(); }
+    edge::Device& device(std::size_t i) { return *devices_[i]; }
+    std::size_t device_count() const { return devices_.size(); }
+    const PlatformOptions& options() const { return cloud_.options(); }
+    const DeploymentConfig& config() const { return cloud_.config(); }
+
+    /** CloudTier::invoke on this deployment's cloud. */
+    void cloud_invoke(const cloud::InvokeRequest& request, int parallelism,
+                      std::function<void(const CloudResult&)> done)
+    {
+        cloud_.invoke(request, parallelism, std::move(done));
+    }
+
+    /** Charge each device's radio energy from the topology counters. */
+    void settle_radio_energy();
+
+  private:
+    sim::Simulator simulator_;
+    sim::Rng rng_;
+    CloudTier cloud_;
     std::vector<std::unique_ptr<edge::Device>> devices_;
     std::vector<std::uint64_t> radio_settled_;
 };

@@ -9,7 +9,9 @@ namespace hivemind::platform {
 
 namespace {
 
-constexpr int kProfileVersion = 1;
+// v2 dropped v1's tick-batching toggle along with the per-device tick
+// path. Other versions, v1 included, are rejected, not migrated.
+constexpr int kProfileVersion = 2;
 
 std::int64_t
 ns(sim::Time t)
@@ -261,7 +263,6 @@ scenario_json(const ScenarioConfig& sc)
         .kv("retry", retry_json(sc.retry))
         .kv("ha", ha_json(sc.ha))
         .kv("shards", sc.shards)
-        .kv("batched_ticks", sc.batched_ticks)
         .kv("adaptive_lookahead", sc.adaptive_lookahead);
 }
 
@@ -328,8 +329,6 @@ scenario_from_cursor(util::JsonCursor& in)
             sc.ha = parse_ha(in);
         } else if (key == "shards") {
             sc.shards = static_cast<int>(in.parse_int());
-        } else if (key == "batched_ticks") {
-            sc.batched_ticks = in.parse_bool();
         } else if (key == "adaptive_lookahead") {
             sc.adaptive_lookahead = in.parse_bool();
         } else {

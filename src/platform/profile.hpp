@@ -12,13 +12,14 @@
  * fault plan nests in the existing reproducer format under "faults".
  *
  * Compatibility contract (see DESIGN.md "Fleet service mode"):
- * within schema version 1, every key is optional and defaults to the
+ * within one schema version, every key is optional and defaults to the
  * ScenarioConfig default, so ADDING a key with a default is not a
  * version bump. Renaming, removing, retyping a key, or changing a
  * default's meaning IS — bump "version", teach the parser both
  * versions (or reject the old one loudly), and document the bump in
  * DESIGN.md. Unknown keys always throw: a typo'd knob must never
- * silently run the default experiment.
+ * silently run the default experiment. The current schema is
+ * version 2 (v1 also carried the since-removed tick-batching toggle).
  *
  * Times serialize as integer nanoseconds (sim::Time's native unit);
  * doubles in the shortest form that round-trips bit-exactly

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "apps/world.hpp"
@@ -53,28 +52,6 @@ struct StageRecord
     /** The offload never completed (partition / breaker / blackout). */
     bool dropped = false;
 };
-
-/** The chaos plan actually run: config plan + legacy injection shim. */
-fault::FaultPlan
-effective_plan(const ScenarioConfig& sc)
-{
-    fault::FaultPlan plan = sc.faults;
-    if (sc.inject_failure_at > 0)
-        plan.device_crash(sc.inject_failure_at, sc.inject_failure_device);
-    return plan;
-}
-
-/** Whether the plan targets the swarm controller (needs the HA stack). */
-bool
-plan_has_controller_faults(const fault::FaultPlan& plan)
-{
-    for (const fault::FaultEvent& e : plan.events) {
-        if (e.kind == fault::FaultKind::ControllerCrash ||
-            e.kind == fault::FaultKind::ControllerPartition)
-            return true;
-    }
-    return false;
-}
 
 /**
  * Shared state of one scenario run. The harness lives on the stack of
@@ -1114,6 +1091,26 @@ ScenarioHarness::build_audit(const RunMetrics& m) const
 
 }  // namespace
 
+fault::FaultPlan
+effective_plan(const ScenarioConfig& sc)
+{
+    fault::FaultPlan plan = sc.faults;
+    if (sc.inject_failure_at > 0)
+        plan.device_crash(sc.inject_failure_at, sc.inject_failure_device);
+    return plan;
+}
+
+bool
+plan_has_controller_faults(const fault::FaultPlan& plan)
+{
+    for (const fault::FaultEvent& e : plan.events) {
+        if (e.kind == fault::FaultKind::ControllerCrash ||
+            e.kind == fault::FaultKind::ControllerPartition)
+            return true;
+    }
+    return false;
+}
+
 const char*
 to_string(EngineChoice e)
 {
@@ -1158,10 +1155,6 @@ run(const ScenarioConfig& scenario, const PlatformOptions& options,
 
     RunResult out;
     if (choice == EngineChoice::Sharded) {
-        if (!scenario_shardable(sc))
-            throw std::invalid_argument(
-                "engine=sharded requested for a scenario kind the sharded "
-                "engine does not model");
         const int shards = std::max(sc.shards, 1);
         ShardedScenarioResult r =
             run_scenario_sharded(sc, options, deployment_config, shards);

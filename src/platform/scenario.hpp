@@ -121,14 +121,6 @@ struct ScenarioConfig
      */
     int shards = 1;
     /**
-     * Sharded engine only: drive the 1 Hz device housekeeping from
-     * one batched recurring task per shard (devices in id order)
-     * instead of one kernel event per device. Off replays the
-     * per-device event layout; results are checksum-identical either
-     * way. Ignored by the legacy shards=1 harness.
-     */
-    bool batched_ticks = true;
-    /**
      * Sharded engine only: use adaptive per-pair lookahead windows
      * (see sim::SwarmRuntime::set_adaptive_lookahead). Off pins the
      * classic global-lookahead epochs. A config knob rather than an
@@ -140,6 +132,16 @@ struct ScenarioConfig
 
     bool operator==(const ScenarioConfig&) const = default;
 };
+
+/**
+ * The chaos plan a run of @p scenario executes: `faults` plus the
+ * inject_failure_at shim's permanent device crash. Both engines and
+ * run()'s plan validation read the plan through here.
+ */
+fault::FaultPlan effective_plan(const ScenarioConfig& scenario);
+
+/** Whether @p plan targets the swarm controller (needs the HA stack). */
+bool plan_has_controller_faults(const fault::FaultPlan& plan);
 
 /** Everything platform::run() reports about one swarm run. */
 struct RunResult

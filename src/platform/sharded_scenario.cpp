@@ -50,28 +50,6 @@ constexpr double kCkptLinkBps = 1e9;
 // single all-dead reading can race a rejoin already on the wire.
 constexpr int kFleetDeadDwellTicks = 3;
 
-/** The chaos plan actually run: config plan + legacy injection shim. */
-fault::FaultPlan
-effective_plan(const ScenarioConfig& sc)
-{
-    fault::FaultPlan plan = sc.faults;
-    if (sc.inject_failure_at > 0)
-        plan.device_crash(sc.inject_failure_at, sc.inject_failure_device);
-    return plan;
-}
-
-/** Whether the plan targets the swarm controller (needs the HA stack). */
-bool
-plan_has_controller_faults(const fault::FaultPlan& plan)
-{
-    for (const fault::FaultEvent& e : plan.events) {
-        if (e.kind == fault::FaultKind::ControllerCrash ||
-            e.kind == fault::FaultKind::ControllerPartition)
-            return true;
-    }
-    return false;
-}
-
 /** Stage shares of one completed frame (mirrors the legacy math). */
 struct StageShares
 {
@@ -170,111 +148,6 @@ struct DeviceActor
             return 1.0;
         const double burst = data_up->loss();
         return burst >= 0.0 ? burst : configured_loss;
-    }
-};
-
-/**
- * The cloud tier: wired topology, cluster, FaaS + DataStore, IaaS
- * pool and (on HiveMind) the scheduler — all on the cloud shard.
- * Construction mirrors Deployment's wiring, including infra scaling.
- */
-struct CloudTier
-{
-    sim::Simulator* sim;
-    sim::Rng rng;
-    DeploymentConfig cfg;  ///< Post scale_infra mutation.
-    PlatformOptions opt;
-    std::unique_ptr<net::SwarmTopology> topo;
-    std::unique_ptr<cloud::Cluster> cluster;
-    std::unique_ptr<cloud::DataStore> store;
-    std::unique_ptr<cloud::FaasRuntime> faas;
-    std::unique_ptr<cloud::IaasPool> iaas;
-    std::unique_ptr<core::HiveMindScheduler> scheduler;
-    sim::RateMeter air_meter{sim::kSecond};
-    std::uint64_t corrupt_frames = 0;
-
-    CloudTier(sim::Simulator& shard, const DeploymentConfig& config,
-              const PlatformOptions& options)
-        : sim(&shard), rng(config.seed ^ 0x5eedc0deull), cfg(config),
-          opt(options)
-    {
-        net::TopologyConfig net = cfg.net;
-        net.devices = cfg.devices;
-        net.servers = cfg.servers;
-        net.cloud_rpc_offload = opt.net_accel;
-        if (cfg.scale_infra && cfg.devices > 16) {
-            double factor = static_cast<double>(cfg.devices) / 16.0;
-            net.infra_scale = factor;
-            cfg.servers = static_cast<std::size_t>(
-                static_cast<double>(cfg.servers) * factor);
-            net.servers = cfg.servers;
-        }
-        // The radio segment is simulated device-side on the owner
-        // shards; this topology only carries the wired legs, so it
-        // needs no loss RNG.
-        topo = std::make_unique<net::SwarmTopology>(shard, net, nullptr);
-
-        cluster = std::make_unique<cloud::Cluster>(
-            cfg.servers, cfg.cores_per_server, cfg.server_memory_mb);
-        store = std::make_unique<cloud::DataStore>(shard, rng, cfg.store);
-        cloud::FaasConfig faas_cfg = cfg.faas;
-        if (opt.remote_mem_accel)
-            faas_cfg.sharing = cloud::SharingProtocol::RemoteMemory;
-        if (opt.smart_scheduler) {
-            faas_cfg.controllers = std::max<int>(
-                2, static_cast<int>(cfg.devices / 8));
-            faas_cfg.max_concurrency = 100000;
-        }
-        faas = std::make_unique<cloud::FaasRuntime>(shard, rng, *cluster,
-                                                    *store, faas_cfg);
-        iaas = std::make_unique<cloud::IaasPool>(shard, rng, cfg.iaas);
-        if (opt.smart_scheduler) {
-            scheduler = std::make_unique<core::HiveMindScheduler>(
-                shard, rng, *faas, cfg.scheduler);
-            scheduler->install();
-        }
-    }
-
-    /** Deployment::cloud_invoke, cloud-shard edition. */
-    void invoke(const cloud::InvokeRequest& request, int parallelism,
-                std::function<void(const CloudResult&)> done)
-    {
-        if (opt.kind == PlatformKind::CentralizedIaas) {
-            iaas->submit(request.work_core_ms,
-                         [done = std::move(done)](const cloud::IaasTrace& t) {
-                             CloudResult r;
-                             r.mgmt_s = t.queue_s();
-                             r.exec_s = t.total_s() - t.queue_s();
-                             r.done = t.done;
-                             if (done)
-                                 done(r);
-                         });
-            return;
-        }
-        auto to_result = [done = std::move(done)](
-                             const cloud::InvocationTrace& t) {
-            CloudResult r;
-            r.mgmt_s = t.mgmt_s() + t.instantiation_s();
-            r.data_s = t.data_s();
-            r.exec_s = t.exec_s();
-            r.done = t.done;
-            r.server = t.server;
-            if (done)
-                done(r);
-        };
-        if (scheduler) {
-            if (parallelism > 1)
-                scheduler->invoke_parallel(request, parallelism,
-                                           std::move(to_result));
-            else
-                scheduler->invoke(request, std::move(to_result));
-        } else {
-            if (parallelism > 1)
-                faas->invoke_parallel(request, parallelism,
-                                      std::move(to_result));
-            else
-                faas->invoke(request, std::move(to_result));
-        }
     }
 };
 
@@ -423,7 +296,12 @@ class ShardedScenarioEngine
           pipe_(pipeline_for(sc.kind, sc.frame_bytes_override)),
           runtime_(shards),
           cloud_shard_(shards > 1 ? 1 : 0),
-          cloud_(runtime_.shard(cloud_shard_), dep, opt),
+          cloud_rng_(dep.seed ^ 0x5eedc0deull),
+          // The radio segment is simulated device-side on the owner
+          // shards, so the cloud topology only carries the wired legs
+          // and needs no loss RNG.
+          cloud_(runtime_.shard(cloud_shard_), cloud_rng_, dep, opt,
+                 nullptr),
           ctrl_(runtime_.shard(0), sc, dep.devices, dep.seed ^ 0x5ca1ab1eull)
     {
         runtime_.set_adaptive_lookahead(sc.adaptive_lookahead);
@@ -504,10 +382,14 @@ class ShardedScenarioEngine
     PipelineSpec pipe_;
     sim::SwarmRuntime runtime_;
     int cloud_shard_;
+    sim::Rng cloud_rng_;  ///< The cloud tier's stream (cloud shard).
     CloudTier cloud_;
+    // Air-side ledger, metered on the cloud shard.
+    sim::RateMeter air_meter_{sim::kSecond};
+    std::uint64_t corrupt_frames_ = 0;
     ControllerTier ctrl_;
     std::vector<std::unique_ptr<DeviceActor>> devices_;
-    /** Per-shard device rosters (ascending id) for the batched drive. */
+    /** Per-shard device rosters (ascending id) for the 1 Hz tick. */
     std::vector<std::vector<std::size_t>> tick_groups_;
     std::vector<net::ShardLink> data_up_, data_down_, ctrl_up_, ctrl_down_;
     fault::ShardChaosReport chaos_;
@@ -566,44 +448,30 @@ ShardedScenarioEngine::wire_devices(const DeploymentConfig& dep)
         a->ctrl_up = &ctrl_up_[d];
     }
 
-    // 1 Hz housekeeping: energy accounting, heartbeat, route asks.
-    // Batched mode collapses it to one wheel event per shard per tick
-    // sweeping that shard's devices in ascending id — the same order
-    // the per-device events fire in, so state transitions (and the
-    // checksum) are identical, at 1/devices-per-shard the kernel
-    // traffic. Wired before the Poisson processes below so same-time
-    // ties resolve tick-first on every shard count.
-    if (sc_.batched_ticks) {
-        std::vector<std::vector<std::size_t>> by_shard(
-            static_cast<std::size_t>(runtime_.shards()));
-        for (std::size_t d = 0; d < n; ++d)
-            by_shard[static_cast<std::size_t>(runtime_.owner_of(d))]
-                .push_back(d);
-        tick_groups_ = std::move(by_shard);
-        for (int s = 0; s < runtime_.shards(); ++s) {
-            const auto* grp = &tick_groups_[static_cast<std::size_t>(s)];
-            if (grp->empty())
-                continue;
-            sim::recurring(runtime_.shard(s), sim::kSecond,
-                           [this, grp](const sim::Recur& self) {
-                               for (std::size_t d : *grp)
-                                   device_tick(*devices_[d]);
-                               self.again_in(sim::kSecond);
-                           });
-        }
+    // 1 Hz housekeeping: energy accounting, heartbeat, route asks —
+    // one wheel event per shard per tick, sweeping that shard's
+    // devices in ascending id so equal-time tick order never depends
+    // on the shard count. Wired before the Poisson processes below so
+    // same-time ties resolve tick-first on every shard count.
+    tick_groups_.resize(static_cast<std::size_t>(runtime_.shards()));
+    for (std::size_t d = 0; d < n; ++d)
+        tick_groups_[static_cast<std::size_t>(runtime_.owner_of(d))]
+            .push_back(d);
+    for (int s = 0; s < runtime_.shards(); ++s) {
+        const auto* grp = &tick_groups_[static_cast<std::size_t>(s)];
+        if (grp->empty())
+            continue;
+        sim::recurring(runtime_.shard(s), sim::kSecond,
+                       [this, grp](const sim::Recur& self) {
+                           for (std::size_t d : *grp)
+                               device_tick(*devices_[d]);
+                           self.again_in(sim::kSecond);
+                       });
     }
 
     for (std::size_t d = 0; d < n; ++d) {
         DeviceActor* a = devices_[d].get();
         sim::Simulator& shard = *a->sim;
-
-        if (!sc_.batched_ticks) {
-            sim::recurring(shard, sim::kSecond,
-                           [this, a](const sim::Recur& self) {
-                               device_tick(*a);
-                               self.again_in(sim::kSecond);
-                           });
-        }
 
         // Rovers sense once per leg, driven by the leg state machine —
         // no Poisson frame clock, no on-board obstacle stream (those
@@ -725,7 +593,7 @@ ShardedScenarioEngine::wire_ha(const DeploymentConfig& dep)
                 bytes,
                 sim::InlineFn([this, bytes,
                                commit = std::move(commit)]() mutable {
-                    cloud_.store->access(
+                    cloud_.store().access(
                         bytes, [this, commit = std::move(commit)]() mutable {
                             ckpt_down_->transfer(
                                 kCtrlMsgBytes,
@@ -739,7 +607,7 @@ ShardedScenarioEngine::wire_ha(const DeploymentConfig& dep)
                 kCtrlMsgBytes,
                 sim::InlineFn([this, bytes,
                                done = std::move(done)]() mutable {
-                    cloud_.store->access(
+                    cloud_.store().access(
                         bytes, [this, bytes,
                                 done = std::move(done)]() mutable {
                             ckpt_down_->transfer(
@@ -765,7 +633,7 @@ ShardedScenarioEngine::arm_chaos()
 {
     fault::ShardChaosHooks hooks;
     hooks.devices = devices_.size();
-    hooks.burst_seed = cloud_.cfg.seed;
+    hooks.burst_seed = cloud_.config().seed;
     hooks.controller_ha = ha_ != nullptr;
     hooks.crash_device = [this](std::size_t d) {
         DeviceActor& a = *devices_[d];
@@ -808,14 +676,14 @@ ShardedScenarioEngine::arm_chaos()
             ++partitions_;
     };
     hooks.crash_server = [this](std::size_t s) {
-        cloud_.faas->crash_server(s, 0);
+        cloud_.faas().crash_server(s, 0);
         ++server_crashes_;
     };
     hooks.recover_server = [this](std::size_t s) {
-        cloud_.faas->restore_server(s);
+        cloud_.faas().restore_server(s);
     };
     hooks.datastore_outage = [this](sim::Time duration) {
-        cloud_.store->fail_until(cloud_.sim->now() + duration);
+        cloud_.store().fail_until(cloud_.simulator().now() + duration);
         ++datastore_outages_;
     };
     hooks.crash_controller = [this] {
@@ -1063,7 +931,7 @@ ShardedScenarioEngine::offload(DeviceActor& a, std::uint64_t frame,
     }
     a.radio_bytes += bytes;  // Radio energy per offload attempt.
     air_attempt(a, frame, bytes, attempt,
-                cloud_.cfg.net.max_retransmits);
+                cloud_.config().net.max_retransmits);
 }
 
 void
@@ -1072,7 +940,7 @@ ShardedScenarioEngine::air_attempt(DeviceActor& a, std::uint64_t frame,
                                    int tries_left)
 {
     const double loss = a.loss_now();
-    const sim::Time timeout = cloud_.cfg.net.retransmit_timeout;
+    const sim::Time timeout = cloud_.config().net.retransmit_timeout;
     if (loss >= 1.0) {
         // Radio blackout: nothing reaches the air; each retry burns a
         // retransmit timeout until the budget is gone.
@@ -1089,7 +957,6 @@ ShardedScenarioEngine::air_attempt(DeviceActor& a, std::uint64_t frame,
         return;
     }
     const bool corrupt = loss > 0.0 && a.rng.chance(loss);
-    CloudTier* cloud = &cloud_;
     const std::size_t d = a.id;
     if (corrupt) {
         // The transfer still occupies the serializer and the air — it
@@ -1097,7 +964,7 @@ ShardedScenarioEngine::air_attempt(DeviceActor& a, std::uint64_t frame,
         // timeout after that arrival (the sender learns of the loss no
         // earlier). The final attempt drops like any other lossy one.
         sim::Time arrival = a.data_up->transfer(
-            bytes, sim::InlineFn([cloud] { ++cloud->corrupt_frames; }));
+            bytes, sim::InlineFn([this] { ++corrupt_frames_; }));
         if (tries_left <= 0) {
             ++a.wireless_drops;
             air_failed(a, frame, bytes, attempt);
@@ -1225,7 +1092,7 @@ ShardedScenarioEngine::drain_backlog(DeviceActor& a)
     a.radio_bytes += bytes;
     a.drain_inflight += backlog.frames;
     drain_attempt(a, bytes, backlog.frames,
-                  cloud_.cfg.net.max_retransmits);
+                  cloud_.config().net.max_retransmits);
 }
 
 void
@@ -1233,7 +1100,7 @@ ShardedScenarioEngine::drain_attempt(DeviceActor& a, std::uint64_t bytes,
                                      std::uint64_t frames, int tries_left)
 {
     const double loss = a.loss_now();
-    const sim::Time timeout = cloud_.cfg.net.retransmit_timeout;
+    const sim::Time timeout = cloud_.config().net.retransmit_timeout;
     if (loss > 0.0 && (loss >= 1.0 || a.rng.chance(loss))) {
         if (tries_left <= 0) {
             ++a.wireless_drops;  // Backlog lost on the air.
@@ -1254,8 +1121,8 @@ ShardedScenarioEngine::drain_attempt(DeviceActor& a, std::uint64_t bytes,
     a.buffered_drained += frames;
     a.drain_inflight -= frames;
     a.data_up->transfer(bytes, sim::InlineFn([this, bytes] {
-                            cloud_.air_meter.add(
-                                cloud_.sim->now(),
+                            air_meter_.add(
+                                cloud_.simulator().now(),
                                 static_cast<double>(bytes));
                         }));
 }
@@ -1269,18 +1136,18 @@ ShardedScenarioEngine::cloud_ingress(std::size_t device,
                                      std::uint64_t frame,
                                      std::uint64_t bytes)
 {
-    cloud_.air_meter.add(cloud_.sim->now(), static_cast<double>(bytes));
-    const std::size_t server = device % cloud_.cfg.servers;
+    air_meter_.add(cloud_.simulator().now(), static_cast<double>(bytes));
+    const std::size_t server = device % cloud_.config().servers;
     if (opt_.kind == PlatformKind::DistributedEdge) {
         // The on-board result only needs ingesting; the ack carries
         // its cloud arrival time back for the latency books.
-        cloud_.topo->send_uplink_wired(
+        cloud_.network().send_uplink_wired(
             device, server, bytes, [this, device, frame](sim::Time t2) {
                 send_result(device, frame, {}, t2, t2, true);
             });
         return;
     }
-    cloud_.topo->send_uplink_wired(
+    cloud_.network().send_uplink_wired(
         device, server, bytes, [this, device, frame, server](sim::Time t1) {
             invoke_stages(device, frame, server, t1);
         });
@@ -1339,16 +1206,16 @@ ShardedScenarioEngine::send_result(std::size_t device, std::uint64_t frame,
                                    const StageShares& shares, sim::Time t1,
                                    sim::Time cloud_done, bool edge_ack)
 {
-    const std::size_t server = device % cloud_.cfg.servers;
+    const std::size_t server = device % cloud_.config().servers;
     const std::uint64_t bytes =
         edge_ack ? kCtrlMsgBytes : pipe_.result_bytes;
-    cloud_.topo->send_downlink_wired(
+    cloud_.network().send_downlink_wired(
         server, device,
         bytes, [this, device, frame, shares, t1, cloud_done, edge_ack,
                 bytes](sim::Time) {
             // Every downlink burns air — the 64-byte DistributedEdge
             // ack included (it hits the device radio ledger too).
-            cloud_.air_meter.add(cloud_.sim->now(),
+            air_meter_.add(cloud_.simulator().now(),
                                  static_cast<double>(bytes));
             DeviceActor* a = devices_[device].get();
             data_down_[device].transfer(
@@ -1603,7 +1470,7 @@ ShardedScenarioEngine::reconcile_after_takeover(
     // Kick the FaaS queues on the cloud shard (a small RPC, like the
     // redrive control traffic it models).
     ckpt_up_->transfer(kCtrlMsgBytes,
-                       sim::InlineFn([this] { cloud_.faas->poke(); }));
+                       sim::InlineFn([this] { cloud_.faas().poke(); }));
     // Refreshed routes for devices whose regions moved.
     for (std::size_t d : changed) {
         if (ctrl_.alive_known[d])
@@ -1757,15 +1624,15 @@ ShardedScenarioEngine::collect_metrics()
         m.recovery.buffered_frames_drained += a.buffered_drained;
         m.recovery.outage_tasks_completed += a.outage_completions;
     }
-    sim::Summary bw = cloud_.air_meter.rate_summary(ctrl_.completion);
+    sim::Summary bw = air_meter_.rate_summary(ctrl_.completion);
     for (double r : bw.samples())
         m.bandwidth_MBps.add(r / 1e6);
-    m.cold_starts = cloud_.faas->cold_starts();
-    m.warm_starts = cloud_.faas->warm_starts();
-    m.faults = cloud_.faas->faults();
-    if (cloud_.scheduler)
-        m.respawns = cloud_.scheduler->respawns();
-    m.cloud_rpc_cpu_s = cloud_.topo->cloud_rpc_cpu_seconds();
+    m.cold_starts = cloud_.faas().cold_starts();
+    m.warm_starts = cloud_.faas().warm_starts();
+    m.faults = cloud_.faas().faults();
+    if (cloud_.scheduler())
+        m.respawns = cloud_.scheduler()->respawns();
+    m.cloud_rpc_cpu_s = cloud_.network().cloud_rpc_cpu_seconds();
     m.completed = ctrl_.goal;
     m.goal_fraction = ctrl_.final_goal_fraction;
     m.completion_s = sim::to_seconds(ctrl_.completion);
@@ -1775,6 +1642,12 @@ ShardedScenarioEngine::collect_metrics()
     m.recovery.device_crashes = device_crashes_;
     m.recovery.device_rejoins = device_rejoins_;
     m.recovery.server_crashes = server_crashes_;
+    // The FaaS side of a server crash, read as the legacy ChaosEngine
+    // does. Reported only: the checksum already pins the cloud
+    // history through the start and fault counters.
+    m.recovery.killed_invocations = cloud_.faas().killed_invocations();
+    m.recovery.work_lost_core_ms = cloud_.faas().work_lost_core_ms();
+    m.recovery.reexecuted_core_ms = cloud_.faas().reexecuted_core_ms();
     m.recovery.datastore_outages = datastore_outages_;
     m.recovery.partitions = partitions_;
     // Fire-time count (the legacy engine's semantics), not how many
@@ -1803,9 +1676,9 @@ ShardedScenarioEngine::build_audit(const RunMetrics& m) const
     fault::RunAudit audit;
     audit.engine = "sharded";
     audit.shards = runtime_.shards();
-    audit.seed = cloud_.cfg.seed;
+    audit.seed = cloud_.config().seed;
     audit.devices = devices_.size();
-    audit.servers = cloud_.cfg.servers;
+    audit.servers = cloud_.config().servers;
     audit.horizon = sc_.time_cap;
     audit.completion = ctrl_.completion;
     // The stop predicate is sampled at epoch boundaries and the finish
@@ -1817,7 +1690,7 @@ ShardedScenarioEngine::build_audit(const RunMetrics& m) const
     audit.ha_standbys = sc_.ha.standbys;
     audit.checkpoint_interval_s = sim::to_seconds(sc_.ha.checkpoint_interval);
     audit.breaker_cooldown_s = sim::to_seconds(sc_.retry.breaker_cooldown);
-    audit.configured_loss = cloud_.cfg.net.wireless_loss;
+    audit.configured_loss = cloud_.config().net.wireless_loss;
     audit.plan = effective_plan(sc_);
     audit.recovery = m.recovery;
     for (const auto& ap : devices_) {
@@ -1907,26 +1780,16 @@ ShardedScenarioEngine::checksum() const
     mix(cs, ctrl_.world_digest());
     mix(cs, bits(ctrl_.learning.swarm_p_correct()));
     mix(cs, ctrl_.detector.failed_count());
-    mix(cs, cloud_.corrupt_frames);
-    mix(cs, cloud_.faas->cold_starts());
-    mix(cs, cloud_.faas->warm_starts());
-    mix(cs, cloud_.faas->faults());
-    mix(cs, bits(cloud_.topo->cloud_rpc_cpu_seconds()));
+    mix(cs, corrupt_frames_);
+    mix(cs, cloud_.faas().cold_starts());
+    mix(cs, cloud_.faas().warm_starts());
+    mix(cs, cloud_.faas().faults());
+    mix(cs, bits(cloud_.network().cloud_rpc_cpu_seconds()));
     mix(cs, bits(sim::to_seconds(ctrl_.completion)));
     return cs;
 }
 
 }  // namespace
-
-bool
-scenario_shardable(const ScenarioConfig& scenario)
-{
-    // All four paper scenario kinds run on the sharded engine; the
-    // predicate survives as the dispatch seam (and for any future kind
-    // that lands legacy-first).
-    (void)scenario;
-    return true;
-}
 
 ShardedScenarioResult
 run_scenario_sharded(const ScenarioConfig& scenario,

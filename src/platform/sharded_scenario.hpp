@@ -4,18 +4,21 @@
  * @file
  * Paper scenarios on the sharded runtime.
  *
- * run_scenario_sharded() executes the drone scenarios (Stationary
- * Items, Moving People) as a distributed system on sim::SwarmRuntime:
+ * run_scenario_sharded() executes all four paper scenarios (Stationary
+ * Items, Moving People, Treasure Hunt, Rover Maze) as a distributed
+ * system on sim::SwarmRuntime:
  *
  *  - Each edge device is a shard-local actor (motion, sensing,
- *    on-board execution, offload decisions, battery) on shard
- *    `id % N`, with net::ShardLink uplinks for frames and control.
+ *    on-board execution, offload decisions, battery, and the rover
+ *    leg state machine) on shard `id % N`, with net::ShardLink
+ *    uplinks for frames and control.
  *  - The swarm controller tier (load balancer, failure detector,
- *    learning coordinator, the ground-truth world) is pinned to
- *    shard 0 and reachable only through control-plane links.
- *  - The cloud tier (wired topology, FaaS runtime + DataStore, IaaS
- *    pool, scheduler) lives on its own shard (shard 1 when N > 1),
- *    with the data-plane radio links declared as runtime channels.
+ *    learning coordinator, HA cluster, the ground-truth world) is
+ *    pinned to shard 0 and reachable only through control-plane links.
+ *  - The cloud tier (a platform::CloudTier: wired topology, FaaS
+ *    runtime + DataStore, IaaS pool, scheduler) lives on its own shard
+ *    (shard 1 when N > 1), with the data-plane radio links declared as
+ *    runtime channels.
  *
  * All cross-actor interaction rides ShardLinks, so a run is
  * checksum-identical for any shard count (N = 1 included); the
@@ -53,12 +56,9 @@ struct ShardedScenarioResult
     fault::RunAudit audit;
 };
 
-/** Whether the sharded engine models this scenario (drone kinds). */
-bool scenario_shardable(const ScenarioConfig& scenario);
-
 /**
- * Run @p scenario on @p runtime_shards shard kernels. Requires
- * scenario_shardable(); the checksum (and metrics) are invariant in
+ * Run @p scenario (any ScenarioKind) on @p runtime_shards shard
+ * kernels; the checksum (and metrics) are invariant in
  * @p runtime_shards.
  */
 ShardedScenarioResult

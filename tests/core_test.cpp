@@ -6,11 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/controller.hpp"
 #include "core/heartbeat.hpp"
 #include "core/learning.hpp"
 #include "core/load_balancer.hpp"
-#include "core/monitor.hpp"
 #include "core/scheduler.hpp"
 
 namespace hivemind::core {
@@ -323,73 +321,6 @@ TEST(Learning, BuffersResetAfterRetrain)
     c.retrain();  // No new samples: accuracy unchanged.
     EXPECT_DOUBLE_EQ(c.model(0).p_correct(), after_first);
     EXPECT_EQ(c.total_samples(), 100u);
-}
-
-TEST(Monitor, SummariesAndCounters)
-{
-    MetricRegistry m;
-    m.observe("lat", 1.0);
-    m.observe("lat", 3.0);
-    m.count("requests");
-    m.count("requests", 4);
-    EXPECT_DOUBLE_EQ(m.summary("lat").mean(), 2.0);
-    EXPECT_EQ(m.counter("requests"), 5u);
-    EXPECT_EQ(m.counter("unknown"), 0u);
-    EXPECT_TRUE(m.summary("unknown").empty());
-    EXPECT_EQ(m.summary_names(), (std::vector<std::string>{"lat"}));
-    m.clear();
-    EXPECT_EQ(m.counter("requests"), 0u);
-}
-
-TEST(Controller, FailureTriggersReassignment)
-{
-    sim::Simulator s;
-    ControllerConfig cfg;
-    HiveMindController ctl(s, geo::Rect{0, 0, 96, 96}, 8, cfg);
-    std::vector<std::size_t> reassigned;
-    ctl.set_on_reassign([&](std::vector<std::size_t> changed) {
-        reassigned = std::move(changed);
-    });
-    ctl.start();
-    // All devices beat except device 5.
-    for (int t = 1; t <= 10; ++t) {
-        s.schedule_at(t * sim::kSecond - 1, [&ctl]() {
-            for (std::size_t d = 0; d < 8; ++d) {
-                if (d != 5)
-                    ctl.heartbeat(d);
-            }
-        });
-    }
-    s.run_until(10 * sim::kSecond);
-    ctl.stop();
-    s.run();
-    ASSERT_EQ(reassigned.size(), 2u);
-    EXPECT_EQ(reassigned[0], 4u);
-    EXPECT_EQ(reassigned[1], 6u);
-    EXPECT_EQ(ctl.metrics().counter("device_failures"), 1u);
-    EXPECT_FALSE(ctl.load_balancer().region_of(5).has_value());
-}
-
-TEST(Controller, PeriodicRetraining)
-{
-    sim::Simulator s;
-    ControllerConfig cfg;
-    cfg.retrain_interval = 5 * sim::kSecond;
-    HiveMindController ctl(s, geo::Rect{0, 0, 10, 10}, 4, cfg);
-    ctl.start();
-    for (int t = 1; t <= 20; ++t) {
-        s.schedule_at(t * sim::kSecond, [&ctl]() {
-            for (std::size_t d = 0; d < 4; ++d) {
-                ctl.heartbeat(d);
-                ctl.record_decision(d, 5);
-            }
-        });
-    }
-    s.run_until(21 * sim::kSecond);
-    double acc = ctl.learning().swarm_p_correct();
-    ctl.stop();
-    s.run();
-    EXPECT_GT(acc, cfg.detection.base_correct);
 }
 
 }  // namespace

@@ -18,13 +18,12 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
+#include <string>
 
 #include "platform/metrics.hpp"
 #include "platform/options.hpp"
 #include "platform/scenario.hpp"
 #include "platform/sharded_scenario.hpp"
-#include "platform/sharded_swarm.hpp"
 
 namespace {
 
@@ -121,14 +120,15 @@ run_once(const platform::PlatformOptions& opt, sim::Time inject_at)
     return platform::run_scenario(sc, opt, fig01_deployment(42));
 }
 
+// The platform name is a std::string so the test name shows the value,
+// not a pointer address that changes from run to run.
 class DeterminismTest
-    : public ::testing::TestWithParam<std::tuple<const char*, sim::Time>>
+    : public ::testing::TestWithParam<std::tuple<std::string, sim::Time>>
 {
   protected:
     platform::PlatformOptions options() const
     {
-        const char* name = std::get<0>(GetParam());
-        if (std::strcmp(name, "hivemind") == 0)
+        if (std::get<0>(GetParam()) == "hivemind")
             return platform::PlatformOptions::hivemind();
         return platform::PlatformOptions::centralized_faas();
     }
@@ -153,14 +153,14 @@ TEST_P(DeterminismTest, SameSeedRunsAreByteIdentical)
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, DeterminismTest,
     ::testing::Values(
-        std::tuple<const char*, sim::Time>{"hivemind", 0},
-        std::tuple<const char*, sim::Time>{"hivemind",
+        std::tuple<std::string, sim::Time>{"hivemind", 0},
+        std::tuple<std::string, sim::Time>{"hivemind",
                                            60 * sim::kSecond},
-        std::tuple<const char*, sim::Time>{"centralized", 0}));
+        std::tuple<std::string, sim::Time>{"centralized", 0}));
 
 /**
- * The sharded runtime extends the contract across kernels: a
- * fig01-style swarm on the SwarmRuntime produces the same checksum at
+ * The sharded runtime extends the contract across kernels: the fig01
+ * scenario on run_scenario_sharded produces the same checksum at
  * shard counts {1, 2, 4} — including a mid-run device crash whose
  * owner shard changes with N, and a controller failover whose
  * re-registration wave crosses every shard boundary. The deeper
@@ -169,23 +169,24 @@ INSTANTIATE_TEST_SUITE_P(
  */
 TEST(ShardDeterminismTest, ShardCountDoesNotChangeTheRun)
 {
-    auto cfg = [](int shards) {
-        platform::ShardedSwarmConfig c;
-        c.shards = shards;
-        c.devices = 8;
-        c.seed = 42;
-        c.duration = 30 * sim::kSecond;
-        c.faults.device_crash(6 * sim::kSecond, 2, 8 * sim::kSecond);
-        c.crash_controller_at = 15 * sim::kSecond;
-        return c;
+    platform::ScenarioConfig sc = fig01_scenario();
+    sc.time_cap = 30 * sim::kSecond;
+    sc.faults.device_crash(6 * sim::kSecond, 2, 8 * sim::kSecond);
+    sc.faults.controller_crash(15 * sim::kSecond);
+    auto run = [&sc](int shards) {
+        return platform::run_scenario_sharded(
+            sc, platform::PlatformOptions::hivemind(), fig01_deployment(42),
+            shards);
     };
-    platform::ShardedSwarmResult one = platform::run_sharded_swarm(cfg(1));
-    platform::ShardedSwarmResult two = platform::run_sharded_swarm(cfg(2));
-    platform::ShardedSwarmResult four = platform::run_sharded_swarm(cfg(4));
+    platform::ShardedScenarioResult one = run(1);
+    platform::ShardedScenarioResult two = run(2);
+    platform::ShardedScenarioResult four = run(4);
     EXPECT_EQ(two.checksum, one.checksum);
     EXPECT_EQ(four.checksum, one.checksum);
-    EXPECT_GE(one.controller.failures, 1u);
-    EXPECT_GT(one.controller.dropped, 0u);
+    EXPECT_EQ(run_checksum(four.metrics), run_checksum(one.metrics));
+    EXPECT_EQ(one.metrics.recovery.device_crashes, 1u);
+    EXPECT_EQ(one.metrics.recovery.device_rejoins, 1u);
+    EXPECT_EQ(one.metrics.recovery.controller_failovers, 1u);
 }
 
 /**

@@ -81,7 +81,6 @@ exotic_scenario()
     sc.ha.redrive_per_offload = 7 * sim::kMillisecond;
     sc.ha.drift_replay_frac = 0.27;
     sc.shards = 4;
-    sc.batched_ticks = false;
     sc.adaptive_lookahead = false;
     sc.engine = platform::EngineChoice::Sharded;
     return sc;
@@ -160,7 +159,6 @@ TEST(ScenarioProfileTest, RandomizedConfigsRoundTrip)
         sc.ha.replay_Bps = rng.uniform(1e6, 1e9);
         sc.ha.drift_replay_frac = rng.uniform(0.0, 1.0);
         sc.shards = rng.uniform_int(1, 16);
-        sc.batched_ticks = rng.chance(0.5);
         sc.adaptive_lookahead = rng.chance(0.5);
         sc.engine = engines[rng.uniform_int(0, 2)];
         sc.faults = fuzzer.generate(
@@ -174,7 +172,7 @@ TEST(ScenarioProfileTest, RandomizedConfigsRoundTrip)
 TEST(ScenarioProfileTest, MissingKeysKeepDefaults)
 {
     platform::ScenarioConfig sc = platform::scenario_from_json(
-        "{\"version\":1,\"kind\":\"rover_maze\",\"maze_side\":13}");
+        "{\"version\":2,\"kind\":\"rover_maze\",\"maze_side\":13}");
     EXPECT_EQ(sc.kind, platform::ScenarioKind::RoverMaze);
     EXPECT_EQ(sc.maze_side, 13);
     EXPECT_EQ(sc.targets, platform::ScenarioConfig{}.targets);
@@ -185,31 +183,34 @@ TEST(ScenarioProfileTest, RejectsUnknownAndMalformed)
 {
     // Unknown top-level key.
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":1,\"sharts\":2}"),
+                     "{\"version\":2,\"sharts\":2}"),
                  std::invalid_argument);
     // Unknown nested keys.
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":1,\"detection\":{\"bias\":1}}"),
+                     "{\"version\":2,\"detection\":{\"bias\":1}}"),
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":1,\"retry\":{\"attempts\":4}}"),
+                     "{\"version\":2,\"retry\":{\"attempts\":4}}"),
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":1,\"ha\":{\"quorum\":3}}"),
+                     "{\"version\":2,\"ha\":{\"quorum\":3}}"),
                  std::invalid_argument);
     // Bad enum values.
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":1,\"kind\":\"balloon_race\"}"),
+                     "{\"version\":2,\"kind\":\"balloon_race\"}"),
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":1,\"engine\":\"warp\"}"),
+                     "{\"version\":2,\"engine\":\"warp\"}"),
                  std::invalid_argument);
-    // Version handling: missing, wrong, trailing garbage.
+    // Version handling: missing, superseded (v1), unknown, trailing
+    // garbage.
     EXPECT_THROW(platform::scenario_from_json("{\"kind\":\"rover_maze\"}"),
                  std::invalid_argument);
-    EXPECT_THROW(platform::scenario_from_json("{\"version\":2}"),
+    EXPECT_THROW(platform::scenario_from_json("{\"version\":1}"),
                  std::invalid_argument);
-    EXPECT_THROW(platform::scenario_from_json("{\"version\":1} extra"),
+    EXPECT_THROW(platform::scenario_from_json("{\"version\":3}"),
+                 std::invalid_argument);
+    EXPECT_THROW(platform::scenario_from_json("{\"version\":2} extra"),
                  std::invalid_argument);
 }
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "cloud/datastore.hpp"
-#include "core/controller.hpp"
 #include "core/ha.hpp"
 #include "core/load_balancer.hpp"
 #include "edge/device.hpp"
@@ -324,42 +323,6 @@ TEST(DegradedDevice, ResumeWithoutRouteHoldsPosition)
     sim::Rng rng(5);
     edge::Device dev(s, rng, 0, edge::DeviceSpec::drone());
     EXPECT_FALSE(dev.resume_route_reversed());
-}
-
-// ---------------------------------------------------------------------
-// HiveMindController facade wiring
-// ---------------------------------------------------------------------
-
-TEST(Controller, EnableHaFailoverRestoresAndTraces)
-{
-    sim::Simulator s;
-    ControllerConfig cfg;
-    HiveMindController ctrl(s, geo::Rect{0, 0, 40, 40}, 4, cfg);
-    ctrl.enable_ha(nullptr);
-    ASSERT_NE(ctrl.ha(), nullptr);
-    ctrl.start();
-    // Healthy fleet: every device heartbeats so the failure detector
-    // never empties the partition underneath the failover.
-    sim::recurring(s, sim::kSecond, [&](const sim::Recur& self) {
-        if (s.now() > 19 * sim::kSecond)
-            return;
-        for (std::size_t d = 0; d < 4; ++d)
-            ctrl.heartbeat(d);
-        self.again_in(sim::kSecond);
-    });
-    s.schedule_at(7 * sim::kSecond, [&]() { ctrl.ha()->crash_active(); });
-    s.run_until(20 * sim::kSecond);
-    ctrl.stop();
-
-    EXPECT_EQ(ctrl.ha()->failovers(), 1u);
-    EXPECT_GT(ctrl.ha()->checkpoints_taken(), 1u);
-    EXPECT_GT(ctrl.ha()->checkpoint_bytes(), 0u);
-    // The partition survived the round trip: all regions intact.
-    EXPECT_NEAR(ctrl.load_balancer().assigned_area(), 40.0 * 40.0, 1e-6);
-    // The trace saw checkpoints, the election, and the completion.
-    EXPECT_FALSE(ctrl.trace().filter(TraceEvent::Checkpoint).empty());
-    EXPECT_EQ(ctrl.trace().filter(TraceEvent::FailoverElection).size(), 1u);
-    EXPECT_EQ(ctrl.trace().filter(TraceEvent::FailoverComplete).size(), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "analytic/model.hpp"
 #include "platform/scenario.hpp"
 #include "platform/single_phase.hpp"
@@ -33,8 +36,11 @@ platform_by_index(int i)
 // Single-phase invariants across (platform x app)
 // ---------------------------------------------------------------------
 
+// App ids are std::string, not const char*: gtest prints each parameter
+// into the test name, and a pointer would print as a load address that
+// changes from run to run.
 class JobInvariants
-    : public ::testing::TestWithParam<std::tuple<int, const char*>>
+    : public ::testing::TestWithParam<std::tuple<int, std::string>>
 {
 };
 
@@ -84,7 +90,7 @@ INSTANTIATE_TEST_SUITE_P(
     Matrix, JobInvariants,
     ::testing::Combine(::testing::Values(0, 1, 2, 3),
                        ::testing::Values("S1", "S4", "S7", "S10")),
-    [](const ::testing::TestParamInfo<std::tuple<int, const char*>>& info) {
+    [](const ::testing::TestParamInfo<std::tuple<int, std::string>>& info) {
         return std::string(platform::to_string(
                    platform_by_index(std::get<0>(info.param)).kind)) +
             "_" + std::get<1>(info.param);
@@ -172,7 +178,7 @@ INSTANTIATE_TEST_SUITE_P(Platforms, DeterminismSweep,
 // ---------------------------------------------------------------------
 
 class AnalyticSweep
-    : public ::testing::TestWithParam<std::tuple<int, const char*>>
+    : public ::testing::TestWithParam<std::tuple<int, std::string>>
 {
 };
 

@@ -19,7 +19,6 @@
 #include "fault/shard_chaos.hpp"
 #include "net/shard_link.hpp"
 #include "platform/sharded_scenario.hpp"
-#include "platform/sharded_swarm.hpp"
 #include "sim/swarm_runtime.hpp"
 
 namespace {
@@ -319,41 +318,6 @@ TEST(ShardChaosTest, RoutesDeviceAndControllerFaults)
     EXPECT_EQ(log[3].second, "ctrl-up");
 }
 
-platform::ShardedSwarmConfig
-swarm_config(int shards)
-{
-    platform::ShardedSwarmConfig cfg;
-    cfg.shards = shards;
-    cfg.devices = 8;
-    cfg.seed = 42;
-    cfg.duration = 20 * sim::kSecond;
-    return cfg;
-}
-
-TEST(ShardedSwarmTest, RunsAndMeasures)
-{
-    platform::ShardedSwarmResult r =
-        platform::run_sharded_swarm(swarm_config(2));
-    EXPECT_GT(r.motion_ticks, 0u);
-    EXPECT_GT(r.frames_sent, 0u);
-    EXPECT_GT(r.acks, 0u);
-    EXPECT_GT(r.controller.beats, 0u);
-    EXPECT_GE(r.controller.registers, 8u);
-    EXPECT_GT(r.epochs, 0u);
-    EXPECT_GT(r.forwarded, 0u);
-    // Every ack answers a frame the controller actually processed.
-    EXPECT_LE(r.acks, r.controller.frames);
-}
-
-TEST(ShardedSwarmTest, SameSeedSameShardsIsByteIdentical)
-{
-    platform::ShardedSwarmResult a =
-        platform::run_sharded_swarm(swarm_config(2));
-    platform::ShardedSwarmResult b =
-        platform::run_sharded_swarm(swarm_config(2));
-    EXPECT_EQ(a.checksum, b.checksum);
-}
-
 /** Shard counts exercised by the invariance sweep. */
 std::vector<int>
 shard_counts()
@@ -365,57 +329,6 @@ shard_counts()
             counts.push_back(*extra);
     }
     return counts;
-}
-
-TEST(ShardedSwarmTest, ChecksumInvariantAcrossShardCounts)
-{
-    platform::ShardedSwarmResult ref =
-        platform::run_sharded_swarm(swarm_config(1));
-    for (int n : shard_counts()) {
-        platform::ShardedSwarmResult r =
-            platform::run_sharded_swarm(swarm_config(n));
-        EXPECT_EQ(r.checksum, ref.checksum) << "shards=" << n;
-        EXPECT_EQ(r.frames_sent, ref.frames_sent) << "shards=" << n;
-        EXPECT_EQ(r.acks, ref.acks) << "shards=" << n;
-        EXPECT_EQ(r.motion_ticks, ref.motion_ticks) << "shards=" << n;
-        // Note: r.epochs is *not* pinned — under adaptive per-pair
-        // windows the epoch count legitimately varies with N; only
-        // the simulation state must not.
-    }
-}
-
-TEST(ShardedSwarmTest, InvariantUnderDeviceCrashAcrossShardBoundary)
-{
-    // Device 3 lives on shard 3 of 4, shard 1 of 2, shard 0 of 1: the
-    // crash and its rejoin cross shard boundaries as N varies.
-    auto cfg = [](int shards) {
-        platform::ShardedSwarmConfig c = swarm_config(shards);
-        c.faults.device_crash(6 * sim::kSecond, 3, 5 * sim::kSecond);
-        return c;
-    };
-    platform::ShardedSwarmResult ref = platform::run_sharded_swarm(cfg(1));
-    EXPECT_GE(ref.controller.failures, 1u);
-    EXPECT_GE(ref.controller.recoveries, 1u);
-    for (int n : shard_counts()) {
-        platform::ShardedSwarmResult r = platform::run_sharded_swarm(cfg(n));
-        EXPECT_EQ(r.checksum, ref.checksum) << "shards=" << n;
-    }
-}
-
-TEST(ShardedSwarmTest, InvariantUnderControllerFailover)
-{
-    auto cfg = [](int shards) {
-        platform::ShardedSwarmConfig c = swarm_config(shards);
-        c.crash_controller_at = 8 * sim::kSecond;
-        return c;
-    };
-    platform::ShardedSwarmResult ref = platform::run_sharded_swarm(cfg(1));
-    EXPECT_GT(ref.controller.dropped, 0u);  // The outage was real.
-    EXPECT_GE(ref.controller.registers, 16u);  // Everyone re-registered.
-    for (int n : shard_counts()) {
-        platform::ShardedSwarmResult r = platform::run_sharded_swarm(cfg(n));
-        EXPECT_EQ(r.checksum, ref.checksum) << "shards=" << n;
-    }
 }
 
 // --- Paper scenarios on the sharded runtime ---------------------------
@@ -440,21 +353,6 @@ scenario_deployment()
     cfg.cores_per_server = 8;
     cfg.seed = 42;
     return cfg;
-}
-
-TEST(ShardedScenarioTest, EveryScenarioKindIsShardable)
-{
-    // Since the rover port every kind runs on the sharded engine.
-    platform::ScenarioConfig sc = scenario_config();
-    for (platform::ScenarioKind kind :
-         {platform::ScenarioKind::StationaryItems,
-          platform::ScenarioKind::MovingPeople,
-          platform::ScenarioKind::TreasureHunt,
-          platform::ScenarioKind::RoverMaze}) {
-        sc.kind = kind;
-        EXPECT_TRUE(platform::scenario_shardable(sc))
-            << platform::to_string(kind);
-    }
 }
 
 TEST(ShardedScenarioTest, RunsTheScenarioToAVerdict)
@@ -506,17 +404,20 @@ TEST(ShardedScenarioTest, CentralizedPlatformIsInvariantToo)
 
 TEST(ShardedScenarioTest, InvariantUnderChaosPlan)
 {
-    // A mid-run device crash (with rejoin), a cloud server crash and a
+    // Mid-run device crashes (with rejoins), a cloud server crash and a
     // controller failover all cross shard boundaries; the checksum must
-    // not care where the victims live.
+    // not care where the victims live. Device 3 is owned by shard 0, 1
+    // and 3 at N = 1, 2 and 4, so its crash and rejoin land on a
+    // different kernel at every shard count.
     platform::ScenarioConfig sc = scenario_config();
     sc.faults.device_crash(3 * sim::kSecond, 2, 4 * sim::kSecond);
     sc.faults.server_crash(4 * sim::kSecond, 1, 3 * sim::kSecond);
     sc.faults.controller_crash(6 * sim::kSecond);
+    sc.faults.device_crash(6 * sim::kSecond, 3, 5 * sim::kSecond);
     platform::ShardedScenarioResult ref = platform::run_scenario_sharded(
         sc, platform::PlatformOptions::hivemind(), scenario_deployment(), 1);
-    EXPECT_GE(ref.metrics.recovery.device_crashes, 1u);
-    EXPECT_GE(ref.metrics.recovery.device_rejoins, 1u);
+    EXPECT_EQ(ref.metrics.recovery.device_crashes, 2u);
+    EXPECT_EQ(ref.metrics.recovery.device_rejoins, 2u);
     EXPECT_GE(ref.metrics.recovery.server_crashes, 1u);
     EXPECT_GE(ref.metrics.recovery.controller_failovers, 1u);
     for (int n : shard_counts()) {
@@ -553,30 +454,59 @@ TEST(ShardedScenarioTest, LinkBurstLossIsInvariantAndAccounted)
 
 TEST(ShardedScenarioTest, BatchedTicksMatchPerDeviceTicks)
 {
-    // The per-shard batched 1 Hz tick and the legacy per-device
-    // recurring events must produce byte-identical missions — the
-    // batch iterates its roster in device-id order precisely so that
-    // the tick order at equal simulated time is unchanged.
-    platform::ScenarioConfig legacy = scenario_config();
-    legacy.batched_ticks = false;
-    legacy.adaptive_lookahead = false;
+    // The 1 Hz device tick is one batched event per shard that walks
+    // its roster in device-id order, so the tick order at equal
+    // simulated time — and the digest — is the same as the retired
+    // one-event-per-device layout under every window policy and shard
+    // count. Global-lookahead epochs at one shard are the reference.
+    platform::ScenarioConfig global = scenario_config();
+    global.adaptive_lookahead = false;
     platform::ShardedScenarioResult ref = platform::run_scenario_sharded(
-        legacy, platform::PlatformOptions::hivemind(),
+        global, platform::PlatformOptions::hivemind(),
         scenario_deployment(), 1);
     for (int n : {1, 2}) {
-        platform::ShardedScenarioResult r = platform::run_scenario_sharded(
-            scenario_config(), platform::PlatformOptions::hivemind(),
-            scenario_deployment(), n);
-        EXPECT_EQ(r.checksum, ref.checksum) << "shards=" << n;
+        platform::ShardedScenarioResult adaptive =
+            platform::run_scenario_sharded(
+                scenario_config(), platform::PlatformOptions::hivemind(),
+                scenario_deployment(), n);
+        EXPECT_EQ(adaptive.checksum, ref.checksum) << "shards=" << n;
+        platform::ShardedScenarioResult fixed =
+            platform::run_scenario_sharded(
+                global, platform::PlatformOptions::hivemind(),
+                scenario_deployment(), n);
+        EXPECT_EQ(fixed.checksum, ref.checksum) << "shards=" << n;
     }
-    // The knobs are independent: batched ticks under global lookahead
-    // must not move the digest either.
-    platform::ScenarioConfig mixed = scenario_config();
-    mixed.adaptive_lookahead = false;
-    platform::ShardedScenarioResult r = platform::run_scenario_sharded(
-        mixed, platform::PlatformOptions::hivemind(), scenario_deployment(),
-        2);
-    EXPECT_EQ(r.checksum, ref.checksum);
+}
+
+TEST(ShardedScenarioTest, ServerCrashKillsInFlightInvocationsInvariantly)
+{
+    // A cloud server crashing under load kills the invocations it
+    // holds (server 1 runs seven at t = 5 s on this seed). The FaaS
+    // runtime's loss ledger reaches RecoveryMetrics and lives on the
+    // cloud shard, so it must not depend on the shard count either.
+    platform::ScenarioConfig sc = scenario_config();
+    sc.faults.server_crash(5 * sim::kSecond, 1, 3 * sim::kSecond);
+    platform::ShardedScenarioResult ref = platform::run_scenario_sharded(
+        sc, platform::PlatformOptions::hivemind(), scenario_deployment(), 1);
+    const fault::RecoveryMetrics& rec = ref.metrics.recovery;
+    EXPECT_EQ(rec.server_crashes, 1u);
+    EXPECT_GT(rec.killed_invocations, 0u);
+    EXPECT_GT(rec.reexecuted_core_ms, 0.0);
+    for (int n : shard_counts()) {
+        platform::ShardedScenarioResult r = platform::run_scenario_sharded(
+            sc, platform::PlatformOptions::hivemind(), scenario_deployment(),
+            n);
+        EXPECT_EQ(r.checksum, ref.checksum) << "shards=" << n;
+        EXPECT_EQ(r.metrics.recovery.killed_invocations,
+                  rec.killed_invocations)
+            << "shards=" << n;
+        EXPECT_EQ(r.metrics.recovery.work_lost_core_ms,
+                  rec.work_lost_core_ms)
+            << "shards=" << n;
+        EXPECT_EQ(r.metrics.recovery.reexecuted_core_ms,
+                  rec.reexecuted_core_ms)
+            << "shards=" << n;
+    }
 }
 
 TEST(ShardedScenarioTest, EightThousandDeviceSmokeIsInvariant)
