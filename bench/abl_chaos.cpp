@@ -1,21 +1,22 @@
 /**
  * @file
- * Extension — chaos sweep: fault rate x recovery policy x engine.
+ * Extension — chaos sweep: fault rate x recovery policy x shards.
  *
  * Runs Scenario A under increasingly hostile FaultPlans (device churn,
  * a server crash, bursty links, plus a matching function fault_prob)
  * crossed with the three Restore policies, and reports the recovery
  * ledger per cell: MTTD/MTTR, completion time and its overhead versus
  * the same policy's fault-free baseline, lost/re-executed work and
- * dropped frames. The same chaos plans then run on the sharded engine
- * at shard counts {1, 2, 4}; the per-device Gilbert-Elliott loss
- * chains and every recovery counter must be invariant in the shard
- * count (asserted via the engine checksum). Output goes to stdout and
- * to BENCH_abl_chaos.json for plotting scripts and CI baselines.
+ * dropped frames. The same chaos plans then run at shard counts
+ * {1, 2, 4}; the per-device Gilbert-Elliott loss chains and every
+ * recovery counter must be invariant in the shard count (asserted via
+ * the engine checksum). Output goes to stdout and to
+ * BENCH_abl_chaos.json for plotting scripts and CI baselines.
  */
 
 #include <chrono>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -81,12 +82,7 @@ cell_deployment(double rate, std::uint64_t seed)
 platform::RunMetrics
 run_cell(double rate, cloud::FaultRecovery policy, std::uint64_t seed)
 {
-    // The policy axis exercises the legacy FaaS recovery knob (the
-    // sharded engine owns its own retry/breaker semantics), so this
-    // leg pins the legacy engine now that Auto resolves to sharded.
-    platform::ScenarioConfig sc = cell_scenario(rate, policy, seed);
-    sc.engine = platform::EngineChoice::Legacy;
-    return platform::run_scenario(sc,
+    return platform::run_scenario(cell_scenario(rate, policy, seed),
                                   platform::PlatformOptions::hivemind(),
                                   cell_deployment(rate, seed));
 }
@@ -99,7 +95,7 @@ struct CellPoint
     std::uint64_t seed = 0;
 };
 
-/** One sharded-engine run: the same chaos at a given shard count. */
+/** One shards-axis run: the same chaos at a given shard count. */
 struct ShardPoint
 {
     double rate = 0.0;
@@ -110,9 +106,8 @@ struct ShardPoint
 platform::ShardedScenarioResult
 run_shard_cell(const ShardPoint& p)
 {
-    // The sharded engine owns its recovery semantics (retry/breaker +
-    // controller HA); the Restore policy knob is a legacy-FaaS axis,
-    // so the shards leg runs the default policy only.
+    // The policy axis above already covers the Restore knob; the
+    // shards leg holds it at Checkpoint.
     return platform::run_scenario_sharded(
         cell_scenario(p.rate, cloud::FaultRecovery::Checkpoint, p.seed),
         platform::PlatformOptions::hivemind(),
@@ -145,7 +140,7 @@ main()
             return run_cell(p.rate, p.policy, p.seed);
         });
 
-    // The shards axis: same chaos, sharded engine, {1, 2, 4} kernels.
+    // The shards axis: same chaos on {1, 2, 4} kernels.
     // Each sharded run spins its own worker threads, so this leg runs
     // on the caller's thread one point at a time.
     std::vector<ShardPoint> shard_points;
@@ -247,6 +242,8 @@ main()
 
     Json doc = Json::object()
                    .kv("bench", "abl_chaos")
+                   .kv("hw_threads", static_cast<std::uint64_t>(
+                                         std::thread::hardware_concurrency()))
                    .kv("scenario",
                        "StationaryItems 48m / 6 targets / 8 drones")
                    .kv("cells", cells)

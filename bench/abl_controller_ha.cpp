@@ -7,14 +7,15 @@
  * kills the primary mid-scenario and sweeps the checkpoint interval:
  * a fresher checkpoint means less post-checkpoint drift to replay, so
  * recovery time (MTTR) shrinks monotonically as checkpoints get more
- * frequent — at the cost of more checkpoint traffic. The same sweep
- * runs on the sharded engine at shard counts {1, 2, 4}: the HA stack
- * there rides dedicated checkpoint ShardLinks, and the ledger must be
- * invariant in the shard count with the same monotone shape. It also
- * shows a controller partition (no failover, degraded-mode autonomy
- * only) on both engines and emits BENCH_abl_controller_ha.json.
+ * frequent — at the cost of more checkpoint traffic. The sweep runs at
+ * shard counts {1, 2, 4}: the HA stack rides dedicated checkpoint
+ * ShardLinks, and the ledger must be invariant in the shard count with
+ * the same monotone shape. It also shows a controller partition (no
+ * failover, degraded-mode autonomy only) and emits
+ * BENCH_abl_controller_ha.json.
  */
 
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -28,7 +29,7 @@ namespace {
 constexpr double kCrashAtS = 15.7;
 constexpr int kSeeds = 3;
 
-/** Shard counts for the sharded-engine leg (0 = legacy engine). */
+/** Shard counts of the sweep; the first is the headline. */
 const std::vector<int> kShardCounts = {1, 2, 4};
 
 platform::ScenarioConfig
@@ -56,16 +57,12 @@ struct SweepPoint
     double outage_goodput = 0.0;
 };
 
-/**
- * One independent crash-failover run: (checkpoint interval, seed,
- * engine). shards == 0 runs the legacy single-kernel harness; any
- * other value runs the sharded engine on that many shard kernels.
- */
+/** One independent crash-failover run: (interval, seed, shards). */
 struct RunPoint
 {
     sim::Time interval = 0;
     std::uint64_t seed = 0;
-    int shards = 0;
+    int shards = 1;
 };
 
 platform::RunMetrics
@@ -73,18 +70,10 @@ run_point(const RunPoint& p)
 {
     platform::ScenarioConfig sc = crash_scenario();
     sc.ha.checkpoint_interval = p.interval;
-    if (p.shards > 0) {
-        return platform::run_scenario_sharded(
-                   sc, platform::PlatformOptions::hivemind(),
-                   paper_deployment(p.seed), p.shards)
-            .metrics;
-    }
-    // The shards == 0 leg is the legacy baseline by contract; Auto now
-    // resolves to the sharded engine, so ask for legacy explicitly.
-    sc.engine = platform::EngineChoice::Legacy;
-    return platform::run_scenario(sc,
-                                  platform::PlatformOptions::hivemind(),
-                                  paper_deployment(p.seed));
+    return platform::run_scenario_sharded(
+               sc, platform::PlatformOptions::hivemind(),
+               paper_deployment(p.seed), p.shards)
+        .metrics;
 }
 
 SweepPoint
@@ -170,15 +159,12 @@ main()
                  "Hot-standby failover vs checkpoint interval "
                  "(primary killed at t=15.7 s, Scenario A)");
 
-    // All (interval, seed, engine) runs are independent: fan them out
+    // All (shards, interval, seed) runs are independent: fan them out
     // on the run_sweep() pool and reduce per interval in deterministic
-    // order. The legacy sweep comes first, then the sharded engine at
-    // every shard count.
+    // order, one sweep per shard count.
     const std::vector<double> intervals_s = {1.0, 2.0, 4.0, 8.0, 16.0};
-    std::vector<int> engines = {0};
-    engines.insert(engines.end(), kShardCounts.begin(), kShardCounts.end());
     std::vector<RunPoint> points;
-    for (int shards : engines)
+    for (int shards : kShardCounts)
         for (double interval_s : intervals_s)
             for (int r = 0; r < kSeeds; ++r)
                 points.push_back({sim::from_seconds(interval_s),
@@ -186,10 +172,10 @@ main()
                                   shards});
     std::vector<platform::RunMetrics> runs = run_sweep(points, run_point);
 
-    // Reduce: engines x intervals, kSeeds runs per cell, point order.
+    // Reduce: shard counts x intervals, kSeeds runs per cell.
     std::size_t cursor = 0;
     std::vector<std::vector<SweepPoint>> sweeps;
-    for (std::size_t e = 0; e < engines.size(); ++e) {
+    for (std::size_t e = 0; e < kShardCounts.size(); ++e) {
         std::vector<SweepPoint> sweep;
         for (double interval_s : intervals_s) {
             sweep.push_back(reduce_interval(sim::from_seconds(interval_s),
@@ -198,16 +184,17 @@ main()
         }
         sweeps.push_back(std::move(sweep));
     }
+    const std::vector<SweepPoint>& headline = sweeps[0];
 
-    std::printf("Legacy single-kernel engine:\n");
-    print_sweep(sweeps[0]);
+    std::printf("shards=%d:\n", kShardCounts[0]);
+    print_sweep(headline);
 
-    // The headline claim: fresher checkpoints -> faster recovery —
-    // on the legacy engine and at every shard count of the sharded one.
+    // The headline claim: fresher checkpoints -> faster recovery, at
+    // every shard count.
     bool all_monotone = true;
     std::vector<bool> monotone;
-    for (std::size_t e = 0; e < engines.size(); ++e) {
-        monotone.push_back(mttr_monotone(sweeps[e]));
+    for (const std::vector<SweepPoint>& sweep : sweeps) {
+        monotone.push_back(mttr_monotone(sweep));
         all_monotone = all_monotone && monotone.back();
     }
     std::printf("\nRecovery time decreases monotonically with checkpoint "
@@ -216,30 +203,30 @@ main()
                 "the interval; the\n spread above is the drift-replay term "
                 "growing with checkpoint age.)\n");
 
-    // The sharded ledger must not depend on the shard count: compare
-    // each shard count's sweep against shards=1 exactly.
+    // The ledger must not depend on the shard count: compare each
+    // shard count's sweep against the headline exactly.
     bool shard_invariant = true;
-    for (std::size_t e = 2; e < engines.size(); ++e) {
+    for (std::size_t e = 1; e < sweeps.size(); ++e) {
         for (std::size_t i = 0; i < sweeps[e].size(); ++i) {
-            if (sweeps[e][i].mttr_s != sweeps[1][i].mttr_s ||
-                sweeps[e][i].ckpts_per_run != sweeps[1][i].ckpts_per_run ||
-                sweeps[e][i].drained_per_run != sweeps[1][i].drained_per_run)
+            if (sweeps[e][i].mttr_s != headline[i].mttr_s ||
+                sweeps[e][i].ckpts_per_run != headline[i].ckpts_per_run ||
+                sweeps[e][i].drained_per_run != headline[i].drained_per_run)
                 shard_invariant = false;
         }
     }
-    std::printf("\nSharded engine (shards=1; ledger invariant across "
-                "{1, 2, 4}: %s):\n", shard_invariant ? "yes" : "NO");
-    print_sweep(sweeps[1]);
-    for (std::size_t e = 1; e < engines.size(); ++e) {
-        std::printf("MTTR monotone at shards=%d: %s\n", engines[e],
+    std::printf("\nLedger invariant across shards {1, 2, 4}: %s\n",
+                shard_invariant ? "yes" : "NO");
+    for (std::size_t e = 0; e < sweeps.size(); ++e) {
+        std::printf("MTTR monotone at shards=%d: %s\n", kShardCounts[e],
                     monotone[e] ? "yes" : "NO (unexpected)");
     }
 
     // --- Degraded-mode autonomy during the outage window ---
     std::printf("\nDegraded-mode edge autonomy while no controller was "
-                "reachable (legacy, per run):\n%-10s %10s %10s %10s\n",
-                "interval", "buffered", "drained", "goodput");
-    for (const SweepPoint& p : sweeps[0]) {
+                "reachable (shards=%d, per run):\n%-10s %10s %10s %10s\n",
+                kShardCounts[0], "interval", "buffered", "drained",
+                "goodput");
+    for (const SweepPoint& p : headline) {
         std::printf("%7.0f s  %10.1f %10.1f %10.1f\n", p.interval_s,
                     p.buffered_per_run, p.drained_per_run,
                     p.outage_goodput);
@@ -250,35 +237,23 @@ main()
     part.faults = fault::FaultPlan{};
     part.faults.controller_partition(sim::from_seconds(kCrashAtS),
                                      6 * sim::kSecond);
-    part.engine = platform::EngineChoice::Legacy;  // labeled "legacy" below
     platform::RunMetrics pm = platform::run_scenario(
         part, platform::PlatformOptions::hivemind(), paper_deployment(42));
-    platform::RunMetrics ps =
-        platform::run_scenario_sharded(part,
-                                       platform::PlatformOptions::hivemind(),
-                                       paper_deployment(42), 2)
-            .metrics;
-    std::printf("\nController partition (6 s) for contrast: outage %.1f s "
-                "legacy / %.1f s sharded,\nframes buffered %llu/%llu and "
-                "drained %llu/%llu by local autonomy.\n",
+    std::printf("\nController partition (6 s) for contrast: outage %.1f s, "
+                "frames buffered %llu\nand drained %llu by local "
+                "autonomy.\n",
                 pm.recovery.controller_outage_s,
-                ps.recovery.controller_outage_s,
                 static_cast<unsigned long long>(
                     pm.recovery.frames_buffered_degraded),
                 static_cast<unsigned long long>(
-                    ps.recovery.frames_buffered_degraded),
-                static_cast<unsigned long long>(
-                    pm.recovery.buffered_frames_drained),
-                static_cast<unsigned long long>(
-                    ps.recovery.buffered_frames_drained));
-    const bool drained_ok = pm.recovery.buffered_frames_drained > 0 &&
-                            ps.recovery.buffered_frames_drained > 0;
+                    pm.recovery.buffered_frames_drained));
+    const bool drained_ok = pm.recovery.buffered_frames_drained > 0;
 
     // --- Machine-readable output ---
     Json shard_series = Json::array();
-    for (std::size_t e = 1; e < engines.size(); ++e) {
+    for (std::size_t e = 0; e < sweeps.size(); ++e) {
         shard_series.push(Json::object()
-                              .kv("shards", engines[e])
+                              .kv("shards", kShardCounts[e])
                               .kv("mttr_monotone_in_checkpoint_freq",
                                   static_cast<bool>(monotone[e]))
                               .kv("sweep", sweep_json(sweeps[e])));
@@ -286,13 +261,14 @@ main()
     Json doc =
         Json::object()
             .kv("bench", "abl_controller_ha")
+            .kv("hw_threads", static_cast<std::uint64_t>(
+                                  std::thread::hardware_concurrency()))
             .kv("scenario", "A")
             .kv("crash_at_s", kCrashAtS)
             .kv("seeds", kSeeds)
-            .kv("mttr_monotone_in_checkpoint_freq",
-                static_cast<bool>(monotone[0]))
-            .kv("sweep", sweep_json(sweeps[0]))
-            .kv("sharded_ledger_shard_invariant", shard_invariant)
+            .kv("mttr_monotone_in_checkpoint_freq", all_monotone)
+            .kv("sweep", sweep_json(headline))
+            .kv("ledger_shard_invariant", shard_invariant)
             .kv("sharded_sweeps", shard_series)
             .kv("partition",
                 Json::object()
@@ -301,15 +277,7 @@ main()
                     .kv("frames_buffered",
                         pm.recovery.frames_buffered_degraded)
                     .kv("frames_drained",
-                        pm.recovery.buffered_frames_drained))
-            .kv("partition_sharded",
-                Json::object()
-                    .kv("shards", 2)
-                    .kv("outage_s", ps.recovery.controller_outage_s)
-                    .kv("frames_buffered",
-                        ps.recovery.frames_buffered_degraded)
-                    .kv("frames_drained",
-                        ps.recovery.buffered_frames_drained));
+                        pm.recovery.buffered_frames_drained));
     write_bench_json("abl_controller_ha", doc);
     return (all_monotone && shard_invariant && drained_ok) ? 0 : 1;
 }

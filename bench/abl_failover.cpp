@@ -73,13 +73,10 @@ main()
             platform::ScenarioConfig sc = scenario_a();
             sc.inject_failure_at = 10 * sim::kSecond;
             sc.inject_failure_device = 5;
-            // Reports device_mttd_s, which only the legacy ledger
-            // samples; keep this leg on the legacy engine.
-            sc.engine = platform::EngineChoice::Legacy;
-            // With HiveMind the controller detects the silence in
-            // ~3-4 s and repartitions the strip (Fig. 10); the
-            // baseline keeps sweeping around the hole and relies on
-            // footprint overlap.
+            // The controller detects the silence in ~3-4 s on either
+            // platform. HiveMind then repartitions the strip (Fig. 10);
+            // the baseline keeps sweeping around the hole and relies
+            // on footprint overlap.
             return platform::run_scenario(sc, opt, paper_deployment(42));
         });
     Json impact = Json::array();

@@ -135,12 +135,8 @@ main()
                                       std::end(domains));
     std::vector<platform::RunMetrics> domain_rows =
         run_sweep(domain_points, [](const Domain& d) {
-            // The MTTD/MTTR columns come from the legacy ledger's
-            // heartbeat sampling; keep this table on the legacy engine.
-            platform::ScenarioConfig sc = d.sc;
-            sc.engine = platform::EngineChoice::Legacy;
             return platform::run_scenario(
-                sc, platform::PlatformOptions::hivemind(),
+                d.sc, platform::PlatformOptions::hivemind(),
                 paper_deployment(42));
         });
     for (std::size_t i = 0; i < domain_points.size(); ++i) {

@@ -14,10 +14,10 @@
  *      and seed, every record must be ok, and every line the metrics
  *      pipeline streams must parse as JSON.
  *
- * The default profile is 4 tenants x 16 replicas = 64 swarms, all on
- * the sharded engine (drone and rover kinds alike), mixing platforms
- * (hivemind / distributed_edge / centralized_faas) and one chaos
- * tenant with a fault plan.
+ * The default profile is 4 tenants x 16 replicas = 64 swarms, drone
+ * and rover kinds alike, mixing platforms (hivemind /
+ * distributed_edge / centralized_faas) and one chaos tenant with a
+ * fault plan.
  */
 
 #include <algorithm>
@@ -50,7 +50,7 @@ small_scenario(platform::ScenarioKind kind)
     return sc;
 }
 
-/** 4 tenants x 16 replicas = 64 swarms, mixed engines + platforms. */
+/** 4 tenants x 16 replicas = 64 swarms, mixed kinds + platforms. */
 platform::FleetProfile
 default_profile()
 {
@@ -66,7 +66,7 @@ default_profile()
     items.servers = 4;
     items.scenario =
         small_scenario(platform::ScenarioKind::StationaryItems);
-    items.scenario.shards = 2;  // EngineChoice::Auto -> sharded.
+    items.scenario.shards = 2;
     fleet.tenants.push_back(items);
 
     platform::FleetTenant people;

@@ -3,9 +3,9 @@
  * Chaos-fuzz soak driver: random fault plans vs the invariant oracles.
  *
  * Each case derives a seed, fuzzes a FaultPlan from it, runs the plan
- * on the sharded engine at every requested shard count (checksums must
- * be shard-invariant) and on the legacy harness (ledger parity), and
- * feeds every finished run through fault::OracleSuite. Periodically a
+ * at every requested shard count (checksums and ledgers must be
+ * shard-invariant), and feeds every finished run through
+ * fault::OracleSuite. Periodically a
  * case is re-run with the same seed to assert byte-identical replay.
  * On the first violation the plan is auto-shrunk with ddmin, and the
  * minimal reproducer is written as JSON (reloadable via
@@ -14,8 +14,7 @@
  *
  * Usage:
  *   fuzz_soak [--seed N] [--runs N] [--minutes M] [--shards 1,2,4]
- *             [--engine both|legacy|sharded] [--devices N]
- *             [--servers N] [--horizon-s S]
+ *             [--devices N] [--servers N] [--horizon-s S]
  *             [--kind stationary|moving|treasure|maze|cycle]
  *
  * --runs is the case budget; --minutes (0 = off) additionally stops
@@ -46,15 +45,13 @@ struct SoakOptions
     std::size_t runs = 200;
     double minutes = 0.0;  ///< 0 = no wall-clock cap.
     std::vector<int> shards = {1, 2, 4};
-    bool run_legacy = true;
-    bool run_sharded = true;
     std::size_t devices = 6;
     std::size_t servers = 2;
     sim::Time horizon = 60 * sim::kSecond;
     /** Scenario kinds cycled across cases (--kind). */
     std::vector<platform::ScenarioKind> kinds = {
         platform::ScenarioKind::StationaryItems};
-    /** Every Nth case replays the first sharded run for determinism. */
+    /** Every Nth case replays the first shard count for determinism. */
     std::size_t determinism_every = 5;
     /** Non-empty: write each fuzzed plan as JSON here instead of
      *  running it (refreshes the checked-in seed corpus). */
@@ -83,8 +80,8 @@ usage_and_exit(const char* argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--seed N] [--runs N] [--minutes M] "
-                 "[--shards 1,2,4] [--engine both|legacy|sharded] "
-                 "[--devices N] [--servers N] [--horizon-s S] "
+                 "[--shards 1,2,4] [--devices N] [--servers N] "
+                 "[--horizon-s S] "
                  "[--kind stationary|moving|treasure|maze|cycle]\n",
                  argv0);
     std::exit(2);
@@ -128,14 +125,6 @@ parse_args(int argc, char** argv)
             o.minutes = std::strtod(value(), nullptr);
         } else if (std::strcmp(a, "--shards") == 0) {
             o.shards = parse_shards(value());
-        } else if (std::strcmp(a, "--engine") == 0) {
-            const char* v = value();
-            o.run_legacy = std::strcmp(v, "sharded") != 0;
-            o.run_sharded = std::strcmp(v, "legacy") != 0;
-            if (std::strcmp(v, "both") != 0 &&
-                std::strcmp(v, "legacy") != 0 &&
-                std::strcmp(v, "sharded") != 0)
-                usage_and_exit(argv[0]);
         } else if (std::strcmp(a, "--devices") == 0) {
             o.devices = std::strtoull(value(), nullptr, 10);
         } else if (std::strcmp(a, "--servers") == 0) {
@@ -177,9 +166,9 @@ tag(std::vector<fault::Violation>& out,
 }
 
 /**
- * The full battery for one (plan, seed): every engine/shard leg plus
- * the cross-run oracles. Also what the shrinker's predicate replays,
- * so a shrunk plan fails for the same observable reason.
+ * The full battery for one (plan, seed): every shard count plus the
+ * cross-run oracles. Also what the shrinker's predicate replays, so a
+ * shrunk plan fails for the same observable reason.
  */
 std::vector<fault::Violation>
 run_battery(const fault::FaultPlan& plan, std::uint64_t seed,
@@ -188,37 +177,22 @@ run_battery(const fault::FaultPlan& plan, std::uint64_t seed,
 {
     std::vector<fault::Violation> out;
     try {
-        std::vector<fault::RunAudit> sharded;
-        if (o.run_sharded) {
-            for (int n : o.shards) {
-                platform::FuzzCaseOptions c = case_options(o, seed, kind);
-                c.engine = platform::EngineChoice::Sharded;
-                c.shards = n;
-                fault::RunAudit audit = platform::run_fuzz_case(plan, c);
-                tag(out, suite.audit(audit),
-                    "sharded/" + std::to_string(n));
-                sharded.push_back(std::move(audit));
-            }
-            if (sharded.size() > 1)
-                tag(out, suite.check_shard_invariance(sharded),
-                    "shard-invariance");
-            if (check_determinism && !sharded.empty()) {
-                platform::FuzzCaseOptions c = case_options(o, seed, kind);
-                c.engine = platform::EngineChoice::Sharded;
-                c.shards = o.shards.front();
-                fault::RunAudit replay = platform::run_fuzz_case(plan, c);
-                tag(out, suite.check_determinism(sharded.front(), replay),
-                    "determinism");
-            }
-        }
-        if (o.run_legacy) {
+        std::vector<fault::RunAudit> runs;
+        for (int n : o.shards) {
             platform::FuzzCaseOptions c = case_options(o, seed, kind);
-            c.engine = platform::EngineChoice::Legacy;
-            fault::RunAudit legacy = platform::run_fuzz_case(plan, c);
-            tag(out, suite.audit(legacy), "legacy");
-            if (!sharded.empty())
-                tag(out, suite.check_cross_engine(legacy, sharded.front()),
-                    "cross-engine");
+            c.shards = n;
+            fault::RunAudit audit = platform::run_fuzz_case(plan, c);
+            tag(out, suite.audit(audit), "shards/" + std::to_string(n));
+            runs.push_back(std::move(audit));
+        }
+        if (runs.size() > 1)
+            tag(out, suite.check_shard_invariance(runs), "shard-invariance");
+        if (check_determinism) {
+            platform::FuzzCaseOptions c = case_options(o, seed, kind);
+            c.shards = o.shards.front();
+            fault::RunAudit replay = platform::run_fuzz_case(plan, c);
+            tag(out, suite.check_determinism(runs.front(), replay),
+                "determinism");
         }
     } catch (const std::exception& e) {
         out.push_back({"harness", std::string("exception: ") + e.what()});
@@ -259,10 +233,8 @@ main(int argc, char** argv)
                 static_cast<unsigned long long>(o.seed), o.runs);
     for (std::size_t i = 0; i < o.shards.size(); ++i)
         std::printf("%s%d", i ? "," : "", o.shards[i]);
-    std::printf(" engines=%s%s devices=%zu servers=%zu horizon=%llds",
-                o.run_legacy ? "legacy " : "",
-                o.run_sharded ? "sharded" : "", o.devices, o.servers,
-                static_cast<long long>(o.horizon / sim::kSecond));
+    std::printf(" devices=%zu servers=%zu horizon=%llds", o.devices,
+                o.servers, static_cast<long long>(o.horizon / sim::kSecond));
     std::printf(" kinds=");
     for (std::size_t i = 0; i < o.kinds.size(); ++i)
         std::printf("%s%s", i ? "," : "", platform::to_string(o.kinds[i]));

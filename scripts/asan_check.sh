@@ -12,7 +12,8 @@ BUILD_DIR="build-${SAN}"
 cmake -B "$BUILD_DIR" -S . -DHIVEMIND_SANITIZE="$SAN"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
-# Reduced-seed chaos fuzz soak: a few random fault plans through both
-# engines with the oracles on — enough for the sanitizer to sweep the
-# fuzz/oracle/shrinker code paths without the 200-plan CI budget.
+# Reduced-seed chaos fuzz soak: a few random fault plans at shard
+# counts {1, 2, 4} with the oracles on — enough for the sanitizer to
+# sweep the fuzz/oracle/shrinker code paths without the 200-plan CI
+# budget.
 "$BUILD_DIR"/bench/fuzz_soak --seed 11 --runs 10

@@ -19,7 +19,6 @@ DataStore::fail_until(sim::Time until)
 {
     if (until <= simulator_->now())
         return;
-    ++outages_;
     outage_until_ = std::max(outage_until_, until);
     // Handlers ride out the outage; queued work resumes afterwards.
     for (sim::Time& t : handler_free_)

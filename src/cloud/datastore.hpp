@@ -71,16 +71,12 @@ class DataStore
     /** Whether an outage window is currently open. */
     bool in_outage() const { return simulator_->now() < outage_until_; }
 
-    /** Outage windows injected so far. */
-    std::uint64_t outages() const { return outages_; }
-
   private:
     sim::Simulator* simulator_;
     sim::Rng rng_;
     DataStoreConfig config_;
     std::vector<sim::Time> handler_free_;
     sim::Time outage_until_ = 0;
-    std::uint64_t outages_ = 0;
     std::uint64_t requests_ = 0;
     std::uint64_t bytes_transferred_ = 0;
     sim::Summary latency_;

@@ -56,8 +56,6 @@ PlanFuzzer::generate(std::uint64_t seed) const
     if (cfg_.servers > 0)
         weight(FaultKind::ServerCrash, 2);
     weight(FaultKind::DatastoreOutage, 1);
-    if (cfg_.allow_spatial)
-        weight(FaultKind::SpatialBurst, 1);
     if (cfg_.allow_controller) {
         weight(FaultKind::ControllerCrash, 2);
         weight(FaultKind::ControllerPartition, 1);
@@ -83,14 +81,6 @@ PlanFuzzer::generate(std::uint64_t seed) const
             plan.device_crash(at, device, rejoin);
             break;
         }
-        case FaultKind::SpatialBurst:
-            plan.spatial_burst(at, rng.uniform(0.0, cfg_.field_size_m),
-                               rng.uniform(0.0, cfg_.field_size_m),
-                               rng.uniform(10.0, cfg_.field_size_m / 2.0),
-                               1 + rng.pick(3),
-                               rng.uniform_int(2 * sim::kSecond,
-                                               10 * sim::kSecond));
-            break;
         case FaultKind::LinkBurst:
             plan.link_burst(at,
                             rng.uniform_int(2 * sim::kSecond,
@@ -299,12 +289,14 @@ shrink_plan(const FaultPlan& plan, const PlanPredicate& still_failing,
 
 namespace {
 
+constexpr int kPlanVersion = 2;
+
 FaultKind
 kind_from_name(util::JsonCursor& in, const std::string& name)
 {
     for (FaultKind k :
-         {FaultKind::DeviceCrash, FaultKind::SpatialBurst,
-          FaultKind::LinkBurst, FaultKind::Partition, FaultKind::ServerCrash,
+         {FaultKind::DeviceCrash, FaultKind::LinkBurst,
+          FaultKind::Partition, FaultKind::ServerCrash,
           FaultKind::DatastoreOutage, FaultKind::ControllerFailover,
           FaultKind::ControllerCrash, FaultKind::ControllerPartition}) {
         if (name == kind_name(k))
@@ -326,14 +318,6 @@ parse_event(util::JsonCursor& in)
             e.duration = static_cast<sim::Time>(c.parse_number());
         else if (key == "target")
             e.target = static_cast<std::size_t>(c.parse_number());
-        else if (key == "center_x")
-            e.center_x = c.parse_number();
-        else if (key == "center_y")
-            e.center_y = c.parse_number();
-        else if (key == "radius_m")
-            e.radius_m = c.parse_number();
-        else if (key == "burst_count")
-            e.burst_count = static_cast<std::size_t>(c.parse_number());
         else if (key == "loss_good")
             e.loss_good = c.parse_number();
         else if (key == "loss_bad")
@@ -362,11 +346,6 @@ plan_json(const FaultPlan& plan)
                         .kv("at", static_cast<std::int64_t>(e.at))
                         .kv("duration", static_cast<std::int64_t>(e.duration))
                         .kv("target", static_cast<std::uint64_t>(e.target))
-                        .kv("center_x", e.center_x)
-                        .kv("center_y", e.center_y)
-                        .kv("radius_m", e.radius_m)
-                        .kv("burst_count",
-                            static_cast<std::uint64_t>(e.burst_count))
                         .kv("loss_good", e.loss_good)
                         .kv("loss_bad", e.loss_bad)
                         .kv("mean_good",
@@ -374,7 +353,9 @@ plan_json(const FaultPlan& plan)
                         .kv("mean_bad", static_cast<std::int64_t>(e.mean_bad))
                         .kv("takeover", e.takeover));
     }
-    return util::Json::object().kv("version", 1).kv("events", events);
+    return util::Json::object()
+        .kv("version", kPlanVersion)
+        .kv("events", events);
 }
 
 std::string
@@ -392,7 +373,7 @@ plan_from_cursor(util::JsonCursor& in)
     util::parse_object(in, [&](util::JsonCursor& c, const std::string& key) {
         if (key == "version") {
             saw_version = true;
-            if (c.parse_number() != 1.0)
+            if (c.parse_number() != kPlanVersion)
                 c.fail("unsupported reproducer version");
         } else if (key == "events") {
             saw_events = true;
@@ -447,13 +428,6 @@ plan_to_builder_snippet(const FaultPlan& plan)
             out += "plan.device_crash(" + time_literal(e.at) + ", " +
                 std::to_string(e.target) + ", " + time_literal(e.duration) +
                 ");\n";
-            break;
-        case FaultKind::SpatialBurst:
-            out += "plan.spatial_burst(" + time_literal(e.at) + ", " +
-                util::format_double(e.center_x) + ", " + util::format_double(e.center_y) +
-                ", " + util::format_double(e.radius_m) + ", " +
-                std::to_string(e.burst_count) + ", " +
-                time_literal(e.duration) + ");\n";
             break;
         case FaultKind::LinkBurst:
             out += "plan.link_burst(" + time_literal(e.at) + ", " +

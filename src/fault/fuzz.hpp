@@ -6,7 +6,7 @@
  * shrinker and portable JSON reproducers (Secs. 4.6-4.7).
  *
  * PlanFuzzer turns a uint64 seed into a valid-by-construction
- * FaultPlan: every FaultKind the engines model, targets inside the
+ * FaultPlan: every FaultKind the engine models, targets inside the
  * deployment, injection times inside the horizon, plus deliberately
  * nasty shapes hand-written plans rarely contain — overlapping
  * Gilbert-Elliott bursts, back-to-back controller crashes, a crash
@@ -39,12 +39,8 @@ struct FuzzConfig
     std::size_t devices = 6;
     std::size_t servers = 2;
     sim::Time horizon = 60 * sim::kSecond;
-    double field_size_m = 96.0;  ///< SpatialBurst epicentre range.
     std::size_t min_events = 3;
     std::size_t max_events = 10;
-    /** Generate SpatialBurst events (no sharded model; the oracles
-     *  loosen device checks when one is present). */
-    bool allow_spatial = true;
     /** Generate controller faults (crash/partition/failover). */
     bool allow_controller = true;
     /** Allow permanent device crashes (duration 0, never rejoins);
@@ -76,8 +72,8 @@ class PlanFuzzer
 
 /**
  * Returns true when a plan still reproduces the failure under
- * investigation. Typically wraps "run both engines, audit, violations
- * non-empty".
+ * investigation. Typically wraps "run every shard count, audit,
+ * violations non-empty".
  */
 using PlanPredicate = std::function<bool(const FaultPlan&)>;
 
@@ -104,7 +100,11 @@ ShrinkResult shrink_plan(const FaultPlan& plan,
                          const PlanPredicate& still_failing,
                          std::size_t max_evaluations = 400);
 
-/** Serialize a plan as a self-contained JSON reproducer. */
+/**
+ * Serialize a plan as a self-contained JSON reproducer. Schema v2
+ * dropped v1's spatial-burst kind and its four burst fields; other
+ * versions, v1 included, are rejected, not migrated.
+ */
 std::string plan_to_json(const FaultPlan& plan);
 
 /**
@@ -116,7 +116,7 @@ std::string plan_to_json(const FaultPlan& plan);
 FaultPlan plan_from_json(const std::string& json);
 
 /**
- * The plan as a util::Json object value ({"version":1,"events":[...]},
+ * The plan as a util::Json object value ({"version":2,"events":[...]},
  * same schema as plan_to_json) for embedding inside larger documents
  * — scenario profiles nest their chaos plan this way.
  */

@@ -1,6 +1,5 @@
 #include "fault/metrics.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace hivemind::fault {
@@ -124,19 +123,6 @@ metrics_diff(const RecoveryMetrics& a, const RecoveryMetrics& b)
     HM_METRICS_FIELD(controller_outage_s);
     HM_METRICS_FIELD(outage_tasks_completed);
 #undef HM_METRICS_FIELD
-    return out;
-}
-
-std::vector<MetricsDelta>
-metrics_diff(const RecoveryMetrics& a, const RecoveryMetrics& b,
-             const std::vector<std::string>& fields)
-{
-    std::vector<MetricsDelta> all = metrics_diff(a, b);
-    std::vector<MetricsDelta> out;
-    for (MetricsDelta& d : all) {
-        if (std::find(fields.begin(), fields.end(), d.field) != fields.end())
-            out.push_back(std::move(d));
-    }
     return out;
 }
 

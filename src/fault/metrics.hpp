@@ -100,15 +100,6 @@ struct MetricsDelta
 std::vector<MetricsDelta> metrics_diff(const RecoveryMetrics& a,
                                        const RecoveryMetrics& b);
 
-/**
- * metrics_diff() restricted to the named fields — the cross-engine
- * parity checks compare only the fields both engines model
- * identically. Unknown names are ignored.
- */
-std::vector<MetricsDelta> metrics_diff(const RecoveryMetrics& a,
-                                       const RecoveryMetrics& b,
-                                       const std::vector<std::string>& fields);
-
 /** Human-readable one-line-per-field diff ("" when equal). */
 std::string metrics_diff_string(const RecoveryMetrics& a,
                                 const RecoveryMetrics& b);

@@ -54,7 +54,6 @@ struct Expectation
     CountRange controller_crashes;     ///< ControllerCrash events only.
     CountRange controller_failovers;   ///< ControllerFailover events only.
     CountRange controller_partitions;  ///< ControllerPartition events only.
-    bool has_spatial = false;          ///< Victims are dynamic: loosen.
     /** Σ durations of fired DatastoreOutage + ControllerPartition
      *  windows — every stall the checkpoint cadence can blame. */
     double stall_window_s = 0.0;
@@ -92,9 +91,6 @@ interpret_plan(const RunAudit& run)
                 if (e.duration > 0)
                     count(x.device_rejoins, e.at + e.duration);
             }
-            break;
-        case FaultKind::SpatialBurst:
-            x.has_spatial = true;
             break;
         case FaultKind::LinkBurst:
             count(x.link_bursts, e.at);
@@ -250,62 +246,23 @@ OracleSuite::check_ledger_sanity(const RunAudit& run) const
     const RecoveryMetrics& r = run.recovery;
     const Expectation x = interpret_plan(run);
     const char* oracle = "ledger-sanity";
-    const bool legacy = run.engine == "legacy";
 
     // --- Injected-fault counters vs the plan interpretation ---
-    if (!x.has_spatial) {
-        check_count(out, oracle, "device_crashes", r.device_crashes,
-                    x.device_crashes);
-        check_count(out, oracle, "device_rejoins", r.device_rejoins,
-                    x.device_rejoins);
-    } else if (r.device_crashes < x.device_crashes.lo) {
-        // Burst victims are dynamic, so only the floor is knowable.
-        out.push_back({oracle, "device_crashes = " + u64(r.device_crashes) +
-                                   " below the spatial-burst floor " +
-                                   u64(x.device_crashes.lo)});
-    }
+    check_count(out, oracle, "device_crashes", r.device_crashes,
+                x.device_crashes);
+    check_count(out, oracle, "device_rejoins", r.device_rejoins,
+                x.device_rejoins);
     check_count(out, oracle, "partitions", r.partitions, x.partitions);
     check_count(out, oracle, "server_crashes", r.server_crashes,
                 x.server_crashes);
     check_count(out, oracle, "link_burst_windows", r.link_burst_windows,
                 x.link_bursts);
-    if (legacy) {
-        // The legacy engine reads DataStore::outages(), which counts
-        // stalled accesses, not windows: only the zero case is exact.
-        if (x.datastore_outages.hi == 0 && r.datastore_outages != 0) {
-            out.push_back({oracle,
-                           "datastore_outages = " + u64(r.datastore_outages) +
-                               " with no DatastoreOutage in the plan"});
-        }
-    } else {
-        check_count(out, oracle, "datastore_outages", r.datastore_outages,
-                    x.datastore_outages);
-    }
+    check_count(out, oracle, "datastore_outages", r.datastore_outages,
+                x.datastore_outages);
 
     // --- Controller ledger ---
-    if (legacy) {
-        check_count(out, oracle, "controller_crashes", r.controller_crashes,
-                    x.controller_crashes);
-        check_count(out, oracle, "controller_partitions",
-                    r.controller_partitions, x.controller_partitions);
-        // Legacy failovers = fired ControllerFailover events (front-end
-        // FaaS) + standby takeovers (one checkpoint-age sample each).
-        const std::uint64_t takeovers =
-            static_cast<std::uint64_t>(r.checkpoint_age_s.count());
-        if (r.controller_failovers < takeovers) {
-            out.push_back({oracle,
-                           "controller_failovers = " +
-                               u64(r.controller_failovers) +
-                               " below the takeover count " +
-                               u64(takeovers)});
-        } else {
-            check_count(out, oracle,
-                        "controller_failovers - takeovers",
-                        r.controller_failovers - takeovers,
-                        x.controller_failovers);
-        }
-    } else if (run.ha_enabled) {
-        // Sharded: ControllerFailover rides the same crash hook.
+    if (run.ha_enabled) {
+        // ControllerFailover rides the same crash hook.
         CountRange crashes;
         crashes.lo = x.controller_crashes.lo + x.controller_failovers.lo;
         crashes.hi = x.controller_crashes.hi + x.controller_failovers.hi;
@@ -323,8 +280,8 @@ OracleSuite::check_ledger_sanity(const RunAudit& run) const
                                " (one checkpoint-age sample each)"});
         }
     } else {
-        // Sharded without HA: partitions fall back to the crash/recover
-        // pair and takeovers are the fixed-delay recoveries.
+        // Without HA, partitions fall back to the crash/recover pair
+        // and takeovers are the fixed-delay recoveries.
         const std::uint64_t crash_cap = x.controller_crashes.hi +
             x.controller_failovers.hi + x.controller_partitions.hi;
         if (r.controller_crashes > crash_cap) {
@@ -358,8 +315,17 @@ OracleSuite::check_ledger_sanity(const RunAudit& run) const
     non_negative("controller_mttr_s", r.controller_mttr_s);
     non_negative("checkpoint_age_s", r.checkpoint_age_s);
 
-    // Device repairs close incidents the plan (or a legacy ServerCrash
-    // sample) opened; more repairs than incidents means double books.
+    // Each device incident is detected at most once; more detections
+    // than injected crashes means an incident was double-booked.
+    if (r.mttd_s.count() > r.device_crashes) {
+        out.push_back({oracle, "device mttd_s carries " +
+                                   u64(r.mttd_s.count()) +
+                                   " samples for only " +
+                                   u64(r.device_crashes) +
+                                   " injected device crashes"});
+    }
+    // Repairs close device incidents and restored ServerCrash windows;
+    // more repairs than incidents means double books.
     const std::uint64_t repair_cap = r.device_crashes + r.server_crashes;
     if (r.mttr_s.count() > repair_cap) {
         out.push_back({oracle, "device mttr_s carries " +
@@ -471,7 +437,7 @@ OracleSuite::check_liveness(const RunAudit& run) const
         if (x.device_down[d] == 0 && !run.device_end[d].battery_dead)
             any_expected_alive = true;
     }
-    if (!run.completed && !x.has_spatial && any_expected_alive &&
+    if (!run.completed && any_expected_alive &&
         run.expect_full_horizon &&
         run.completion + run.completion_margin < run.horizon) {
         out.push_back({oracle,
@@ -483,21 +449,18 @@ OracleSuite::check_liveness(const RunAudit& run) const
 
     // Transient crashes rejoin; untouched devices end alive (battery
     // death excuses); permanent crashes stay down.
-    if (!x.has_spatial) {
-        for (std::size_t d = 0; d < run.devices; ++d) {
-            const DeviceEndState& e = run.device_end[d];
-            if (x.device_down[d] == 1 && e.alive) {
-                out.push_back({oracle,
-                               "device " + u64(d) +
-                                   " ends alive but the plan holds it "
-                                   "crashed"});
-            }
-            if (x.device_down[d] == 0 && !e.alive && !e.battery_dead) {
-                out.push_back({oracle,
-                               "device " + u64(d) +
-                                   " ends dead with a healthy battery and "
-                                   "no crash holding it down"});
-            }
+    for (std::size_t d = 0; d < run.devices; ++d) {
+        const DeviceEndState& e = run.device_end[d];
+        if (x.device_down[d] == 1 && e.alive) {
+            out.push_back({oracle, "device " + u64(d) +
+                                       " ends alive but the plan holds it "
+                                       "crashed"});
+        }
+        if (x.device_down[d] == 0 && !e.alive && !e.battery_dead) {
+            out.push_back({oracle,
+                           "device " + u64(d) +
+                               " ends dead with a healthy battery and no "
+                               "crash holding it down"});
         }
     }
 
@@ -524,8 +487,7 @@ OracleSuite::check_liveness(const RunAudit& run) const
     // Degraded-mode buffering exists only while a swarm controller can
     // actually be lost.
     const bool controller_loss_possible = x.controller_crashes.hi > 0 ||
-        x.controller_partitions.hi > 0 ||
-        (run.engine != "legacy" && x.controller_failovers.hi > 0);
+        x.controller_partitions.hi > 0 || x.controller_failovers.hi > 0;
     if (!controller_loss_possible &&
         (run.frames.buffered != 0 || run.frames.buffered_end != 0 ||
          run.recovery.outage_tasks_completed != 0)) {
@@ -556,8 +518,6 @@ OracleSuite::check_determinism(const RunAudit& a, const RunAudit& b) const
                       const std::string& vb) {
         out.push_back({oracle, std::string(field) + ": " + va + " != " + vb});
     };
-    if (a.engine != b.engine)
-        differ("engine", a.engine, b.engine);
     if (a.seed != b.seed)
         differ("seed", u64(a.seed), u64(b.seed));
     if (a.checksum != b.checksum)
@@ -602,70 +562,6 @@ OracleSuite::check_shard_invariance(const std::vector<RunAudit>& runs) const
         }
     }
     return out;
-}
-
-std::vector<Violation>
-OracleSuite::check_cross_engine(const RunAudit& legacy,
-                                const RunAudit& sharded) const
-{
-    std::vector<Violation> out;
-    const char* oracle = "cross-engine";
-    if (!(legacy.plan == sharded.plan)) {
-        out.push_back({oracle, "the two runs executed different plans"});
-        return out;
-    }
-    // Spatial bursts have no sharded model, and ControllerFailover
-    // routes to different machinery per engine — the injected-fault
-    // ledgers legitimately diverge, so there is nothing to pin.
-    bool has_spatial = false;
-    bool has_failover = false;
-    sim::Time last_effect = 0;
-    for (const FaultEvent& e : legacy.plan.events) {
-        has_spatial |= e.kind == FaultKind::SpatialBurst;
-        has_failover |= e.kind == FaultKind::ControllerFailover;
-        last_effect = std::max(last_effect, e.at + e.duration);
-    }
-    if (has_spatial)
-        return out;
-    // Counters only agree when both runs outlived every event (and
-    // every rejoin/window end) by more than the boundary margin.
-    const sim::Time safe = last_effect + sim::kSecond;
-    if (legacy.completion <= safe ||
-        sharded.completion + sharded.completion_margin <= safe)
-        return out;
-
-    std::vector<std::string> fields = cross_engine_parity_fields();
-    if (has_failover) {
-        fields.erase(std::remove_if(fields.begin(), fields.end(),
-                                    [](const std::string& f) {
-                                        return f.rfind("controller_", 0) == 0;
-                                    }),
-                     fields.end());
-    }
-    std::vector<MetricsDelta> diff =
-        metrics_diff(legacy.recovery, sharded.recovery, fields);
-    for (const MetricsDelta& d : diff) {
-        out.push_back({oracle, d.field + ": legacy " + d.lhs +
-                                   " vs sharded " + d.rhs});
-    }
-    return out;
-}
-
-const std::vector<std::string>&
-OracleSuite::cross_engine_parity_fields()
-{
-    // Fields both engines count at the same instant, per the same rule
-    // (and route_plan's effective-crash filter makes the crash/rejoin
-    // ledgers exact). Loss-dependent counters (retransmissions, drops)
-    // and timing-dependent summaries are compared statistically by the
-    // parity tests, not pinned here.
-    static const std::vector<std::string> fields = {
-        "device_crashes",     "device_rejoins",
-        "server_crashes",     "partitions",
-        "link_burst_windows", "controller_crashes",
-        "controller_partitions",
-    };
-    return fields;
 }
 
 }  // namespace hivemind::fault

@@ -4,8 +4,8 @@
  * @file
  * Swarm-wide invariant oracles for chaos runs (Secs. 4.6-4.7).
  *
- * A finished run — legacy ScenarioHarness or sharded engine — fills a
- * RunAudit: the plan it executed, the frame-accounting ledger, the
+ * A finished run of the scenario engine fills a RunAudit: the plan it
+ * executed, the frame-accounting ledger, the
  * recovery metrics, each device's end state and the run checksum. The
  * OracleSuite then audits the audit: machine-checked properties that
  * must hold for ANY fault schedule, which is what lets a fuzzer
@@ -15,21 +15,22 @@
  *    and the degraded-mode buffer books balance (buffered == drained +
  *    lost-on-air + drain-in-flight + still-buffered);
  *  - recovery-ledger sanity: injected-fault counters match an
- *    interpretation of the plan, MTTR >= MTTD pairwise, failover
- *    count matches completed takeovers, checkpoint age bounded by the
+ *    interpretation of the plan, at most one detection per device
+ *    incident, controller MTTR >= MTTD pairwise, failover count
+ *    matches completed takeovers, checkpoint age bounded by the
  *    interval plus every stall the plan could have caused;
  *  - liveness: transient crashes rejoin, devices the plan left alone
  *    end alive, no circuit breaker is still open long after the last
  *    wireless disturbance, the sim reaches its horizon;
- *  - cross-run: same seed byte-identical, checksum equal at any shard
- *    count, legacy-vs-sharded ledger parity on the same plan.
+ *  - cross-run: same seed byte-identical, checksum and ledger equal
+ *    at any shard count.
  *
  * Counters for events injected close to the moment the run stopped
  * are checked as ranges: an event at the completion boundary may or
  * may not have fired depending on kernel tie-breaks, so the expected
  * count is [fired-before, fired-before + boundary events]. RunAudit::
- * completion_margin widens the boundary for the sharded engine, where
- * the stop predicate is only evaluated at epoch boundaries.
+ * completion_margin widens the boundary, since the engine evaluates
+ * its stop predicate only at slice boundaries.
  */
 
 #include <cstddef>
@@ -77,7 +78,6 @@ struct DeviceEndState
 /** Everything the oracles need to know about one finished run. */
 struct RunAudit
 {
-    std::string engine;  ///< "legacy" or "sharded".
     int shards = 1;
     std::uint64_t seed = 0;
     std::size_t devices = 0;
@@ -87,8 +87,7 @@ struct RunAudit
     /**
      * Events injected in (completion, completion + margin] may or may
      * not have fired (stop-predicate granularity); the count oracles
-     * treat them as optional. 0 for the legacy engine (the kernel
-     * stops dead), one epoch window for the sharded engine.
+     * treat them as optional.
      */
     sim::Time completion_margin = 0;
     bool completed = false;        ///< Mission goal reached.
@@ -153,17 +152,6 @@ class OracleSuite
     /** Same seed across shard counts: identical up to `shards`. */
     std::vector<Violation> check_shard_invariance(
         const std::vector<RunAudit>& runs) const;
-
-    /**
-     * Legacy vs sharded on the same plan + seed: the injected-fault
-     * ledger fields both engines model identically must agree (the
-     * field list is cross_engine_parity_fields()).
-     */
-    std::vector<Violation> check_cross_engine(const RunAudit& legacy,
-                                              const RunAudit& sharded) const;
-
-    /** RecoveryMetrics fields pinned equal across the two engines. */
-    static const std::vector<std::string>& cross_engine_parity_fields();
 
   private:
     OracleConfig cfg_;

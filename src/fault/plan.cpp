@@ -13,7 +13,6 @@ kind_name(FaultKind kind)
 {
     switch (kind) {
         case FaultKind::DeviceCrash: return "DeviceCrash";
-        case FaultKind::SpatialBurst: return "SpatialBurst";
         case FaultKind::LinkBurst: return "LinkBurst";
         case FaultKind::Partition: return "Partition";
         case FaultKind::ServerCrash: return "ServerCrash";
@@ -34,22 +33,6 @@ FaultPlan::device_crash(sim::Time at, std::size_t device,
     e.at = at;
     e.duration = rejoin_after;
     e.target = device;
-    events.push_back(e);
-    return *this;
-}
-
-FaultPlan&
-FaultPlan::spatial_burst(sim::Time at, double x, double y, double radius_m,
-                         std::size_t count, sim::Time rejoin_after)
-{
-    FaultEvent e;
-    e.kind = FaultKind::SpatialBurst;
-    e.at = at;
-    e.duration = rejoin_after;
-    e.center_x = x;
-    e.center_y = y;
-    e.radius_m = radius_m;
-    e.burst_count = count;
     events.push_back(e);
     return *this;
 }
@@ -178,8 +161,6 @@ FaultPlan::validate(const PlanBounds& bounds) const
                                  e.kind == FaultKind::ControllerPartition;
         if (window_kind && e.duration == 0)
             flag(i, e, "degenerate zero-width window");
-        if (e.kind == FaultKind::SpatialBurst && e.radius_m < 0.0)
-            flag(i, e, "negative burst radius");
         if (e.kind == FaultKind::LinkBurst) {
             if (e.loss_good < 0.0 || e.loss_good > 1.0 || e.loss_bad < 0.0 ||
                 e.loss_bad > 1.0)

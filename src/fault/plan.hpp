@@ -6,11 +6,10 @@
  *
  * A FaultPlan is an ordered list of typed fault events with absolute
  * injection times: device crashes (optionally transient, with a
- * scheduled rejoin), correlated spatial bursts (k devices in a radius
- * fail together), Gilbert-Elliott bursty packet-loss windows, hard
+ * scheduled rejoin), Gilbert-Elliott bursty packet-loss windows, hard
  * wireless partitions, cloud server crashes, datastore outage windows
- * and controller failovers. Plans are plain data — the ChaosEngine
- * (fault/chaos.hpp) interprets them against a live deployment — so a
+ * and controller faults. Plans are plain data — fault::route_plan()
+ * (fault/shard_chaos.hpp) schedules them onto a sharded run — so a
  * plan can be built once and replayed bit-identically across seeds,
  * platforms and recovery policies.
  */
@@ -24,13 +23,11 @@
 
 namespace hivemind::fault {
 
-/** The fault classes the ChaosEngine knows how to inject. */
+/** The fault classes the scenario engine knows how to inject. */
 enum class FaultKind
 {
     /** One device stops heartbeating (rejoins after `duration` if > 0). */
     DeviceCrash,
-    /** Correlated burst: k devices inside a radius crash together. */
-    SpatialBurst,
     /** Gilbert-Elliott bursty-loss window on the wireless links. */
     LinkBurst,
     /** Hard partition: one device's radio is blacked out for `duration`. */
@@ -59,12 +56,6 @@ struct FaultEvent
     sim::Time duration = 0;
     /** Device or server index (DeviceCrash, Partition, ServerCrash). */
     std::size_t target = 0;
-    /** SpatialBurst epicentre and radius. */
-    double center_x = 0.0;
-    double center_y = 0.0;
-    double radius_m = 0.0;
-    /** SpatialBurst: crash at most this many devices (0 = all in radius). */
-    std::size_t burst_count = 0;
     /** LinkBurst Gilbert-Elliott parameters: per-state loss and mean
      *  state dwell times. */
     double loss_good = 0.0;
@@ -106,12 +97,6 @@ struct FaultPlan
     /** Crash `device` at `at`; rejoin after `rejoin_after` (0 = never). */
     FaultPlan& device_crash(sim::Time at, std::size_t device,
                             sim::Time rejoin_after = 0);
-
-    /** Crash up to `count` devices within `radius_m` of (x, y) at `at`.
-     *  `count` == 0 crashes every device in the radius. */
-    FaultPlan& spatial_burst(sim::Time at, double x, double y,
-                             double radius_m, std::size_t count = 0,
-                             sim::Time rejoin_after = 0);
 
     /** Gilbert-Elliott bursty-loss window over [at, at + duration). */
     FaultPlan& link_burst(sim::Time at, sim::Time duration,
@@ -162,10 +147,10 @@ struct FaultPlan
      * out-of-range device/server targets (when @p bounds knows the
      * counts), events at or past the horizon (when known), degenerate
      * zero-width windows (LinkBurst, Partition, DatastoreOutage,
-     * ControllerPartition), loss probabilities outside [0, 1],
-     * non-positive Gilbert-Elliott dwell times and negative burst
-     * radii. DeviceCrash/SpatialBurst/ServerCrash keep duration == 0
-     * as the documented "permanent" encoding.
+     * ControllerPartition), loss probabilities outside [0, 1] and
+     * non-positive Gilbert-Elliott dwell times. DeviceCrash and
+     * ServerCrash keep duration == 0 as the documented "permanent"
+     * encoding.
      */
     std::vector<std::string> validate(const PlanBounds& bounds = {}) const;
 
@@ -174,16 +159,16 @@ struct FaultPlan
 };
 
 /**
- * Replay the engines' skip-if-down rule over the plan's DeviceCrash
- * events: a crash targeting a device that is already held down by an
- * earlier, still-open crash window is not a second incident — it
- * neither fires nor schedules a rejoin. Returns one flag per plan
- * event; true marks a DeviceCrash that actually takes its device down
- * (every other kind is false). Ties are resolved crash-before-rejoin,
- * then plan order — the legacy kernel's (time, seq) order. Both the
- * legacy ChaosEngine and route_plan() follow this rule, which is what
- * keeps the crash/rejoin ledgers identical across engines; SpatialBurst
- * victims are dynamic and are not modelled here.
+ * Replay the skip-if-down rule over the plan's DeviceCrash events: a
+ * crash targeting a device that is already held down by an earlier,
+ * still-open crash window is not a second incident — it neither fires
+ * nor schedules a rejoin. Returns one flag per plan event; true marks
+ * a DeviceCrash that actually takes its device down (every other kind
+ * is false). Ties are resolved crash-before-rejoin, then plan order —
+ * a single kernel's (time, seq) order. route_plan() routes only these
+ * crashes, the scenario engine builds its MTTD/MTTR incidents from
+ * them, and the oracles interpret the plan through them, so all three
+ * agree on what counts as one incident.
  */
 std::vector<bool> effective_device_crashes(const FaultPlan& plan);
 

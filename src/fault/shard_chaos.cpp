@@ -24,8 +24,7 @@ burst_rng(std::uint64_t seed, std::size_t device, sim::Time at)
 
 /**
  * Precompute one device's Gilbert-Elliott transition schedule for a
- * LinkBurst window and post it on the owner shard. Mirrors
- * ChaosEngine::fire_link_burst / ge_transition: open in the good
+ * LinkBurst window and post it on the owner shard: open in the good
  * state, alternate exponential dwells (min one tick), restore the
  * configured loss when the window closes.
  */
@@ -73,11 +72,11 @@ route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
     PlanBounds bounds;
     bounds.devices = hooks.devices;
     plan.validate_or_throw(bounds);
-    // The legacy engine skips a crash on a device an earlier crash
-    // still holds down — and never schedules that crash's rejoin. The
-    // skip is fully determined by the plan, so replay it statically
-    // and route only the effective crash/rejoin pairs; a stray rejoin
-    // would otherwise revive a later incident early on one engine.
+    // A crash on a device an earlier crash still holds down is not a
+    // second incident, and its rejoin is never scheduled. The skip is
+    // fully determined by the plan, so replay it statically and route
+    // only the effective crash/rejoin pairs; a stray rejoin would
+    // otherwise revive a later incident early.
     const std::vector<bool> crash_fires = effective_device_crashes(plan);
     ShardChaosReport report;
     for (std::size_t i = 0; i < plan.events.size(); ++i) {
@@ -145,8 +144,9 @@ route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
             }
             const std::size_t server = e.target;
             sim::Simulator& shard = runtime.shard(cloud_shard);
-            shard.schedule_at(e.at, [fn = hooks.crash_server, server] {
-                fn(server);
+            shard.schedule_at(e.at, [fn = hooks.crash_server, server,
+                                     down = e.duration] {
+                fn(server, down);
             });
             if (e.duration > 0 && hooks.recover_server)
                 shard.schedule_at(e.at + e.duration,
@@ -185,7 +185,7 @@ route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
                 ++report.unsupported;
                 break;
             }
-            // Legacy path: same instance goes dark and comes back.
+            // No HA: the same instance goes dark and comes back.
             shard0.schedule_at(e.at, [fn = hooks.crash_controller] { fn(); });
             if (hooks.recover_controller)
                 shard0.schedule_at(e.at + e.duration,
@@ -203,8 +203,8 @@ route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
                     fn();
                 });
             // With the HA stack active, detection/election/replay own
-            // the recovery; scheduling the legacy fixed-delay recover
-            // here would race the real failover.
+            // the recovery; scheduling the fixed-delay recover here
+            // would race the real failover.
             if (!hooks.controller_ha && e.takeover &&
                 hooks.recover_controller) {
                 const sim::Time back =
@@ -219,9 +219,6 @@ route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
             ++report.routed;
             break;
         }
-        default:
-            ++report.unsupported;
-            break;
         }
     }
     return report;

@@ -12,9 +12,9 @@
  * any other event:
  *
  *  - DeviceCrash (and its rejoin) fire on the device's owner shard.
- *  - LinkBurst runs the same two-state Gilbert-Elliott chain as the
- *    legacy ChaosEngine, but per device: each device's dwell-time
- *    sequence is drawn from its own Rng forked deterministically from
+ *  - LinkBurst runs a two-state Gilbert-Elliott chain per device:
+ *    each device's dwell-time sequence is drawn from its own Rng
+ *    forked deterministically from
  *    `burst_seed` and the event time, and the whole transition
  *    schedule is precomputed before the run starts. Burst state is
  *    therefore local to the device's owner shard (its uplink
@@ -27,11 +27,11 @@
  *    (load balancer, failure detector, HA cluster). When the scenario
  *    runs the HA stack (`controller_ha`), recovery is driven by the
  *    HA election/replay machinery itself and route_plan() only
- *    schedules the crash; without HA it keeps the legacy fixed
- *    800 ms drop-and-reconcile recovery.
+ *    schedules the crash; without HA it keeps a fixed 800 ms
+ *    drop-and-reconcile recovery.
  *
- * Kinds with no sharded counterpart (SpatialBurst needs global device
- * positions at injection time) are counted, not dropped silently.
+ * Events a scenario gives no hook for are counted as unsupported, not
+ * dropped silently.
  */
 
 #include <cstddef>
@@ -60,8 +60,11 @@ struct ShardChaosHooks
     std::function<void(std::size_t, double)> set_device_loss;
     /** Radio blackout on/off for device @p d; runs on the owner shard. */
     std::function<void(std::size_t, bool)> partition_device;
-    /** Cloud server crash/recovery; runs on the cloud shard. */
-    std::function<void(std::size_t)> crash_server;
+    /**
+     * Cloud server crash (server id, planned down time; 0 = never
+     * restored) and recovery; both run on the cloud shard.
+     */
+    std::function<void(std::size_t, sim::Time)> crash_server;
     std::function<void(std::size_t)> recover_server;
     /** Datastore outage for a duration; runs on the cloud shard. */
     std::function<void(sim::Time)> datastore_outage;
@@ -75,9 +78,8 @@ struct ShardChaosHooks
     /**
      * A LinkBurst window opened; runs on shard 0 at the window's
      * injection time. Lets the scenario count burst windows when they
-     * actually fire — the same moment the legacy ChaosEngine counts
-     * them — rather than at routing time, so a run that finishes
-     * before a window opens reports the same ledger on both engines.
+     * actually fire rather than at routing time, so a run that
+     * finishes before a window opens does not count it.
      */
     std::function<void()> note_link_burst;
     /** Device ids the LinkBurst loss window must cover. */
@@ -91,7 +93,7 @@ struct ShardChaosHooks
      * True when the scenario runs the controller HA stack: recovery
      * from ControllerCrash/ControllerFailover is then owned by the HA
      * election machinery and route_plan() must not schedule the
-     * legacy fixed-delay recover_controller.
+     * fixed-delay recover_controller.
      */
     bool controller_ha = false;
 };

@@ -10,7 +10,6 @@ SwarmTopology::SwarmTopology(sim::Simulator& simulator,
     : simulator_(&simulator),
       config_(config),
       rng_(rng),
-      blocked_(config.devices, 0),
       device_bytes_(config.devices, 0),
       air_meter_(sim::kSecond),
       flows_(simulator)
@@ -55,33 +54,11 @@ SwarmTopology::SwarmTopology(sim::Simulator& simulator,
 }
 
 void
-SwarmTopology::set_device_blocked(std::size_t device, bool blocked)
-{
-    if (device < blocked_.size())
-        blocked_[device] = blocked ? 1 : 0;
-}
-
-bool
-SwarmTopology::device_blocked(std::size_t device) const
-{
-    return device < blocked_.size() && blocked_[device] != 0;
-}
-
-double
-SwarmTopology::wireless_loss_now(std::size_t device) const
-{
-    if (device_blocked(device))
-        return 1.0;
-    return loss_override_ >= 0.0 ? loss_override_ : config_.wireless_loss;
-}
-
-void
-SwarmTopology::with_retransmits(
-    std::size_t device, std::function<void(DeliveryCallback)> attempt,
-    DeliveryCallback done, int tries_left)
+SwarmTopology::with_retransmits(std::function<void(DeliveryCallback)> attempt,
+                                DeliveryCallback done, int tries_left)
 {
     auto self = this;
-    if (wireless_loss_now(device) >= 1.0) {
+    if (config_.wireless_loss >= 1.0) {
         // Radio blackout: nothing reaches the air. Each retry only
         // burns a retransmit timeout; when the budget runs out the
         // frame is dropped and the caller is told via kDropped.
@@ -94,16 +71,16 @@ SwarmTopology::with_retransmits(
         ++retransmissions_;
         simulator_->schedule_in(
             config_.retransmit_timeout,
-            [self, device, attempt = std::move(attempt),
-             done = std::move(done), tries_left]() mutable {
-                self->with_retransmits(device, std::move(attempt),
-                                       std::move(done), tries_left - 1);
+            [self, attempt = std::move(attempt), done = std::move(done),
+             tries_left]() mutable {
+                self->with_retransmits(std::move(attempt), std::move(done),
+                                       tries_left - 1);
             });
         return;
     }
-    attempt([self, device, attempt, done = std::move(done),
+    attempt([self, attempt, done = std::move(done),
              tries_left](sim::Time t) mutable {
-        double loss = self->wireless_loss_now(device);
+        const double loss = self->config_.wireless_loss;
         if (self->rng_ != nullptr && loss > 0.0 && loss < 1.0 &&
             self->rng_->chance(loss)) {
             // The final attempt rolls the loss like every other one;
@@ -118,9 +95,9 @@ SwarmTopology::with_retransmits(
             ++self->retransmissions_;
             self->simulator_->schedule_in(
                 self->config_.retransmit_timeout,
-                [self, device, attempt = std::move(attempt),
+                [self, attempt = std::move(attempt),
                  done = std::move(done), tries_left]() mutable {
-                    self->with_retransmits(device, std::move(attempt),
+                    self->with_retransmits(std::move(attempt),
                                            std::move(done), tries_left - 1);
                 });
             return;
@@ -153,7 +130,7 @@ SwarmTopology::send_uplink(std::size_t device, std::size_t server,
                             self->server_rpc_[server].get(),
                             std::move(finished));
     };
-    with_retransmits(device, std::move(attempt), std::move(done),
+    with_retransmits(std::move(attempt), std::move(done),
                      config_.max_retransmits);
 }
 
@@ -175,7 +152,7 @@ SwarmTopology::send_downlink(std::size_t server, std::size_t device,
                             self->device_rpc_[device].get(),
                             std::move(finished));
     };
-    with_retransmits(device, std::move(attempt), std::move(done),
+    with_retransmits(std::move(attempt), std::move(done),
                      config_.max_retransmits);
 }
 

@@ -64,7 +64,7 @@ struct TopologyConfig
 /**
  * Delivery-time sentinel passed to a DeliveryCallback when a wireless
  * transfer was dropped: the retransmit budget ran out, either because
- * the device's radio was hard-partitioned (every attempt burns a
+ * the radio is blacked out (wireless_loss >= 1: every attempt burns a
  * timeout without touching the air) or because probabilistic loss
  * corrupted every attempt including the last one.
  */
@@ -139,29 +139,6 @@ class SwarmTopology
     /** Wireless retransmissions performed so far. */
     std::uint64_t retransmissions() const { return retransmissions_; }
 
-    /**
-     * Override the wireless loss probability for every device (the
-     * ChaosEngine drives this during Gilbert-Elliott burst windows).
-     * Negative restores the configured static loss.
-     */
-    void set_loss_override(double loss) { loss_override_ = loss; }
-
-    /** Current loss override; negative when none is active. */
-    double loss_override() const { return loss_override_; }
-
-    /**
-     * Black out (or restore) one device's radio — a hard partition.
-     * While blocked, wireless attempts only burn retransmit timeouts;
-     * once the budget is gone the frame is dropped (kDropped).
-     */
-    void set_device_blocked(std::size_t device, bool blocked);
-
-    /** Whether the device's radio is currently blacked out. */
-    bool device_blocked(std::size_t device) const;
-
-    /** Effective wireless loss for a device right now. */
-    double wireless_loss_now(std::size_t device) const;
-
     /** Wireless frames dropped after exhausting retries in a blackout. */
     std::uint64_t frames_dropped() const { return frames_dropped_; }
 
@@ -175,8 +152,7 @@ class SwarmTopology
      * simulated corruption, wait out the retransmit timeout and try
      * again, up to the configured retry budget.
      */
-    void with_retransmits(std::size_t device,
-                          std::function<void(DeliveryCallback)> attempt,
+    void with_retransmits(std::function<void(DeliveryCallback)> attempt,
                           DeliveryCallback done, int tries_left);
 
     sim::Simulator* simulator_;
@@ -184,8 +160,6 @@ class SwarmTopology
     sim::Rng* rng_ = nullptr;
     std::uint64_t retransmissions_ = 0;
     std::uint64_t frames_dropped_ = 0;
-    double loss_override_ = -1.0;
-    std::vector<char> blocked_;
     std::vector<std::unique_ptr<Link>> device_up_;    // device -> router
     std::vector<std::unique_ptr<Link>> device_down_;  // router -> device
     std::vector<std::unique_ptr<Link>> router_up_;    // router -> tor

@@ -146,8 +146,7 @@ swarm_record_json(const SwarmRecord& rec)
     if (!rec.ok)
         return line.kv("error", rec.error);
     const RunResult& r = rec.result;
-    return line.kv("engine", to_string(r.engine_used))
-        .kv("shards", r.shards_used)
+    return line.kv("shards", r.shards_used)
         .kv("checksum", r.checksum)
         .kv("wall_s", r.wall_s)
         .kv("epochs", r.epochs)

@@ -56,19 +56,11 @@ run_fuzz_case(const fault::FaultPlan& plan, const FuzzCaseOptions& opt)
     // take the swarm controller down, matching the shipped scenarios.
     const PlatformOptions platform = PlatformOptions::hivemind();
 
-    // The audit-returning twin of platform::run()'s dispatch: the
-    // same EngineChoice semantics (Auto resolves to the sharded
-    // engine for every kind since the rover port), but routed to the
-    // audit-capable entry points the oracles need.
+    // The engine entry point directly, not platform::run(): the
+    // oracles need the audit only the engine result carries.
     const int shards = opt.shards < 1 ? 1 : opt.shards;
-    const bool sharded = opt.engine != EngineChoice::Legacy;
-    fault::RunAudit audit;
-    if (sharded) {
-        audit = run_scenario_sharded(sc, platform, dep, shards).audit;
-    } else {
-        sc.shards = 1;
-        audit = run_scenario_audited(sc, platform, dep).audit;
-    }
+    fault::RunAudit audit =
+        run_scenario_sharded(sc, platform, dep, shards).audit;
     audit.expect_full_horizon = true;
     return audit;
 }

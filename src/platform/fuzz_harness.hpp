@@ -4,13 +4,12 @@
  * @file
  * One fuzz case = one chaos run under oracle-friendly settings.
  *
- * run_fuzz_case() executes a FaultPlan on either engine (the legacy
- * single-kernel harness or the sharded runtime at any shard count)
- * against a fixed HiveMind deployment tuned for invariant checking:
- * the mission goal is unattainable and the pass budget unbounded, so
- * every run is expected to reach its horizon — which turns "the sim
- * stopped early" into an oracle violation instead of a legitimate
- * finish. The returned fault::RunAudit feeds fault::OracleSuite; the
+ * run_fuzz_case() executes a FaultPlan on the scenario engine at any
+ * shard count against a fixed HiveMind deployment tuned for invariant
+ * checking: the mission goal is unattainable and the pass budget
+ * unbounded, so every run is expected to reach its horizon — which
+ * turns "the sim stopped early" into an oracle violation instead of a
+ * legitimate finish. The returned fault::RunAudit feeds fault::OracleSuite; the
  * soak driver (bench/fuzz_soak.cpp) and the fuzz tests both build on
  * this entry point.
  */
@@ -24,13 +23,10 @@
 
 namespace hivemind::platform {
 
-/** Deployment + engine knobs for one fuzz case. The engine field is
- *  the same EngineChoice the scenario facade dispatches on (Auto
- *  resolves exactly like platform::run()). */
+/** Deployment + shard-count knobs for one fuzz case. */
 struct FuzzCaseOptions
 {
-    EngineChoice engine = EngineChoice::Sharded;
-    int shards = 1;            ///< Sharded engine only.
+    int shards = 1;            ///< Shard kernels (values < 1 run 1).
     std::uint64_t seed = 42;   ///< Deployment seed (world + traffic).
     std::size_t devices = 6;
     std::size_t servers = 2;

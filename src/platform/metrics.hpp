@@ -52,8 +52,8 @@ struct RunMetrics
     double cloud_rpc_cpu_s = 0.0;
     /**
      * Total bytes sent + received over the device radios — the radio
-     * energy ledger's input, summed over the fleet. Both engines fill
-     * this, so cross-engine accounting drift is testable.
+     * energy ledger's input, summed over the fleet, so the radio
+     * accounting is testable.
      */
     std::uint64_t radio_bytes_total = 0;
     /** Final detection-model quality (scenario runs; Fig. 15). */

@@ -143,12 +143,6 @@ flag_set(const char* name)
 }  // namespace
 
 bool
-legacy_engine()
-{
-    return flag_set("HIVEMIND_LEGACY_ENGINE");
-}
-
-bool
 global_lookahead()
 {
     return flag_set("HIVEMIND_GLOBAL_LOOKAHEAD");

@@ -78,10 +78,6 @@ const char* platform_preset_name(PlatformKind kind);
  */
 namespace env {
 
-/** HIVEMIND_LEGACY_ENGINE=1: force the legacy single-kernel harness
- *  regardless of ScenarioConfig::engine (the A/B escape hatch). */
-bool legacy_engine();
-
 /** HIVEMIND_GLOBAL_LOOKAHEAD=1: pin the classic global-lookahead
  *  epochs, overriding ScenarioConfig::adaptive_lookahead. */
 bool global_lookahead();

@@ -3,9 +3,7 @@
 /**
  * @file
  * Work/size constants of the scenario pipelines (from the task graphs
- * in Sec. 5.5). Shared by the legacy single-kernel harness and the
- * sharded scenario engine so the two execution paths always model the
- * same application, whatever runtime carries it.
+ * in Sec. 5.5), as the scenario engine runs them.
  */
 
 #include <cstdint>

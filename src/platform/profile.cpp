@@ -10,8 +10,9 @@ namespace hivemind::platform {
 namespace {
 
 // v2 dropped v1's tick-batching toggle along with the per-device tick
-// path. Other versions, v1 included, are rejected, not migrated.
-constexpr int kProfileVersion = 2;
+// path; v3 dropped the engine switch along with the legacy engine.
+// Other versions, v1 and v2 included, are rejected, not migrated.
+constexpr int kProfileVersion = 3;
 
 std::int64_t
 ns(sim::Time t)
@@ -64,19 +65,6 @@ parse_recovery(util::JsonCursor& in)
     if (name == "checkpoint")
         return cloud::FaultRecovery::Checkpoint;
     in.fail("unknown recovery policy \"" + name + "\"");
-}
-
-EngineChoice
-parse_engine(util::JsonCursor& in)
-{
-    const std::string name = in.parse_string();
-    if (name == "auto")
-        return EngineChoice::Auto;
-    if (name == "legacy")
-        return EngineChoice::Legacy;
-    if (name == "sharded")
-        return EngineChoice::Sharded;
-    in.fail("unknown engine \"" + name + "\"");
 }
 
 util::Json
@@ -242,7 +230,6 @@ scenario_json(const ScenarioConfig& sc)
     return util::Json::object()
         .kv("version", kProfileVersion)
         .kv("kind", scenario_kind_name(sc.kind))
-        .kv("engine", to_string(sc.engine))
         .kv("field_size_m", sc.field_size_m)
         .kv("targets", static_cast<std::uint64_t>(sc.targets))
         .kv("frame_task_rate_hz", sc.frame_task_rate_hz)
@@ -287,8 +274,6 @@ scenario_from_cursor(util::JsonCursor& in)
             saw_version = true;
         } else if (key == "kind") {
             sc.kind = parse_kind(in);
-        } else if (key == "engine") {
-            sc.engine = parse_engine(in);
         } else if (key == "field_size_m") {
             sc.field_size_m = in.parse_number();
         } else if (key == "targets") {

@@ -19,7 +19,8 @@
  * versions (or reject the old one loudly), and document the bump in
  * DESIGN.md. Unknown keys always throw: a typo'd knob must never
  * silently run the default experiment. The current schema is
- * version 2 (v1 also carried the since-removed tick-batching toggle).
+ * version 3 (v2 also carried the since-removed engine switch, v1 the
+ * tick-batching toggle as well).
  *
  * Times serialize as integer nanoseconds (sim::Time's native unit);
  * doubles in the shortest form that round-trips bit-exactly

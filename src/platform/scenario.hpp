@@ -24,14 +24,14 @@
  * second; a device whose battery empties fails — its heartbeats stop,
  * and on HiveMind the controller repartitions its region (Fig. 10).
  * Scenarios end when the goal is met, the time cap expires, or no
- * device is left alive.
+ * device is left alive. Every run executes on the sharded engine
+ * (platform/sharded_scenario.hpp), at one shard kernel or more.
  */
 
 #include <cstdint>
 
 #include "apps/detection.hpp"
 #include "core/ha.hpp"
-#include "fault/oracle.hpp"
 #include "fault/plan.hpp"
 #include "fault/retry.hpp"
 #include "platform/deployment.hpp"
@@ -40,29 +40,6 @@
 #include "platform/scenario_kind.hpp"
 
 namespace hivemind::platform {
-
-/**
- * Which scenario engine executes a run. An explicit config field —
- * not an env probe — so profiles, fleet tenants and sweeps can mix
- * engines in one process. HIVEMIND_LEGACY_ENGINE=1 remains the
- * documented environment override (see platform::env) for A/B runs
- * that cannot edit configs.
- */
-enum class EngineChoice
-{
-    /** The sharded engine for every scenario kind, at shards=1 too —
-     *  the default dispatch since the rover port. */
-    Auto,
-    /** The single-kernel ScenarioHarness, `shards` ignored. Kept as
-     *  the cross-engine parity baseline; scheduled for deletion after
-     *  a release cycle of green parity runs. */
-    Legacy,
-    /** The sharded engine at max(shards, 1) kernels. */
-    Sharded,
-};
-
-/** Stable profile name ("auto" / "legacy" / "sharded"). */
-const char* to_string(EngineChoice e);
 
 /** Scenario parameters (defaults follow Sec. 2.1 / 5.5). */
 struct ScenarioConfig
@@ -97,7 +74,7 @@ struct ScenarioConfig
      */
     sim::Time inject_failure_at = 0;
     std::size_t inject_failure_device = 0;
-    /** Declarative chaos plan executed by fault::ChaosEngine. */
+    /** Declarative chaos plan, scheduled by fault::route_plan(). */
     fault::FaultPlan faults;
     /** Restore policy applied to cloud pipeline stages. */
     cloud::FaultRecovery recovery = cloud::FaultRecovery::Respawn;
@@ -111,31 +88,25 @@ struct ScenarioConfig
      */
     core::HaConfig ha;
     /**
-     * Simulation shards for the sharded engine: device actors (all
-     * four scenario kinds) spread over this many sim::SwarmRuntime
-     * kernels. The result is checksum-identical for any shard count.
-     * The sharded engine is a different (message-passing) model than
-     * the legacy harness, so its numbers are compared against other
-     * sharded runs; only RecoveryMetrics parity is pinned
-     * cross-engine (resilience_parity_test).
+     * Simulation shards: device actors (all four scenario kinds)
+     * spread over max(shards, 1) sim::SwarmRuntime kernels. The result
+     * is checksum-identical for any shard count.
      */
     int shards = 1;
     /**
-     * Sharded engine only: use adaptive per-pair lookahead windows
-     * (see sim::SwarmRuntime::set_adaptive_lookahead). Off pins the
-     * classic global-lookahead epochs. A config knob rather than an
-     * env toggle so sweeps can mix modes across concurrent runs.
+     * Use adaptive per-pair lookahead windows (see
+     * sim::SwarmRuntime::set_adaptive_lookahead). Off pins the classic
+     * global-lookahead epochs. A config knob rather than an env toggle
+     * so sweeps can mix modes across concurrent runs.
      */
     bool adaptive_lookahead = true;
-    /** Engine dispatch (see EngineChoice). */
-    EngineChoice engine = EngineChoice::Auto;
 
     bool operator==(const ScenarioConfig&) const = default;
 };
 
 /**
  * The chaos plan a run of @p scenario executes: `faults` plus the
- * inject_failure_at shim's permanent device crash. Both engines and
+ * inject_failure_at shim's permanent device crash. The engine and
  * run()'s plan validation read the plan through here.
  */
 fault::FaultPlan effective_plan(const ScenarioConfig& scenario);
@@ -149,30 +120,24 @@ struct RunResult
     RunMetrics metrics;
     /**
      * FNV digest of the run's end state (device roster, ledgers,
-     * completion). Engine-specific: sharded checksums compare with
-     * sharded runs of the same config at any shard count, legacy
-     * checksums with legacy runs. Identical configs + seeds yield
-     * identical checksums — the fleet determinism gate.
+     * completion), the same at every shard count. Identical configs +
+     * seeds yield identical checksums — the fleet determinism gate.
      */
     std::uint64_t checksum = 0;
-    /** Which engine actually ran (never Auto). */
-    EngineChoice engine_used = EngineChoice::Legacy;
-    /** Shard kernels used (1 for the legacy engine). */
+    /** Shard kernels used. */
     int shards_used = 1;
     /** Host wall-clock spent inside the engine, seconds. */
     double wall_s = 0.0;
-    /** Conservative-sync epochs (sharded engine; 0 for legacy). */
+    /** Conservative-sync epochs. */
     std::uint64_t epochs = 0;
 };
 
 /**
- * The one entry point for scenario execution: resolves
- * `scenario.engine` (and the documented HIVEMIND_LEGACY_ENGINE /
- * HIVEMIND_GLOBAL_LOOKAHEAD environment overrides, via
- * platform::env) and dispatches to the legacy harness or the sharded
- * engine. Benches, tests, examples, the fuzz harness and the fleet
- * driver all route through here — engine selection logic lives
- * nowhere else.
+ * The one entry point for scenario execution: folds in the documented
+ * HIVEMIND_GLOBAL_LOOKAHEAD environment override (via platform::env),
+ * rejects a malformed chaos plan, and runs the sharded engine on
+ * max(scenario.shards, 1) kernels. Benches, tests, examples and the
+ * fleet driver all route through here.
  */
 RunResult run(const ScenarioConfig& scenario, const PlatformOptions& options,
               const DeploymentConfig& deployment_config);
@@ -181,22 +146,5 @@ RunResult run(const ScenarioConfig& scenario, const PlatformOptions& options,
 RunMetrics run_scenario(const ScenarioConfig& scenario,
                         const PlatformOptions& options,
                         const DeploymentConfig& deployment_config);
-
-/** One legacy-harness run plus the ledger the oracles audit. */
-struct AuditedRun
-{
-    RunMetrics metrics;
-    fault::RunAudit audit;
-};
-
-/**
- * Run @p scenario on the legacy single-kernel harness (regardless of
- * `scenario.shards`) and return the metrics together with a filled
- * fault::RunAudit for the invariant oracles. The sharded engine's
- * equivalent is ShardedScenarioResult::audit.
- */
-AuditedRun run_scenario_audited(const ScenarioConfig& scenario,
-                                const PlatformOptions& options,
-                                const DeploymentConfig& deployment_config);
 
 }  // namespace hivemind::platform

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <utility>
@@ -50,7 +51,7 @@ constexpr double kCkptLinkBps = 1e9;
 // single all-dead reading can race a rejoin already on the wire.
 constexpr int kFleetDeadDwellTicks = 3;
 
-/** Stage shares of one completed frame (mirrors the legacy math). */
+/** Stage shares of one completed frame. */
 struct StageShares
 {
     double total = 0.0;
@@ -151,6 +152,20 @@ struct DeviceActor
     }
 };
 
+/**
+ * One injected device crash: an effective DeviceCrash of the plan,
+ * the unit of the MTTD/MTTR ledger. The times are fixed at wiring;
+ * the two flags change on shard 0 only, so each incident yields at
+ * most one detection and one repair sample.
+ */
+struct DeviceIncident
+{
+    sim::Time at = 0;       ///< Injection.
+    sim::Time rejoin = -1;  ///< Scheduled rejoin; -1 = permanent.
+    bool detected = false;  ///< MTTD sampled.
+    bool repaired = false;  ///< MTTR sampled.
+};
+
 /** Controller tier state, pinned to shard 0. */
 struct ControllerTier
 {
@@ -222,8 +237,8 @@ struct ControllerTier
                 sc.targets, 1.4, rng);
         } else {
             // Rover worlds, generated per device from the forked rng
-            // in ascending id order exactly like the legacy path —
-            // single-threaded construction, so shard-agnostic.
+            // in ascending id order — single-threaded construction,
+            // so shard-agnostic.
             rover = true;
             rover_done.assign(devices, 0);
             if (sc.kind == ScenarioKind::TreasureHunt) {
@@ -310,6 +325,7 @@ class ShardedScenarioEngine
         wire_controller();
         wire_ha(dep);
         arm_chaos();
+        wire_incidents();
     }
 
     ShardedScenarioResult run();
@@ -362,6 +378,11 @@ class ShardedScenarioEngine
     void controller_takeover();
     void finish(bool goal);
 
+    // --- Device-crash MTTD/MTTR ledger (shard 0) ---
+    DeviceIncident* incident_at(std::size_t device, sim::Time now);
+    void note_detected(std::size_t device);
+    void note_restored(std::size_t device, bool repartitioned);
+
     // --- Controller HA (shard 0, checkpoint RPCs to the cloud shard) ---
     core::ControllerCheckpoint make_checkpoint() const;
     core::ReconcileReport reconcile_after_takeover(
@@ -373,6 +394,7 @@ class ShardedScenarioEngine
     void wire_controller();
     void wire_ha(const DeploymentConfig& dep);
     void arm_chaos();
+    void wire_incidents();
     RunMetrics collect_metrics();
     fault::RunAudit build_audit(const RunMetrics& m) const;
     std::uint64_t checksum() const;
@@ -400,6 +422,13 @@ class ShardedScenarioEngine
     std::uint64_t device_rejoins_ = 0;
     std::uint64_t ctrl_partitions_ = 0;
     std::uint64_t link_bursts_fired_ = 0;  ///< Windows actually opened.
+
+    // Crash ledger. Device incidents are indexed by device id (empty
+    // when the plan crashes no device) and sampled on shard 0; the
+    // restored server crashes' down times accrue on the cloud shard.
+    std::vector<std::vector<DeviceIncident>> incidents_;
+    sim::Summary device_mttd_, device_mttr_;
+    sim::Summary server_mttr_;
 
     // Controller HA: the cluster lives on shard 0, its checkpoints on
     // the cloud shard's DataStore, reached over a dedicated ShardLink
@@ -559,9 +588,9 @@ ShardedScenarioEngine::wire_controller()
 void
 ShardedScenarioEngine::wire_ha(const DeploymentConfig& dep)
 {
-    // Mirror the legacy gate: only runs that can actually lose their
-    // swarm controller pay for the HA stack, so every other run
-    // replays checksum-identically to the pre-HA behavior.
+    // Only runs that can actually lose their swarm controller pay for
+    // the HA stack, so every other run replays checksum-identically
+    // to the pre-HA behavior.
     if (!hivemind() ||
         (!sc_.ha.enabled && !plan_has_controller_faults(effective_plan(sc_))))
         return;
@@ -637,10 +666,10 @@ ShardedScenarioEngine::arm_chaos()
     hooks.controller_ha = ha_ != nullptr;
     hooks.crash_device = [this](std::size_t d) {
         DeviceActor& a = *devices_[d];
-        // A device already held down is not a second incident — the
-        // legacy ChaosEngine skips it, and the first scheduled rejoin
-        // ends the incident. Mirroring that here keeps the crash and
-        // rejoin ledgers identical across engines under overlapping
+        // A device already held down is not a second incident: the
+        // first scheduled rejoin ends the incident. route_plan() only
+        // routes effective crashes, so this guard is a backstop that
+        // keeps the crash and rejoin ledgers exact under overlapping
         // crash windows (e.g. Poisson churn on a small fleet).
         if (a.chaos_down)
             return;
@@ -675,9 +704,13 @@ ShardedScenarioEngine::arm_chaos()
         if (on)
             ++partitions_;
     };
-    hooks.crash_server = [this](std::size_t s) {
+    hooks.crash_server = [this](std::size_t s, sim::Time down_for) {
         cloud_.faas().crash_server(s, 0);
         ++server_crashes_;
+        // Worker monitors detect the crash at once; service is back
+        // when the server rejoins placement, down_for later.
+        if (down_for > 0)
+            server_mttr_.add(sim::to_seconds(down_for));
     };
     hooks.recover_server = [this](std::size_t s) {
         cloud_.faas().restore_server(s);
@@ -710,6 +743,34 @@ ShardedScenarioEngine::arm_chaos()
         cloud_shard_);
 }
 
+void
+ShardedScenarioEngine::wire_incidents()
+{
+    // The same effective crashes route_plan() scheduled, so every
+    // incident here is a crash that fires (if the run reaches it).
+    const fault::FaultPlan plan = effective_plan(sc_);
+    const std::vector<bool> fires = fault::effective_device_crashes(plan);
+    for (std::size_t i = 0; i < plan.events.size(); ++i) {
+        if (!fires[i])
+            continue;
+        const fault::FaultEvent& e = plan.events[i];
+        if (incidents_.empty())
+            incidents_.resize(devices_.size());
+        DeviceIncident inc;
+        inc.at = e.at;
+        if (e.duration > 0)
+            inc.rejoin = e.at + e.duration;
+        incidents_[e.target].push_back(inc);
+    }
+    // A device's effective crashes never overlap, so injection order
+    // is incident order.
+    for (std::vector<DeviceIncident>& list : incidents_)
+        std::sort(list.begin(), list.end(),
+                  [](const DeviceIncident& a, const DeviceIncident& b) {
+                      return a.at < b.at;
+                  });
+}
+
 // ---------------------------------------------------------------------
 // Device side
 // ---------------------------------------------------------------------
@@ -721,9 +782,8 @@ ShardedScenarioEngine::device_tick(DeviceActor& a)
         return;
     if (ctrl_.rover) {
         // Rovers burn motion power only while a leg's drive is under
-        // way (one grace second past arrival, mirroring the legacy
-        // tick); a rover parked on a sense retry or a finished course
-        // idles its drivetrain.
+        // way (plus one grace second past arrival); a rover parked on
+        // a sense retry or a finished course idles its drivetrain.
         if (a.job_done_at < 0 &&
             a.sim->now() <= a.moving_until + sim::kSecond)
             a.dev.account_motion(1.0);
@@ -1288,8 +1348,7 @@ ShardedScenarioEngine::on_report(std::size_t device, geo::Vec2 pos,
                                              spec.footprint_h);
     } else {
         // Visibility is judged at capture time: the crowd is evaluated
-        // where it stood when the frame was taken, not at report time
-        // (matches the legacy harness).
+        // where it stood when the frame was taken, not at report time.
         visible = ctrl_.crowd->people_in_view(t0, pos,
                                               spec.footprint_w,
                                               spec.footprint_h);
@@ -1354,6 +1413,7 @@ void
 ShardedScenarioEngine::on_device_failed(std::size_t device)
 {
     ctrl_.alive_known[device] = 0;
+    note_detected(device);
     if (!hivemind() || ctrl_.rover)
         return;  // Rovers own their regions; nothing to repartition.
     // Fig. 10: split the failed device's region among its neighbours
@@ -1362,12 +1422,14 @@ ShardedScenarioEngine::on_device_failed(std::size_t device)
         if (ctrl_.alive_known[c])
             send_route(c);
     }
+    note_restored(device, /*repartitioned=*/true);
 }
 
 void
 ShardedScenarioEngine::on_device_recovered(std::size_t device)
 {
     ctrl_.alive_known[device] = 1;
+    note_restored(device, /*repartitioned=*/false);
     if (!hivemind() || ctrl_.rover)
         return;  // The rejoin hook already re-drives the rover's leg.
     for (std::size_t c : ctrl_.balancer.handle_rejoin(device)) {
@@ -1388,15 +1450,21 @@ ShardedScenarioEngine::controller_takeover()
     // whose liveness and region disagree, refresh affected routes.
     std::vector<std::size_t> changed;
     for (std::size_t d = 0; d < devices_.size(); ++d) {
-        ctrl_.detector.reconcile(d, ctrl_.alive_known[d] != 0);
+        const bool live = ctrl_.alive_known[d] != 0;
+        ctrl_.detector.reconcile(d, live);
+        if (live)
+            note_restored(d, /*repartitioned=*/false);
+        else
+            note_detected(d);
         if (!hivemind() || ctrl_.rover)
             continue;
-        if (ctrl_.alive_known[d] && !ctrl_.balancer.region_of(d)) {
+        if (live && !ctrl_.balancer.region_of(d)) {
             for (std::size_t c : ctrl_.balancer.handle_rejoin(d))
                 changed.push_back(c);
-        } else if (!ctrl_.alive_known[d] && ctrl_.balancer.region_of(d)) {
+        } else if (!live && ctrl_.balancer.region_of(d)) {
             for (std::size_t c : ctrl_.balancer.handle_failure(d))
                 changed.push_back(c);
+            note_restored(d, /*repartitioned=*/true);
         }
     }
     ctrl_.detector.start();
@@ -1404,6 +1472,61 @@ ShardedScenarioEngine::controller_takeover()
         if (ctrl_.alive_known[c])
             send_route(c);
     }
+}
+
+// ---------------------------------------------------------------------
+// Device-crash MTTD/MTTR ledger (shard 0)
+// ---------------------------------------------------------------------
+
+/** The incident with the latest injection at or before @p now. */
+DeviceIncident*
+ShardedScenarioEngine::incident_at(std::size_t device, sim::Time now)
+{
+    if (device >= incidents_.size())
+        return nullptr;
+    std::vector<DeviceIncident>& list = incidents_[device];
+    auto it = std::upper_bound(
+        list.begin(), list.end(), now,
+        [](sim::Time t, const DeviceIncident& i) { return t < i.at; });
+    return it == list.begin() ? nullptr : &*std::prev(it);
+}
+
+/**
+ * Shard 0 flagged @p device dead. The first flag while an injected
+ * crash still holds the device down is that incident's detection; a
+ * battery death, a crash that already rejoined, or a reconcile that
+ * re-finds a flagged device adds nothing.
+ */
+void
+ShardedScenarioEngine::note_detected(std::size_t device)
+{
+    const sim::Time now = ctrl_.sim->now();
+    DeviceIncident* inc = incident_at(device, now);
+    if (inc == nullptr || inc->detected ||
+        (inc->rejoin >= 0 && now >= inc->rejoin))
+        return;
+    inc->detected = true;
+    device_mttd_.add(sim::to_seconds(now - inc->at));
+}
+
+/**
+ * Shard 0 restored service around @p device: it repartitioned the
+ * device's region away (@p repartitioned) or saw the device live. A
+ * detected permanent crash closes at its repartition; a detected
+ * transient crash only once shard 0 sees the device after its rejoin.
+ */
+void
+ShardedScenarioEngine::note_restored(std::size_t device, bool repartitioned)
+{
+    const sim::Time now = ctrl_.sim->now();
+    DeviceIncident* inc = incident_at(device, now);
+    if (inc == nullptr || !inc->detected || inc->repaired)
+        return;
+    const bool permanent = inc->rejoin < 0;
+    if (permanent != repartitioned || (!permanent && now < inc->rejoin))
+        return;
+    inc->repaired = true;
+    device_mttr_.add(sim::to_seconds(now - inc->at));
 }
 
 // ---------------------------------------------------------------------
@@ -1444,6 +1567,10 @@ ShardedScenarioEngine::reconcile_after_takeover(
         ++rep.devices_reregistered;
         const bool live = ctrl_.alive_known[d] != 0;
         ctrl_.detector.reconcile(d, live);
+        if (live)
+            note_restored(d, /*repartitioned=*/false);
+        else
+            note_detected(d);
         if (ctrl_.rover)
             continue;  // No region drift to repartition for rovers.
         if (live && !ctrl_.balancer.region_of(d)) {
@@ -1452,6 +1579,7 @@ ShardedScenarioEngine::reconcile_after_takeover(
         } else if (!live && ctrl_.balancer.region_of(d)) {
             for (std::size_t c : ctrl_.balancer.handle_failure(d))
                 changed.push_back(c);
+            note_restored(d, /*repartitioned=*/true);
         }
     }
     rep.regions_repartitioned = changed.size();
@@ -1642,17 +1770,22 @@ ShardedScenarioEngine::collect_metrics()
     m.recovery.device_crashes = device_crashes_;
     m.recovery.device_rejoins = device_rejoins_;
     m.recovery.server_crashes = server_crashes_;
-    // The FaaS side of a server crash, read as the legacy ChaosEngine
-    // does. Reported only: the checksum already pins the cloud
-    // history through the start and fault counters.
+    // Device incidents first, then restored server crashes: one sample
+    // order at every shard count. Reported only, like the FaaS loss
+    // ledger below; the checksum never reads them.
+    m.recovery.mttd_s = device_mttd_;
+    m.recovery.mttr_s = device_mttr_;
+    m.recovery.mttr_s.merge(server_mttr_);
+    // The FaaS side of a server crash. Reported only: the checksum
+    // already pins the cloud history through the start and fault
+    // counters.
     m.recovery.killed_invocations = cloud_.faas().killed_invocations();
     m.recovery.work_lost_core_ms = cloud_.faas().work_lost_core_ms();
     m.recovery.reexecuted_core_ms = cloud_.faas().reexecuted_core_ms();
     m.recovery.datastore_outages = datastore_outages_;
     m.recovery.partitions = partitions_;
-    // Fire-time count (the legacy engine's semantics), not how many
-    // windows the router accepted: a burst past the stop point never
-    // opened.
+    // Fire-time count, not how many windows the router accepted: a
+    // burst past the stop point never opened.
     m.recovery.link_burst_windows = link_bursts_fired_;
     m.recovery.controller_crashes = ctrl_.crashes;
     m.recovery.controller_partitions = ctrl_partitions_;
@@ -1674,7 +1807,6 @@ fault::RunAudit
 ShardedScenarioEngine::build_audit(const RunMetrics& m) const
 {
     fault::RunAudit audit;
-    audit.engine = "sharded";
     audit.shards = runtime_.shards();
     audit.seed = cloud_.config().seed;
     audit.devices = devices_.size();

@@ -23,11 +23,10 @@
  * All cross-actor interaction rides ShardLinks, so a run is
  * checksum-identical for any shard count (N = 1 included); the
  * invariance tests assert this with the result's FNV digest. The
- * engine is a message-passing re-implementation of the legacy
- * ScenarioHarness semantics — per-frame pipelines, retry/breaker
- * offload, heartbeat-driven repartitioning, continuous learning —
- * not an event-for-event replay of it, so compare sharded runs with
- * sharded runs and legacy runs with legacy runs.
+ * engine models per-frame pipelines, retry/breaker offload,
+ * heartbeat-driven repartitioning and continuous learning, and keeps
+ * the recovery ledger of every injected fault — device crashes get
+ * heartbeat MTTD/MTTR samples on shard 0.
  */
 
 #include <cstdint>

@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 
 #include "platform/metrics.hpp"
@@ -189,27 +188,6 @@ TEST(ShardDeterminismTest, ShardCountDoesNotChangeTheRun)
     EXPECT_EQ(one.metrics.recovery.controller_failovers, 1u);
 }
 
-/**
- * EngineChoice::Auto at shards=1 is a pure alias for the sharded
- * engine since the rover port: same engine, same shard count, and a
- * byte-identical metric trace as an explicit EngineChoice::Sharded
- * config. The legacy harness is reachable only by explicit choice or
- * the HIVEMIND_LEGACY_ENGINE hatch (resilience_parity_test).
- */
-TEST(ShardDeterminismTest, AutoIsByteIdenticalToExplicitSharded)
-{
-    platform::ScenarioConfig sc = fig01_scenario();
-    platform::RunResult picked = platform::run(
-        sc, platform::PlatformOptions::hivemind(), fig01_deployment(42));
-    EXPECT_EQ(picked.engine_used, platform::EngineChoice::Sharded);
-    EXPECT_EQ(picked.shards_used, 1);
-    sc.engine = platform::EngineChoice::Sharded;
-    platform::RunResult forced = platform::run(
-        sc, platform::PlatformOptions::hivemind(), fig01_deployment(42));
-    EXPECT_EQ(forced.checksum, picked.checksum);
-    EXPECT_EQ(run_checksum(forced.metrics), run_checksum(picked.metrics));
-}
-
 /** Same seed, same shard count: the sharded engine replays exactly. */
 TEST(ShardDeterminismTest, ShardedScenarioRepeatsByteIdentical)
 {
@@ -280,10 +258,9 @@ rover_scenario(platform::ScenarioKind kind)
 }
 
 /**
- * Rover missions ride the sharded engine by default now and replay
- * byte-identically: leg state machines, the crash/rejoin resume, and
- * the pipeline round trips all come off seeded Rngs and kernel event
- * order.
+ * Rover missions replay byte-identically: leg state machines, the
+ * crash/rejoin resume, and the pipeline round trips all come off
+ * seeded Rngs and kernel event order.
  */
 TEST(RoverDeterminismTest, SameSeedRoverRunsAreByteIdentical)
 {
@@ -297,38 +274,11 @@ TEST(RoverDeterminismTest, SameSeedRoverRunsAreByteIdentical)
         };
         platform::RunResult a = once();
         platform::RunResult b = once();
-        EXPECT_EQ(a.engine_used, platform::EngineChoice::Sharded);
         EXPECT_EQ(a.checksum, b.checksum) << platform::to_string(kind);
         EXPECT_EQ(run_checksum(a.metrics), run_checksum(b.metrics))
             << platform::to_string(kind);
         EXPECT_GT(a.metrics.job_latency_s.count(), 0u);
     }
-}
-
-/**
- * The HIVEMIND_LEGACY_ENGINE hatch covers the rover kinds too: a
- * hatched Auto run is bit-identical to an explicit
- * EngineChoice::Legacy run of the same config and seed.
- */
-TEST(RoverDeterminismTest, LegacyEscapeHatchCoversRoverKinds)
-{
-    platform::ScenarioConfig sc =
-        rover_scenario(platform::ScenarioKind::TreasureHunt);
-    platform::ScenarioConfig direct_cfg = sc;
-    direct_cfg.engine = platform::EngineChoice::Legacy;
-    platform::RunResult direct = platform::run(
-        direct_cfg, platform::PlatformOptions::hivemind(),
-        fig01_deployment(42));
-    EXPECT_EQ(direct.engine_used, platform::EngineChoice::Legacy);
-
-    ASSERT_EQ(setenv("HIVEMIND_LEGACY_ENGINE", "1", 1), 0);
-    platform::RunResult hatched = platform::run(
-        sc, platform::PlatformOptions::hivemind(), fig01_deployment(42));
-    unsetenv("HIVEMIND_LEGACY_ENGINE");
-
-    EXPECT_EQ(hatched.engine_used, platform::EngineChoice::Legacy);
-    EXPECT_EQ(hatched.checksum, direct.checksum);
-    EXPECT_EQ(run_checksum(hatched.metrics), run_checksum(direct.metrics));
 }
 
 }  // namespace

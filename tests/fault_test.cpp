@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the chaos/fault-injection subsystem (src/fault): retry
- * policy and circuit breaker, fault plans, network blackouts and
- * outage windows, the ChaosEngine's crash/rejoin + MTTD/MTTR
- * accounting, server-crash recovery under each Restore policy, and
- * bit-identical replay of full scenario runs under a rich plan.
+ * policy and circuit breaker, fault plans, datastore outage windows,
+ * server-crash recovery under each Restore policy, the scenario
+ * engine's crash/rejoin + MTTD/MTTR accounting, and bit-identical
+ * replay of full scenario runs under a rich plan.
  */
 
 #include <gtest/gtest.h>
@@ -13,13 +13,9 @@
 
 #include "cloud/datastore.hpp"
 #include "cloud/faas.hpp"
-#include "core/heartbeat.hpp"
-#include "core/load_balancer.hpp"
-#include "fault/chaos.hpp"
 #include "fault/metrics.hpp"
 #include "fault/plan.hpp"
 #include "fault/retry.hpp"
-#include "net/topology.hpp"
 #include "platform/options.hpp"
 #include "platform/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -143,10 +139,10 @@ TEST(FaultPlan, BuildersAppendEvents)
     EXPECT_EQ(p.events[5].kind, FaultKind::ControllerFailover);
 
     FaultPlan q;
-    q.spatial_burst(sim::kSecond, 10.0, 20.0, 5.0, 2);
+    q.controller_partition(sim::kSecond, 2 * sim::kSecond);
     p.merge(q);
     EXPECT_EQ(p.events.size(), 7u);
-    EXPECT_EQ(p.events[6].kind, FaultKind::SpatialBurst);
+    EXPECT_EQ(p.events[6].kind, FaultKind::ControllerPartition);
 }
 
 TEST(FaultPlan, PoissonChurnIsSeedDeterministic)
@@ -167,50 +163,8 @@ TEST(FaultPlan, PoissonChurnIsSeedDeterministic)
 }
 
 // ---------------------------------------------------------------------
-// Network blackouts / datastore outages
+// Datastore outages
 // ---------------------------------------------------------------------
-
-TEST(Blackout, PartitionDropsAfterRetransmitsExhaust)
-{
-    sim::Simulator s;
-    sim::Rng rng(5);
-    net::TopologyConfig cfg;
-    cfg.devices = 2;
-    cfg.servers = 2;
-    net::SwarmTopology topo(s, cfg, &rng);
-    topo.set_device_blocked(0, true);
-    sim::Time seen = 0;
-    topo.send_uplink(0, 0, 64 << 10, [&](sim::Time t) { seen = t; });
-    s.run();
-    EXPECT_EQ(seen, net::kDropped);
-    EXPECT_EQ(topo.frames_dropped(), 1u);
-
-    // Unblocked device delivers again.
-    topo.set_device_blocked(0, false);
-    seen = net::kDropped;
-    topo.send_uplink(0, 0, 64 << 10, [&](sim::Time t) { seen = t; });
-    s.run();
-    EXPECT_GT(seen, 0);
-}
-
-TEST(Blackout, LossOverrideRestores)
-{
-    sim::Simulator s;
-    sim::Rng rng(5);
-    net::TopologyConfig cfg;
-    cfg.devices = 1;
-    cfg.servers = 1;
-    net::SwarmTopology topo(s, cfg, &rng);
-    topo.set_loss_override(1.0);  // Total blackout for everyone.
-    sim::Time seen = 0;
-    topo.send_uplink(0, 0, 1 << 10, [&](sim::Time t) { seen = t; });
-    s.run();
-    EXPECT_EQ(seen, net::kDropped);
-    topo.set_loss_override(-1.0);  // Back to the configured loss (0).
-    topo.send_uplink(0, 0, 1 << 10, [&](sim::Time t) { seen = t; });
-    s.run();
-    EXPECT_GT(seen, 0);
-}
 
 TEST(Outage, DatastoreAccessesStallUntilWindowCloses)
 {
@@ -223,141 +177,7 @@ TEST(Outage, DatastoreAccessesStallUntilWindowCloses)
     store.access(0, [&] { done = s.now(); });
     s.run();
     EXPECT_GE(done, 2 * sim::kSecond);
-    EXPECT_EQ(store.outages(), 1u);
-}
-
-// ---------------------------------------------------------------------
-// ChaosEngine: crash + rejoin with detection and repartitioning
-// (acceptance criterion a)
-// ---------------------------------------------------------------------
-
-TEST(ChaosEngine, CrashRejoinDetectedAndRegionRestored)
-{
-    constexpr std::size_t kDevices = 4;
-    sim::Simulator s;
-    sim::Rng rng(21);
-
-    core::FailureDetector detector(s, kDevices);
-    core::SwarmLoadBalancer balancer(geo::Rect{0, 0, 40, 40}, kDevices);
-
-    FaultPlan plan;
-    plan.device_crash(10 * sim::kSecond, 1, 8 * sim::kSecond);
-    ChaosEngine chaos(s, rng, plan);
-    std::vector<char> failed(kDevices, 0);
-    chaos.attach_devices(kDevices, [&](std::size_t d, bool f) {
-        failed[d] = f ? 1 : 0;
-    });
-
-    detector.set_on_failure([&](std::size_t device) {
-        chaos.note_detected(device);
-        balancer.handle_failure(device);
-        chaos.note_repaired(device);  // No-op: incident stays open.
-    });
-    detector.set_on_recovery([&](std::size_t device) {
-        balancer.handle_rejoin(device);
-        chaos.note_repaired(device);
-    });
-    detector.start();
-
-    // 1 Hz heartbeats from every non-failed device.
-    for (std::size_t d = 0; d < kDevices; ++d) {
-        sim::recurring(s, sim::kSecond, [&, d](const sim::Recur& self) {
-            if (s.now() > 30 * sim::kSecond)
-                return;
-            if (!failed[d])
-                detector.beat(d);
-            self.again_in(sim::kSecond);
-        });
-    }
-
-    chaos.start();
-    s.run_until(31 * sim::kSecond);
-    detector.stop();
-    chaos.stop();
-
-    // Silence starts at the crash; the sweep declares failure within
-    // the 3 s timeout plus at most one beat+sweep period of slack.
-    ASSERT_EQ(detector.detection_latencies().size(), 1u);
-    double mttd = detector.detection_latencies()[0];
-    EXPECT_GT(mttd, 3.0);
-    EXPECT_LE(mttd, 4.2);
-    ASSERT_EQ(chaos.metrics().mttd_s.count(), 1u);
-    EXPECT_LE(chaos.metrics().mttd_s.mean(), mttd + 1.0 + 1e-9);
-
-    // The rejoin closed the incident: MTTR covers the full outage.
-    EXPECT_EQ(chaos.metrics().device_crashes, 1u);
-    EXPECT_EQ(chaos.metrics().device_rejoins, 1u);
-    ASSERT_EQ(chaos.metrics().mttr_s.count(), 1u);
-    EXPECT_GE(chaos.metrics().mttr_s.mean(), 8.0);
-    EXPECT_LE(chaos.metrics().mttr_s.mean(), 11.0);
-
-    // The region came back and the field is fully covered again.
-    ASSERT_TRUE(balancer.region_of(1).has_value());
-    EXPECT_NEAR(balancer.assigned_area(), 40.0 * 40.0, 1e-6);
-    EXPECT_EQ(balancer.active_devices().size(), kDevices);
-}
-
-TEST(ChaosEngine, PermanentCrashClosesIncidentAtRepartition)
-{
-    sim::Simulator s;
-    sim::Rng rng(22);
-    core::FailureDetector detector(s, 2);
-    FaultPlan plan;
-    plan.device_crash(5 * sim::kSecond, 0);  // Never rejoins.
-    ChaosEngine chaos(s, rng, plan);
-    std::vector<char> failed(2, 0);
-    chaos.attach_devices(2, [&](std::size_t d, bool f) {
-        failed[d] = f ? 1 : 0;
-    });
-    detector.set_on_failure([&](std::size_t device) {
-        chaos.note_detected(device);
-        chaos.note_repaired(device);  // Repartition restores service.
-    });
-    detector.start();
-    for (std::size_t d = 0; d < 2; ++d) {
-        sim::recurring(s, sim::kSecond, [&, d](const sim::Recur& self) {
-            if (s.now() > 15 * sim::kSecond)
-                return;
-            if (!failed[d])
-                detector.beat(d);
-            self.again_in(sim::kSecond);
-        });
-    }
-    chaos.start();
-    s.run_until(16 * sim::kSecond);
-    detector.stop();
-    chaos.stop();
-    EXPECT_EQ(chaos.metrics().device_crashes, 1u);
-    EXPECT_EQ(chaos.metrics().device_rejoins, 0u);
-    EXPECT_EQ(chaos.metrics().mttd_s.count(), 1u);
-    // MTTR == detection-to-repartition == detection latency here.
-    ASSERT_EQ(chaos.metrics().mttr_s.count(), 1u);
-    EXPECT_NEAR(chaos.metrics().mttr_s.mean(),
-                chaos.metrics().mttd_s.mean(), 1e-9);
-}
-
-TEST(ChaosEngine, SpatialBurstCrashesNearestK)
-{
-    sim::Simulator s;
-    sim::Rng rng(23);
-    FaultPlan plan;
-    plan.spatial_burst(sim::kSecond, 0.0, 0.0, 15.0, 2);
-    ChaosEngine chaos(s, rng, plan);
-    std::vector<char> failed(4, 0);
-    // Devices sit at x = 0, 10, 20, 30.
-    chaos.attach_devices(
-        4, [&](std::size_t d, bool f) { failed[d] = f ? 1 : 0; },
-        [](std::size_t d) {
-            return geo::Vec2{10.0 * static_cast<double>(d), 0.0};
-        });
-    chaos.start();
-    s.run_until(2 * sim::kSecond);
-    chaos.stop();
-    EXPECT_EQ(chaos.metrics().device_crashes, 2u);
-    EXPECT_TRUE(failed[0]);   // 0 m from the epicentre.
-    EXPECT_TRUE(failed[1]);   // 10 m.
-    EXPECT_FALSE(failed[2]);  // In no case: 20 m > 15 m radius.
-    EXPECT_FALSE(failed[3]);
+    EXPECT_FALSE(store.in_outage());
 }
 
 // ---------------------------------------------------------------------
@@ -524,13 +344,7 @@ chaotic_deployment()
 
 TEST(Determinism, IdenticalSeedsAndPlansReplayBitIdentically)
 {
-    // Pinned to the legacy harness: the closing assertions encode its
-    // ledger semantics (detection-latency samples, failover counting),
-    // which the sharded model books differently. Cross-engine fields
-    // are pinned in resilience_parity_test; sharded replay identity in
-    // determinism_test.
     platform::ScenarioConfig sc = chaotic_scenario();
-    sc.engine = platform::EngineChoice::Legacy;
     platform::RunMetrics a = run_scenario(
         sc, platform::PlatformOptions::hivemind(), chaotic_deployment());
     platform::RunMetrics b = run_scenario(
@@ -596,10 +410,11 @@ TEST(Determinism, IdenticalSeedsAndPlansReplayBitIdentically)
     EXPECT_EQ(ra.link_burst_windows, 1u);
     EXPECT_EQ(ra.partitions, 1u);
     EXPECT_EQ(ra.datastore_outages, 1u);
-    // One injected ControllerFailover event plus the HA takeover that
-    // recovered the ControllerCrash.
-    EXPECT_EQ(ra.controller_failovers, 2u);
-    EXPECT_EQ(ra.controller_crashes, 1u);
+    // The ControllerFailover event rides the same crash hook as the
+    // ControllerCrash two seconds later; that one lands while the
+    // standby is still taking over, so one takeover recovers both.
+    EXPECT_EQ(ra.controller_crashes, 2u);
+    EXPECT_EQ(ra.controller_failovers, 1u);
 }
 
 /** A long-lived drone scenario (huge goal, hard cap) for fault tests. */
@@ -618,6 +433,9 @@ TEST(Scenario, CrashedDeviceRejoinsMidScenario)
 {
     platform::ScenarioConfig sc = capped_scenario(30 * sim::kSecond);
     sc.faults.device_crash(10 * sim::kSecond, 2, 8 * sim::kSecond);
+    // Down for 1 s: device 5 beats again long before the 3 s timeout,
+    // so the controller never flags it and the ledger samples nothing.
+    sc.faults.device_crash(20 * sim::kSecond, 5, sim::kSecond);
 
     platform::DeploymentConfig cfg;
     cfg.devices = 8;
@@ -625,27 +443,29 @@ TEST(Scenario, CrashedDeviceRejoinsMidScenario)
     cfg.cores_per_server = 20;
     cfg.seed = 31;
 
-    // Default (sharded) engine: the crash/rejoin ledger fields both
-    // engines model identically.
-    platform::RunMetrics sharded = run_scenario(
-        sc, platform::PlatformOptions::hivemind(), cfg);
-    EXPECT_EQ(sharded.recovery.device_crashes, 1u);
-    EXPECT_EQ(sharded.recovery.device_rejoins, 1u);
-    EXPECT_GT(sharded.tasks_completed, 0u);
-
-    // Legacy harness additionally samples heartbeat detection/repair
-    // latency per device crash.
-    sc.engine = platform::EngineChoice::Legacy;
     platform::RunMetrics m = run_scenario(
         sc, platform::PlatformOptions::hivemind(), cfg);
-    EXPECT_EQ(m.recovery.device_crashes, 1u);
-    EXPECT_EQ(m.recovery.device_rejoins, 1u);
+    EXPECT_EQ(m.recovery.device_crashes, 2u);
+    EXPECT_EQ(m.recovery.device_rejoins, 2u);
+    EXPECT_GT(m.tasks_completed, 0u);
+    // The heartbeat detector flags device 2's silence (3 s timeout,
+    // 1 Hz sweep), and its incident closes only when the device is
+    // heard from again after its 8 s down window.
     ASSERT_EQ(m.recovery.mttd_s.count(), 1u);
     EXPECT_GT(m.recovery.mttd_s.mean(), 2.0);
     EXPECT_LT(m.recovery.mttd_s.mean(), 6.0);
     ASSERT_EQ(m.recovery.mttr_s.count(), 1u);
     EXPECT_GE(m.recovery.mttr_s.mean(), 8.0);
-    EXPECT_GT(m.tasks_completed, 0u);
+
+    // The whole recovery ledger, samples included, is shard-invariant.
+    for (int shards : {2, 4}) {
+        sc.shards = shards;
+        platform::RunMetrics r = run_scenario(
+            sc, platform::PlatformOptions::hivemind(), cfg);
+        EXPECT_TRUE(r.recovery == m.recovery)
+            << "shards=" << shards << "\n"
+            << metrics_diff_string(m.recovery, r.recovery);
+    }
 }
 
 TEST(Scenario, LegacyInjectFailureShimStillCrashesDevice)
@@ -660,19 +480,15 @@ TEST(Scenario, LegacyInjectFailureShimStillCrashesDevice)
     cfg.cores_per_server = 20;
     cfg.seed = 32;
 
-    // The shim translates on both engines...
-    platform::RunMetrics sharded = run_scenario(
-        sc, platform::PlatformOptions::hivemind(), cfg);
-    EXPECT_EQ(sharded.recovery.device_crashes, 1u);
-    EXPECT_EQ(sharded.recovery.device_rejoins, 0u);
-
-    // ...and the legacy harness still samples the detection latency.
-    sc.engine = platform::EngineChoice::Legacy;
     platform::RunMetrics m = run_scenario(
         sc, platform::PlatformOptions::hivemind(), cfg);
     EXPECT_EQ(m.recovery.device_crashes, 1u);
     EXPECT_EQ(m.recovery.device_rejoins, 0u);  // Permanent, as before.
-    EXPECT_EQ(m.recovery.mttd_s.count(), 1u);
+    // A permanent crash closes when HiveMind repartitions the dead
+    // device's region, right at its detection: MTTR == MTTD.
+    ASSERT_EQ(m.recovery.mttd_s.count(), 1u);
+    ASSERT_EQ(m.recovery.mttr_s.count(), 1u);
+    EXPECT_DOUBLE_EQ(m.recovery.mttr_s.mean(), m.recovery.mttd_s.mean());
 }
 
 }  // namespace

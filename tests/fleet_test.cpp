@@ -2,7 +2,7 @@
  * @file
  * Fleet service-mode tests: profile round-trips (randomized configs,
  * fuzzer-generated fault plans, strict unknown-key / version
- * rejection), the platform::run() facade's engine dispatch, fleet
+ * rejection), the platform::run() facade's shard dispatch, fleet
  * determinism (per-swarm checksums equal solo runs and invariant to
  * worker count), and the MetricsPipeline contract (bounded queue,
  * no drops, flush on abnormal swarm exit, JSONL well-formedness).
@@ -82,7 +82,6 @@ exotic_scenario()
     sc.ha.drift_replay_frac = 0.27;
     sc.shards = 4;
     sc.adaptive_lookahead = false;
-    sc.engine = platform::EngineChoice::Sharded;
     return sc;
 }
 
@@ -126,11 +125,6 @@ TEST(ScenarioProfileTest, RandomizedConfigsRoundTrip)
         cloud::FaultRecovery::Respawn,
         cloud::FaultRecovery::Checkpoint,
     };
-    const platform::EngineChoice engines[] = {
-        platform::EngineChoice::Auto,
-        platform::EngineChoice::Legacy,
-        platform::EngineChoice::Sharded,
-    };
     for (int trial = 0; trial < 200; ++trial) {
         platform::ScenarioConfig sc;
         sc.kind = kinds[rng.uniform_int(0, 3)];
@@ -160,7 +154,6 @@ TEST(ScenarioProfileTest, RandomizedConfigsRoundTrip)
         sc.ha.drift_replay_frac = rng.uniform(0.0, 1.0);
         sc.shards = rng.uniform_int(1, 16);
         sc.adaptive_lookahead = rng.chance(0.5);
-        sc.engine = engines[rng.uniform_int(0, 2)];
         sc.faults = fuzzer.generate(
             static_cast<std::uint64_t>(trial) * 7919 + 17);
         const std::string json = platform::scenario_to_json(sc);
@@ -172,45 +165,47 @@ TEST(ScenarioProfileTest, RandomizedConfigsRoundTrip)
 TEST(ScenarioProfileTest, MissingKeysKeepDefaults)
 {
     platform::ScenarioConfig sc = platform::scenario_from_json(
-        "{\"version\":2,\"kind\":\"rover_maze\",\"maze_side\":13}");
+        "{\"version\":3,\"kind\":\"rover_maze\",\"maze_side\":13}");
     EXPECT_EQ(sc.kind, platform::ScenarioKind::RoverMaze);
     EXPECT_EQ(sc.maze_side, 13);
     EXPECT_EQ(sc.targets, platform::ScenarioConfig{}.targets);
-    EXPECT_EQ(sc.engine, platform::EngineChoice::Auto);
+    EXPECT_EQ(sc.shards, platform::ScenarioConfig{}.shards);
 }
 
 TEST(ScenarioProfileTest, RejectsUnknownAndMalformed)
 {
-    // Unknown top-level key.
+    // Unknown top-level keys, v2's engine switch included.
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":2,\"sharts\":2}"),
+                     "{\"version\":3,\"sharts\":2}"),
+                 std::invalid_argument);
+    EXPECT_THROW(platform::scenario_from_json(
+                     "{\"version\":3,\"engine\":\"auto\"}"),
                  std::invalid_argument);
     // Unknown nested keys.
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":2,\"detection\":{\"bias\":1}}"),
+                     "{\"version\":3,\"detection\":{\"bias\":1}}"),
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":2,\"retry\":{\"attempts\":4}}"),
+                     "{\"version\":3,\"retry\":{\"attempts\":4}}"),
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":2,\"ha\":{\"quorum\":3}}"),
+                     "{\"version\":3,\"ha\":{\"quorum\":3}}"),
                  std::invalid_argument);
     // Bad enum values.
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":2,\"kind\":\"balloon_race\"}"),
+                     "{\"version\":3,\"kind\":\"balloon_race\"}"),
                  std::invalid_argument);
-    EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":2,\"engine\":\"warp\"}"),
-                 std::invalid_argument);
-    // Version handling: missing, superseded (v1), unknown, trailing
-    // garbage.
+    // Version handling: missing, superseded (v1, v2), unknown,
+    // trailing garbage.
     EXPECT_THROW(platform::scenario_from_json("{\"kind\":\"rover_maze\"}"),
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json("{\"version\":1}"),
                  std::invalid_argument);
-    EXPECT_THROW(platform::scenario_from_json("{\"version\":3}"),
+    EXPECT_THROW(platform::scenario_from_json("{\"version\":2}"),
                  std::invalid_argument);
-    EXPECT_THROW(platform::scenario_from_json("{\"version\":2} extra"),
+    EXPECT_THROW(platform::scenario_from_json("{\"version\":4}"),
+                 std::invalid_argument);
+    EXPECT_THROW(platform::scenario_from_json("{\"version\":3} extra"),
                  std::invalid_argument);
 }
 
@@ -299,38 +294,32 @@ TEST(RunFacadeTest, AutoDispatchesByShardsAndKind)
         small_scenario(platform::ScenarioKind::StationaryItems);
     sharded.shards = 2;
     platform::RunResult rs = platform::run(sharded, opt, dep);
-    EXPECT_EQ(rs.engine_used, platform::EngineChoice::Sharded);
     EXPECT_EQ(rs.shards_used, 2);
     EXPECT_GT(rs.epochs, 0u);
     EXPECT_NE(rs.checksum, 0u);
 
-    // Same config forced legacy: single kernel, no epochs.
-    platform::ScenarioConfig legacy = sharded;
-    legacy.engine = platform::EngineChoice::Legacy;
-    platform::RunResult rl = platform::run(legacy, opt, dep);
-    EXPECT_EQ(rl.engine_used, platform::EngineChoice::Legacy);
-    EXPECT_EQ(rl.shards_used, 1);
-    EXPECT_EQ(rl.epochs, 0u);
-
-    // Auto picks the sharded engine at shards=1 too — the legacy
-    // harness runs only when asked for.
+    // One kernel for shards=1, and for shards < 1 too; the digest does
+    // not depend on the shard count.
     platform::ScenarioConfig one = sharded;
     one.shards = 1;
     platform::RunResult r1 = platform::run(one, opt, dep);
-    EXPECT_EQ(r1.engine_used, platform::EngineChoice::Sharded);
     EXPECT_EQ(r1.shards_used, 1);
+    EXPECT_GT(r1.epochs, 0u);
+    EXPECT_EQ(r1.checksum, rs.checksum);
+    platform::ScenarioConfig zero = sharded;
+    zero.shards = 0;
+    EXPECT_EQ(platform::run(zero, opt, dep).shards_used, 1);
 
-    // Rover kinds ride the sharded engine since the port.
+    // Rover kinds run on the same engine.
     platform::ScenarioConfig rover =
         small_scenario(platform::ScenarioKind::TreasureHunt);
     rover.shards = 4;
     platform::RunResult rr = platform::run(rover, opt, dep);
-    EXPECT_EQ(rr.engine_used, platform::EngineChoice::Sharded);
     EXPECT_EQ(rr.shards_used, 4);
+    EXPECT_GT(rr.epochs, 0u);
     platform::ScenarioConfig maze =
         small_scenario(platform::ScenarioKind::RoverMaze);
-    EXPECT_EQ(platform::run(maze, opt, dep).engine_used,
-              platform::EngineChoice::Sharded);
+    EXPECT_NE(platform::run(maze, opt, dep).checksum, 0u);
 }
 
 TEST(RunFacadeTest, RunIsDeterministicPerSeed)

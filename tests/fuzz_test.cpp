@@ -7,8 +7,8 @@
  * The oracle fire drills forge RunAudits from a known-clean template
  * and break exactly one property at a time: each drill must trip its
  * own oracle family and no other, which is what makes a soak failure
- * attributable. The end-to-end smoke runs real fuzzed plans through
- * both engines via platform::run_fuzz_case.
+ * attributable. The end-to-end smoke runs real fuzzed plans at shard
+ * counts {1, 2, 4} via platform::run_fuzz_case.
  */
 
 #include <gtest/gtest.h>
@@ -21,12 +21,10 @@
 #include <string>
 #include <vector>
 
-#include "fault/chaos.hpp"
 #include "fault/fuzz.hpp"
 #include "fault/oracle.hpp"
 #include "fault/plan.hpp"
 #include "platform/fuzz_harness.hpp"
-#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 using namespace hivemind;
@@ -43,6 +41,31 @@ std::set<std::string> families(const std::vector<Violation>& vs)
     std::set<std::string> out;
     for (const Violation& v : vs)
         out.insert(v.oracle);
+    return out;
+}
+
+/** The shard counts every end-to-end fuzz case runs at. */
+constexpr int kShardCounts[] = {1, 2, 4};
+
+/**
+ * Run @p plan at every shard count: each run must pass the single-run
+ * oracles, and all of them must agree with each other.
+ */
+std::vector<Violation>
+audit_at_every_shard_count(const FaultPlan& plan,
+                           platform::FuzzCaseOptions opt)
+{
+    const fault::OracleSuite suite;
+    std::vector<Violation> out;
+    std::vector<RunAudit> runs;
+    for (int n : kShardCounts) {
+        opt.shards = n;
+        runs.push_back(platform::run_fuzz_case(plan, opt));
+        std::vector<Violation> vs = suite.audit(runs.back());
+        out.insert(out.end(), vs.begin(), vs.end());
+    }
+    std::vector<Violation> vs = suite.check_shard_invariance(runs);
+    out.insert(out.end(), vs.begin(), vs.end());
     return out;
 }
 
@@ -91,13 +114,11 @@ TEST(PlanFuzzer, PlansValidSortedAndBounded)
 TEST(PlanFuzzer, ConfigGatesControllerSpatialAndPermanent)
 {
     fault::FuzzConfig cfg;
-    cfg.allow_spatial = false;
     cfg.allow_controller = false;
     cfg.allow_permanent = false;
     fault::PlanFuzzer fuzzer(cfg);
     for (std::uint64_t seed = 0; seed < 200; ++seed) {
         for (const fault::FaultEvent& e : fuzzer.generate(seed).events) {
-            EXPECT_NE(e.kind, FaultKind::SpatialBurst);
             EXPECT_NE(e.kind, FaultKind::ControllerCrash);
             EXPECT_NE(e.kind, FaultKind::ControllerPartition);
             EXPECT_NE(e.kind, FaultKind::ControllerFailover);
@@ -211,14 +232,6 @@ TEST(PlanValidate, RejectsNonPositiveDwellTimes)
     EXPECT_NE(plan.validate()[0].find("dwell"), std::string::npos);
 }
 
-TEST(PlanValidate, RejectsNegativeBurstRadius)
-{
-    FaultPlan plan;
-    plan.spatial_burst(sim::kSecond, 10.0, 10.0, -1.0);
-    ASSERT_EQ(plan.validate().size(), 1u);
-    EXPECT_NE(plan.validate()[0].find("radius"), std::string::npos);
-}
-
 TEST(PlanValidate, ReportsEveryProblemNotJustTheFirst)
 {
     FaultPlan plan;
@@ -226,17 +239,6 @@ TEST(PlanValidate, ReportsEveryProblemNotJustTheFirst)
     plan.link_burst(sim::kSecond, 0, 2.0);  // Two more on another.
     EXPECT_EQ(plan.validate().size(), 4u);
     EXPECT_THROW(plan.validate_or_throw(), std::invalid_argument);
-}
-
-TEST(PlanValidate, ChaosEngineRefusesMalformedPlans)
-{
-    sim::Simulator simulator;
-    sim::Rng rng(1);
-    FaultPlan plan;
-    plan.device_crash(sim::kSecond, 9, sim::kSecond);  // 9 >= 3 devices.
-    fault::ChaosEngine chaos(simulator, rng, plan);
-    chaos.attach_devices(3, [](std::size_t, bool) {});
-    EXPECT_THROW(chaos.start(), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
@@ -249,7 +251,6 @@ namespace {
 RunAudit clean_audit()
 {
     RunAudit run;
-    run.engine = "sharded";
     run.shards = 1;
     run.seed = 7;
     run.devices = 2;
@@ -324,6 +325,18 @@ TEST(OracleFireDrill, LedgerSanityCatchesWrongCrashCount)
     const fault::OracleSuite suite;
     RunAudit run = clean_audit();
     run.recovery.device_crashes = 3;  // Plan injects exactly 1.
+    std::vector<Violation> vs = suite.audit(run);
+    ASSERT_FALSE(vs.empty());
+    EXPECT_EQ(families(vs), std::set<std::string>{"ledger-sanity"});
+}
+
+TEST(OracleFireDrill, LedgerSanityCatchesDoubleDeviceDetection)
+{
+    const fault::OracleSuite suite;
+    RunAudit run = clean_audit();
+    run.recovery.mttd_s.add(3.0);  // One detection for the one crash.
+    EXPECT_TRUE(suite.audit(run).empty());
+    run.recovery.mttd_s.add(5.0);  // The same incident detected again.
     std::vector<Violation> vs = suite.audit(run);
     ASSERT_FALSE(vs.empty());
     EXPECT_EQ(families(vs), std::set<std::string>{"ledger-sanity"});
@@ -410,21 +423,6 @@ TEST(OracleFireDrill, ShardInvarianceCatchesDivergentShardCount)
     std::vector<Violation> vs = suite.check_shard_invariance(runs);
     ASSERT_FALSE(vs.empty());
     EXPECT_EQ(families(vs), std::set<std::string>{"shard-invariance"});
-}
-
-TEST(OracleFireDrill, CrossEngineCatchesLedgerMismatch)
-{
-    const fault::OracleSuite suite;
-    RunAudit sharded = clean_audit();
-    RunAudit legacy = clean_audit();
-    legacy.engine = "legacy";
-    legacy.completion_margin = 0;
-    legacy.checksum = 0x9999;  // Engines never share checksums.
-    EXPECT_TRUE(suite.check_cross_engine(legacy, sharded).empty());
-    legacy.recovery.device_crashes = 2;
-    std::vector<Violation> vs = suite.check_cross_engine(legacy, sharded);
-    ASSERT_FALSE(vs.empty());
-    EXPECT_EQ(families(vs), std::set<std::string>{"cross-engine"});
 }
 
 // ---------------------------------------------------------------------
@@ -537,8 +535,7 @@ TEST(PlanJson, RoundTripsEveryKindAndField)
 {
     FaultPlan plan;
     plan.device_crash(sim::kSecond, 3)
-        .spatial_burst(2 * sim::kSecond, 10.5, 20.25, 8.0, 2,
-                       3 * sim::kSecond)
+        .device_crash(2 * sim::kSecond, 1, 3 * sim::kSecond)
         .link_burst(3 * sim::kSecond, 4 * sim::kSecond, 0.97,
                     1500 * sim::kMillisecond, 250 * sim::kMillisecond)
         .partition(4 * sim::kSecond, sim::kSecond, 1)
@@ -554,12 +551,21 @@ TEST(PlanJson, MalformedInputThrows)
 {
     EXPECT_THROW(fault::plan_from_json(""), std::invalid_argument);
     EXPECT_THROW(fault::plan_from_json("{}"), std::invalid_argument);
-    EXPECT_THROW(fault::plan_from_json("{\"version\":2,\"events\":[]}"),
+    // Superseded (v1) and unknown versions.
+    EXPECT_THROW(fault::plan_from_json("{\"version\":1,\"events\":[]}"),
                  std::invalid_argument);
+    EXPECT_THROW(fault::plan_from_json("{\"version\":3,\"events\":[]}"),
+                 std::invalid_argument);
+    // Kinds and fields the schema does not know fail to parse instead
+    // of silently doing nothing (v1's burst radius included).
     EXPECT_THROW(
         fault::plan_from_json(
-            "{\"version\":1,\"events\":[{\"kind\":\"NoSuchFault\"}]}"),
+            "{\"version\":2,\"events\":[{\"kind\":\"NoSuchFault\"}]}"),
         std::invalid_argument);
+    EXPECT_THROW(fault::plan_from_json(
+                     "{\"version\":2,\"events\":[{\"kind\":"
+                     "\"DeviceCrash\",\"radius_m\":5}]}"),
+                 std::invalid_argument);
     std::string truncated = fault::plan_to_json(
         FaultPlan{}.device_crash(sim::kSecond, 0, sim::kSecond));
     truncated.resize(truncated.size() / 2);
@@ -580,12 +586,11 @@ TEST(PlanJson, BuilderSnippetNamesEveryEvent)
 }
 
 // ---------------------------------------------------------------------
-// End-to-end smoke: fuzzed plans through both engines + all oracles
+// End-to-end smoke: fuzzed plans at shards {1, 2, 4} + all oracles
 // ---------------------------------------------------------------------
 
 TEST(FuzzSmoke, FuzzedPlansSurviveBothEnginesAndAllOracles)
 {
-    const fault::OracleSuite suite;
     platform::FuzzCaseOptions opt;
     opt.devices = 4;
     opt.servers = 2;
@@ -594,26 +599,7 @@ TEST(FuzzSmoke, FuzzedPlansSurviveBothEnginesAndAllOracles)
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         FaultPlan plan = fuzzer.generate(seed * 1000003);
         opt.seed = seed;
-
-        opt.engine = platform::EngineChoice::Sharded;
-        opt.shards = 1;
-        RunAudit one = platform::run_fuzz_case(plan, opt);
-        std::vector<Violation> vs = suite.audit(one);
-        EXPECT_TRUE(vs.empty())
-            << "seed " << seed << "\n" << fault::violations_to_string(vs);
-
-        opt.shards = 2;
-        RunAudit two = platform::run_fuzz_case(plan, opt);
-        vs = suite.check_shard_invariance({one, two});
-        EXPECT_TRUE(vs.empty())
-            << "seed " << seed << "\n" << fault::violations_to_string(vs);
-
-        opt.engine = platform::EngineChoice::Legacy;
-        RunAudit legacy = platform::run_fuzz_case(plan, opt);
-        vs = suite.audit(legacy);
-        EXPECT_TRUE(vs.empty())
-            << "seed " << seed << "\n" << fault::violations_to_string(vs);
-        vs = suite.check_cross_engine(legacy, one);
+        std::vector<Violation> vs = audit_at_every_shard_count(plan, opt);
         EXPECT_TRUE(vs.empty())
             << "seed " << seed << "\n" << fault::violations_to_string(vs);
     }
@@ -621,7 +607,6 @@ TEST(FuzzSmoke, FuzzedPlansSurviveBothEnginesAndAllOracles)
 
 TEST(FuzzSmoke, RoverPlansSurviveBothEnginesAndAllOracles)
 {
-    const fault::OracleSuite suite;
     for (platform::ScenarioKind kind :
          {platform::ScenarioKind::TreasureHunt,
           platform::ScenarioKind::RoverMaze}) {
@@ -634,29 +619,7 @@ TEST(FuzzSmoke, RoverPlansSurviveBothEnginesAndAllOracles)
         for (std::uint64_t seed = 1; seed <= 3; ++seed) {
             FaultPlan plan = fuzzer.generate(seed * 2000003);
             opt.seed = seed;
-
-            opt.engine = platform::EngineChoice::Sharded;
-            opt.shards = 1;
-            RunAudit one = platform::run_fuzz_case(plan, opt);
-            std::vector<Violation> vs = suite.audit(one);
-            EXPECT_TRUE(vs.empty()) << platform::to_string(kind) << " seed "
-                                    << seed << "\n"
-                                    << fault::violations_to_string(vs);
-
-            opt.shards = 2;
-            RunAudit two = platform::run_fuzz_case(plan, opt);
-            vs = suite.check_shard_invariance({one, two});
-            EXPECT_TRUE(vs.empty()) << platform::to_string(kind) << " seed "
-                                    << seed << "\n"
-                                    << fault::violations_to_string(vs);
-
-            opt.engine = platform::EngineChoice::Legacy;
-            RunAudit legacy = platform::run_fuzz_case(plan, opt);
-            vs = suite.audit(legacy);
-            EXPECT_TRUE(vs.empty()) << platform::to_string(kind) << " seed "
-                                    << seed << "\n"
-                                    << fault::violations_to_string(vs);
-            vs = suite.check_cross_engine(legacy, one);
+            std::vector<Violation> vs = audit_at_every_shard_count(plan, opt);
             EXPECT_TRUE(vs.empty()) << platform::to_string(kind) << " seed "
                                     << seed << "\n"
                                     << fault::violations_to_string(vs);
@@ -669,7 +632,6 @@ TEST(FuzzSmoke, SameSeedRunsAreByteIdentical)
     const fault::OracleSuite suite;
     platform::FuzzCaseOptions opt;
     opt.seed = 97;
-    opt.engine = platform::EngineChoice::Sharded;
     opt.shards = 2;
     fault::PlanFuzzer fuzzer(platform::fuzz_config_for(opt));
     FaultPlan plan = fuzzer.generate(1234567);
@@ -698,7 +660,6 @@ std::string read_file(const std::filesystem::path& path)
 
 TEST(FuzzCorpus, EveryCheckedInPlanReplaysCleanOnBothEngines)
 {
-    const fault::OracleSuite suite;
     std::size_t replayed = 0;
     for (const auto& entry :
          std::filesystem::directory_iterator(FUZZ_CORPUS_DIR)) {
@@ -716,18 +677,7 @@ TEST(FuzzCorpus, EveryCheckedInPlanReplaysCleanOnBothEngines)
             opt.kind = platform::ScenarioKind::RoverMaze;
         FaultPlan plan = fault::plan_from_json(read_file(entry.path()));
         EXPECT_FALSE(plan.empty());
-
-        opt.engine = platform::EngineChoice::Sharded;
-        opt.shards = 2;
-        RunAudit sharded = platform::run_fuzz_case(plan, opt);
-        std::vector<Violation> vs = suite.audit(sharded);
-        EXPECT_TRUE(vs.empty()) << fault::violations_to_string(vs);
-
-        opt.engine = platform::EngineChoice::Legacy;
-        RunAudit legacy = platform::run_fuzz_case(plan, opt);
-        vs = suite.audit(legacy);
-        EXPECT_TRUE(vs.empty()) << fault::violations_to_string(vs);
-        vs = suite.check_cross_engine(legacy, sharded);
+        std::vector<Violation> vs = audit_at_every_shard_count(plan, opt);
         EXPECT_TRUE(vs.empty()) << fault::violations_to_string(vs);
         ++replayed;
     }

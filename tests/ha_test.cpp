@@ -481,9 +481,9 @@ TEST(ScenarioHa, ShardedFrequentCheckpointsShrinkRecoveryTime)
     platform::RunMetrics stale = run_with_interval(16 * sim::kSecond);
     ASSERT_EQ(fresh.recovery.controller_mttr_s.count(), 1u);
     ASSERT_EQ(stale.recovery.controller_mttr_s.count(), 1u);
-    // Staler checkpoint -> more drift to replay -> slower recovery,
-    // exactly as on the legacy engine: the checkpoint RPCs ride the
-    // dedicated ShardLink plane but land on the same DataStore.
+    // Staler checkpoint -> more drift to replay -> slower recovery:
+    // the checkpoint RPCs ride the dedicated ShardLink plane to the
+    // cloud shard's DataStore.
     EXPECT_LT(fresh.recovery.checkpoint_age_s.mean(),
               stale.recovery.checkpoint_age_s.mean());
     EXPECT_LT(fresh.recovery.controller_mttr_s.mean(),

@@ -234,88 +234,73 @@ TEST(Scenario, RoverMazeFinishes)
 
 TEST(Scenario, FleetWideCrashWithQuickRejoinCompletesOnBothEngines)
 {
-    // Regression: the legacy tick() used to abort the mission on the
-    // first tick that observed every device dead, even when the crash
-    // window was about to end. Both engines now dwell
+    // Regression: the controller tick used to abort the mission on
+    // the first tick that observed every device dead, even when the
+    // crash window was about to end. It now dwells
     // kFleetDeadDwellTicks (3 ticks) before declaring the fleet lost,
     // so a 2 s fleet-wide outage is survivable.
-    for (EngineChoice engine :
-         {EngineChoice::Legacy, EngineChoice::Auto}) {
-        ScenarioConfig sc = small_scenario(ScenarioKind::StationaryItems);
-        sc.engine = engine;
-        for (std::size_t d = 0; d < 8; ++d)
-            sc.faults.device_crash(10 * sim::kSecond, d,
-                                   2 * sim::kSecond);
-        RunMetrics m = run_scenario(sc, PlatformOptions::hivemind(),
-                                    small_deployment(21));
-        EXPECT_TRUE(m.completed) << to_string(engine);
-        EXPECT_EQ(m.recovery.device_crashes, 8u) << to_string(engine);
-        EXPECT_EQ(m.recovery.device_rejoins, 8u) << to_string(engine);
-    }
+    ScenarioConfig sc = small_scenario(ScenarioKind::StationaryItems);
+    for (std::size_t d = 0; d < 8; ++d)
+        sc.faults.device_crash(10 * sim::kSecond, d, 2 * sim::kSecond);
+    RunMetrics m = run_scenario(sc, PlatformOptions::hivemind(),
+                                small_deployment(21));
+    EXPECT_TRUE(m.completed);
+    EXPECT_EQ(m.recovery.device_crashes, 8u);
+    EXPECT_EQ(m.recovery.device_rejoins, 8u);
 }
 
 TEST(Scenario, RoverResumesInterruptedLegAfterRejoin)
 {
     // Regression: a transient device crash used to strand the rover —
-    // rover_leg returned silently for a dead device and nothing
-    // restarted the leg on rejoin, so the mission idled to time_cap.
-    // Both engines now resume the interrupted leg.
-    for (EngineChoice engine :
-         {EngineChoice::Legacy, EngineChoice::Auto}) {
-        ScenarioConfig sc = small_scenario(ScenarioKind::TreasureHunt);
-        sc.engine = engine;
-        sc.faults.device_crash(3 * sim::kSecond, 2, 5 * sim::kSecond);
-        DeploymentConfig cfg = small_deployment(22);
-        cfg.device_spec = edge::DeviceSpec::rover();
-        RunMetrics m = run_scenario(sc, PlatformOptions::hivemind(), cfg);
-        EXPECT_TRUE(m.completed) << to_string(engine);
-        EXPECT_EQ(m.job_latency_s.count(), 8u) << to_string(engine);
-        EXPECT_EQ(m.recovery.device_crashes, 1u) << to_string(engine);
-        EXPECT_EQ(m.recovery.device_rejoins, 1u) << to_string(engine);
-    }
+    // the leg returned silently for a dead device and nothing
+    // restarted it on rejoin, so the mission idled to time_cap. The
+    // rejoin now resumes the interrupted leg.
+    ScenarioConfig sc = small_scenario(ScenarioKind::TreasureHunt);
+    sc.faults.device_crash(3 * sim::kSecond, 2, 5 * sim::kSecond);
+    DeploymentConfig cfg = small_deployment(22);
+    cfg.device_spec = edge::DeviceSpec::rover();
+    RunMetrics m = run_scenario(sc, PlatformOptions::hivemind(), cfg);
+    EXPECT_TRUE(m.completed);
+    EXPECT_EQ(m.job_latency_s.count(), 8u);
+    EXPECT_EQ(m.recovery.device_crashes, 1u);
+    EXPECT_EQ(m.recovery.device_rejoins, 1u);
 }
 
 TEST(Scenario, RoverRetryDwellDoesNotBurnMotionEnergy)
 {
-    // Regression: the legacy dropped-leg retry left moving_until_ in
-    // the future, so tick() kept booking 18 W drive power for a rover
-    // parked waiting on instructions. Motion energy is bounded by
-    // course length: a lossy window may cost idle time and retry
+    // Regression: the dropped-leg retry used to leave the motion gate
+    // in the future, so the tick kept booking 18 W drive power for a
+    // rover parked waiting on instructions. Motion energy is bounded
+    // by course length: a lossy window may cost idle time and retry
     // radio, never drive power. Centralized placement keeps the
     // device-side energy budget to idle + radio, making the bound
     // tight.
-    for (EngineChoice engine :
-         {EngineChoice::Legacy, EngineChoice::Auto}) {
-        ScenarioConfig sc = small_scenario(ScenarioKind::TreasureHunt);
-        sc.engine = engine;
-        DeploymentConfig cfg = small_deployment(23);
-        cfg.device_spec = edge::DeviceSpec::rover();
-        RunMetrics base = run_scenario(
-            sc, PlatformOptions::centralized_faas(), cfg);
-        ASSERT_TRUE(base.completed) << to_string(engine);
+    ScenarioConfig sc = small_scenario(ScenarioKind::TreasureHunt);
+    DeploymentConfig cfg = small_deployment(23);
+    cfg.device_spec = edge::DeviceSpec::rover();
+    RunMetrics base = run_scenario(sc, PlatformOptions::centralized_faas(),
+                                   cfg);
+    ASSERT_TRUE(base.completed);
 
-        ScenarioConfig lossy = sc;
-        lossy.faults.link_burst(5 * sim::kSecond, 30 * sim::kSecond,
-                                0.95);
-        RunMetrics burst = run_scenario(
-            lossy, PlatformOptions::centralized_faas(), cfg);
-        ASSERT_TRUE(burst.completed) << to_string(engine);
+    ScenarioConfig lossy = sc;
+    lossy.faults.link_burst(5 * sim::kSecond, 30 * sim::kSecond, 0.95);
+    RunMetrics burst = run_scenario(
+        lossy, PlatformOptions::centralized_faas(), cfg);
+    ASSERT_TRUE(burst.completed);
 
-        const double extra_s = burst.completion_s - base.completion_s;
-        EXPECT_GE(extra_s, 0.0) << to_string(engine);
-        // Extra consumed energy per rover, joules (battery_pct is
-        // consumed percent of the 100 kJ rover pack).
-        const edge::DeviceSpec rover = edge::DeviceSpec::rover();
-        const double extra_j =
-            (burst.battery_pct.mean() - base.battery_pct.mean()) / 100.0 *
-            rover.battery_j;
-        // Idle draw over the stretched mission plus generous retry
-        // radio slack — far below the 18 W drive power the retry bug
-        // would book while parked.
-        EXPECT_LT(extra_j,
-                  rover.power.idle_w * (extra_s + 5.0) + 100.0)
-            << to_string(engine) << " extra_s=" << extra_s;
-    }
+    const double extra_s = burst.completion_s - base.completion_s;
+    EXPECT_GE(extra_s, 0.0);
+    // Extra consumed energy per rover, joules (battery_pct is consumed
+    // percent of the 100 kJ rover pack).
+    const edge::DeviceSpec rover = edge::DeviceSpec::rover();
+    const double extra_j =
+        (burst.battery_pct.mean() - base.battery_pct.mean()) / 100.0 *
+        rover.battery_j;
+    // Idle draw over the stretched mission plus generous retry radio
+    // slack — far below the 18 W drive power the retry bug would book
+    // while parked.
+    EXPECT_LT(extra_j, rover.power.idle_w * (extra_s + 5.0) + 100.0)
+        << "extra_s=" << extra_s;
 }
 
 TEST(Scenario, HiveMindCompetitiveWithCentralizedOnScenarioA)

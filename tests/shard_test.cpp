@@ -1,9 +1,10 @@
 /**
  * @file
  * Sharded runtime tests: conservative window math, deterministic
- * mailbox merge, N=1 reduction, cross-shard links, fault routing, and
- * the headline property — a swarm run's checksum is byte-identical
- * for shard counts {1, 2, 4}, chaos and controller failover included.
+ * mailbox merge, N=1 reduction, cross-shard links, fault routing and
+ * Gilbert-Elliott burst chains, and the headline property — a swarm
+ * run's checksum and recovery ledger are byte-identical for shard
+ * counts {1, 2, 4}, chaos and controller failover included.
  *
  * Set HIVEMIND_SHARDS to fold an extra shard count into the
  * invariance sweep (the CI HIVEMIND_SHARDS=4 leg does).
@@ -16,8 +17,10 @@
 #include <string>
 #include <vector>
 
+#include "fault/metrics.hpp"
 #include "fault/shard_chaos.hpp"
 #include "net/shard_link.hpp"
+#include "platform/pipeline_spec.hpp"
 #include "platform/sharded_scenario.hpp"
 #include "sim/swarm_runtime.hpp"
 
@@ -331,6 +334,103 @@ shard_counts()
     return counts;
 }
 
+// --- Gilbert-Elliott burst chains on ShardLinks -----------------------
+
+/** One loss transition as recorded by the set_device_loss hook. */
+struct Transition
+{
+    sim::Time at;
+    double loss;
+    bool operator==(const Transition& o) const
+    {
+        return at == o.at && loss == o.loss;
+    }
+};
+
+/** Run route_plan's LinkBurst chains bare and record per-device. */
+std::vector<std::vector<Transition>>
+record_chains(int shards, std::size_t devices, const fault::FaultPlan& plan)
+{
+    sim::SwarmRuntime rt(shards);
+    auto owner = [shards, devices](std::size_t d) {
+        return static_cast<int>(d % static_cast<std::size_t>(shards));
+    };
+    for (std::size_t d = 0; d < devices; ++d) {
+        // Self-channels so every shard has a finite lookahead.
+        rt.declare_channel(owner(d), owner(d), sim::kMillisecond);
+    }
+    // Outer vector sized up front: each inner vector is only touched
+    // from its device's owner shard, so recording is race-free.
+    std::vector<std::vector<Transition>> rec(devices);
+    fault::ShardChaosHooks hooks;
+    hooks.devices = devices;
+    hooks.burst_seed = 42;
+    hooks.set_device_loss = [&rt, &rec, owner](std::size_t d, double loss) {
+        rec[d].push_back({rt.shard(owner(d)).now(), loss});
+    };
+    fault::ShardChaosReport rep =
+        fault::route_plan(rt, plan, owner, hooks, 0);
+    EXPECT_EQ(rep.link_bursts, 1u);
+    rt.run_until(120 * sim::kSecond);
+    return rec;
+}
+
+TEST(GilbertElliott, ChainsAreShardInvariantWithExponentialDwells)
+{
+    constexpr std::size_t kDevices = 8;
+    fault::FaultPlan plan;
+    plan.link_burst(sim::kSecond, 60 * sim::kSecond, 0.9);
+
+    std::vector<std::vector<Transition>> ref =
+        record_chains(1, kDevices, plan);
+    for (int n : shard_counts()) {
+        std::vector<std::vector<Transition>> rec =
+            record_chains(n, kDevices, plan);
+        EXPECT_EQ(rec, ref) << "shards=" << n;
+    }
+
+    // Shape: the window opens in the good state, alternates, and the
+    // final transition restores the configured loss (-1).
+    std::vector<double> bad_dwells, good_dwells;
+    for (std::size_t d = 0; d < kDevices; ++d) {
+        const std::vector<Transition>& t = ref[d];
+        ASSERT_GE(t.size(), 3u) << "device " << d;
+        EXPECT_EQ(t.front().at, sim::kSecond);
+        EXPECT_EQ(t.front().loss, 0.0);  // loss_good default.
+        EXPECT_EQ(t.back().at, 61 * sim::kSecond);
+        EXPECT_EQ(t.back().loss, -1.0);
+        for (std::size_t i = 1; i + 1 < t.size(); ++i) {
+            const bool entering_bad = (i % 2) == 1;
+            EXPECT_EQ(t[i].loss, entering_bad ? 0.9 : 0.0)
+                << "device " << d << " transition " << i;
+            const double dwell = sim::to_seconds(t[i + 1].at - t[i].at);
+            if (entering_bad)
+                bad_dwells.push_back(dwell);
+            else
+                good_dwells.push_back(dwell);
+        }
+    }
+    // Dwell statistics follow the two-state chain's means (2 s good,
+    // 500 ms bad by default); loose 3-sigma-ish bounds for ~100+
+    // exponential samples.
+    ASSERT_GE(bad_dwells.size(), 30u);
+    ASSERT_GE(good_dwells.size(), 30u);
+    auto mean = [](const std::vector<double>& v) {
+        double s = 0.0;
+        for (double x : v)
+            s += x;
+        return s / static_cast<double>(v.size());
+    };
+    const double mean_bad = mean(bad_dwells);
+    const double mean_good = mean(good_dwells);
+    EXPECT_GT(mean_bad, 0.2);
+    EXPECT_LT(mean_bad, 1.2);
+    EXPECT_GT(mean_good, 1.0);
+    EXPECT_LT(mean_good, 4.0);
+    // The two states are actually distinct processes.
+    EXPECT_GT(mean_good, 1.5 * mean_bad);
+}
+
 // --- Paper scenarios on the sharded runtime ---------------------------
 
 platform::ScenarioConfig
@@ -532,6 +632,143 @@ TEST(ShardedScenarioTest, EightThousandDeviceSmokeIsInvariant)
         sc, platform::PlatformOptions::hivemind(), dep, 4);
     EXPECT_EQ(r4.checksum, ref.checksum);
     EXPECT_GT(r4.forwarded, 0u);  // Real cross-shard traffic at N=4.
+}
+
+TEST(ShardedScenarioTest, DistributedEdgeRadioLedgerBooksEveryAck)
+{
+    // DistributedEdge uplinks only each frame's on-board result, and
+    // the cloud answers every completion with a 64 B ack that burns
+    // the device radio too. Loss-free, the ledger is exactly one
+    // result per offload plus one ack per completion: whatever is left
+    // after the acked completions are whole results still in the air.
+    platform::ScenarioConfig sc = scenario_config();
+    sc.time_cap = 60 * sim::kSecond;
+    platform::ShardedScenarioResult r = platform::run_scenario_sharded(
+        sc, platform::PlatformOptions::distributed_edge(),
+        scenario_deployment(), 2);
+    const platform::RunMetrics& m = r.metrics;
+    ASSERT_GT(m.tasks_completed, 0u);
+    EXPECT_EQ(r.audit.frames.dropped, 0u);
+    const std::uint64_t result_bytes =
+        platform::pipeline_for(sc.kind).result_bytes;
+    const std::uint64_t acked = m.tasks_completed * (result_bytes + 64);
+    ASSERT_GE(m.radio_bytes_total, acked);
+    const std::uint64_t unacked = m.radio_bytes_total - acked;
+    EXPECT_EQ(unacked % result_bytes, 0u);
+    EXPECT_LE(unacked / result_bytes, r.audit.frames.inflight_end);
+}
+
+// --- Full chaos plans: HA, drones and rovers --------------------------
+
+TEST(ShardedHa, ChecksumInvariantWithFullChaosPlan)
+{
+    platform::ScenarioConfig sc = scenario_config();
+    sc.faults.device_crash(3 * sim::kSecond, 2, 4 * sim::kSecond)
+        .server_crash(4 * sim::kSecond, 1, 3 * sim::kSecond)
+        .link_burst(5 * sim::kSecond, 6 * sim::kSecond, 0.9)
+        .controller_crash(12 * sim::kSecond)
+        .controller_partition(20 * sim::kSecond, 2 * sim::kSecond);
+    platform::ShardedScenarioResult ref = platform::run_scenario_sharded(
+        sc, platform::PlatformOptions::hivemind(), scenario_deployment(), 1);
+
+    // The real HA stack drove recovery: durable checkpoints on the
+    // cloud-shard DataStore, election within the heartbeat deadline,
+    // degraded-mode buffering during the outages.
+    const fault::RecoveryMetrics& r = ref.metrics.recovery;
+    EXPECT_EQ(r.controller_crashes, 1u);
+    EXPECT_EQ(r.controller_partitions, 1u);
+    EXPECT_EQ(r.controller_failovers, 1u);
+    EXPECT_GE(r.checkpoints_taken, 2u);
+    EXPECT_GT(r.checkpoint_bytes, 0u);
+    ASSERT_EQ(r.controller_mttd_s.count(), 1u);
+    EXPECT_GE(r.controller_mttd_s.mean(), 1.5 - 1e-9);
+    EXPECT_LE(r.controller_mttd_s.mean(), 2.0 + 1e-9);
+    EXPECT_GT(r.frames_buffered_degraded, 0u);
+    EXPECT_GT(r.buffered_frames_drained, 0u);
+    EXPECT_EQ(r.link_burst_windows, 1u);
+    EXPECT_GT(r.wireless_retransmissions, 0u);
+
+    for (int n : shard_counts()) {
+        platform::ShardedScenarioResult run = platform::run_scenario_sharded(
+            sc, platform::PlatformOptions::hivemind(), scenario_deployment(),
+            n);
+        EXPECT_EQ(run.checksum, ref.checksum) << "shards=" << n;
+        // The whole recovery ledger must be shard-invariant, not just a
+        // couple of sentinel counters; on mismatch the diff printer
+        // names every divergent field.
+        EXPECT_TRUE(run.metrics.recovery == ref.metrics.recovery)
+            << "shards=" << n << "\n"
+            << fault::metrics_diff_string(ref.metrics.recovery,
+                                          run.metrics.recovery);
+    }
+}
+
+/**
+ * A rover mission under churn: two crash/rejoin windows that interrupt
+ * legs mid-drive or mid-offload, plus a lossy burst over the sense
+ * round trips. Course sized so the rovers can still finish inside the
+ * cap once the rejoins resume the interrupted legs.
+ */
+platform::ScenarioConfig
+rover_chaos_scenario(platform::ScenarioKind kind)
+{
+    platform::ScenarioConfig sc;
+    sc.kind = kind;
+    sc.field_size_m = 48.0;
+    sc.course_legs = 6;
+    sc.maze_side = 5;
+    sc.time_cap = 300 * sim::kSecond;
+    sc.faults.device_crash(5 * sim::kSecond, 1, 6 * sim::kSecond)
+        .device_crash(9 * sim::kSecond, 3, 4 * sim::kSecond)
+        .link_burst(15 * sim::kSecond, 8 * sim::kSecond, 0.9);
+    return sc;
+}
+
+TEST(ShardedRover, ChecksumInvariantWithFullChaosPlan)
+{
+    for (platform::ScenarioKind kind :
+         {platform::ScenarioKind::TreasureHunt,
+          platform::ScenarioKind::RoverMaze}) {
+        platform::ScenarioConfig sc = rover_chaos_scenario(kind);
+        // Every rover finishes its course under churn: the rejoin
+        // resumes the interrupted leg instead of stranding the rover.
+        platform::ShardedScenarioResult churn =
+            platform::run_scenario_sharded(
+                sc, platform::PlatformOptions::hivemind(),
+                scenario_deployment(), 2);
+        EXPECT_TRUE(churn.metrics.completed) << platform::to_string(kind);
+        EXPECT_EQ(churn.metrics.job_latency_s.count(), 8u)
+            << platform::to_string(kind);
+        EXPECT_EQ(churn.metrics.recovery.device_crashes, 2u);
+        EXPECT_EQ(churn.metrics.recovery.device_rejoins, 2u);
+        EXPECT_EQ(churn.metrics.recovery.link_burst_windows, 1u);
+
+        // Fold in the controller-side faults so the rover path runs
+        // against the whole HA/degraded stack too.
+        sc.faults.controller_crash(12 * sim::kSecond);
+        platform::ShardedScenarioResult ref =
+            platform::run_scenario_sharded(
+                sc, platform::PlatformOptions::hivemind(),
+                scenario_deployment(), 1);
+        EXPECT_EQ(ref.metrics.recovery.device_crashes, 2u)
+            << platform::to_string(kind);
+        EXPECT_EQ(ref.metrics.recovery.device_rejoins, 2u);
+        EXPECT_EQ(ref.metrics.recovery.controller_crashes, 1u);
+        EXPECT_EQ(ref.metrics.recovery.controller_failovers, 1u);
+
+        for (int n : shard_counts()) {
+            platform::ShardedScenarioResult run =
+                platform::run_scenario_sharded(
+                    sc, platform::PlatformOptions::hivemind(),
+                    scenario_deployment(), n);
+            EXPECT_EQ(run.checksum, ref.checksum)
+                << platform::to_string(kind) << " shards=" << n;
+            EXPECT_TRUE(run.metrics.recovery == ref.metrics.recovery)
+                << platform::to_string(kind) << " shards=" << n << "\n"
+                << fault::metrics_diff_string(ref.metrics.recovery,
+                                              run.metrics.recovery);
+        }
+    }
 }
 
 TEST(ShardedScenarioTest, ShardsKnobRoutesThroughRunScenario)
