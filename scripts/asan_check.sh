@@ -9,7 +9,11 @@ cd "$(dirname "$0")/.."
 SAN="${1:-address}"
 BUILD_DIR="build-${SAN}"
 
-cmake -B "$BUILD_DIR" -S . -DHIVEMIND_SANITIZE="$SAN"
+# The default RelWithDebInfo flags carry -DNDEBUG; drop it so the
+# runtime's causality asserts (SwarmRuntime::drain/release_staged) run
+# under the sanitizer too.
+cmake -B "$BUILD_DIR" -S . -DHIVEMIND_SANITIZE="$SAN" \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 # Reduced-seed chaos fuzz soak: a few random fault plans at shard

@@ -57,20 +57,8 @@ OnboardExecutor::submit(double work_core_ms, std::function<void(double)> done)
 {
     if (queue_.size() >= queue_limit_) {
         // Shed the oldest queued task: its sensor data is stale.
-        if (queue_.front().done)
-            --queue_sendable_;
         queue_.pop_front();
         ++shed_;
-    }
-    if (done) {
-        ++queue_sendable_;
-        if (running_ && running_silent_) {
-            // The in-flight completion was classified silent, but it
-            // will now start this send-capable task when it fires —
-            // surface that to the shard's send horizon.
-            simulator_->mark_send(running_event_, running_done_at_);
-            running_silent_ = false;
-        }
     }
     queue_.push_back(Pending{work_core_ms, std::move(done),
                              simulator_->now()});
@@ -85,31 +73,21 @@ OnboardExecutor::maybe_run()
     running_ = true;
     Pending p = std::move(queue_.front());
     queue_.pop_front();
-    if (p.done)
-        --queue_sendable_;
     // Slow single core plus thermal/DVFS jitter.
     double exec_ms = p.work_core_ms / speed_factor_ *
         rng_.lognormal_median(1.0, 0.10);
     busy_seconds_ += exec_ms / 1000.0;
-    const bool sendable = static_cast<bool>(p.done);
     auto self = this;
-    auto body = [self, p = std::move(p)]() {
-        self->running_ = false;
-        self->running_silent_ = false;
-        ++self->completed_;
-        double latency_s =
-            sim::to_seconds(self->simulator_->now() - p.submit);
-        if (p.done)
-            p.done(latency_s);
-        self->maybe_run();
-    };
-    const sim::Time delay = sim::from_millis(exec_ms);
-    running_silent_ = !sendable && queue_sendable_ == 0;
-    running_done_at_ = simulator_->now() + delay;
-    running_event_ =
-        running_silent_
-            ? simulator_->schedule_silent_in(delay, std::move(body))
-            : simulator_->schedule_in(delay, std::move(body));
+    simulator_->schedule_in(
+        sim::from_millis(exec_ms), [self, p = std::move(p)]() {
+            self->running_ = false;
+            ++self->completed_;
+            double latency_s =
+                sim::to_seconds(self->simulator_->now() - p.submit);
+            if (p.done)
+                p.done(latency_s);
+            self->maybe_run();
+        });
 }
 
 Device::Device(sim::Simulator& simulator, sim::Rng& rng, std::size_t id,

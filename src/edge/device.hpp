@@ -110,18 +110,6 @@ class OnboardExecutor
     double busy_seconds_ = 0.0;
     std::uint64_t shed_ = 0;
     std::uint64_t completed_ = 0;
-
-    // --- Send-horizon classification (adaptive lookahead) ---
-    // A completion event is *silent* only when its task has no done
-    // callback AND no send-capable task is queued behind it (starting
-    // a queued task from a silent completion would hide a future send
-    // from the shard's send horizon). If a send-capable task arrives
-    // while a silent completion is in flight, the pending completion
-    // is upgraded via Simulator::mark_send.
-    std::size_t queue_sendable_ = 0;   ///< Queued tasks with a callback.
-    sim::EventId running_event_ = 0;   ///< In-flight completion event.
-    sim::Time running_done_at_ = 0;    ///< Its scheduled time.
-    bool running_silent_ = false;      ///< Whether it was classed silent.
 };
 
 /** One edge device: kinematics, camera, battery, on-board executor. */

@@ -80,7 +80,7 @@ interpret_plan(const RunAudit& run)
 
     Expectation x;
     x.first_event_at = run.horizon;
-    const std::vector<bool> crash_fires = effective_device_crashes(plan);
+    const std::vector<bool> crash_fires = effective_crashes(plan);
     for (std::size_t i = 0; i < plan.events.size(); ++i) {
         const FaultEvent& e = plan.events[i];
         x.first_event_at = std::min(x.first_event_at, e.at);
@@ -105,7 +105,8 @@ interpret_plan(const RunAudit& run)
                     std::max(x.last_wireless_end, e.at + e.duration);
             break;
         case FaultKind::ServerCrash:
-            count(x.server_crashes, e.at);
+            if (crash_fires[i])
+                count(x.server_crashes, e.at);
             break;
         case FaultKind::DatastoreOutage:
             count(x.datastore_outages, e.at);

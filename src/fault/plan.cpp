@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "sim/rng.hpp"
 
@@ -188,14 +189,14 @@ FaultPlan::validate_or_throw(const PlanBounds& bounds) const
 }
 
 std::vector<bool>
-effective_device_crashes(const FaultPlan& plan)
+effective_crashes(const FaultPlan& plan)
 {
     std::vector<bool> effective(plan.events.size(), false);
     // Timeline entries: crashes at their injection time, rejoins (for
-    // transient crashes) at injection + duration. The kernel assigns
-    // rejoins their sequence number at crash-fire time, so at equal
-    // timestamps a plan event always precedes a rejoin — sort key
-    // (time, rejoin-flag, plan index) reproduces that order.
+    // transient crashes) at injection + duration. At equal timestamps
+    // a crash sorts before a rejoin, then by plan index, so a crash
+    // that lands exactly as an earlier window closes is absorbed by
+    // that window.
     struct Entry
     {
         sim::Time at;
@@ -205,7 +206,8 @@ effective_device_crashes(const FaultPlan& plan)
     std::vector<Entry> timeline;
     for (std::size_t i = 0; i < plan.events.size(); ++i) {
         const FaultEvent& e = plan.events[i];
-        if (e.kind != FaultKind::DeviceCrash)
+        if (e.kind != FaultKind::DeviceCrash &&
+            e.kind != FaultKind::ServerCrash)
             continue;
         timeline.push_back({e.at, false, i});
         if (e.duration > 0)
@@ -219,28 +221,26 @@ effective_device_crashes(const FaultPlan& plan)
                       return !a.rejoin;
                   return a.index < b.index;
               });
-    std::vector<std::size_t> down_targets;
-    auto is_down = [&](std::size_t target) {
-        return std::find(down_targets.begin(), down_targets.end(), target) !=
-            down_targets.end();
-    };
+    // Devices and servers are separate id spaces: key by (kind, id).
+    using Target = std::pair<FaultKind, std::size_t>;
+    std::vector<Target> down;
     for (const Entry& entry : timeline) {
-        const std::size_t target = plan.events[entry.index].target;
+        const FaultEvent& e = plan.events[entry.index];
+        const Target target{e.kind, e.target};
         if (entry.rejoin) {
             // A rejoin only exists if its own crash fired, and then the
-            // device is necessarily still down (no other crash can open
+            // target is necessarily still down (no other crash can open
             // while this incident holds it).
             if (!effective[entry.index])
                 continue;
-            down_targets.erase(std::remove(down_targets.begin(),
-                                           down_targets.end(), target),
-                               down_targets.end());
+            down.erase(std::remove(down.begin(), down.end(), target),
+                       down.end());
             continue;
         }
-        if (is_down(target))
+        if (std::find(down.begin(), down.end(), target) != down.end())
             continue;  // Already held down: not a second incident.
         effective[entry.index] = true;
-        down_targets.push_back(target);
+        down.push_back(target);
     }
     return effective;
 }

@@ -159,17 +159,18 @@ struct FaultPlan
 };
 
 /**
- * Replay the skip-if-down rule over the plan's DeviceCrash events: a
- * crash targeting a device that is already held down by an earlier,
- * still-open crash window is not a second incident — it neither fires
- * nor schedules a rejoin. Returns one flag per plan event; true marks
- * a DeviceCrash that actually takes its device down (every other kind
- * is false). Ties are resolved crash-before-rejoin, then plan order —
- * a single kernel's (time, seq) order. route_plan() routes only these
- * crashes, the scenario engine builds its MTTD/MTTR incidents from
- * them, and the oracles interpret the plan through them, so all three
- * agree on what counts as one incident.
+ * Replay the skip-if-down rule over the plan's DeviceCrash and
+ * ServerCrash events: a crash targeting a device (server) that is
+ * already held down by an earlier, still-open crash window is not a
+ * second incident — it neither fires nor schedules a rejoin (restore).
+ * Returns one flag per plan event; true marks a DeviceCrash or
+ * ServerCrash that actually takes its target down (every other kind
+ * is false). Ties are resolved crash-before-rejoin, then plan order.
+ * route_plan() routes only these crashes, the scenario engine books
+ * its crash counts and MTTD/MTTR samples from them, and the oracles
+ * interpret the plan through them, so all three agree on what counts
+ * as one incident.
  */
-std::vector<bool> effective_device_crashes(const FaultPlan& plan);
+std::vector<bool> effective_crashes(const FaultPlan& plan);
 
 }  // namespace hivemind::fault

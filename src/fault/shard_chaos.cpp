@@ -72,12 +72,12 @@ route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
     PlanBounds bounds;
     bounds.devices = hooks.devices;
     plan.validate_or_throw(bounds);
-    // A crash on a device an earlier crash still holds down is not a
-    // second incident, and its rejoin is never scheduled. The skip is
-    // fully determined by the plan, so replay it statically and route
-    // only the effective crash/rejoin pairs; a stray rejoin would
-    // otherwise revive a later incident early.
-    const std::vector<bool> crash_fires = effective_device_crashes(plan);
+    // A crash on a device (server) an earlier crash still holds down
+    // is not a second incident, and its rejoin (restore) is never
+    // scheduled. The skip is fully determined by the plan, so replay
+    // it statically and route only the effective crash/rejoin pairs;
+    // a stray rejoin would otherwise revive a later incident early.
+    const std::vector<bool> crash_fires = effective_crashes(plan);
     ShardChaosReport report;
     for (std::size_t i = 0; i < plan.events.size(); ++i) {
         const FaultEvent& e = plan.events[i];
@@ -144,11 +144,12 @@ route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
             }
             const std::size_t server = e.target;
             sim::Simulator& shard = runtime.shard(cloud_shard);
-            shard.schedule_at(e.at, [fn = hooks.crash_server, server,
-                                     down = e.duration] {
-                fn(server, down);
-            });
-            if (e.duration > 0 && hooks.recover_server)
+            if (crash_fires[i])
+                shard.schedule_at(e.at, [fn = hooks.crash_server, server,
+                                         down = e.duration] {
+                    fn(server, down);
+                });
+            if (crash_fires[i] && e.duration > 0 && hooks.recover_server)
                 shard.schedule_at(e.at + e.duration,
                                   [fn = hooks.recover_server, server] {
                                       fn(server);

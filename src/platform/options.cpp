@@ -130,24 +130,6 @@ platform_from_name(const std::string& name)
 
 namespace env {
 
-namespace {
-
-/** Non-empty and not "0" — the repo-wide boolean env convention. */
-bool
-flag_set(const char* name)
-{
-    const char* v = std::getenv(name);
-    return v != nullptr && *v != '\0' && *v != '0';
-}
-
-}  // namespace
-
-bool
-global_lookahead()
-{
-    return flag_set("HIVEMIND_GLOBAL_LOOKAHEAD");
-}
-
 std::optional<int>
 shards()
 {

@@ -78,10 +78,6 @@ const char* platform_preset_name(PlatformKind kind);
  */
 namespace env {
 
-/** HIVEMIND_GLOBAL_LOOKAHEAD=1: pin the classic global-lookahead
- *  epochs, overriding ScenarioConfig::adaptive_lookahead. */
-bool global_lookahead();
-
 /** HIVEMIND_SHARDS: an extra shard count for invariance sweeps. */
 std::optional<int> shards();
 

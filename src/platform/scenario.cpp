@@ -47,13 +47,6 @@ RunResult
 run(const ScenarioConfig& scenario, const PlatformOptions& options,
     const DeploymentConfig& deployment_config)
 {
-    // The documented environment overrides fold in here — the facade
-    // is the options layer's one hook into execution; the engine
-    // itself never consults the environment.
-    ScenarioConfig sc = scenario;
-    if (env::global_lookahead())
-        sc.adaptive_lookahead = false;
-
     // Reject malformed chaos plans at the facade, before the engine
     // spins up a deployment for them. Horizon is deliberately left
     // unchecked: plans may legitimately outlast time_cap (events past
@@ -61,11 +54,11 @@ run(const ScenarioConfig& scenario, const PlatformOptions& options,
     fault::PlanBounds bounds;
     bounds.devices = deployment_config.devices;
     bounds.servers = deployment_config.servers;
-    effective_plan(sc).validate_or_throw(bounds);
+    effective_plan(scenario).validate_or_throw(bounds);
 
-    const int shards = std::max(sc.shards, 1);
+    const int shards = std::max(scenario.shards, 1);
     ShardedScenarioResult r =
-        run_scenario_sharded(sc, options, deployment_config, shards);
+        run_scenario_sharded(scenario, options, deployment_config, shards);
     RunResult out;
     out.metrics = std::move(r.metrics);
     out.checksum = r.checksum;

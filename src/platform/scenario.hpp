@@ -133,11 +133,10 @@ struct RunResult
 };
 
 /**
- * The one entry point for scenario execution: folds in the documented
- * HIVEMIND_GLOBAL_LOOKAHEAD environment override (via platform::env),
- * rejects a malformed chaos plan, and runs the sharded engine on
- * max(scenario.shards, 1) kernels. Benches, tests, examples and the
- * fleet driver all route through here.
+ * The one entry point for scenario execution: rejects a malformed
+ * chaos plan and runs the sharded engine on max(scenario.shards, 1)
+ * kernels. Benches, tests, examples and the fleet driver all route
+ * through here.
  */
 RunResult run(const ScenarioConfig& scenario, const PlatformOptions& options,
               const DeploymentConfig& deployment_config);

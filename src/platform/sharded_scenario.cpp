@@ -520,11 +520,8 @@ ShardedScenarioEngine::wire_devices(const DeploymentConfig& dep)
 
         // Obstacle avoidance always runs on-board (Sec. 2.1) and
         // never leaves the device: the submit has no completion
-        // callback, so the chain is silent-classified and stays out
-        // of the shard's adaptive send horizon (the executor upgrades
-        // the in-flight completion if a send-capable task queues up
-        // behind it).
-        sim::recurring_silent(
+        // callback.
+        sim::recurring(
             shard, sim::from_seconds(a->rng.uniform(0.0, 0.5)),
             [a, this](const sim::Recur& self) {
                 if (a->dev.alive())
@@ -705,6 +702,8 @@ ShardedScenarioEngine::arm_chaos()
             ++partitions_;
     };
     hooks.crash_server = [this](std::size_t s, sim::Time down_for) {
+        // route_plan() routes only effective crashes (never one on a
+        // server still down), so every call here is a new incident.
         cloud_.faas().crash_server(s, 0);
         ++server_crashes_;
         // Worker monitors detect the crash at once; service is back
@@ -749,11 +748,11 @@ ShardedScenarioEngine::wire_incidents()
     // The same effective crashes route_plan() scheduled, so every
     // incident here is a crash that fires (if the run reaches it).
     const fault::FaultPlan plan = effective_plan(sc_);
-    const std::vector<bool> fires = fault::effective_device_crashes(plan);
+    const std::vector<bool> fires = fault::effective_crashes(plan);
     for (std::size_t i = 0; i < plan.events.size(); ++i) {
-        if (!fires[i])
-            continue;
         const fault::FaultEvent& e = plan.events[i];
+        if (!fires[i] || e.kind != fault::FaultKind::DeviceCrash)
+            continue;
         if (incidents_.empty())
             incidents_.resize(devices_.size());
         DeviceIncident inc;

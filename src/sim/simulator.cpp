@@ -268,10 +268,6 @@ Simulator::cancel(EventId id)
     if (index >= slots_.size() || !slot_live(id))
         return false;
     const bool in_heap = slots_[index].in_heap;
-#ifdef HM_KERNEL_SHADOW
-    std::erase_if(shadow_,
-                  [id](const auto& t) { return std::get<2>(t) == id; });
-#endif
     release_slot(index);
     if (in_heap) {
         ++heap_dead_;

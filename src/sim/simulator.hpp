@@ -34,12 +34,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#ifdef HM_KERNEL_SHADOW
-#include <cstdio>
-#include <cstdlib>
-#include <set>
-#include <tuple>
-#endif
 #include <functional>
 #include <memory>
 #include <utility>
@@ -113,120 +107,6 @@ class Simulator
             return h->when;
         return kNever;
     }
-
-    /// @name Send-horizon tracking (adaptive per-pair lookahead).
-    ///
-    /// When enabled, every scheduled event is classified as either
-    /// *send-capable* (the default — it may emit a cross-shard message
-    /// when it runs, or schedule other events that do) or *silent*
-    /// (provably local: it touches only this shard's state and only
-    /// schedules further silent events). next_send_time() then reports
-    /// the earliest pending send-capable event, which lower-bounds the
-    /// time of the next message this shard can originate — a much
-    /// looser (larger) bound than next_time() when the queue is
-    /// dominated by local noise (motion ticks, null-callback compute).
-    /// The SwarmRuntime uses it to stretch conservative epoch windows.
-    ///
-    /// Soundness contract for callers marking events silent: a silent
-    /// event must never transfer/post, and must only schedule events
-    /// that are themselves silent. Any send chain must be rooted at a
-    /// send-capable event whose scheduled time lower-bounds the send.
-    /// @{
-
-    /** Enable/disable send-horizon tracking (off by default). */
-    void track_send_horizon(bool on)
-    {
-        track_sends_ = on;
-        if (!on) {
-            send_heap_.clear();
-        }
-    }
-
-    /** Whether send-horizon tracking is active. */
-    bool tracks_send_horizon() const { return track_sends_; }
-
-    /**
-     * Earliest pending send-capable event, or kNever. Always kNever
-     * when tracking is disabled. Lazily drops entries whose event
-     * already ran or was cancelled.
-     */
-    Time next_send_time()
-    {
-        if (!track_sends_)
-            return kNever;
-        while (!send_heap_.empty()) {
-            const Entry& top = send_heap_.front();
-            if (slot_live(top.id))
-                return top.when;
-            std::pop_heap(send_heap_.begin(), send_heap_.end(),
-                          EntryLater{});
-            send_heap_.pop_back();
-        }
-        return kNever;
-    }
-
-    /** Silent-classified schedule_at (InlineFn overload). */
-    EventId schedule_silent_at(Time when, InlineFn fn)
-    {
-        scheduling_silent_ = true;
-        const EventId id = schedule_at(when, std::move(fn));
-        scheduling_silent_ = false;
-        return id;
-    }
-
-    /** Silent-classified schedule_at (emplacing overload). */
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InlineFn> &&
-                  std::is_invocable_r_v<void, std::decay_t<F>&>>>
-    EventId schedule_silent_at(Time when, F&& f)
-    {
-        scheduling_silent_ = true;
-        const EventId id = schedule_at(when, std::forward<F>(f));
-        scheduling_silent_ = false;
-        return id;
-    }
-
-    /** Silent-classified schedule_in. */
-    EventId schedule_silent_in(Time delay, InlineFn fn)
-    {
-        return schedule_silent_at(now_ + (delay < 0 ? 0 : delay),
-                                  std::move(fn));
-    }
-
-    /** Silent-classified schedule_in (emplacing overload). */
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InlineFn> &&
-                  std::is_invocable_r_v<void, std::decay_t<F>&>>>
-    EventId schedule_silent_in(Time delay, F&& f)
-    {
-        return schedule_silent_at(now_ + (delay < 0 ? 0 : delay),
-                                  std::forward<F>(f));
-    }
-
-    /**
-     * Upgrade a pending *silent* event to send-capable.
-     *
-     * Used when new information invalidates a silent classification —
-     * e.g. the edge executor learns that a send-capable task queued
-     * up behind the silent completion it already scheduled. @p when
-     * must be the event's scheduled time. No-op when tracking is off,
-     * the id is stale, or the event is already send-capable (upgrades
-     * are sticky: an event never goes back to silent).
-     */
-    void mark_send(EventId id, Time when)
-    {
-        if (!track_sends_ || !slot_live(id))
-            return;
-        Slot& s = slots_[slot_of(id)];
-        if (!s.silent)
-            return;
-        s.silent = false;
-        send_push(Entry{when, send_seq_++, id});
-    }
-
-    /// @}
 
     /**
      * Schedule @p fn to run at absolute time @p when.
@@ -306,11 +186,7 @@ class Simulator
             return 0;
         const bool to_heap = pick_lane(when);
         const EventId id = alloc_slot(std::move(*running_), to_heap);
-        // A re-armed event inherits the silence class of the running
-        // one: a silent recurring chain stays silent tick after tick.
-        scheduling_silent_ = running_silent_;
         commit_entry(when, id, to_heap);
-        scheduling_silent_ = false;
         return id;
     }
 
@@ -431,7 +307,6 @@ class Simulator
         std::uint32_t next_free = 0;
         bool live = false;
         bool in_heap = false;  ///< Lane tag for cancel bookkeeping.
-        bool silent = false;   ///< Send-horizon class (see mark_send).
     };
 
     /** One wheel level: 256 unsorted buckets + occupancy bitmap. */
@@ -529,56 +404,15 @@ class Simulator
     void commit_entry(Time when, EventId id, bool to_heap)
     {
         Entry e{when, seq_bias_ | next_seq_++, id};
-#ifdef HM_KERNEL_SHADOW
-        shadow_.emplace(when, e.seq, id);
-#endif
-        slots_[slot_of(id)].silent = scheduling_silent_;
-        if (track_sends_ && !scheduling_silent_)
-            send_push(Entry{when, send_seq_++, id});
         if (to_heap)
             heap_push(e);
         else
             wheel_insert(e);
     }
 
-    /**
-     * Push onto the send-horizon heap. Stale entries (events that ran
-     * or were cancelled) are only dropped lazily at the top, so the
-     * heap is compacted whenever it can no longer be mostly live.
-     * Entries carry their own seq counter so enabling tracking never
-     * perturbs kernel event ordering.
-     */
-    void send_push(Entry e)
-    {
-        if (send_heap_.size() > 2 * live_ + 64) {
-            std::size_t keep = 0;
-            for (const Entry& s : send_heap_)
-                if (slot_live(s.id))
-                    send_heap_[keep++] = s;
-            send_heap_.resize(keep);
-            std::make_heap(send_heap_.begin(), send_heap_.end(),
-                           EntryLater{});
-        }
-        send_heap_.push_back(e);
-        std::push_heap(send_heap_.begin(), send_heap_.end(), EntryLater{});
-    }
-
     void release_slot(std::uint32_t index)
     {
         Slot& s = slots_[index];
-#ifdef HM_KERNEL_SHADOW
-        const EventId rid = (static_cast<EventId>(s.gen) << 32) | index;
-        for (const auto& t : shadow_) {
-            if (std::get<2>(t) == rid) {
-                std::fprintf(stderr,
-                             "SHADOW BAD RELEASE: slot %u gen %u released "
-                             "while shadow holds (when=%lld seq=%llu)\n",
-                             index, s.gen, (long long)std::get<0>(t),
-                             (unsigned long long)std::get<1>(t));
-                std::abort();
-            }
-        }
-#endif
         s.fn.reset();
         s.live = false;
         if (++s.gen == 0)
@@ -661,61 +495,9 @@ class Simulator
         else
             from_wheel = w != nullptr;
         const Entry* next = from_wheel ? w : h;
-#ifdef HM_KERNEL_SHADOW
-        if (!next && !shadow_.empty()) {
-            const auto& s = *shadow_.begin();
-            std::fprintf(stderr,
-                         "SHADOW LOST: queue drained but %zu shadow "
-                         "entries remain, first (when=%lld seq=%llu "
-                         "id=%llx) cur_tick=%llu ready=%zu/%zu "
-                         "wheel_count=%zu heap=%zu\n",
-                         shadow_.size(), (long long)std::get<0>(s),
-                         (unsigned long long)std::get<1>(s),
-                         (unsigned long long)std::get<2>(s),
-                         (unsigned long long)cur_tick_, ready_pos_,
-                         ready_.size(), wheel_count_, heap_.size());
-            for (std::size_t i = 0; i < ready_.size(); ++i) {
-                std::fprintf(
-                    stderr,
-                    "  ready[%zu]: when=%lld seq=%llu id=%llx live=%d\n",
-                    i, (long long)ready_[i].when,
-                    (unsigned long long)ready_[i].seq,
-                    (unsigned long long)ready_[i].id,
-                    (int)slot_live(ready_[i].id));
-            }
-            std::fprintf(stderr, "  use_wheel=%d now=%lld\n",
-                         (int)config_.use_timer_wheel, (long long)now_);
-            std::abort();
-        }
-#endif
         if (!next || next->when > until)
             return false;
         const Entry e = *next;
-#ifdef HM_KERNEL_SHADOW
-        if (shadow_.empty() ||
-            *shadow_.begin() != std::tuple(e.when, e.seq, e.id)) {
-            std::fprintf(stderr,
-                         "SHADOW MISMATCH: popped (when=%lld seq=%llu "
-                         "id=%llx from_wheel=%d) expected (when=%lld "
-                         "seq=%llu id=%llx) cur_tick=%llu ready=%zu/%zu "
-                         "wheel_count=%zu heap=%zu\n",
-                         (long long)e.when, (unsigned long long)e.seq,
-                         (unsigned long long)e.id, (int)from_wheel,
-                         shadow_.empty()
-                             ? -1LL
-                             : (long long)std::get<0>(*shadow_.begin()),
-                         shadow_.empty() ? 0ULL
-                                         : (unsigned long long)std::get<1>(
-                                               *shadow_.begin()),
-                         shadow_.empty() ? 0ULL
-                                         : (unsigned long long)std::get<2>(
-                                               *shadow_.begin()),
-                         (unsigned long long)cur_tick_, ready_pos_,
-                         ready_.size(), wheel_count_, heap_.size());
-            std::abort();
-        }
-        shadow_.erase(shadow_.begin());
-#endif
         if (from_wheel) {
             ++ready_pos_;
             --wheel_count_;
@@ -724,7 +506,6 @@ class Simulator
             heap_.pop_back();
         }
         now_ = e.when;
-        running_silent_ = slots_[slot_of(e.id)].silent;
         InlineFn fn = std::move(slots_[slot_of(e.id)].fn);
         release_slot(slot_of(e.id));
         if (fn) {
@@ -732,7 +513,6 @@ class Simulator
             fn();
             running_ = nullptr;
         }
-        running_silent_ = false;
         ++executed_;
         return true;
     }
@@ -782,21 +562,6 @@ class Simulator
 
     /** Closure currently executing (for rearm_at), else nullptr. */
     InlineFn* running_ = nullptr;
-
-    // --- Send-horizon tracking (see track_send_horizon) ---
-    bool track_sends_ = false;
-    /** Set across commit_entry by the schedule_silent_* wrappers. */
-    bool scheduling_silent_ = false;
-    /** Silence class of the executing event (rearm inheritance). */
-    bool running_silent_ = false;
-    /** Min-heap of pending send-capable events (lazy stale drop). */
-    std::vector<Entry> send_heap_;
-    std::uint64_t send_seq_ = 0;
-
-#ifdef HM_KERNEL_SHADOW
-  public:
-    std::set<std::tuple<Time, std::uint64_t, EventId>> shadow_;
-#endif
 };
 
 /**
@@ -866,21 +631,6 @@ template <typename Body>
 EventId recurring(Simulator& simulator, Time first_delay, Body body)
 {
     return simulator.schedule_in(
-        first_delay,
-        detail::RecurringTask<Body>{&simulator, std::move(body)});
-}
-
-/**
- * recurring() for *silent* bodies — ticks the send-horizon tracker
- * never has to fear (see Simulator::track_send_horizon). The silence
- * class survives every re-arm: again_in()/again_at() inherit it from
- * the running event. The body must uphold the silent contract: no
- * transfers/posts, and any event it schedules must itself be silent.
- */
-template <typename Body>
-EventId recurring_silent(Simulator& simulator, Time first_delay, Body body)
-{
-    return simulator.schedule_silent_in(
         first_delay,
         detail::RecurringTask<Body>{&simulator, std::move(body)});
 }

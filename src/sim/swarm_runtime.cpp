@@ -17,13 +17,8 @@ SwarmRuntime::SwarmRuntime(int shards, const KernelConfig& config)
     mail_.resize(n * n);
     staged_.resize(n);
     lat_.assign(n * n, Simulator::kNever);
-    sends_.assign(n, Simulator::kNever);
+    horizons_.assign(n, Simulator::kNever);
     windows_.assign(n, 0);
-    // Adaptive per-pair lookahead is the default; callers that want
-    // the classic global-lookahead epochs say so explicitly. The
-    // HIVEMIND_GLOBAL_LOOKAHEAD env override is resolved by the
-    // platform options layer (platform::env), never down here.
-    set_adaptive_lookahead(true);
     if (shards > 1) {
         start_ = std::make_unique<std::barrier<>>(shards);
         finish_ = std::make_unique<std::barrier<>>(shards);
@@ -53,18 +48,6 @@ SwarmRuntime::worker(int i)
             windows_[static_cast<std::size_t>(i)]);
         finish_->arrive_and_wait();
     }
-}
-
-void
-SwarmRuntime::set_adaptive_lookahead(bool on)
-{
-    adaptive_ = on;
-    // A single shard has no cross-shard channel that could bound a
-    // window (self-posts bypass the mailbox in adaptive mode), so the
-    // send-horizon bookkeeping would only burn a heap push per event.
-    const bool track = on && sims_.size() > 1;
-    for (const auto& s : sims_)
-        s->track_send_horizon(track);
 }
 
 void
@@ -128,28 +111,27 @@ SwarmRuntime::compute_windows(Time until, Time h)
         std::fill(windows_.begin(), windows_.end(), window);
         return;
     }
-    // Per-pair windows from each shard's *effective* send horizon.
-    // The raw horizon s_i = min(next_send_time, staged_min) covers
-    // sends already visible on shard i (a staged envelope is a future
-    // send-capable event its destination kernel does not know about
-    // yet). That alone is unsound: within one epoch shard i can react
-    // to a message from shard j and reply, so i's effective horizon
-    // must include sends *provoked* by every other shard's sends.
-    // Closing the raw horizons under
+    // Per-pair windows from each shard's *effective* horizon. The raw
+    // horizon s_i = min(next_time, staged_min) (filled in by
+    // run_until) bounds every send shard i can make on its own: any
+    // pending event may send, and a staged envelope is a future event
+    // its destination kernel does not know about yet. That alone is
+    // unsound: within one epoch shard i can react to a message from
+    // shard j and reply, so i's effective horizon must include sends
+    // *provoked* by every other shard's sends. Closing the raw
+    // horizons under
     //     s_i <- min(s_i, s_j + L(j, i))
     // (the conservative-sync LBTS relaxation; a shortest-path fixpoint
     // over the channel graph, reached in < n sweeps since latencies
     // are positive) accounts for reaction chains of any depth. Then
-    //     W_j = min(until, min over i of s_i + L(i, j) - 1).
+    //     W_j = min(until, min over i != j of s_i + L(i, j) - 1).
     // s_i >= H and L >= 1 keep W_j >= H, so the shard holding the
     // global horizon always executes (progress). A destination with
     // no declared incoming channel is unconstrained.
-    for (std::size_t i = 0; i < n; ++i)
-        sends_[i] = std::min(sims_[i]->next_send_time(), staged_min(i));
     for (bool changed = true; changed;) {
         changed = false;
         for (std::size_t j = 0; j < n; ++j) {
-            const Time s = sends_[j];
+            const Time s = horizons_[j];
             if (s == Simulator::kNever)
                 continue;
             for (std::size_t i = 0; i < n; ++i) {
@@ -157,8 +139,8 @@ SwarmRuntime::compute_windows(Time until, Time h)
                 if (lat == Simulator::kNever ||
                     s > Simulator::kNever - lat)
                     continue;
-                if (s + lat < sends_[i]) {
-                    sends_[i] = s + lat;
+                if (s + lat < horizons_[i]) {
+                    horizons_[i] = s + lat;
                     changed = true;
                 }
             }
@@ -172,7 +154,7 @@ SwarmRuntime::compute_windows(Time until, Time h)
             const Time lat = lat_[i * n + j];
             if (lat == Simulator::kNever)
                 continue;
-            const Time s = sends_[i];
+            const Time s = horizons_[i];
             if (s == Simulator::kNever || s > Simulator::kNever - lat)
                 continue;  // No bound from this source (saturates).
             w = std::min(w, s + lat - 1);
@@ -291,8 +273,8 @@ SwarmRuntime::run_until(Time until, const std::function<bool()>& stop)
     for (;;) {
         Time h = Simulator::kNever;
         for (std::size_t i = 0; i < sims_.size(); ++i) {
-            h = std::min(h, sims_[i]->next_time());
-            h = std::min(h, staged_min(i));
+            horizons_[i] = std::min(sims_[i]->next_time(), staged_min(i));
+            h = std::min(h, horizons_[i]);
         }
         if (h == Simulator::kNever || h > until)
             break;

@@ -15,28 +15,28 @@
  *    latency matrix is kept; the global lookahead (min over channels)
  *    remains available as a fallback.
  *  - Adaptive per-pair windows (the default): each epoch samples
- *    every shard's *send horizon* s_i = next_send_time(), the time of
- *    its earliest pending send-capable event (silent-classified local
- *    noise is skipped — see Simulator::track_send_horizon), closes
- *    the horizons transitively under the channel graph (the LBTS
+ *    every shard's *horizon* s_i = min(next_time(), earliest envelope
+ *    staged for i) — any pending event may send — closes the
+ *    horizons transitively under the channel graph (the LBTS
  *    relaxation s_i <- min(s_i, s_j + L(j,i)), so a shard's horizon
  *    also covers sends *provoked* by messages it has not received
  *    yet — e.g. a request from j at t can make i reply by
  *    t + L(j,i)), and gives each destination its own window
- *        W_j = min(until, min over i with L(i,j) declared of
+ *        W_j = min(until, min over i != j with L(i,j) declared of
  *                          s_i + L(i,j) - 1).
- *    Any message reaching j descends from some pending send-capable
- *    event; walking its reaction chain through the closed horizons
- *    shows it arrives after W_j, so it is staged before the first
- *    epoch whose window covers it. Since s_i >= H and L >= 1,
+ *    Any message reaching j descends from some pending event or
+ *    staged envelope; walking its reaction chain through the closed
+ *    horizons shows it arrives after W_j, so it is staged before the
+ *    first epoch whose window covers it. Since s_i >= H and L >= 1,
  *    W_j >= H — the shard holding the global horizon always
- *    progresses. Channels with src == dst participate like any other
- *    (self-sends hop through the mailbox, so they bound the sender's
- *    own window too).
+ *    progresses. A shard's own channel never bounds its window:
+ *    self-posts skip the mailbox and go straight into the owner
+ *    kernel (see post()).
  *  - Global-lookahead mode (set_adaptive_lookahead(false); the
- *    platform layer maps HIVEMIND_GLOBAL_LOOKAHEAD=1 onto it): every
- *    shard gets the classic
- *    W = min(until, H + lookahead - 1), H = min next_time().
+ *    platform layer maps ScenarioConfig::adaptive_lookahead onto it):
+ *    every shard gets the classic
+ *    W = min(until, H + lookahead - 1), H = min next_time(), and
+ *    every post, self-posts included, hops through the mailbox.
  *  - Shards run run_until(W) in parallel (shard 0 on the caller's
  *    thread, shards 1..N-1 on persistent worker threads bracketed by
  *    two std::barrier phases). Messages sent during the epoch land in
@@ -46,12 +46,16 @@
  *  - At the barrier, each destination's envelopes are stable-sorted
  *    by (delivery time, origin actor) and scheduled in that order.
  *
- * Determinism across shard counts: the epoch sequence depends only on
- * the global event horizon and the declared lookahead — neither
- * changes with N — and the merge key (when, origin) is independent of
- * which shard an actor landed on. Provided actors interact *only*
- * through post() (including same-shard neighbours), a run is
- * byte-identical for any shard count, N=1 included.
+ * Determinism across shard counts: windows only decide *when* staged
+ * envelopes are released, never in what order they run. Every
+ * envelope for a given (dst, when) is staged before the first window
+ * that covers it and released sorted by (when, origin), a key
+ * independent of which shard an actor landed on (in global mode the
+ * epoch sequence itself depends only on the global event horizon and
+ * the declared lookahead, neither of which changes with N). Provided
+ * actors interact *only* through post() (including same-shard
+ * neighbours), a run is byte-identical for any shard count, N=1
+ * included.
  */
 
 #include <barrier>
@@ -125,12 +129,10 @@ class SwarmRuntime
     }
 
     /**
-     * Toggle adaptive per-pair windows (on by default; the platform
-     * options layer maps HIVEMIND_GLOBAL_LOOKAHEAD=1 onto this
-     * switch). Also arms / disarms send-horizon tracking on every
-     * shard kernel. Call before run_until().
+     * Toggle adaptive per-pair windows (on by default; off selects
+     * global-lookahead mode). Call before run_until().
      */
-    void set_adaptive_lookahead(bool on);
+    void set_adaptive_lookahead(bool on) { adaptive_ = on; }
 
     /** Whether adaptive per-pair windows are active. */
     bool adaptive_lookahead() const { return adaptive_; }
@@ -182,7 +184,12 @@ class SwarmRuntime
 
   private:
     void worker(int i);
-    /** Compute this epoch's per-shard windows into windows_. */
+    /**
+     * Compute this epoch's per-shard windows into windows_ from the
+     * global horizon @p h (global mode) or the per-shard horizons
+     * run_until() sampled into horizons_ (adaptive mode, which closes
+     * them in place).
+     */
     void compute_windows(Time until, Time h);
     /** Move all mailboxes into the per-dst staging buffers. */
     void drain();
@@ -215,7 +222,7 @@ class SwarmRuntime
     /// lat_[src * N + dst]: declared channel latency (kNever = none).
     std::vector<Time> lat_;
     bool adaptive_ = true;
-    std::vector<Time> sends_;  ///< Per-epoch send-horizon scratch.
+    std::vector<Time> horizons_;  ///< Per-epoch per-shard horizons.
 
     // Parallel machinery (absent for N == 1).
     std::vector<std::jthread> threads_;

@@ -330,6 +330,25 @@ TEST(OracleFireDrill, LedgerSanityCatchesWrongCrashCount)
     EXPECT_EQ(families(vs), std::set<std::string>{"ledger-sanity"});
 }
 
+TEST(OracleFireDrill, LedgerSanityCatchesOverlappingServerCrashBookedTwice)
+{
+    const fault::OracleSuite suite;
+    RunAudit run = clean_audit();
+    // The crash at 12 s lands while server 0 is still down from the
+    // 10 s crash, so the plan holds one server incident, not two.
+    run.plan.server_crash(10 * sim::kSecond, 0, 8 * sim::kSecond);
+    run.plan.server_crash(12 * sim::kSecond, 0, 2 * sim::kSecond);
+    run.recovery.server_crashes = 1;
+    run.recovery.mttr_s.add(8.0);
+    std::vector<Violation> vs = suite.audit(run);
+    EXPECT_TRUE(vs.empty()) << fault::violations_to_string(vs);
+    run.recovery.server_crashes = 2;  // The overlapping crash booked too.
+    run.recovery.mttr_s.add(2.0);
+    vs = suite.audit(run);
+    ASSERT_FALSE(vs.empty());
+    EXPECT_EQ(families(vs), std::set<std::string>{"ledger-sanity"});
+}
+
 TEST(OracleFireDrill, LedgerSanityCatchesDoubleDeviceDetection)
 {
     const fault::OracleSuite suite;

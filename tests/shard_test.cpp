@@ -148,24 +148,6 @@ TEST(AdaptiveWindowTest, AsymmetricLatenciesGiveAsymmetricWindows)
     EXPECT_EQ(fired, 1);  // Only shard 0's event fell inside a window.
 }
 
-TEST(AdaptiveWindowTest, SilentEventsDoNotTightenWindows)
-{
-    sim::SwarmRuntime rt(2);
-    rt.set_adaptive_lookahead(true);
-    rt.declare_channel(0, 1, 5);
-    rt.declare_channel(1, 0, 5);
-    rt.shard(0).schedule_at(100, [] {});
-    rt.shard(1).schedule_silent_at(3, [] {});
-    rt.run_until(2000, [] { return true; });
-    // Shard 1's earliest *send-capable* time is the provoked bound
-    // s0 + L(0,1) = 105, not its silent event at 3, so
-    // W0 = 105 + 5 - 1 = 109 and W1 = 100 + 5 - 1 = 104. (Compare
-    // SendCapableEventBoundsTheWindow below: the same event left
-    // send-capable pins W0 two orders of magnitude earlier.)
-    EXPECT_EQ(rt.window_of(0), 109);
-    EXPECT_EQ(rt.window_of(1), 104);
-}
-
 TEST(AdaptiveWindowTest, SendCapableEventBoundsTheWindow)
 {
     sim::SwarmRuntime rt(2);
@@ -175,8 +157,9 @@ TEST(AdaptiveWindowTest, SendCapableEventBoundsTheWindow)
     rt.shard(0).schedule_at(100, [] {});
     rt.shard(1).schedule_at(3, [] {});
     rt.run_until(2000, [] { return true; });
-    // s1 = 3 bounds W0 = 3 + 5 - 1 = 7, and the closure drags shard
-    // 0's own horizon down to s1 + L(1,0) = 8, so W1 = 8 + 5 - 1 = 12.
+    // Any pending event may send, so shard 1's next event time s1 = 3
+    // bounds W0 = 3 + 5 - 1 = 7, and the closure drags shard 0's own
+    // horizon down to s1 + L(1,0) = 8, so W1 = 8 + 5 - 1 = 12.
     EXPECT_EQ(rt.window_of(0), 7);
     EXPECT_EQ(rt.window_of(1), 12);
 }
@@ -319,6 +302,38 @@ TEST(ShardChaosTest, RoutesDeviceAndControllerFaults)
     EXPECT_EQ(log[1].second, "rejoin1");
     EXPECT_EQ(log[2].second, "ctrl-down");
     EXPECT_EQ(log[3].second, "ctrl-up");
+}
+
+TEST(ShardChaosTest, OverlappingServerCrashIsOneIncident)
+{
+    // Server 1 goes down at 4 s for 8 s; a second crash at 6 s for 2 s
+    // lands while it is still down. That is not a second incident: only
+    // the first crash and its restore are routed, so the server is not
+    // revived early at 8 s.
+    sim::SwarmRuntime rt(2);
+    rt.declare_channel(0, 1, 1);
+    fault::FaultPlan plan;
+    plan.server_crash(4 * sim::kSecond, 1, 8 * sim::kSecond);
+    plan.server_crash(6 * sim::kSecond, 1, 2 * sim::kSecond);
+    // Both hooks run on the cloud shard, one thread: no lock needed.
+    std::vector<std::pair<sim::Time, std::string>> log;
+    fault::ShardChaosHooks hooks;
+    hooks.crash_server = [&](std::size_t s, sim::Time down_for) {
+        log.emplace_back(rt.shard(1).now(),
+                         "crash" + std::to_string(s) + " for " +
+                             std::to_string(down_for / sim::kSecond) + "s");
+    };
+    hooks.recover_server = [&](std::size_t s) {
+        log.emplace_back(rt.shard(1).now(), "restore" + std::to_string(s));
+    };
+    fault::route_plan(
+        rt, plan, [&rt](std::size_t d) { return rt.owner_of(d); }, hooks,
+        /*cloud_shard=*/1);
+    rt.run_until(30 * sim::kSecond);
+    const std::vector<std::pair<sim::Time, std::string>> want = {
+        {4 * sim::kSecond, "crash1 for 8s"},
+        {12 * sim::kSecond, "restore1"}};
+    EXPECT_EQ(log, want);
 }
 
 /** Shard counts exercised by the invariance sweep. */
@@ -605,6 +620,25 @@ TEST(ShardedScenarioTest, ServerCrashKillsInFlightInvocationsInvariantly)
             << "shards=" << n;
         EXPECT_EQ(r.metrics.recovery.reexecuted_core_ms,
                   rec.reexecuted_core_ms)
+            << "shards=" << n;
+    }
+}
+
+TEST(ShardedScenarioTest, OverlappingServerCrashIsBookedOnce)
+{
+    // The crash at 6 s lands while server 1 is still down from the
+    // 4 s crash: one incident, one 8 s repair sample, at every shard
+    // count.
+    platform::ScenarioConfig sc = scenario_config();
+    sc.faults.server_crash(4 * sim::kSecond, 1, 8 * sim::kSecond);
+    sc.faults.server_crash(6 * sim::kSecond, 1, 2 * sim::kSecond);
+    for (int n : shard_counts()) {
+        platform::ShardedScenarioResult r = platform::run_scenario_sharded(
+            sc, platform::PlatformOptions::hivemind(), scenario_deployment(),
+            n);
+        EXPECT_EQ(r.metrics.recovery.server_crashes, 1u) << "shards=" << n;
+        EXPECT_EQ(r.metrics.recovery.mttr_s.samples(),
+                  std::vector<double>{8.0})
             << "shards=" << n;
     }
 }
