@@ -71,8 +71,7 @@ main()
     std::vector<platform::RunMetrics> impacts = run_sweep(
         platforms, [](const platform::PlatformOptions& opt) {
             platform::ScenarioConfig sc = scenario_a();
-            sc.inject_failure_at = 10 * sim::kSecond;
-            sc.inject_failure_device = 5;
+            sc.faults.device_crash(10 * sim::kSecond, 5);
             // The controller detects the silence in ~3-4 s on either
             // platform. HiveMind then repartitions the strip (Fig. 10);
             // the baseline keeps sweeping around the hole and relies

@@ -4,8 +4,8 @@
  *
  * Compares None (lost work), Respawn (OpenWhisk's default restart
  * from scratch), and Checkpoint (resume from the last checkpoint)
- * under increasing function-failure rates, plus a controller-failure
- * episode recovered by a hot standby (Sec. 4.7).
+ * under increasing function-failure rates. Controller failover is
+ * abl_controller_ha's subject.
  */
 
 #include <memory>
@@ -95,51 +95,7 @@ main()
                     static_cast<unsigned long long>(r.faults));
     }
 
-    // --- Controller failover episode (Sec. 4.7) ---
-    std::printf("\nController failure at t=30 s (hot standby takeover vs "
-                "cold restart):\n%-24s %16s\n", "takeover", "p99 during "
-                "episode (ms)");
-    const std::vector<std::pair<const char*, sim::Time>> takeovers = {
-        {"hot standby (0.5 s)", sim::from_millis(500.0)},
-        {"cold restart (20 s)", 20 * sim::kSecond}};
-    std::vector<double> episode_p99 = run_sweep(
-        takeovers, [](const std::pair<const char*, sim::Time>& point) {
-            sim::Simulator simulator;
-            sim::Rng rng(19);
-            cloud::Cluster cluster(12, 40, 192 * 1024);
-            cloud::DataStore store(simulator, rng,
-                                   cloud::DataStoreConfig{});
-            cloud::FaasRuntime rt(simulator, rng, cluster, store,
-                                  cloud::FaasConfig{});
-            sim::Summary episode;
-            cloud::InvokeRequest req;
-            req.app = "S1";
-            req.work_core_ms = 350.0;
-            auto grng = std::make_shared<sim::Rng>(rng.fork());
-            sim::recurring(simulator, 0, [&, grng](const sim::Recur& self) {
-                if (simulator.now() >= 60 * sim::kSecond)
-                    return;
-                sim::Time submit = simulator.now();
-                rt.invoke(req,
-                          [&, submit](const cloud::InvocationTrace& t) {
-                              if (submit >= 28 * sim::kSecond &&
-                                  submit <= 45 * sim::kSecond) {
-                                  episode.add(t.total_s());
-                              }
-                          });
-                self.again_in(
-                    sim::from_seconds(grng->exponential(1.0 / 8.0)));
-            });
-            sim::Time t = point.second;
-            simulator.schedule_at(30 * sim::kSecond,
-                                  [&rt, t]() { rt.fail_controller(t); });
-            simulator.run();
-            return 1000.0 * episode.p99();
-        });
-    for (std::size_t i = 0; i < takeovers.size(); ++i)
-        std::printf("%-24s %16.0f\n", takeovers[i].first, episode_p99[i]);
     std::printf("\n(Checkpoint keeps tail latency near Respawn's median "
-                "even at 50%% fault rates; the hot standby makes a "
-                "controller crash a blip instead of an outage.)\n");
+                "even at 50%% fault rates.)\n");
     return 0;
 }

@@ -105,6 +105,9 @@ main()
     write_bench_json("wireless_loss",
                      Json::object()
                          .kv("bench", "abl_wireless_loss")
+                         .kv("hw_threads",
+                             static_cast<std::uint64_t>(
+                                 std::thread::hardware_concurrency()))
                          .kv("app", "S1")
                          .kv("duration_s", 90.0)
                          .kv("rows", series));

@@ -5,7 +5,10 @@
  * Runs a mixed-tenant fleet profile (built in, or --profile FILE)
  * through platform::Fleet at a ladder of worker counts and reports:
  *
- *  - capacity: swarms-per-host-second vs worker count;
+ *  - capacity: swarms-per-host-second vs worker count, with the
+ *    process CPU seconds each row burned beside its wall time (CPU
+ *    well above workers x wall, or superlinear scaling, shows up at a
+ *    glance);
  *  - interference: per-tenant mean in-engine wall time at full
  *    contention vs solo (the cross-tenant slowdown curve);
  *  - correctness gates, enforced with a nonzero exit:
@@ -20,6 +23,8 @@
  * fault plan.
  */
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +33,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -123,6 +129,19 @@ load_profile(const std::string& path)
     return platform::fleet_from_json(text.str());
 }
 
+/** User + system CPU seconds this process has used so far. */
+double
+process_cpu_s()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    auto secs = [](const timeval& tv) {
+        return static_cast<double>(tv.tv_sec) +
+            static_cast<double>(tv.tv_usec) * 1e-6;
+    };
+    return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
 /** Every line must be one complete JSON value. */
 std::size_t
 validate_jsonl(const std::string& jsonl)
@@ -196,8 +215,8 @@ main(int argc, char** argv)
         "swarms/host vs workers, cross-tenant interference");
     std::printf("%zu swarms, %zu tenants\n\n", swarms,
                 profile.tenants.size());
-    std::printf("%-8s %10s %12s %10s %8s\n", "workers", "wall_s",
-                "swarms/s", "queue_hw", "gates");
+    std::printf("%-8s %10s %10s %12s %10s %8s\n", "workers", "wall_s",
+                "cpu_s", "swarms/s", "queue_hw", "gates");
 
     // A fixed ladder, not capped at the core count: workers are
     // threads, and the checksum gate must hold under oversubscription
@@ -222,7 +241,9 @@ main(int argc, char** argv)
         platform::FleetRunOptions opt;
         opt.workers = w;
         opt.metrics = &jsonl;
+        const double cpu0 = process_cpu_s();
         platform::FleetResult res = fleet.run(opt);
+        const double cpu_s = process_cpu_s() - cpu0;
 
         bool gates_ok = res.failed == 0;
         for (std::size_t i = 0; i < res.records.size(); ++i) {
@@ -281,12 +302,13 @@ main(int argc, char** argv)
         const double rate =
             res.wall_s > 0.0 ? static_cast<double>(swarms) / res.wall_s
                              : 0.0;
-        std::printf("%-8d %10.3f %12.1f %10zu %8s\n", w, res.wall_s,
-                    rate, res.queue_high_water,
+        std::printf("%-8d %10.3f %10.3f %12.1f %10zu %8s\n", w,
+                    res.wall_s, cpu_s, rate, res.queue_high_water,
                     gates_ok ? "ok" : "FAIL");
         capacity.push(bench::Json::object()
                           .kv("workers", w)
                           .kv("wall_s", res.wall_s)
+                          .kv("cpu_s", cpu_s)
                           .kv("swarms_per_s", rate)
                           .kv("queue_high_water",
                               static_cast<std::uint64_t>(
@@ -315,6 +337,8 @@ main(int argc, char** argv)
     bench::Json doc =
         bench::Json::object()
             .kv("bench", "fleet")
+            .kv("hw_threads", static_cast<std::uint64_t>(
+                                  std::thread::hardware_concurrency()))
             .kv("profile", profile.name)
             .kv("swarms", static_cast<std::uint64_t>(swarms))
             .kv("tenants",

@@ -242,6 +242,8 @@ main(int argc, char** argv)
     bench::Json doc =
         bench::Json::object()
             .kv("bench", "micro_sim_kernel")
+            .kv("hw_threads", static_cast<std::uint64_t>(
+                                  std::thread::hardware_concurrency()))
             .kv("kernel",
                 "slab slots + inline callables + 2-level timer wheel")
             .kv("baseline_kernel",

@@ -28,15 +28,6 @@ FaasRuntime::set_placement_policy(PlacementPolicy policy)
     policy_ = std::move(policy);
 }
 
-void
-FaasRuntime::fail_controller(sim::Time takeover)
-{
-    ++controller_failures_;
-    sim::Time resume = simulator_->now() + takeover;
-    for (sim::Time& t : controller_free_)
-        t = std::max(t, resume);
-}
-
 bool
 FaasRuntime::container_lost(const PendingInvocation& inv) const
 {
@@ -564,11 +555,14 @@ FaasRuntime::drain_queue()
 }
 
 void
-FaasRuntime::invoke_parallel(const InvokeRequest& request, int ways,
-                             InvokeCallback done)
+invoke_fan_out(
+    const InvokeRequest& request, int ways,
+    const std::function<void(const InvokeRequest&, InvokeCallback)>&
+        invoke_part,
+    InvokeCallback done)
 {
     if (ways <= 1) {
-        invoke(request, std::move(done));
+        invoke_part(request, std::move(done));
         return;
     }
     // Fan out: each worker gets an equal slice of the work plus its
@@ -593,7 +587,7 @@ FaasRuntime::invoke_parallel(const InvokeRequest& request, int ways,
         request.output_bytes / static_cast<std::uint64_t>(ways);
 
     for (int w = 0; w < ways; ++w) {
-        invoke(part, [join](const InvocationTrace& t) {
+        invoke_part(part, [join](const InvocationTrace& t) {
             if (join->first) {
                 join->merged = t;
                 join->first = false;
@@ -615,6 +609,18 @@ FaasRuntime::invoke_parallel(const InvokeRequest& request, int ways,
                 join->done(join->merged);
         });
     }
+}
+
+void
+FaasRuntime::invoke_parallel(const InvokeRequest& request, int ways,
+                             InvokeCallback done)
+{
+    invoke_fan_out(
+        request, ways,
+        [this](const InvokeRequest& part, InvokeCallback cb) {
+            invoke(part, std::move(cb));
+        },
+        std::move(done));
 }
 
 }  // namespace hivemind::cloud

@@ -178,6 +178,21 @@ struct InvocationTrace
 using InvokeCallback = std::function<void(const InvocationTrace&)>;
 
 /**
+ * Fan-out/fan-in for intra-task parallelism (Sec. 3.2): splits
+ * @p request's work, input and output evenly across @p ways parts,
+ * submits the parts in order through @p invoke_part, and fires
+ * @p done once with a trace spanning the slowest part when the last
+ * one finishes. @p ways <= 1 submits @p request whole. The one split
+ * and join behind FaasRuntime::invoke_parallel and the HiveMind
+ * scheduler's watchdog-guarded fan-out.
+ */
+void invoke_fan_out(
+    const InvokeRequest& request, int ways,
+    const std::function<void(const InvokeRequest&, InvokeCallback)>&
+        invoke_part,
+    InvokeCallback done);
+
+/**
  * Placement policy hook: return the server to run on, or nullopt to
  * defer (queue) the request. @p warm_server is the server holding a
  * warm container for the app, if any.
@@ -217,14 +232,6 @@ class FaasRuntime
     void poke() { drain_queue(); }
 
     /**
-     * Fail the controller process; requests stall until a standby
-     * takes over after @p takeover (Sec. 4.7: the controller runs
-     * "with two hot standby copies that can take over"). Already
-     * accepted requests are unaffected; new front-end work queues.
-     */
-    void fail_controller(sim::Time takeover);
-
-    /**
      * Crash a backend server (Sec. 4.7 robustness): every container on
      * it dies instantly — warm pool entries evaporate, in-flight
      * invocations are killed and re-driven through their Restore
@@ -237,9 +244,6 @@ class FaasRuntime
 
     /** Bring a crashed server back into placement immediately. */
     void restore_server(std::size_t server);
-
-    /** Controller failures injected. */
-    std::uint64_t controller_failures() const { return controller_failures_; }
 
     /** Backend server crashes injected. */
     std::uint64_t server_crashes() const { return server_crashes_; }
@@ -395,7 +399,6 @@ class FaasRuntime
     std::uint64_t warm_starts_ = 0;
     std::uint64_t faults_ = 0;
     std::uint64_t lost_ = 0;
-    std::uint64_t controller_failures_ = 0;
     std::uint64_t server_crashes_ = 0;
     std::uint64_t killed_invocations_ = 0;
     double work_lost_core_ms_ = 0.0;

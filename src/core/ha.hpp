@@ -26,6 +26,11 @@
  * + checkpoint read + state replay + reconciliation, and grows with
  * the age of the last durable checkpoint — the knob the
  * abl_controller_ha bench sweeps.
+ *
+ * This is the repo's one controller-failure model: the scenario
+ * engine wires an HaCluster iff the run's fault plan holds a
+ * ControllerCrash or ControllerPartition (HiveMind only), and every
+ * such fault runs through it.
  */
 
 #include <cstddef>
@@ -46,10 +51,6 @@ namespace hivemind::core {
 /** HA tuning (defaults follow Sec. 4.6 timing constants). */
 struct HaConfig
 {
-    /** Platform wiring force-enables this when a plan has controller
-     *  faults; defaults off so fault-free runs are byte-identical to
-     *  the pre-HA behavior. */
-    bool enabled = false;
     /** Period between controller state checkpoints. */
     sim::Time checkpoint_interval = 5 * sim::kSecond;
     /** Primary -> standby heartbeat period. */

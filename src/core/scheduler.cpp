@@ -76,14 +76,10 @@ HiveMindScheduler::place(const cloud::InvokeRequest& request,
                          std::optional<std::size_t> warm_server) const
 {
     // 1. Parent co-location: run the child in its parent's container
-    //    when that server still has capacity (Sec. 4.3).
-    if (request.preferred_server != cloud::kNoServer) {
-        const cloud::Server& pref = cluster.server(request.preferred_server);
-        if (!pref.on_probation() && pref.free_cores() > 0 &&
-            pref.has_memory(request.memory_mb)) {
-            return request.preferred_server;
-        }
-    }
+    //    when that server is up and still has capacity (Sec. 4.3).
+    if (request.preferred_server != cloud::kNoServer &&
+        cluster.server(request.preferred_server).can_host(request.memory_mb))
+        return request.preferred_server;
     // 2. A warm container for the app avoids a cold start.
     if (warm_server) {
         const cloud::Server& w = cluster.server(*warm_server);
@@ -207,52 +203,14 @@ void
 HiveMindScheduler::invoke_parallel(const cloud::InvokeRequest& request,
                                    int ways, cloud::InvokeCallback done)
 {
-    if (ways <= 1) {
-        invoke(request, std::move(done));
-        return;
-    }
-    // Mitigation applies per fan-out worker inside the runtime; here
-    // we mirror FaasRuntime::invoke_parallel but route through the
-    // scheduler so each worker gets the watchdog.
-    struct JoinState
-    {
-        int remaining;
-        cloud::InvocationTrace merged;
-        cloud::InvokeCallback done;
-        bool first = true;
-    };
-    auto join = std::make_shared<JoinState>();
-    join->remaining = ways;
-    join->done = std::move(done);
-
-    cloud::InvokeRequest part = request;
-    part.work_core_ms = request.work_core_ms / static_cast<double>(ways);
-    part.input_bytes = request.input_bytes / static_cast<std::uint64_t>(ways);
-    part.output_bytes =
-        request.output_bytes / static_cast<std::uint64_t>(ways);
-
-    for (int w = 0; w < ways; ++w) {
-        invoke(part, [join](const cloud::InvocationTrace& t) {
-            if (join->first) {
-                join->merged = t;
-                join->first = false;
-            } else {
-                join->merged.scheduled =
-                    std::max(join->merged.scheduled, t.scheduled);
-                join->merged.container_ready =
-                    std::max(join->merged.container_ready, t.container_ready);
-                join->merged.input_ready =
-                    std::max(join->merged.input_ready, t.input_ready);
-                join->merged.exec_done =
-                    std::max(join->merged.exec_done, t.exec_done);
-                join->merged.done = std::max(join->merged.done, t.done);
-                join->merged.submit = std::min(join->merged.submit, t.submit);
-                join->merged.cold_start |= t.cold_start;
-            }
-            if (--join->remaining == 0 && join->done)
-                join->done(join->merged);
-        });
-    }
+    // Route each part through the scheduler so every fan-out worker
+    // gets its own straggler watchdog.
+    cloud::invoke_fan_out(
+        request, ways,
+        [this](const cloud::InvokeRequest& part, cloud::InvokeCallback cb) {
+            invoke(part, std::move(cb));
+        },
+        std::move(done));
 }
 
 }  // namespace hivemind::core

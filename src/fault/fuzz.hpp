@@ -41,7 +41,7 @@ struct FuzzConfig
     sim::Time horizon = 60 * sim::kSecond;
     std::size_t min_events = 3;
     std::size_t max_events = 10;
-    /** Generate controller faults (crash/partition/failover). */
+    /** Generate controller faults (crash/partition). */
     bool allow_controller = true;
     /** Allow permanent device crashes (duration 0, never rejoins);
      *  at most one per plan so the fleet never fully dies. */
@@ -102,8 +102,10 @@ ShrinkResult shrink_plan(const FaultPlan& plan,
 
 /**
  * Serialize a plan as a self-contained JSON reproducer. Schema v2
- * dropped v1's spatial-burst kind and its four burst fields; other
- * versions, v1 included, are rejected, not migrated.
+ * dropped v1's spatial-burst kind and its four burst fields; v3
+ * dropped the fixed-delay ControllerFailover kind and its "takeover"
+ * flag. Other versions, v1 and v2 included, are rejected, not
+ * migrated.
  */
 std::string plan_to_json(const FaultPlan& plan);
 
@@ -116,7 +118,7 @@ std::string plan_to_json(const FaultPlan& plan);
 FaultPlan plan_from_json(const std::string& json);
 
 /**
- * The plan as a util::Json object value ({"version":2,"events":[...]},
+ * The plan as a util::Json object value ({"version":3,"events":[...]},
  * same schema as plan_to_json) for embedding inside larger documents
  * — scenario profiles nest their chaos plan this way.
  */

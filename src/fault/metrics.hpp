@@ -48,7 +48,7 @@ struct RecoveryMetrics
     /** In-flight invocations killed by server crashes. */
     std::uint64_t killed_invocations = 0;
     std::uint64_t datastore_outages = 0;
-    /** Injected failover events plus completed HA standby takeovers. */
+    /** Completed HA standby takeovers. */
     std::uint64_t controller_failovers = 0;
     std::uint64_t link_burst_windows = 0;
     std::uint64_t partitions = 0;

@@ -51,9 +51,8 @@ struct Expectation
     CountRange server_crashes;
     CountRange datastore_outages;
     CountRange link_bursts;
-    CountRange controller_crashes;     ///< ControllerCrash events only.
-    CountRange controller_failovers;   ///< ControllerFailover events only.
-    CountRange controller_partitions;  ///< ControllerPartition events only.
+    CountRange controller_crashes;
+    CountRange controller_partitions;
     /** Σ durations of fired DatastoreOutage + ControllerPartition
      *  windows — every stall the checkpoint cadence can blame. */
     double stall_window_s = 0.0;
@@ -112,9 +111,6 @@ interpret_plan(const RunAudit& run)
             count(x.datastore_outages, e.at);
             if (e.at <= hi_cut)
                 x.stall_window_s += sim::to_seconds(e.duration);
-            break;
-        case FaultKind::ControllerFailover:
-            count(x.controller_failovers, e.at);
             break;
         case FaultKind::ControllerCrash:
             count(x.controller_crashes, e.at);
@@ -262,41 +258,17 @@ OracleSuite::check_ledger_sanity(const RunAudit& run) const
                 x.datastore_outages);
 
     // --- Controller ledger ---
-    if (run.ha_enabled) {
-        // ControllerFailover rides the same crash hook.
-        CountRange crashes;
-        crashes.lo = x.controller_crashes.lo + x.controller_failovers.lo;
-        crashes.hi = x.controller_crashes.hi + x.controller_failovers.hi;
-        check_count(out, oracle, "controller_crashes", r.controller_crashes,
-                    crashes);
-        check_count(out, oracle, "controller_partitions",
-                    r.controller_partitions, x.controller_partitions);
-        if (r.controller_failovers !=
-            static_cast<std::uint64_t>(r.checkpoint_age_s.count())) {
-            out.push_back({oracle,
-                           "controller_failovers = " +
-                               u64(r.controller_failovers) +
-                               " != completed takeovers " +
-                               u64(r.checkpoint_age_s.count()) +
-                               " (one checkpoint-age sample each)"});
-        }
-    } else {
-        // Without HA, partitions fall back to the crash/recover pair
-        // and takeovers are the fixed-delay recoveries.
-        const std::uint64_t crash_cap = x.controller_crashes.hi +
-            x.controller_failovers.hi + x.controller_partitions.hi;
-        if (r.controller_crashes > crash_cap) {
-            out.push_back({oracle, "controller_crashes = " +
-                                       u64(r.controller_crashes) +
-                                       " above the plan's ceiling " +
-                                       u64(crash_cap)});
-        }
-        if (r.controller_failovers > crash_cap) {
-            out.push_back({oracle, "controller_failovers = " +
-                                       u64(r.controller_failovers) +
-                                       " above the plan's ceiling " +
-                                       u64(crash_cap)});
-        }
+    check_count(out, oracle, "controller_crashes", r.controller_crashes,
+                x.controller_crashes);
+    check_count(out, oracle, "controller_partitions",
+                r.controller_partitions, x.controller_partitions);
+    if (r.controller_failovers !=
+        static_cast<std::uint64_t>(r.checkpoint_age_s.count())) {
+        out.push_back({oracle, "controller_failovers = " +
+                                   u64(r.controller_failovers) +
+                                   " != completed takeovers " +
+                                   u64(r.checkpoint_age_s.count()) +
+                                   " (one checkpoint-age sample each)"});
     }
 
     // --- Recovery summaries ---
@@ -488,7 +460,7 @@ OracleSuite::check_liveness(const RunAudit& run) const
     // Degraded-mode buffering exists only while a swarm controller can
     // actually be lost.
     const bool controller_loss_possible = x.controller_crashes.hi > 0 ||
-        x.controller_partitions.hi > 0 || x.controller_failovers.hi > 0;
+        x.controller_partitions.hi > 0;
     if (!controller_loss_possible &&
         (run.frames.buffered != 0 || run.frames.buffered_end != 0 ||
          run.recovery.outage_tasks_completed != 0)) {

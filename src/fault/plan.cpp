@@ -18,7 +18,6 @@ kind_name(FaultKind kind)
         case FaultKind::Partition: return "Partition";
         case FaultKind::ServerCrash: return "ServerCrash";
         case FaultKind::DatastoreOutage: return "DatastoreOutage";
-        case FaultKind::ControllerFailover: return "ControllerFailover";
         case FaultKind::ControllerCrash: return "ControllerCrash";
         case FaultKind::ControllerPartition: return "ControllerPartition";
     }
@@ -84,17 +83,6 @@ FaultPlan::datastore_outage(sim::Time at, sim::Time duration)
     e.kind = FaultKind::DatastoreOutage;
     e.at = at;
     e.duration = duration;
-    events.push_back(e);
-    return *this;
-}
-
-FaultPlan&
-FaultPlan::controller_failover(sim::Time at, bool takeover)
-{
-    FaultEvent e;
-    e.kind = FaultKind::ControllerFailover;
-    e.at = at;
-    e.takeover = takeover;
     events.push_back(e);
     return *this;
 }

@@ -36,8 +36,6 @@ enum class FaultKind
     ServerCrash,
     /** Datastore outage: all accesses stall until the window closes. */
     DatastoreOutage,
-    /** Scheduled front-end controller failover (hot standby takes over). */
-    ControllerFailover,
     /** Crash the primary swarm controller; the HA standby must elect
      *  itself, replay the latest checkpoint and reconcile (Sec. 4.6). */
     ControllerCrash,
@@ -62,8 +60,6 @@ struct FaultEvent
     double loss_bad = 0.9;
     sim::Time mean_good = 2 * sim::kSecond;
     sim::Time mean_bad = 500 * sim::kMillisecond;
-    /** ControllerFailover: whether the hot standby takes over. */
-    bool takeover = true;
 
     bool operator==(const FaultEvent&) const = default;
 };
@@ -114,9 +110,6 @@ struct FaultPlan
 
     /** Stall every datastore access over [at, at + duration). */
     FaultPlan& datastore_outage(sim::Time at, sim::Time duration);
-
-    /** Fail the active front-end controller at `at`. */
-    FaultPlan& controller_failover(sim::Time at, bool takeover = true);
 
     /** Crash the primary swarm controller at `at` (HA failover path). */
     FaultPlan& controller_crash(sim::Time at);

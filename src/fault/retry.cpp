@@ -5,44 +5,19 @@
 
 namespace hivemind::fault {
 
-OffloadRetrier::OffloadRetrier(std::size_t devices, RetryConfig config)
-    : config_(config), state_(devices)
-{
-}
-
 bool
-OffloadRetrier::circuit_open(std::size_t device, sim::Time now) const
+OffloadRetrier::record_failure(sim::Time now)
 {
-    if (device >= state_.size())
-        return false;
-    return now < state_[device].open_until;
-}
-
-void
-OffloadRetrier::record_success(std::size_t device)
-{
-    if (device >= state_.size())
-        return;
-    state_[device].consecutive_failures = 0;
-}
-
-bool
-OffloadRetrier::record_failure(std::size_t device, sim::Time now)
-{
-    if (device >= state_.size())
-        return false;
-    DeviceState& st = state_[device];
-    if (now < st.open_until)
+    if (now < open_until_)
         return false;  // Already open: the probation window absorbs
                        // failures of in-flight sends, they must not
                        // accumulate toward a second trip.
-    ++st.consecutive_failures;
-    if (st.consecutive_failures < config_.breaker_threshold)
+    ++consecutive_failures_;
+    if (consecutive_failures_ < config_.breaker_threshold)
         return false;
     // Trip: fail fast for the cooldown, then allow a fresh probe run.
-    st.consecutive_failures = 0;
-    st.open_until = now + config_.breaker_cooldown;
-    ++breaker_trips_;
+    consecutive_failures_ = 0;
+    open_until_ = now + config_.breaker_cooldown;
     return true;
 }
 

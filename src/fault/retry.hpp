@@ -13,10 +13,6 @@
  * own uplink.
  */
 
-#include <cstddef>
-#include <cstdint>
-#include <vector>
-
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 
@@ -40,19 +36,19 @@ struct RetryConfig
     bool operator==(const RetryConfig&) const = default;
 };
 
-/** Per-device retry/circuit-breaker state for a fleet. */
+/** One device's offload retry policy and circuit breaker. */
 class OffloadRetrier
 {
   public:
-    OffloadRetrier(std::size_t devices, RetryConfig config = {});
+    explicit OffloadRetrier(RetryConfig config = {}) : config_(config) {}
 
     const RetryConfig& config() const { return config_; }
 
-    /** Whether `device`'s breaker is open (still cooling down) at `now`. */
-    bool circuit_open(std::size_t device, sim::Time now) const;
+    /** Whether the breaker is open (still cooling down) at `now`. */
+    bool circuit_open(sim::Time now) const { return now < open_until_; }
 
     /** Record a successful offload: closes the breaker's failure run. */
-    void record_success(std::size_t device);
+    void record_success() { consecutive_failures_ = 0; }
 
     /**
      * Record a failed offload attempt at `now`. Returns true when this
@@ -60,24 +56,15 @@ class OffloadRetrier
      * breaker is already open are swallowed — they never count toward
      * another trip.
      */
-    bool record_failure(std::size_t device, sim::Time now);
+    bool record_failure(sim::Time now);
 
     /** Jittered exponential backoff before retry `attempt` (0-based). */
     sim::Time backoff(int attempt, sim::Rng& rng) const;
 
-    /** Total times any breaker tripped open. */
-    std::uint64_t breaker_trips() const { return breaker_trips_; }
-
   private:
-    struct DeviceState
-    {
-        int consecutive_failures = 0;
-        sim::Time open_until = 0;
-    };
-
     RetryConfig config_;
-    std::vector<DeviceState> state_;
-    std::uint64_t breaker_trips_ = 0;
+    int consecutive_failures_ = 0;
+    sim::Time open_until_ = 0;
 };
 
 }  // namespace hivemind::fault

@@ -169,54 +169,24 @@ route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
             break;
         }
         case FaultKind::ControllerPartition: {
-            if (e.duration <= 0) {
+            if (!hooks.partition_controller || e.duration <= 0) {
                 ++report.unsupported;
                 break;
             }
-            sim::Simulator& shard0 = runtime.shard(0);
-            if (hooks.partition_controller) {
-                // HA path: the cluster models the same instance going
-                // dark and returning (no takeover, no election).
-                shard0.schedule_at(e.at, [fn = hooks.partition_controller,
-                                          d = e.duration] { fn(d); });
-                ++report.routed;
-                break;
-            }
+            runtime.shard(0).schedule_at(
+                e.at, [fn = hooks.partition_controller, d = e.duration] {
+                    fn(d);
+                });
+            ++report.routed;
+            break;
+        }
+        case FaultKind::ControllerCrash: {
             if (!hooks.crash_controller) {
                 ++report.unsupported;
                 break;
             }
-            // No HA: the same instance goes dark and comes back.
-            shard0.schedule_at(e.at, [fn = hooks.crash_controller] { fn(); });
-            if (hooks.recover_controller)
-                shard0.schedule_at(e.at + e.duration,
-                                   [fn = hooks.recover_controller] {
-                                       fn();
-                                   });
-            ++report.routed;
-            break;
-        }
-        case FaultKind::ControllerCrash:
-        case FaultKind::ControllerFailover: {
-            sim::Simulator& shard0 = runtime.shard(0);
-            if (hooks.crash_controller)
-                shard0.schedule_at(e.at, [fn = hooks.crash_controller] {
-                    fn();
-                });
-            // With the HA stack active, detection/election/replay own
-            // the recovery; scheduling the fixed-delay recover here
-            // would race the real failover.
-            if (!hooks.controller_ha && e.takeover &&
-                hooks.recover_controller) {
-                const sim::Time back =
-                    e.at + (e.duration > 0
-                                ? e.duration
-                                : 800 * sim::kMillisecond);
-                shard0.schedule_at(back,
-                                   [fn = hooks.recover_controller] {
-                                       fn();
-                                   });
-            }
+            runtime.shard(0).schedule_at(
+                e.at, [fn = hooks.crash_controller] { fn(); });
             ++report.routed;
             break;
         }

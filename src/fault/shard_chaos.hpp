@@ -22,13 +22,12 @@
  *    Partition blacks out one device's radio the same way.
  *  - ServerCrash / DatastoreOutage fire on the cloud shard, where the
  *    FaaS cluster and DataStore live in a sharded scenario.
- *  - ControllerCrash / ControllerFailover / ControllerPartition fire
- *    on shard 0, where the scenario engine's controller tier lives
- *    (load balancer, failure detector, HA cluster). When the scenario
- *    runs the HA stack (`controller_ha`), recovery is driven by the
- *    HA election/replay machinery itself and route_plan() only
- *    schedules the crash; without HA it keeps a fixed 800 ms
- *    drop-and-reconcile recovery.
+ *  - ControllerCrash / ControllerPartition fire on shard 0, where the
+ *    scenario engine's controller tier lives (load balancer, failure
+ *    detector, HA cluster). route_plan() schedules only the fault:
+ *    the HA stack's election, checkpoint replay and reconcile own the
+ *    recovery, and a partitioned controller returns by itself when
+ *    its window closes.
  *
  * Events a scenario gives no hook for are counted as unsupported, not
  * dropped silently.
@@ -49,10 +48,8 @@ struct ShardChaosHooks
     std::function<void(std::size_t)> crash_device;
     /** Bring device @p d back; runs on the owner shard. */
     std::function<void(std::size_t)> rejoin_device;
-    /** Controller crash; runs on shard 0. */
+    /** Controller crash (the HA standby takes over); runs on shard 0. */
     std::function<void()> crash_controller;
-    /** Standby takeover; runs on shard 0. */
-    std::function<void()> recover_controller;
     /**
      * Wireless loss override for device @p d (negative restores the
      * configured loss); runs on the owner shard (LinkBurst windows).
@@ -69,10 +66,9 @@ struct ShardChaosHooks
     /** Datastore outage for a duration; runs on the cloud shard. */
     std::function<void(sim::Time)> datastore_outage;
     /**
-     * Controller partition for a duration; runs on shard 0. When set,
-     * ControllerPartition events route here (the HA stack models the
-     * same instance going dark and returning); otherwise they fall
-     * back to the crash/recover pair.
+     * Controller partition for a duration; runs on shard 0. The HA
+     * stack models the same instance going dark and returning (no
+     * election).
      */
     std::function<void(sim::Time)> partition_controller;
     /**
@@ -89,13 +85,6 @@ struct ShardChaosHooks
      * deployment seed in so different seeds see different bursts.
      */
     std::uint64_t burst_seed = 0;
-    /**
-     * True when the scenario runs the controller HA stack: recovery
-     * from ControllerCrash/ControllerFailover is then owned by the HA
-     * election machinery and route_plan() must not schedule the
-     * fixed-delay recover_controller.
-     */
-    bool controller_ha = false;
 };
 
 /** What route_plan() scheduled. */

@@ -54,6 +54,7 @@ run_fuzz_case(const fault::FaultPlan& plan, const FuzzCaseOptions& opt)
 
     // HiveMind platform: the HA stack wires itself when the plan can
     // take the swarm controller down, matching the shipped scenarios.
+    // The baselines reject such plans, so the harness is HiveMind-only.
     const PlatformOptions platform = PlatformOptions::hivemind();
 
     // The engine entry point directly, not platform::run(): the

@@ -10,9 +10,11 @@ namespace hivemind::platform {
 namespace {
 
 // v2 dropped v1's tick-batching toggle along with the per-device tick
-// path; v3 dropped the engine switch along with the legacy engine.
-// Other versions, v1 and v2 included, are rejected, not migrated.
-constexpr int kProfileVersion = 3;
+// path; v3 dropped the engine switch along with the legacy engine; v4
+// dropped the inject_failure_* shim and ha.enabled, which only
+// restated the fault plan, and nests plan JSON v3. Other versions,
+// v1 to v3 included, are rejected, not migrated.
+constexpr int kProfileVersion = 4;
 
 std::int64_t
 ns(sim::Time t)
@@ -137,7 +139,6 @@ util::Json
 ha_json(const core::HaConfig& h)
 {
     return util::Json::object()
-        .kv("enabled", h.enabled)
         .kv("checkpoint_interval", ns(h.checkpoint_interval))
         .kv("primary_beat_interval", ns(h.primary_beat_interval))
         .kv("election_timeout", ns(h.election_timeout))
@@ -154,9 +155,7 @@ parse_ha(util::JsonCursor& in)
     core::HaConfig h;
     util::parse_object(in, [&](util::JsonCursor& in,
                                const std::string& key) {
-        if (key == "enabled")
-            h.enabled = in.parse_bool();
-        else if (key == "checkpoint_interval")
+        if (key == "checkpoint_interval")
             h.checkpoint_interval = parse_time(in);
         else if (key == "primary_beat_interval")
             h.primary_beat_interval = parse_time(in);
@@ -242,9 +241,6 @@ scenario_json(const ScenarioConfig& sc)
         .kv("course_legs", sc.course_legs)
         .kv("maze_side", sc.maze_side)
         .kv("frame_bytes_override", sc.frame_bytes_override)
-        .kv("inject_failure_at", ns(sc.inject_failure_at))
-        .kv("inject_failure_device",
-            static_cast<std::uint64_t>(sc.inject_failure_device))
         .kv("faults", fault::plan_json(sc.faults))
         .kv("recovery", recovery_name(sc.recovery))
         .kv("retry", retry_json(sc.retry))
@@ -299,11 +295,6 @@ scenario_from_cursor(util::JsonCursor& in)
         } else if (key == "frame_bytes_override") {
             sc.frame_bytes_override =
                 static_cast<std::uint64_t>(in.parse_int());
-        } else if (key == "inject_failure_at") {
-            sc.inject_failure_at = parse_time(in);
-        } else if (key == "inject_failure_device") {
-            sc.inject_failure_device =
-                static_cast<std::size_t>(in.parse_int());
         } else if (key == "faults") {
             sc.faults = fault::plan_from_cursor(in);
         } else if (key == "recovery") {

@@ -19,8 +19,9 @@
  * versions (or reject the old one loudly), and document the bump in
  * DESIGN.md. Unknown keys always throw: a typo'd knob must never
  * silently run the default experiment. The current schema is
- * version 3 (v2 also carried the since-removed engine switch, v1 the
- * tick-batching toggle as well).
+ * version 4 (v3 also carried the since-removed inject_failure_* shim
+ * and ha.enabled, v2 the engine switch as well, v1 the tick-batching
+ * toggle too).
  *
  * Times serialize as integer nanoseconds (sim::Time's native unit);
  * doubles in the shortest form that round-trips bit-exactly

@@ -23,15 +23,6 @@ to_string(ScenarioKind k)
     return "?";
 }
 
-fault::FaultPlan
-effective_plan(const ScenarioConfig& sc)
-{
-    fault::FaultPlan plan = sc.faults;
-    if (sc.inject_failure_at > 0)
-        plan.device_crash(sc.inject_failure_at, sc.inject_failure_device);
-    return plan;
-}
-
 bool
 plan_has_controller_faults(const fault::FaultPlan& plan)
 {
@@ -54,7 +45,7 @@ run(const ScenarioConfig& scenario, const PlatformOptions& options,
     fault::PlanBounds bounds;
     bounds.devices = deployment_config.devices;
     bounds.servers = deployment_config.servers;
-    effective_plan(scenario).validate_or_throw(bounds);
+    scenario.faults.validate_or_throw(bounds);
 
     const int shards = std::max(scenario.shards, 1);
     ShardedScenarioResult r =

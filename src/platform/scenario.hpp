@@ -67,13 +67,6 @@ struct ScenarioConfig
     int maze_side = 9;
     /** Override the sensor frame size (0 = pipeline default). */
     std::uint64_t frame_bytes_override = 0;
-    /**
-     * Legacy fault injection: force-fail a device at this time
-     * (0 = off). Kept as a shim — it is translated into a permanent
-     * FaultPlan::device_crash event and merged into @ref faults.
-     */
-    sim::Time inject_failure_at = 0;
-    std::size_t inject_failure_device = 0;
     /** Declarative chaos plan, scheduled by fault::route_plan(). */
     fault::FaultPlan faults;
     /** Restore policy applied to cloud pipeline stages. */
@@ -82,9 +75,10 @@ struct ScenarioConfig
     fault::RetryConfig retry;
     /**
      * Swarm-controller HA tuning (Sec. 4.6-4.7). The HA stack spins up
-     * on HiveMind when `ha.enabled` is set or the fault plan contains
-     * controller_crash / controller_partition events; otherwise runs
-     * are byte-identical to the pre-HA behavior.
+     * iff the fault plan contains controller_crash /
+     * controller_partition events, which only the HiveMind platform
+     * accepts; every other run is byte-identical to the pre-HA
+     * behavior.
      */
     core::HaConfig ha;
     /**
@@ -103,13 +97,6 @@ struct ScenarioConfig
 
     bool operator==(const ScenarioConfig&) const = default;
 };
-
-/**
- * The chaos plan a run of @p scenario executes: `faults` plus the
- * inject_failure_at shim's permanent device crash. The engine and
- * run()'s plan validation read the plan through here.
- */
-fault::FaultPlan effective_plan(const ScenarioConfig& scenario);
 
 /** Whether @p plan targets the swarm controller (needs the HA stack). */
 bool plan_has_controller_faults(const fault::FaultPlan& plan);
@@ -134,9 +121,10 @@ struct RunResult
 
 /**
  * The one entry point for scenario execution: rejects a malformed
- * chaos plan and runs the sharded engine on max(scenario.shards, 1)
- * kernels. Benches, tests, examples and the fleet driver all route
- * through here.
+ * chaos plan (and, through run_scenario_sharded(), a controller fault
+ * on a platform without the HA stack) and runs the sharded engine on
+ * max(scenario.shards, 1) kernels. Benches, tests, examples and the
+ * fleet driver all route through here.
  */
 RunResult run(const ScenarioConfig& scenario, const PlatformOptions& options,
               const DeploymentConfig& deployment_config);

@@ -5,6 +5,8 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -72,7 +74,7 @@ struct DeviceActor
     sim::Simulator* sim;  ///< Owner shard kernel.
     sim::Rng rng;         ///< Device-local stream (jitter, loss, backoff).
     edge::Device dev;
-    fault::OffloadRetrier retrier;  ///< Single-slot breaker (index 0).
+    fault::OffloadRetrier retrier;
 
     // Wireless state the chaos hooks flip on the owner shard. The
     // Gilbert-Elliott burst state lives on the uplink ShardLink, so it
@@ -139,7 +141,7 @@ struct DeviceActor
     DeviceActor(sim::Simulator& shard, std::uint64_t seed, std::size_t d,
                 const edge::DeviceSpec& spec, const fault::RetryConfig& retry)
         : id(d), sim(&shard), rng(seed), dev(shard, rng, d, spec),
-          retrier(1, retry)
+          retrier(retry)
     {
     }
 
@@ -375,7 +377,6 @@ class ShardedScenarioEngine
     void send_route(std::size_t device);
     void on_device_failed(std::size_t device);
     void on_device_recovered(std::size_t device);
-    void controller_takeover();
     void finish(bool goal);
 
     // --- Device-crash MTTD/MTTR ledger (shard 0) ---
@@ -587,9 +588,9 @@ ShardedScenarioEngine::wire_ha(const DeploymentConfig& dep)
 {
     // Only runs that can actually lose their swarm controller pay for
     // the HA stack, so every other run replays checksum-identically
-    // to the pre-HA behavior.
-    if (!hivemind() ||
-        (!sc_.ha.enabled && !plan_has_controller_faults(effective_plan(sc_))))
+    // to the pre-HA behavior. run_scenario_sharded() refuses such
+    // plans on every platform but HiveMind.
+    if (!plan_has_controller_faults(sc_.faults))
         return;
     const net::TopologyConfig& net = dep.net;
     // The checkpoint plane shares the radio propagation so it never
@@ -602,9 +603,7 @@ ShardedScenarioEngine::wire_ha(const DeploymentConfig& dep)
         net.wireless_prop);
     ckpt_rng_ = std::make_unique<sim::Rng>(dep.seed ^ 0xc4ec9017ull);
 
-    core::HaConfig hc = sc_.ha;
-    hc.enabled = true;
-    ha_ = std::make_unique<core::HaCluster>(*ctrl_.sim, nullptr, hc);
+    ha_ = std::make_unique<core::HaCluster>(*ctrl_.sim, nullptr, sc_.ha);
     // Checkpoint writes ride the RPC plane to the cloud DataStore and
     // commit on shard 0 once the ack returns; a write lost on the
     // plane simply never becomes durable (the next interval retries).
@@ -660,7 +659,6 @@ ShardedScenarioEngine::arm_chaos()
     fault::ShardChaosHooks hooks;
     hooks.devices = devices_.size();
     hooks.burst_seed = cloud_.config().seed;
-    hooks.controller_ha = ha_ != nullptr;
     hooks.crash_device = [this](std::size_t d) {
         DeviceActor& a = *devices_[d];
         // A device already held down is not a second incident: the
@@ -718,26 +716,20 @@ ShardedScenarioEngine::arm_chaos()
         cloud_.store().fail_until(cloud_.simulator().now() + duration);
         ++datastore_outages_;
     };
-    hooks.crash_controller = [this] {
-        ++ctrl_.crashes;
-        if (ha_) {
-            // The real stack: missed heartbeats, election, checkpoint
-            // replay. availability_changed() flips the down flag.
-            ha_->crash_active();
-        } else {
-            ctrl_.down = true;
-            ctrl_.detector.stop();
-        }
-    };
-    hooks.recover_controller = [this] { controller_takeover(); };
     if (ha_) {
+        // The real stack: missed heartbeats, election, checkpoint
+        // replay. availability_changed() flips the down flag.
+        hooks.crash_controller = [this] {
+            ++ctrl_.crashes;
+            ha_->crash_active();
+        };
         hooks.partition_controller = [this](sim::Time duration) {
             ++ctrl_partitions_;
             ha_->partition(duration);
         };
     }
     chaos_ = fault::route_plan(
-        runtime_, effective_plan(sc_),
+        runtime_, sc_.faults,
         [this](std::size_t d) { return runtime_.owner_of(d); }, hooks,
         cloud_shard_);
 }
@@ -747,7 +739,7 @@ ShardedScenarioEngine::wire_incidents()
 {
     // The same effective crashes route_plan() scheduled, so every
     // incident here is a crash that fires (if the run reaches it).
-    const fault::FaultPlan plan = effective_plan(sc_);
+    const fault::FaultPlan& plan = sc_.faults;
     const std::vector<bool> fires = fault::effective_crashes(plan);
     for (std::size_t i = 0; i < plan.events.size(); ++i) {
         const fault::FaultEvent& e = plan.events[i];
@@ -979,7 +971,7 @@ void
 ShardedScenarioEngine::offload(DeviceActor& a, std::uint64_t frame,
                                std::uint64_t bytes, int attempt)
 {
-    if (a.retrier.circuit_open(0, a.sim->now())) {
+    if (a.retrier.circuit_open(a.sim->now())) {
         // Breaker open: fail fast; the device sits out its probation
         // window instead of queueing radio traffic (Sec. 4.6).
         ++a.abandoned;
@@ -1038,7 +1030,7 @@ ShardedScenarioEngine::air_attempt(DeviceActor& a, std::uint64_t frame,
                            });
         return;
     }
-    a.retrier.record_success(0);
+    a.retrier.record_success();
     a.data_up->transfer(bytes, sim::InlineFn([this, d, frame, bytes] {
                             cloud_ingress(d, frame, bytes);
                         }));
@@ -1049,10 +1041,10 @@ ShardedScenarioEngine::air_failed(DeviceActor& a, std::uint64_t frame,
                                   std::uint64_t bytes, int attempt)
 {
     sim::Time now = a.sim->now();
-    if (a.retrier.record_failure(0, now))
+    if (a.retrier.record_failure(now))
         ++a.breaker_opens;
     if (attempt + 1 >= a.retrier.config().max_attempts ||
-        a.retrier.circuit_open(0, now)) {
+        a.retrier.circuit_open(now)) {
         ++a.abandoned;
         a.pending.erase(frame);
         if (ctrl_.rover)
@@ -1437,42 +1429,6 @@ ShardedScenarioEngine::on_device_recovered(std::size_t device)
     }
 }
 
-void
-ShardedScenarioEngine::controller_takeover()
-{
-    if (!ctrl_.down)
-        return;
-    ctrl_.down = false;
-    ++ctrl_.takeovers;
-    // Reconcile the drift the dead controller never processed: rebuild
-    // detector state from the last-known roster, repartition devices
-    // whose liveness and region disagree, refresh affected routes.
-    std::vector<std::size_t> changed;
-    for (std::size_t d = 0; d < devices_.size(); ++d) {
-        const bool live = ctrl_.alive_known[d] != 0;
-        ctrl_.detector.reconcile(d, live);
-        if (live)
-            note_restored(d, /*repartitioned=*/false);
-        else
-            note_detected(d);
-        if (!hivemind() || ctrl_.rover)
-            continue;
-        if (live && !ctrl_.balancer.region_of(d)) {
-            for (std::size_t c : ctrl_.balancer.handle_rejoin(d))
-                changed.push_back(c);
-        } else if (!live && ctrl_.balancer.region_of(d)) {
-            for (std::size_t c : ctrl_.balancer.handle_failure(d))
-                changed.push_back(c);
-            note_restored(d, /*repartitioned=*/true);
-        }
-    }
-    ctrl_.detector.start();
-    for (std::size_t c : changed) {
-        if (ctrl_.alive_known[c])
-            send_route(c);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Device-crash MTTD/MTTR ledger (shard 0)
 // ---------------------------------------------------------------------
@@ -1788,7 +1744,6 @@ ShardedScenarioEngine::collect_metrics()
     m.recovery.link_burst_windows = link_bursts_fired_;
     m.recovery.controller_crashes = ctrl_.crashes;
     m.recovery.controller_partitions = ctrl_partitions_;
-    m.recovery.controller_failovers = ctrl_.takeovers;
     if (ha_) {
         m.recovery.controller_mttd_s = ha_->detect_s();
         m.recovery.controller_mttr_s = ha_->recover_s();
@@ -1822,7 +1777,7 @@ ShardedScenarioEngine::build_audit(const RunMetrics& m) const
     audit.checkpoint_interval_s = sim::to_seconds(sc_.ha.checkpoint_interval);
     audit.breaker_cooldown_s = sim::to_seconds(sc_.retry.breaker_cooldown);
     audit.configured_loss = cloud_.config().net.wireless_loss;
-    audit.plan = effective_plan(sc_);
+    audit.plan = sc_.faults;
     audit.recovery = m.recovery;
     for (const auto& ap : devices_) {
         const DeviceActor& a = *ap;
@@ -1839,7 +1794,7 @@ ShardedScenarioEngine::build_audit(const RunMetrics& m) const
         fault::DeviceEndState end;
         end.alive = a.dev.alive();
         end.battery_dead = a.dev.battery().depleted();
-        end.breaker_open = a.retrier.circuit_open(0, ctrl_.completion);
+        end.breaker_open = a.retrier.circuit_open(ctrl_.completion);
         end.buffered = a.dev.buffered_frames();
         audit.device_end.push_back(end);
     }
@@ -1928,6 +1883,13 @@ run_scenario_sharded(const ScenarioConfig& scenario,
                      const DeploymentConfig& deployment_config,
                      int runtime_shards)
 {
+    // The HA stack is HiveMind's controller (Sec. 4.7); the baselines
+    // have no model of losing theirs.
+    if (options.kind != PlatformKind::HiveMind &&
+        plan_has_controller_faults(scenario.faults))
+        throw std::invalid_argument(
+            "controller faults need the HiveMind platform's HA stack; " +
+            options.label + " has no controller failover model");
     ShardedScenarioEngine engine(scenario, options, deployment_config,
                                  runtime_shards < 1 ? 1 : runtime_shards);
     return engine.run();

@@ -58,7 +58,10 @@ struct ShardedScenarioResult
 /**
  * Run @p scenario (any ScenarioKind) on @p runtime_shards shard
  * kernels; the checksum (and metrics) are invariant in
- * @p runtime_shards.
+ * @p runtime_shards. Throws std::invalid_argument, before building
+ * anything, when the plan holds a ControllerCrash or
+ * ControllerPartition and @p options is not the HiveMind platform:
+ * the HA stack is HiveMind's controller, and the baselines have none.
  */
 ShardedScenarioResult
 run_scenario_sharded(const ScenarioConfig& scenario,

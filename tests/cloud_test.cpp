@@ -1,17 +1,20 @@
 /**
  * @file
  * Tests for the cloud substrate: servers, the CouchDB-model store,
- * data-sharing protocols, the FaaS runtime, and the IaaS pool
- * (src/cloud).
+ * data-sharing protocols, the FaaS runtime (with the HiveMind
+ * scheduler's placement over it), and the IaaS pool (src/cloud).
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "cloud/datastore.hpp"
 #include "cloud/faas.hpp"
 #include "cloud/iaas.hpp"
 #include "cloud/server.hpp"
 #include "cloud/sharing.hpp"
+#include "core/scheduler.hpp"
 #include "net/link.hpp"
 #include "sim/simulator.hpp"
 
@@ -490,6 +493,42 @@ TEST_F(FaasFixture, WarmClaimFollowsFreeCoreToAnotherServer)
     // (cold) rather than deadlocking.
     EXPECT_NE(second_server, first_server);
     EXPECT_FALSE(warm);
+}
+
+TEST(FaasPlacement, CoLocationHintSkipsACrashedServer)
+{
+    // Twenty children hinted at their parent's server, which has
+    // crashed for good. The hint must not strand them: under the stock
+    // policy and under HiveMind's co-location-first placement alike,
+    // every child runs elsewhere.
+    for (bool hivemind : {false, true}) {
+        SCOPED_TRACE(hivemind ? "HiveMind scheduler" : "stock policy");
+        sim::Simulator simulator;
+        sim::Rng rng(99);
+        Cluster cluster(4, 8, 32 * 1024);
+        DataStore store(simulator, rng, DataStoreConfig{});
+        FaasRuntime rt(simulator, rng, cluster, store, FaasConfig{});
+        std::unique_ptr<core::HiveMindScheduler> scheduler;
+        if (hivemind) {
+            scheduler = std::make_unique<core::HiveMindScheduler>(
+                simulator, rng, rt, core::SchedulerConfig{});
+            scheduler->install();
+        }
+        rt.crash_server(1, 0);  // Never restored.
+        InvokeRequest req;
+        req.app = "child";
+        req.work_core_ms = 10.0;
+        req.preferred_server = 1;
+        int completed = 0;
+        for (int i = 0; i < 20; ++i) {
+            rt.invoke(req, [&](const InvocationTrace& t) {
+                EXPECT_NE(t.server, 1u);
+                ++completed;
+            });
+        }
+        simulator.run_until(120 * sim::kSecond);
+        EXPECT_EQ(completed, 20);
+    }
 }
 
 TEST(LinkExtras, RateChangeAffectsNewTransfers)

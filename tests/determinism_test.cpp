@@ -114,8 +114,8 @@ run_once(const platform::PlatformOptions& opt, sim::Time inject_at)
     // A mid-run device crash exercises cancellation at scale: pending
     // heartbeats, retries and timers of the dead device are torn down
     // while wheel and heap events from the rest interleave.
-    sc.inject_failure_at = inject_at;
-    sc.inject_failure_device = 2;
+    if (inject_at > 0)
+        sc.faults.device_crash(inject_at, 2);
     return platform::run_scenario(sc, opt, fig01_deployment(42));
 }
 

@@ -32,28 +32,28 @@ TEST(OffloadRetrier, BreakerTripsAfterConsecutiveFailures)
     RetryConfig cfg;
     cfg.breaker_threshold = 3;
     cfg.breaker_cooldown = 5 * sim::kSecond;
-    OffloadRetrier r(2, cfg);
+    OffloadRetrier r(cfg);
+    OffloadRetrier other(cfg);  // Another device's breaker.
 
-    EXPECT_FALSE(r.record_failure(0, sim::kSecond));
-    EXPECT_FALSE(r.record_failure(0, sim::kSecond));
-    EXPECT_TRUE(r.record_failure(0, sim::kSecond));  // Third trips.
-    EXPECT_EQ(r.breaker_trips(), 1u);
-    EXPECT_TRUE(r.circuit_open(0, 2 * sim::kSecond));
-    EXPECT_FALSE(r.circuit_open(1, 2 * sim::kSecond));  // Per-device.
+    EXPECT_FALSE(r.record_failure(sim::kSecond));
+    EXPECT_FALSE(r.record_failure(sim::kSecond));
+    EXPECT_TRUE(r.record_failure(sim::kSecond));  // Third trips.
+    EXPECT_TRUE(r.circuit_open(2 * sim::kSecond));
+    EXPECT_FALSE(other.circuit_open(2 * sim::kSecond));  // Per-device.
     // Cooled down after now + cooldown.
-    EXPECT_FALSE(r.circuit_open(0, 7 * sim::kSecond));
+    EXPECT_FALSE(r.circuit_open(7 * sim::kSecond));
 }
 
 TEST(OffloadRetrier, SuccessResetsFailureRun)
 {
-    OffloadRetrier r(1);
-    r.record_failure(0, 0);
-    r.record_failure(0, 0);
-    r.record_success(0);
+    OffloadRetrier r;
+    r.record_failure(0);
+    r.record_failure(0);
+    r.record_success();
     // The run restarts: two more failures do not trip a threshold of 3.
-    EXPECT_FALSE(r.record_failure(0, 0));
-    EXPECT_FALSE(r.record_failure(0, 0));
-    EXPECT_EQ(r.breaker_trips(), 0u);
+    EXPECT_FALSE(r.record_failure(0));
+    EXPECT_FALSE(r.record_failure(0));
+    EXPECT_FALSE(r.circuit_open(0));
 }
 
 TEST(OffloadRetrier, BackoffGrowsExponentiallyWithJitter)
@@ -62,7 +62,7 @@ TEST(OffloadRetrier, BackoffGrowsExponentiallyWithJitter)
     cfg.base_backoff = 100 * sim::kMillisecond;
     cfg.multiplier = 2.0;
     cfg.jitter = 0.25;
-    OffloadRetrier r(1, cfg);
+    OffloadRetrier r(cfg);
     sim::Rng rng(7);
     for (int attempt = 0; attempt < 4; ++attempt) {
         double nominal = 100.0 * (1 << attempt);  // ms
@@ -77,16 +77,16 @@ TEST(OffloadRetrier, BreakerClosesAtExactlyOpenUntil)
     RetryConfig cfg;
     cfg.breaker_threshold = 3;
     cfg.breaker_cooldown = 5 * sim::kSecond;
-    OffloadRetrier r(1, cfg);
-    r.record_failure(0, sim::kSecond);
-    r.record_failure(0, sim::kSecond);
-    ASSERT_TRUE(r.record_failure(0, sim::kSecond));
+    OffloadRetrier r(cfg);
+    r.record_failure(sim::kSecond);
+    r.record_failure(sim::kSecond);
+    ASSERT_TRUE(r.record_failure(sim::kSecond));
     // open_until = trip time + cooldown = 6 s; open strictly before,
     // closed from that instant on (probes are allowed again).
     sim::Time open_until = 6 * sim::kSecond;
-    EXPECT_TRUE(r.circuit_open(0, open_until - 1));
-    EXPECT_FALSE(r.circuit_open(0, open_until));
-    EXPECT_FALSE(r.circuit_open(0, open_until + 1));
+    EXPECT_TRUE(r.circuit_open(open_until - 1));
+    EXPECT_FALSE(r.circuit_open(open_until));
+    EXPECT_FALSE(r.circuit_open(open_until + 1));
 }
 
 TEST(OffloadRetrier, FailuresWhileOpenDoNotAccumulateTrips)
@@ -94,30 +94,19 @@ TEST(OffloadRetrier, FailuresWhileOpenDoNotAccumulateTrips)
     RetryConfig cfg;
     cfg.breaker_threshold = 3;
     cfg.breaker_cooldown = 5 * sim::kSecond;
-    OffloadRetrier r(1, cfg);
-    r.record_failure(0, sim::kSecond);
-    r.record_failure(0, sim::kSecond);
-    ASSERT_TRUE(r.record_failure(0, sim::kSecond));
-    EXPECT_EQ(r.breaker_trips(), 1u);
+    OffloadRetrier r(cfg);
+    r.record_failure(sim::kSecond);
+    r.record_failure(sim::kSecond);
+    ASSERT_TRUE(r.record_failure(sim::kSecond));
     // In-flight sends keep failing inside the probation window; they
     // must neither re-trip nor count toward the next run.
     for (int i = 0; i < 10; ++i)
-        EXPECT_FALSE(r.record_failure(0, 2 * sim::kSecond));
-    EXPECT_EQ(r.breaker_trips(), 1u);
+        EXPECT_FALSE(r.record_failure(2 * sim::kSecond));
     // After cooldown the streak restarts from zero: it takes a full
     // threshold of fresh failures to open the breaker again.
-    EXPECT_FALSE(r.record_failure(0, 7 * sim::kSecond));
-    EXPECT_FALSE(r.record_failure(0, 7 * sim::kSecond));
-    EXPECT_TRUE(r.record_failure(0, 7 * sim::kSecond));
-    EXPECT_EQ(r.breaker_trips(), 2u);
-}
-
-TEST(OffloadRetrier, OutOfRangeDeviceIsNoop)
-{
-    OffloadRetrier r(1);
-    EXPECT_FALSE(r.record_failure(9, 0));
-    r.record_success(9);
-    EXPECT_FALSE(r.circuit_open(9, 0));
+    EXPECT_FALSE(r.record_failure(7 * sim::kSecond));
+    EXPECT_FALSE(r.record_failure(7 * sim::kSecond));
+    EXPECT_TRUE(r.record_failure(7 * sim::kSecond));
 }
 
 // ---------------------------------------------------------------------
@@ -132,11 +121,11 @@ TEST(FaultPlan, BuildersAppendEvents)
         .partition(3 * sim::kSecond, sim::kSecond, 1)
         .server_crash(4 * sim::kSecond, 0)
         .datastore_outage(5 * sim::kSecond, sim::kSecond)
-        .controller_failover(6 * sim::kSecond);
+        .controller_crash(6 * sim::kSecond);
     ASSERT_EQ(p.events.size(), 6u);
     EXPECT_EQ(p.events[0].kind, FaultKind::DeviceCrash);
     EXPECT_EQ(p.events[0].duration, 2 * sim::kSecond);
-    EXPECT_EQ(p.events[5].kind, FaultKind::ControllerFailover);
+    EXPECT_EQ(p.events[5].kind, FaultKind::ControllerCrash);
 
     FaultPlan q;
     q.controller_partition(sim::kSecond, 2 * sim::kSecond);
@@ -325,7 +314,7 @@ chaotic_scenario()
         .server_crash(15 * sim::kSecond, 0, 3 * sim::kSecond)
         .link_burst(18 * sim::kSecond, 8 * sim::kSecond, 0.9)
         .datastore_outage(20 * sim::kSecond, 2 * sim::kSecond)
-        .controller_failover(22 * sim::kSecond)
+        .controller_crash(22 * sim::kSecond)
         .controller_crash(24 * sim::kSecond)
         .partition(26 * sim::kSecond, 4 * sim::kSecond, 2);
     return sc;
@@ -410,9 +399,9 @@ TEST(Determinism, IdenticalSeedsAndPlansReplayBitIdentically)
     EXPECT_EQ(ra.link_burst_windows, 1u);
     EXPECT_EQ(ra.partitions, 1u);
     EXPECT_EQ(ra.datastore_outages, 1u);
-    // The ControllerFailover event rides the same crash hook as the
-    // ControllerCrash two seconds later; that one lands while the
-    // standby is still taking over, so one takeover recovers both.
+    // The second controller crash lands two seconds after the first,
+    // while the standby is still taking over, so one takeover
+    // recovers both.
     EXPECT_EQ(ra.controller_crashes, 2u);
     EXPECT_EQ(ra.controller_failovers, 1u);
 }
@@ -468,11 +457,10 @@ TEST(Scenario, CrashedDeviceRejoinsMidScenario)
     }
 }
 
-TEST(Scenario, LegacyInjectFailureShimStillCrashesDevice)
+TEST(Scenario, PermanentCrashClosesAtRepartition)
 {
     platform::ScenarioConfig sc = capped_scenario(30 * sim::kSecond);
-    sc.inject_failure_at = 15 * sim::kSecond;  // Old-style knob.
-    sc.inject_failure_device = 1;
+    sc.faults.device_crash(15 * sim::kSecond, 1);  // Never rejoins.
 
     platform::DeploymentConfig cfg;
     cfg.devices = 8;
@@ -483,7 +471,7 @@ TEST(Scenario, LegacyInjectFailureShimStillCrashesDevice)
     platform::RunMetrics m = run_scenario(
         sc, platform::PlatformOptions::hivemind(), cfg);
     EXPECT_EQ(m.recovery.device_crashes, 1u);
-    EXPECT_EQ(m.recovery.device_rejoins, 0u);  // Permanent, as before.
+    EXPECT_EQ(m.recovery.device_rejoins, 0u);
     // A permanent crash closes when HiveMind repartitions the dead
     // device's region, right at its detection: MTTR == MTTD.
     ASSERT_EQ(m.recovery.mttd_s.count(), 1u);

@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the extension features: fault-recovery policies,
- * performance isolation, controller failover, multi-tenancy, the
- * generic task-graph runner, the trace log, and the scheduler's
- * percentile tracker.
+ * performance isolation, multi-tenancy, the generic task-graph
+ * runner, the trace log, and the scheduler's percentile tracker.
  */
 
 #include <gtest/gtest.h>
@@ -210,48 +209,6 @@ TEST(Isolation, RemovesLoadDependentJitter)
     sim::Summary shared = run_with(false);
     sim::Summary isolated = run_with(true);
     EXPECT_LT(isolated.stddev(), shared.stddev());
-}
-
-// ---------------------------------------------------------------------
-// Controller hot-standby failover (Sec. 4.7)
-// ---------------------------------------------------------------------
-
-TEST(ControllerFailover, StallsThenRecovers)
-{
-    sim::Simulator simulator;
-    sim::Rng rng(9);
-    cloud::Cluster cluster(4, 8, 32 * 1024);
-    cloud::DataStore store(simulator, rng, cloud::DataStoreConfig{});
-    cloud::FaasRuntime rt(simulator, rng, cluster, store,
-                          cloud::FaasConfig{});
-    cloud::InvokeRequest req;
-    req.app = "a";
-    req.work_core_ms = 10.0;
-
-    // Baseline latency.
-    double normal_s = 0.0;
-    rt.invoke(req, [&](const cloud::InvocationTrace& t) {
-        normal_s = t.total_s();
-    });
-    simulator.run();
-
-    // Fail the controller with a 500 ms standby takeover; the next
-    // request pays the takeover, subsequent ones do not.
-    rt.fail_controller(sim::from_millis(500.0));
-    double during_s = 0.0;
-    rt.invoke(req, [&](const cloud::InvocationTrace& t) {
-        during_s = t.total_s();
-    });
-    simulator.run();
-    double after_s = 0.0;
-    rt.invoke(req, [&](const cloud::InvocationTrace& t) {
-        after_s = t.total_s();
-    });
-    simulator.run();
-
-    EXPECT_EQ(rt.controller_failures(), 1u);
-    EXPECT_GT(during_s, normal_s + 0.4);
-    EXPECT_LT(after_s, normal_s * 3.0);
 }
 
 // ---------------------------------------------------------------------

@@ -11,12 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fault/fuzz.hpp"
 #include "platform/fleet.hpp"
 #include "platform/profile.hpp"
+#include "platform/sharded_scenario.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -59,11 +61,10 @@ exotic_scenario()
     sc.course_legs = 9;
     sc.maze_side = 11;
     sc.frame_bytes_override = 123456789;
-    sc.inject_failure_at = 5 * sim::kSecond;
-    sc.inject_failure_device = 3;
     sc.faults.device_crash(2 * sim::kSecond, 1, 10 * sim::kSecond)
         .link_burst(20 * sim::kSecond, 5 * sim::kSecond)
-        .controller_crash(30 * sim::kSecond);
+        .controller_crash(30 * sim::kSecond)
+        .device_crash(5 * sim::kSecond, 3);
     sc.recovery = cloud::FaultRecovery::Checkpoint;
     sc.retry.max_attempts = 9;
     sc.retry.base_backoff = 250 * sim::kMillisecond;
@@ -71,7 +72,6 @@ exotic_scenario()
     sc.retry.jitter = 0.4;
     sc.retry.breaker_threshold = 5;
     sc.retry.breaker_cooldown = 11 * sim::kSecond;
-    sc.ha.enabled = true;
     sc.ha.checkpoint_interval = 3 * sim::kSecond;
     sc.ha.primary_beat_interval = 400 * sim::kMillisecond;
     sc.ha.election_timeout = 1300 * sim::kMillisecond;
@@ -149,7 +149,6 @@ TEST(ScenarioProfileTest, RandomizedConfigsRoundTrip)
         sc.retry.max_attempts = rng.uniform_int(1, 16);
         sc.retry.multiplier = rng.uniform(1.0, 4.0);
         sc.retry.jitter = rng.uniform(0.0, 1.0);
-        sc.ha.enabled = rng.chance(0.5);
         sc.ha.replay_Bps = rng.uniform(1e6, 1e9);
         sc.ha.drift_replay_frac = rng.uniform(0.0, 1.0);
         sc.shards = rng.uniform_int(1, 16);
@@ -165,7 +164,7 @@ TEST(ScenarioProfileTest, RandomizedConfigsRoundTrip)
 TEST(ScenarioProfileTest, MissingKeysKeepDefaults)
 {
     platform::ScenarioConfig sc = platform::scenario_from_json(
-        "{\"version\":3,\"kind\":\"rover_maze\",\"maze_side\":13}");
+        "{\"version\":4,\"kind\":\"rover_maze\",\"maze_side\":13}");
     EXPECT_EQ(sc.kind, platform::ScenarioKind::RoverMaze);
     EXPECT_EQ(sc.maze_side, 13);
     EXPECT_EQ(sc.targets, platform::ScenarioConfig{}.targets);
@@ -174,28 +173,40 @@ TEST(ScenarioProfileTest, MissingKeysKeepDefaults)
 
 TEST(ScenarioProfileTest, RejectsUnknownAndMalformed)
 {
-    // Unknown top-level keys, v2's engine switch included.
+    // Unknown top-level keys, v2's engine switch and v3's
+    // inject_failure_* shim included.
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":3,\"sharts\":2}"),
+                     "{\"version\":4,\"sharts\":2}"),
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":3,\"engine\":\"auto\"}"),
+                     "{\"version\":4,\"engine\":\"auto\"}"),
+                 std::invalid_argument);
+    EXPECT_THROW(platform::scenario_from_json(
+                     "{\"version\":4,\"inject_failure_at\":5}"),
+                 std::invalid_argument);
+    EXPECT_THROW(platform::scenario_from_json(
+                     "{\"version\":4,\"inject_failure_device\":1}"),
                  std::invalid_argument);
     // Unknown nested keys.
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":3,\"detection\":{\"bias\":1}}"),
+                     "{\"version\":4,\"detection\":{\"bias\":1}}"),
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":3,\"retry\":{\"attempts\":4}}"),
+                     "{\"version\":4,\"retry\":{\"attempts\":4}}"),
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":3,\"ha\":{\"quorum\":3}}"),
+                     "{\"version\":4,\"ha\":{\"quorum\":3}}"),
+                 std::invalid_argument);
+    // v3's ha.enabled restated the plan: the HA stack wires iff the
+    // plan holds a controller fault.
+    EXPECT_THROW(platform::scenario_from_json(
+                     "{\"version\":4,\"ha\":{\"enabled\":true}}"),
                  std::invalid_argument);
     // Bad enum values.
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":3,\"kind\":\"balloon_race\"}"),
+                     "{\"version\":4,\"kind\":\"balloon_race\"}"),
                  std::invalid_argument);
-    // Version handling: missing, superseded (v1, v2), unknown,
+    // Version handling: missing, superseded (v1, v2, v3), unknown,
     // trailing garbage.
     EXPECT_THROW(platform::scenario_from_json("{\"kind\":\"rover_maze\"}"),
                  std::invalid_argument);
@@ -203,9 +214,16 @@ TEST(ScenarioProfileTest, RejectsUnknownAndMalformed)
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json("{\"version\":2}"),
                  std::invalid_argument);
-    EXPECT_THROW(platform::scenario_from_json("{\"version\":4}"),
+    EXPECT_THROW(platform::scenario_from_json("{\"version\":3}"),
                  std::invalid_argument);
-    EXPECT_THROW(platform::scenario_from_json("{\"version\":3} extra"),
+    EXPECT_THROW(platform::scenario_from_json("{\"version\":5}"),
+                 std::invalid_argument);
+    EXPECT_THROW(platform::scenario_from_json("{\"version\":4} extra"),
+                 std::invalid_argument);
+    // A v2 plan nested in a v4 profile is rejected too.
+    EXPECT_THROW(platform::scenario_from_json(
+                     "{\"version\":4,\"faults\":{\"version\":2,"
+                     "\"events\":[]}}"),
                  std::invalid_argument);
 }
 
@@ -339,6 +357,40 @@ TEST(RunFacadeTest, RunIsDeterministicPerSeed)
     EXPECT_NE(platform::run(sc, opt, dep).checksum, a.checksum);
 }
 
+TEST(RunFacadeTest, BaselinesRejectControllerFaults)
+{
+    // The HA stack is HiveMind's controller; the baselines have no
+    // controller-failure model, so a plan that takes theirs down is
+    // refused before anything is built.
+    platform::DeploymentConfig dep;
+    dep.devices = 6;
+    dep.servers = 3;
+    dep.seed = 7;
+    for (bool partition : {false, true}) {
+        platform::ScenarioConfig sc =
+            small_scenario(platform::ScenarioKind::StationaryItems);
+        if (partition)
+            sc.faults.controller_partition(5 * sim::kSecond,
+                                           2 * sim::kSecond);
+        else
+            sc.faults.controller_crash(5 * sim::kSecond);
+        for (const char* name :
+             {"centralized_faas", "centralized_iaas", "distributed_edge"}) {
+            const platform::PlatformOptions opt =
+                platform::platform_from_name(name);
+            EXPECT_THROW(platform::run(sc, opt, dep), std::invalid_argument)
+                << name;
+            EXPECT_THROW(platform::run_scenario_sharded(sc, opt, dep, 2),
+                         std::invalid_argument)
+                << name;
+        }
+        // HiveMind runs the same plan on its HA stack.
+        EXPECT_TRUE(platform::run_scenario_sharded(
+                        sc, platform::PlatformOptions::hivemind(), dep, 2)
+                        .audit.ha_enabled);
+    }
+}
+
 // --- Fleet determinism -------------------------------------------------
 
 TEST(FleetTest, ChecksumsMatchSoloRunsAtAnyWorkerCount)
@@ -433,6 +485,28 @@ TEST(FleetTest, AbnormalSwarmExitStillReachesTheStream)
     // And the good tenant's records are intact.
     for (std::size_t i = 0; i < 3; ++i)
         EXPECT_TRUE(res.records[i].ok);
+}
+
+TEST(FleetTest, BaselineTenantWithControllerFaultFailsItsRecords)
+{
+    // The centralized-FaaS tenant's plan crashes a swarm controller it
+    // has no HA stack for: each of its runs becomes an ok == false
+    // record, and the HiveMind tenant's records are untouched.
+    platform::FleetProfile profile = small_fleet();
+    profile.tenants[1].scenario.faults.controller_crash(5 * sim::kSecond);
+    const platform::FleetResult res = platform::Fleet{profile}.run({});
+    ASSERT_EQ(res.records.size(), 5u);
+    EXPECT_EQ(res.failed, 2u);
+    for (std::size_t i = 0; i < res.records.size(); ++i) {
+        const platform::SwarmRecord& rec = res.records[i];
+        if (rec.tenant == "rover_faas") {
+            EXPECT_FALSE(rec.ok) << "job " << i;
+            EXPECT_NE(rec.error.find("HiveMind"), std::string::npos)
+                << rec.error;
+        } else {
+            EXPECT_TRUE(rec.ok) << "job " << i;
+        }
+    }
 }
 
 // --- MetricsPipeline ---------------------------------------------------

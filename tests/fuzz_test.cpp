@@ -121,7 +121,6 @@ TEST(PlanFuzzer, ConfigGatesControllerSpatialAndPermanent)
         for (const fault::FaultEvent& e : fuzzer.generate(seed).events) {
             EXPECT_NE(e.kind, FaultKind::ControllerCrash);
             EXPECT_NE(e.kind, FaultKind::ControllerPartition);
-            EXPECT_NE(e.kind, FaultKind::ControllerFailover);
             if (e.kind == FaultKind::DeviceCrash)
                 EXPECT_GT(e.duration, 0) << "seed " << seed;
         }
@@ -560,7 +559,6 @@ TEST(PlanJson, RoundTripsEveryKindAndField)
         .partition(4 * sim::kSecond, sim::kSecond, 1)
         .server_crash(5 * sim::kSecond, 0, 2 * sim::kSecond)
         .datastore_outage(6 * sim::kSecond, sim::kSecond)
-        .controller_failover(7 * sim::kSecond, false)
         .controller_crash(8 * sim::kSecond)
         .controller_partition(9 * sim::kSecond, 2 * sim::kSecond);
     EXPECT_EQ(fault::plan_from_json(fault::plan_to_json(plan)), plan);
@@ -570,20 +568,32 @@ TEST(PlanJson, MalformedInputThrows)
 {
     EXPECT_THROW(fault::plan_from_json(""), std::invalid_argument);
     EXPECT_THROW(fault::plan_from_json("{}"), std::invalid_argument);
-    // Superseded (v1) and unknown versions.
+    // Superseded (v1, v2) and unknown versions.
     EXPECT_THROW(fault::plan_from_json("{\"version\":1,\"events\":[]}"),
                  std::invalid_argument);
-    EXPECT_THROW(fault::plan_from_json("{\"version\":3,\"events\":[]}"),
+    EXPECT_THROW(fault::plan_from_json("{\"version\":2,\"events\":[]}"),
                  std::invalid_argument);
+    EXPECT_THROW(fault::plan_from_json("{\"version\":4,\"events\":[]}"),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(fault::plan_from_json("{\"version\":3,\"events\":[]}"));
     // Kinds and fields the schema does not know fail to parse instead
-    // of silently doing nothing (v1's burst radius included).
+    // of silently doing nothing (v1's burst radius and v2's
+    // fixed-delay failover kind and its takeover flag included).
     EXPECT_THROW(
         fault::plan_from_json(
-            "{\"version\":2,\"events\":[{\"kind\":\"NoSuchFault\"}]}"),
+            "{\"version\":3,\"events\":[{\"kind\":\"NoSuchFault\"}]}"),
         std::invalid_argument);
     EXPECT_THROW(fault::plan_from_json(
-                     "{\"version\":2,\"events\":[{\"kind\":"
+                     "{\"version\":3,\"events\":[{\"kind\":"
                      "\"DeviceCrash\",\"radius_m\":5}]}"),
+                 std::invalid_argument);
+    EXPECT_THROW(fault::plan_from_json(
+                     "{\"version\":3,\"events\":[{\"kind\":"
+                     "\"ControllerFailover\"}]}"),
+                 std::invalid_argument);
+    EXPECT_THROW(fault::plan_from_json(
+                     "{\"version\":3,\"events\":[{\"kind\":"
+                     "\"ControllerCrash\",\"takeover\":true}]}"),
                  std::invalid_argument);
     std::string truncated = fault::plan_to_json(
         FaultPlan{}.device_crash(sim::kSecond, 0, sim::kSecond));

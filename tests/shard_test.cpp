@@ -287,7 +287,6 @@ TEST(ShardChaosTest, RoutesDeviceAndControllerFaults)
         note(1, "rejoin" + std::to_string(d));
     };
     hooks.crash_controller = [&] { note(0, "ctrl-down"); };
-    hooks.recover_controller = [&] { note(0, "ctrl-up"); };
     fault::ShardChaosReport rep = fault::route_plan(
         rt, plan, [&rt](std::size_t d) { return rt.owner_of(d); }, hooks);
     EXPECT_EQ(rep.routed, 2u);
@@ -297,11 +296,55 @@ TEST(ShardChaosTest, RoutesDeviceAndControllerFaults)
                      [](const auto& a, const auto& b) {
                          return a.first < b.first;
                      });
-    ASSERT_EQ(log.size(), 4u);
-    EXPECT_EQ(log[0].second, "crash1");
-    EXPECT_EQ(log[1].second, "rejoin1");
-    EXPECT_EQ(log[2].second, "ctrl-down");
-    EXPECT_EQ(log[3].second, "ctrl-up");
+    // The controller crash is routed alone: the HA stack behind the
+    // hook owns the recovery.
+    const std::vector<std::pair<sim::Time, std::string>> want = {
+        {10, "crash1"}, {15, "rejoin1"}, {20, "ctrl-down"}};
+    EXPECT_EQ(log, want);
+}
+
+TEST(ShardChaosTest, ControllerFaultsReachOnlyTheirOwnHooks)
+{
+    sim::SwarmRuntime rt(2);
+    rt.declare_channel(0, 1, 1);
+    fault::FaultPlan plan;
+    plan.controller_partition(4 * sim::kSecond, 3 * sim::kSecond);
+    plan.controller_crash(9 * sim::kSecond);
+    // Both controller hooks run on shard 0, one thread: no lock needed.
+    std::vector<std::pair<sim::Time, std::string>> log;
+    fault::ShardChaosHooks hooks;
+    hooks.partition_controller = [&](sim::Time duration) {
+        log.emplace_back(rt.shard(0).now(),
+                         "partition for " +
+                             std::to_string(duration / sim::kSecond) + "s");
+    };
+    hooks.crash_controller = [&] {
+        log.emplace_back(rt.shard(0).now(), "crash");
+    };
+    fault::ShardChaosReport rep = fault::route_plan(
+        rt, plan, [&rt](std::size_t d) { return rt.owner_of(d); }, hooks);
+    EXPECT_EQ(rep.routed, 2u);
+    EXPECT_EQ(rep.unsupported, 0u);
+    rt.run_until(30 * sim::kSecond);
+    // The partition reaches its own hook once, with its window; no
+    // crash/recover pair stands in for it, and nothing is scheduled
+    // to end either fault.
+    const std::vector<std::pair<sim::Time, std::string>> want = {
+        {4 * sim::kSecond, "partition for 3s"}, {9 * sim::kSecond, "crash"}};
+    EXPECT_EQ(log, want);
+
+    // With no controller hooks (a run without the HA stack) both
+    // events are counted unsupported, and nothing is scheduled.
+    sim::SwarmRuntime bare(2);
+    bare.declare_channel(0, 1, 1);
+    fault::ShardChaosHooks none;
+    none.crash_device = [](std::size_t) {};
+    fault::ShardChaosReport skipped = fault::route_plan(
+        bare, plan, [&bare](std::size_t d) { return bare.owner_of(d); },
+        none);
+    EXPECT_EQ(skipped.routed, 0u);
+    EXPECT_EQ(skipped.unsupported, 2u);
+    EXPECT_EQ(bare.shard(0).pending(), 0u);
 }
 
 TEST(ShardChaosTest, OverlappingServerCrashIsOneIncident)
@@ -621,6 +664,34 @@ TEST(ShardedScenarioTest, ServerCrashKillsInFlightInvocationsInvariantly)
         EXPECT_EQ(r.metrics.recovery.reexecuted_core_ms,
                   rec.reexecuted_core_ms)
             << "shards=" << n;
+    }
+}
+
+TEST(ShardedScenarioTest, CoLocationHintNeverStrandsWorkOnACrashedServer)
+{
+    // Scenario B's dedup child carries its parent's server as a
+    // co-location hint. Server 0 of 3 crashes for good at 10 s; a
+    // child hinted at it must run elsewhere, not wait in the FaaS
+    // queue for a server that never returns. A hint that ignored the
+    // down flag stranded every such child's frame: 153 tasks instead
+    // of 182 (the crash-free run completes 209).
+    platform::ScenarioConfig sc;
+    sc.kind = platform::ScenarioKind::MovingPeople;
+    sc.time_cap = 40 * sim::kSecond;
+    sc.faults.server_crash(10 * sim::kSecond, 0, 0);
+    platform::DeploymentConfig dep;
+    dep.devices = 8;
+    dep.servers = 3;
+    dep.seed = 7;
+    std::uint64_t checksum = 0;
+    for (int n : {1, 2}) {
+        platform::ShardedScenarioResult r = platform::run_scenario_sharded(
+            sc, platform::PlatformOptions::hivemind(), dep, n);
+        EXPECT_EQ(r.metrics.recovery.server_crashes, 1u) << "shards=" << n;
+        EXPECT_EQ(r.metrics.tasks_completed, 182u) << "shards=" << n;
+        if (n == 1)
+            checksum = r.checksum;
+        EXPECT_EQ(r.checksum, checksum) << "shards=" << n;
     }
 }
 
