@@ -12,6 +12,7 @@
  * Worker monitors (Sec. 4.3) read the occupancy numbers exposed here.
  */
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -19,7 +20,14 @@
 
 namespace hivemind::cloud {
 
-/** One backend server: a pool of pinned core slots and memory. */
+class Cluster;
+
+/**
+ * One backend server: a pool of pinned core slots and memory. A
+ * server built by a Cluster reports every change to its placement
+ * state (busy cores, down, probation) back to it, so the cluster's
+ * least-loaded index stays exact.
+ */
 class Server
 {
   public:
@@ -66,9 +74,21 @@ class Server
     }
 
     /** Claim one logical core (pinned to a container). */
-    void acquire_core() { ++busy_cores_; }
+    void
+    acquire_core()
+    {
+        const int level = load_level();
+        ++busy_cores_;
+        changed(level, on_probation_);
+    }
     /** Release a logical core. */
-    void release_core() { --busy_cores_; }
+    void
+    release_core()
+    {
+        const int level = load_level();
+        --busy_cores_;
+        changed(level, on_probation_);
+    }
 
     /** Reserve container memory. */
     void acquire_memory(std::uint64_t mb) { used_memory_mb_ += mb; }
@@ -80,7 +100,14 @@ class Server
      * excluded from placement for a few minutes.
      */
     bool on_probation() const { return on_probation_; }
-    void set_probation(bool p) { on_probation_ = p; }
+    void
+    set_probation(bool p)
+    {
+        const int level = load_level();
+        const bool was = on_probation_;
+        on_probation_ = p;
+        changed(level, was);
+    }
 
     /** Straggler count feeding the probation policy. */
     int straggler_count() const { return straggler_count_; }
@@ -92,7 +119,13 @@ class Server
      * nothing and is excluded from placement until it restarts.
      */
     bool down() const { return down_; }
-    void set_down(bool d) { down_ = d; }
+    void
+    set_down(bool d)
+    {
+        const int level = load_level();
+        down_ = d;
+        changed(level, on_probation_);
+    }
 
     /**
      * Container-generation counter: bumped on every crash so in-flight
@@ -106,11 +139,38 @@ class Server
     void
     reset_occupancy()
     {
+        const int level = load_level();
         busy_cores_ = 0;
         used_memory_mb_ = 0;
+        changed(level, on_probation_);
     }
 
+    /** A copy would report its changes to the original's cluster. */
+    Server(const Server&) = delete;
+    Server& operator=(const Server&) = delete;
+    Server(Server&&) = default;
+
   private:
+    friend class Cluster;
+
+    /**
+     * Key of this server in its cluster's least-loaded index: the busy
+     * core count while the server can take a container's core (up, off
+     * probation, a core free), otherwise -1 (not indexed).
+     */
+    int
+    load_level() const
+    {
+        return !down_ && !on_probation_ && busy_cores_ >= 0 &&
+                busy_cores_ < cores_
+            ? busy_cores_
+            : -1;
+    }
+
+    /** Tell the owning cluster, if any, what the state was before. */
+    void changed(int old_level, bool was_on_probation);
+
+    Cluster* cluster_ = nullptr;
     std::size_t id_;
     int cores_;
     std::uint64_t memory_mb_;
@@ -122,22 +182,46 @@ class Server
     int straggler_count_ = 0;
 };
 
-/** The backend cluster: a fixed set of servers. */
+/**
+ * The backend cluster: a fixed set of servers.
+ *
+ * least_loaded() answers from an index instead of scanning: one bitset
+ * row per busy-core level (0 .. cores - 1) over the servers that can
+ * take a container's core, plus a summary row per level with one bit
+ * per non-empty 64-server word. Every server mutation moves at most
+ * one bit, with no allocation. Invariant: the constructor gives every
+ * server the same core count, so ordering servers by busy cores orders
+ * them by occupancy(), and the walk returns exactly the server a
+ * minimum-occupancy scan with lowest-index tie-break would.
+ */
 class Cluster
 {
   public:
     /** Build @p n identical servers. */
     Cluster(std::size_t n, int cores_per_server, std::uint64_t memory_mb)
+        : levels_(cores_per_server > 0
+                      ? static_cast<std::size_t>(cores_per_server)
+                      : 0),
+          words_((n + 63) / 64),
+          summary_words_((words_ + 63) / 64),
+          bits_(levels_ * words_, 0),
+          summary_(levels_ * summary_words_, 0)
     {
         servers_.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t i = 0; i < n; ++i) {
             servers_.emplace_back(i, cores_per_server, memory_mb);
+            servers_.back().cluster_ = this;
+            insert(servers_.back().load_level(), i);
+        }
     }
+
+    /** Servers point back at their cluster, so it never moves. */
+    Cluster(const Cluster&) = delete;
+    Cluster& operator=(const Cluster&) = delete;
 
     std::size_t size() const { return servers_.size(); }
     Server& server(std::size_t i) { return servers_[i]; }
     const Server& server(std::size_t i) const { return servers_[i]; }
-    std::vector<Server>& servers() { return servers_; }
     const std::vector<Server>& servers() const { return servers_; }
 
     /** Total free cores across the cluster. */
@@ -150,6 +234,9 @@ class Cluster
         return n;
     }
 
+    /** Servers currently on probation (down or not). */
+    std::size_t probation_count() const { return probation_count_; }
+
     /**
      * Least-loaded server that can host a container of @p memory_mb.
      * Deterministic tie-break by index.
@@ -157,22 +244,87 @@ class Cluster
     std::optional<std::size_t>
     least_loaded(std::uint64_t memory_mb) const
     {
-        std::optional<std::size_t> best;
-        double best_occ = 2.0;
-        for (std::size_t i = 0; i < servers_.size(); ++i) {
-            const Server& s = servers_[i];
-            if (!s.can_host(memory_mb))
-                continue;
-            if (s.occupancy() < best_occ) {
-                best_occ = s.occupancy();
-                best = i;
+        for (std::size_t level = 0; level < levels_; ++level) {
+            const std::uint64_t* row = &bits_[level * words_];
+            const std::uint64_t* summary = &summary_[level * summary_words_];
+            for (std::size_t sw = 0; sw < summary_words_; ++sw) {
+                for (std::uint64_t live = summary[sw]; live != 0;
+                     live &= live - 1) {
+                    const std::size_t w =
+                        sw * 64 + static_cast<std::size_t>(
+                                      std::countr_zero(live));
+                    for (std::uint64_t word = row[w]; word != 0;
+                         word &= word - 1) {
+                        const std::size_t i =
+                            w * 64 + static_cast<std::size_t>(
+                                         std::countr_zero(word));
+                        if (servers_[i].has_memory(memory_mb))
+                            return i;
+                    }
+                }
             }
         }
-        return best;
+        return std::nullopt;
     }
 
   private:
+    friend class Server;
+
+    /** Re-key server @p s after a change from @p old_level. */
+    void
+    update(const Server& s, int old_level, bool was_on_probation)
+    {
+        const int level = s.load_level();
+        if (level != old_level) {
+            erase(old_level, s.id());
+            insert(level, s.id());
+        }
+        if (s.on_probation() && !was_on_probation)
+            ++probation_count_;
+        else if (!s.on_probation() && was_on_probation)
+            --probation_count_;
+    }
+
+    void
+    insert(int level, std::size_t i)
+    {
+        if (level < 0)
+            return;
+        const std::size_t w = i / 64;
+        const std::size_t l = static_cast<std::size_t>(level);
+        bits_[l * words_ + w] |= std::uint64_t{1} << (i % 64);
+        summary_[l * summary_words_ + w / 64] |= std::uint64_t{1} << (w % 64);
+    }
+
+    void
+    erase(int level, std::size_t i)
+    {
+        if (level < 0)
+            return;
+        const std::size_t w = i / 64;
+        const std::size_t l = static_cast<std::size_t>(level);
+        std::uint64_t& word = bits_[l * words_ + w];
+        word &= ~(std::uint64_t{1} << (i % 64));
+        if (word == 0) {
+            summary_[l * summary_words_ + w / 64] &=
+                ~(std::uint64_t{1} << (w % 64));
+        }
+    }
+
     std::vector<Server> servers_;
+    std::size_t levels_;         ///< Index rows: busy cores 0 .. cores - 1.
+    std::size_t words_;          ///< 64-server words per row.
+    std::size_t summary_words_;  ///< Summary words per row.
+    std::vector<std::uint64_t> bits_;     ///< levels_ x words_.
+    std::vector<std::uint64_t> summary_;  ///< levels_ x summary_words_.
+    std::size_t probation_count_ = 0;
 };
+
+inline void
+Server::changed(int old_level, bool was_on_probation)
+{
+    if (cluster_)
+        cluster_->update(*this, old_level, was_on_probation);
+}
 
 }  // namespace hivemind::cloud

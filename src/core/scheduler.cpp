@@ -25,14 +25,20 @@ PercentileTracker::threshold(double p) const
         return 0.0;
     if (cached_p_ == p && total_ - cached_at_ < refresh_)
         return cached_value_;
-    std::vector<double> sorted = ring_;
-    std::sort(sorted.begin(), sorted.end());
-    double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+    // The two order statistics the interpolation reads, by selection:
+    // rank lo, then rank lo + 1 as the minimum of the part above it.
+    scratch_.assign(ring_.begin(), ring_.end());
+    double rank = p / 100.0 * static_cast<double>(scratch_.size() - 1);
     std::size_t lo = static_cast<std::size_t>(rank);
     double frac = rank - static_cast<double>(lo);
-    cached_value_ = lo + 1 < sorted.size()
-        ? sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac
-        : sorted.back();
+    if (lo + 1 < scratch_.size()) {
+        auto nth = scratch_.begin() + static_cast<std::ptrdiff_t>(lo);
+        std::nth_element(scratch_.begin(), nth, scratch_.end());
+        double next = *std::min_element(nth + 1, scratch_.end());
+        cached_value_ = *nth * (1.0 - frac) + next * frac;
+    } else {
+        cached_value_ = *std::max_element(scratch_.begin(), scratch_.end());
+    }
     cached_p_ = p;
     cached_at_ = total_;
     return cached_value_;
@@ -98,17 +104,6 @@ HiveMindScheduler::history(const std::string& app) const
     return it == history_.end() ? empty : it->second;
 }
 
-std::size_t
-HiveMindScheduler::probation_count() const
-{
-    std::size_t n = 0;
-    for (const cloud::Server& s : runtime_->cluster().servers()) {
-        if (s.on_probation())
-            ++n;
-    }
-    return n;
-}
-
 void
 HiveMindScheduler::note_completion(const std::string& app, double latency_s,
                                    std::size_t server)
@@ -133,7 +128,8 @@ HiveMindScheduler::note_completion(const std::string& app, double latency_s,
     score += 1.0;
     // Never bench more than a fraction of the cluster: a systemic
     // slowdown is not one bad node, and the cluster must keep serving.
-    double benched = static_cast<double>(probation_count());
+    double benched =
+        static_cast<double>(runtime_->cluster().probation_count());
     double cap = config_.probation_max_fraction *
         static_cast<double>(runtime_->cluster().size());
     if (score >= config_.probation_threshold && !srv.on_probation() &&

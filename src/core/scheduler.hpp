@@ -59,6 +59,7 @@ class PercentileTracker
     std::vector<double> ring_;
     std::size_t next_ = 0;
     std::uint64_t total_ = 0;
+    mutable std::vector<double> scratch_;  ///< Reused selection buffer.
     mutable double cached_p_ = -1.0;
     mutable double cached_value_ = 0.0;
     mutable std::uint64_t cached_at_ = 0;
@@ -124,9 +125,6 @@ class HiveMindScheduler
 
     /** Attach a trace sink for respawn/probation events (optional). */
     void set_trace(TraceLog* trace) { trace_ = trace; }
-
-    /** Servers currently on probation. */
-    std::size_t probation_count() const;
 
     /** Completed-latency history for an app. */
     const PercentileTracker& history(const std::string& app) const;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/heartbeat.hpp"
 #include "core/learning.hpp"
 #include "core/load_balancer.hpp"
@@ -284,6 +286,42 @@ TEST_F(SchedulerFixture, FirstFinisherWinsOnce)
     scheduler_.invoke(slow, [&](const cloud::InvocationTrace&) { ++calls; });
     simulator_.run();
     EXPECT_EQ(calls, 1);  // Duplicate completion is suppressed.
+}
+
+TEST(SchedulerProbation, MaxFractionCapsBenching)
+{
+    // Every slow completion straggles and one straggle benches its
+    // server, so only probation_max_fraction keeps servers serving.
+    for (double fraction : {0.5, 1.0}) {
+        SCOPED_TRACE(fraction);
+        sim::Simulator simulator;
+        sim::Rng rng(5);
+        cloud::Cluster cluster(4, 8, 32 * 1024);
+        cloud::DataStore store(simulator, rng, cloud::DataStoreConfig{});
+        cloud::FaasRuntime runtime(simulator, rng, cluster, store,
+                                   cloud::FaasConfig{});
+        SchedulerConfig cfg;
+        cfg.straggler_percentile = 50.0;
+        cfg.straggler_min_samples = 4;
+        cfg.probation_threshold = 1.0;
+        cfg.probation_decay = 0.0;
+        cfg.probation_max_fraction = fraction;
+        HiveMindScheduler scheduler(simulator, rng, runtime, cfg);
+        scheduler.install();
+        std::size_t peak = 0;
+        for (int i = 0; i < 400; ++i) {
+            cloud::InvokeRequest req;
+            req.app = "job";
+            req.work_core_ms = i % 2 == 0 ? 10.0 : 200.0;
+            scheduler.invoke(req, nullptr);
+            simulator.run_until(simulator.now() + sim::from_millis(25.0));
+            peak = std::max(peak, cluster.probation_count());
+        }
+        if (fraction < 1.0)
+            EXPECT_EQ(peak, 2u);  // 0.5 x 4 servers.
+        else
+            EXPECT_GT(peak, 2u);
+    }
 }
 
 TEST(Learning, SwarmConvergesFasterThanSelf)

@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "core/scheduler.hpp"
 #include "core/trace.hpp"
 #include "dsl/scenarios.hpp"
 #include "platform/graph_runner.hpp"
 #include "platform/single_phase.hpp"
+#include "sim/rng.hpp"
 
 namespace hivemind {
 namespace {
@@ -408,6 +413,44 @@ TEST(PercentileTracker, TracksRecentWindow)
     for (int i = 0; i < 100; ++i)
         t.add(1000.0);
     EXPECT_NEAR(t.threshold(50.0), 1000.0, 1e-9);
+}
+
+/** The sort-based threshold the selection replaced. */
+double
+sorted_threshold(std::vector<double> window, double p)
+{
+    std::sort(window.begin(), window.end());
+    double rank = p / 100.0 * static_cast<double>(window.size() - 1);
+    std::size_t lo = static_cast<std::size_t>(rank);
+    double frac = rank - static_cast<double>(lo);
+    return lo + 1 < window.size()
+        ? window[lo] * (1.0 - frac) + window[lo + 1] * frac
+        : window.back();
+}
+
+TEST(PercentileTracker, SelectionMatchesSortedReference)
+{
+    sim::Rng rng(2024);
+    for (int trial = 0; trial < 60; ++trial) {
+        const std::size_t capacity = 1 + rng.pick(300);
+        core::PercentileTracker t(capacity, 1);
+        std::vector<double> window;  // The ring's contents, oldest first.
+        const std::size_t adds = 1 + rng.pick(900);
+        for (std::size_t i = 0; i < adds; ++i) {
+            // Some rounded values, so ties straddle the ranks.
+            double x = rng.chance(0.3) ? std::round(rng.uniform(0.0, 8.0))
+                                       : rng.lognormal_median(0.5, 0.8);
+            t.add(x);
+            window.push_back(x);
+            if (window.size() > capacity)
+                window.erase(window.begin());
+        }
+        for (double p : {0.0, 1.0, 50.0, 90.0, 99.0, 100.0,
+                         rng.uniform(0.0, 100.0)}) {
+            EXPECT_EQ(t.threshold(p), sorted_threshold(window, p))
+                << "trial " << trial << " p " << p;
+        }
+    }
 }
 
 TEST(PercentileTracker, CacheRefreshes)
