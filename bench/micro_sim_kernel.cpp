@@ -1,22 +1,27 @@
 /**
  * @file
  * Microbenchmarks of the simulation substrate itself, via
- * google-benchmark: event-kernel throughput, A* planning, maze
- * generation/solving, and placement enumeration. These bound how
- * large a swarm the DES can handle (Sec. 5.6 methodology).
+ * google-benchmark: event-kernel throughput, cloud placement, A*
+ * planning, maze generation/solving, and placement enumeration. These
+ * bound how large a swarm the DES can handle (Sec. 5.6 methodology).
  *
  * The BM_EventKernel* results are additionally written to
  * BENCH_sim_kernel.json next to the recorded pre-overhaul baseline
  * (unordered_map callbacks + priority_queue only, no slab / wheel),
  * so the speedup of the slab+wheel kernel is tracked by scripts/CI.
+ * The BM_Placement rows ride along as cycles/s per cluster size.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "bench_util.hpp"
+#include "cloud/datastore.hpp"
+#include "cloud/faas.hpp"
+#include "cloud/server.hpp"
 #include "dsl/scenarios.hpp"
 #include "geo/astar.hpp"
 #include "geo/maze.hpp"
@@ -132,6 +137,46 @@ BM_EventKernelRecurringTimers(benchmark::State& state)
 }
 BENCHMARK(BM_EventKernelRecurringTimers)->Arg(64)->Arg(1024);
 
+/**
+ * One cloud placement cycle on a loaded cluster of range(0) servers:
+ * a least-loaded pick that moves the chosen server one busy level up
+ * and back, plus a FaaS invocation that claims the warm container the
+ * previous cycle parked and parks it again. Busy cores fall from 39 on
+ * server 0 to 1 on the last server, so the pick is the last server.
+ */
+void
+BM_Placement(benchmark::State& state)
+{
+    const auto servers = static_cast<std::size_t>(state.range(0));
+    sim::Simulator simulator;
+    sim::Rng rng(5);
+    cloud::Cluster cluster(servers, 40, 192 * 1024);
+    cloud::DataStore store(simulator, rng, cloud::DataStoreConfig{});
+    cloud::FaasConfig cfg;
+    cfg.keepalive = 30 * sim::kSecond;
+    cloud::FaasRuntime faas(simulator, rng, cluster, store, cfg);
+    for (std::size_t i = 0; i < servers; ++i) {
+        const std::size_t busy = 39 - 38 * i / (servers - 1);
+        for (std::size_t c = 0; c < busy; ++c)
+            cluster.server(i).acquire_core();
+    }
+    cloud::InvokeRequest req;
+    req.app = "bm";
+    req.work_core_ms = 1.0;
+    sim::Time t = 0;
+    for (auto _ : state) {
+        std::optional<std::size_t> pick = cluster.least_loaded(req.memory_mb);
+        benchmark::DoNotOptimize(pick);
+        cluster.server(*pick).acquire_core();
+        cluster.server(*pick).release_core();
+        faas.invoke(req, nullptr);
+        t += sim::kSecond;
+        simulator.run_until(t);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Placement)->Arg(12)->Arg(768)->Arg(6144);
+
 /** A* route planning on a 64x64 field with obstacles. */
 void
 BM_AStarPlan(benchmark::State& state)
@@ -224,14 +269,16 @@ main(int argc, char** argv)
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
 
-    // Kernel before/after ledger for scripts and CI.
+    // Kernel before/after ledger for scripts and CI, plus placement.
     bench::Json results = bench::Json::array();
     for (const auto& [name, ips] : reporter.captured()) {
-        if (name.rfind("BM_EventKernel", 0) != 0)
+        const bool kernel = name.rfind("BM_EventKernel", 0) == 0;
+        if (!kernel && name.rfind("BM_Placement", 0) != 0)
             continue;
-        bench::Json row = bench::Json::object()
-                              .kv("benchmark", name)
-                              .kv("events_per_sec", ips);
+        bench::Json row =
+            bench::Json::object()
+                .kv("benchmark", name)
+                .kv(kernel ? "events_per_sec" : "cycles_per_sec", ips);
         auto base = kPrePrBaseline.find(name);
         if (base != kPrePrBaseline.end()) {
             row.kv("pre_pr_events_per_sec", base->second)

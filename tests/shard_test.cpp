@@ -670,17 +670,18 @@ TEST(ShardedScenarioTest, ServerCrashKillsInFlightInvocationsInvariantly)
 TEST(ShardedScenarioTest, CoLocationHintNeverStrandsWorkOnACrashedServer)
 {
     // Scenario B's dedup child carries its parent's server as a
-    // co-location hint. Server 0 of 3 crashes for good at 10 s; a
-    // child hinted at it must run elsewhere, not wait in the FaaS
-    // queue for a server that never returns. A hint that ignored the
-    // down flag stranded every such child's frame: 153 tasks instead
-    // of 182 (the crash-free run completes 209).
+    // co-location hint. Server 0 of 3 crashes for good at 11.9 s, while
+    // recognition fan-outs run on it; a child hinted at it must run
+    // elsewhere, not wait in the FaaS queue for a server that never
+    // returns. A hint that ignored the down flag stranded 36 frames:
+    // 363 tasks and 55 frames still in flight at the end, instead of
+    // 399 and 19.
     platform::ScenarioConfig sc;
     sc.kind = platform::ScenarioKind::MovingPeople;
-    sc.time_cap = 40 * sim::kSecond;
-    sc.faults.server_crash(10 * sim::kSecond, 0, 0);
+    sc.time_cap = 20 * sim::kSecond;
+    sc.faults.server_crash(sim::from_millis(11900.0), 0, 0);
     platform::DeploymentConfig dep;
-    dep.devices = 8;
+    dep.devices = 20;
     dep.servers = 3;
     dep.seed = 7;
     std::uint64_t checksum = 0;
@@ -688,7 +689,8 @@ TEST(ShardedScenarioTest, CoLocationHintNeverStrandsWorkOnACrashedServer)
         platform::ShardedScenarioResult r = platform::run_scenario_sharded(
             sc, platform::PlatformOptions::hivemind(), dep, n);
         EXPECT_EQ(r.metrics.recovery.server_crashes, 1u) << "shards=" << n;
-        EXPECT_EQ(r.metrics.tasks_completed, 182u) << "shards=" << n;
+        EXPECT_EQ(r.metrics.tasks_completed, 399u) << "shards=" << n;
+        EXPECT_EQ(r.audit.frames.inflight_end, 19u) << "shards=" << n;
         if (n == 1)
             checksum = r.checksum;
         EXPECT_EQ(r.checksum, checksum) << "shards=" << n;
