@@ -11,12 +11,9 @@
  * reproduction target — see EXPERIMENTS.md.
  */
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "apps/appspec.hpp"
@@ -25,6 +22,7 @@
 #include "platform/options.hpp"
 #include "platform/scenario.hpp"
 #include "platform/single_phase.hpp"
+#include "platform/sweep.hpp"
 #include "util/json.hpp"
 
 namespace hivemind::bench {
@@ -138,66 +136,9 @@ sweep_seed(std::uint64_t base, std::uint64_t index)
     return z ^ (z >> 31);
 }
 
-/** Thread count for run_sweep: HIVEMIND_SWEEP_THREADS overrides HW. */
-inline unsigned
-sweep_threads()
-{
-    if (auto n = platform::env::sweep_threads())
-        return *n;
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
-}
-
-/**
- * Run @p fn over every point of a sweep, in parallel, returning the
- * results in point order.
- *
- * Each point is an independent simulation (its own Simulator, its own
- * Rng seeded from the point itself), so points parcel out to a pool
- * of std::jthread workers via an atomic cursor; worker count never
- * affects results, only wall-clock. Output slot i is written only by
- * the worker that claimed point i, so no further synchronization is
- * needed. With @p n_threads == 0 the pool sizes itself from
- * HIVEMIND_SWEEP_THREADS (useful to force a serial reference run) or
- * the hardware concurrency.
- *
- * @p fn must derive all randomness from the point it receives —
- * never from shared state — or determinism is lost.
- */
-template <typename Point, typename Fn>
-auto
-run_sweep(const std::vector<Point>& points, Fn fn, unsigned n_threads = 0)
-    -> std::vector<std::invoke_result_t<Fn&, const Point&>>
-{
-    using Result = std::invoke_result_t<Fn&, const Point&>;
-    std::vector<Result> results(points.size());
-    if (n_threads == 0)
-        n_threads = sweep_threads();
-    if (n_threads > points.size())
-        n_threads = static_cast<unsigned>(points.size());
-    if (n_threads <= 1) {
-        for (std::size_t i = 0; i < points.size(); ++i)
-            results[i] = fn(points[i]);
-        return results;
-    }
-    std::atomic<std::size_t> next{0};
-    {
-        std::vector<std::jthread> pool;
-        pool.reserve(n_threads);
-        for (unsigned t = 0; t < n_threads; ++t) {
-            pool.emplace_back([&]() {
-                while (true) {
-                    std::size_t i =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= points.size())
-                        return;
-                    results[i] = fn(points[i]);
-                }
-            });
-        }
-    }  // jthread joins here.
-    return results;
-}
+/** The figure sweeps run on the platform's one worker pool. */
+using platform::run_sweep;
+using platform::sweep_threads;
 
 /** Print a separator + header line for a figure table. */
 inline void

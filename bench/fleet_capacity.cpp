@@ -14,8 +14,8 @@
  *  - correctness gates, enforced with a nonzero exit:
  *      every per-swarm checksum at EVERY worker count must equal the
  *      checksum of a solo platform::run() of the same tenant config
- *      and seed, every record must be ok, and every line the metrics
- *      pipeline streams must parse as JSON.
+ *      and seed, every record must be ok, and every line of the
+ *      fleet's JSONL must parse as JSON.
  *
  * The default profile is 4 tenants x 16 replicas = 64 swarms, drone
  * and rover kinds alike, mixing platforms (hivemind /
@@ -215,8 +215,8 @@ main(int argc, char** argv)
         "swarms/host vs workers, cross-tenant interference");
     std::printf("%zu swarms, %zu tenants\n\n", swarms,
                 profile.tenants.size());
-    std::printf("%-8s %10s %10s %12s %10s %8s\n", "workers", "wall_s",
-                "cpu_s", "swarms/s", "queue_hw", "gates");
+    std::printf("%-8s %10s %10s %12s %8s\n", "workers", "wall_s",
+                "cpu_s", "swarms/s", "gates");
 
     // A fixed ladder, not capped at the core count: workers are
     // threads, and the checksum gate must hold under oversubscription
@@ -302,17 +302,13 @@ main(int argc, char** argv)
         const double rate =
             res.wall_s > 0.0 ? static_cast<double>(swarms) / res.wall_s
                              : 0.0;
-        std::printf("%-8d %10.3f %10.3f %12.1f %10zu %8s\n", w,
-                    res.wall_s, cpu_s, rate, res.queue_high_water,
-                    gates_ok ? "ok" : "FAIL");
+        std::printf("%-8d %10.3f %10.3f %12.1f %8s\n", w, res.wall_s,
+                    cpu_s, rate, gates_ok ? "ok" : "FAIL");
         capacity.push(bench::Json::object()
                           .kv("workers", w)
                           .kv("wall_s", res.wall_s)
                           .kv("cpu_s", cpu_s)
                           .kv("swarms_per_s", rate)
-                          .kv("queue_high_water",
-                              static_cast<std::uint64_t>(
-                                  res.queue_high_water))
                           .kv("checksum_ok", gates_ok));
         all_ok = all_ok && gates_ok;
     }

@@ -109,8 +109,15 @@ FaasRuntime::redrive_after_crash(PendingInvocation inv, double progressed)
 {
     --running_;
     ++killed_invocations_;
+    recover(std::move(inv), progressed);
+}
+
+void
+FaasRuntime::recover(PendingInvocation inv, double progressed)
+{
     double saved = inv.completed_fraction;
     if (inv.request.recovery == FaultRecovery::Checkpoint) {
+        // Work up to the last checkpoint boundary survives.
         double g = inv.request.checkpoint_granularity;
         if (g > 0.0)
             saved = std::max(saved, std::floor(progressed / g) * g);
@@ -118,6 +125,7 @@ FaasRuntime::redrive_after_crash(PendingInvocation inv, double progressed)
     work_lost_core_ms_ += (progressed - saved) * inv.request.work_core_ms;
     drain_queue();
     if (inv.request.recovery == FaultRecovery::None) {
+        // Lost: report once so callers can count misses.
         ++lost_;
         inv.trace.lost = true;
         inv.trace.exec_done = simulator_->now();
@@ -131,6 +139,7 @@ FaasRuntime::redrive_after_crash(PendingInvocation inv, double progressed)
     reexecuted_core_ms_ += (progressed - saved) * inv.request.work_core_ms;
     inv.completed_fraction = saved;
     inv.trace.attempts += 1;
+    // Retry skips the front-end but re-enters scheduling.
     auto self = this;
     simulator_->schedule_in(
         config_.sched_overhead + config_.bus_delay,
@@ -395,46 +404,15 @@ FaasRuntime::run_body(PendingInvocation inv)
 void
 FaasRuntime::body_self_fault(PendingInvocation inv, double dead_frac)
 {
-    // The function dies partway through; recovery follows the task's
-    // Restore policy (Listing 2 / Sec. 3.2).
+    // The function dies partway through on a live host: its core and
+    // memory come back before the Restore policy runs.
     Server& s = cluster_->server(inv.trace.server);
     s.release_core();
     s.release_memory(inv.request.memory_mb);
     --running_;
-    drain_queue();
     double progressed = inv.completed_fraction +
         (1.0 - inv.completed_fraction) * dead_frac;
-    double saved = inv.completed_fraction;
-    if (inv.request.recovery == FaultRecovery::Checkpoint) {
-        // Work up to the last checkpoint boundary survives.
-        double g = inv.request.checkpoint_granularity;
-        if (g > 0.0)
-            saved = std::max(saved, std::floor(progressed / g) * g);
-    }
-    work_lost_core_ms_ += (progressed - saved) * inv.request.work_core_ms;
-    if (inv.request.recovery == FaultRecovery::None) {
-        // Lost: report once so callers can count misses.
-        ++lost_;
-        inv.trace.lost = true;
-        inv.trace.exec_done = simulator_->now();
-        inv.trace.done = inv.trace.exec_done;
-        ++completed_;
-        bump_active(-1);
-        if (inv.done)
-            inv.done(inv.trace);
-        return;
-    }
-    reexecuted_core_ms_ += (progressed - saved) * inv.request.work_core_ms;
-    inv.completed_fraction = saved;
-    inv.trace.attempts += 1;
-    // Retry skips the front-end but re-enters scheduling.
-    auto self = this;
-    simulator_->schedule_in(
-        config_.sched_overhead + config_.bus_delay,
-        [self, inv = std::move(inv)]() mutable {
-            inv.trace.scheduled = self->simulator_->now();
-            self->try_start(std::move(inv));
-        });
+    recover(std::move(inv), progressed);
 }
 
 void

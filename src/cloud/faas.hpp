@@ -183,8 +183,8 @@ using InvokeCallback = std::function<void(const InvocationTrace&)>;
  * submits the parts in order through @p invoke_part, and fires
  * @p done once with a trace spanning the slowest part when the last
  * one finishes. @p ways <= 1 submits @p request whole. The one split
- * and join behind FaasRuntime::invoke_parallel and the HiveMind
- * scheduler's watchdog-guarded fan-out.
+ * and join behind FaasRuntime::invoke_parallel and
+ * platform::CloudTier::invoke.
  */
 void invoke_fan_out(
     const InvokeRequest& request, int ways,
@@ -335,15 +335,25 @@ class FaasRuntime
 
     /**
      * Recovery path after a server crash killed the invocation's
-     * container: account the lost work at overall progress
-     * @p progressed and re-drive (or lose) it per its Restore policy.
-     * The crashed host's occupancy was already wiped wholesale, so
-     * nothing is released here.
+     * container: count the kill and recover() at overall progress
+     * @p progressed. The crashed host's occupancy was already wiped
+     * wholesale, so nothing is released here.
      */
     void redrive_after_crash(PendingInvocation inv, double progressed);
 
-    /** The function's own mid-run fault fired (fault_prob path). */
+    /** The function's own mid-run fault fired (fault_prob path):
+     *  release its core and memory, then recover(). */
     void body_self_fault(PendingInvocation inv, double dead_frac);
+
+    /**
+     * The Restore policy (Listing 2 / Sec. 3.2), applied at overall
+     * progress @p progressed: Checkpoint keeps the work up to the last
+     * checkpoint boundary, and the progress past what is kept is
+     * booked as work lost. None then reports the invocation lost;
+     * every other policy books that progress as re-executed and
+     * re-enters scheduling after sched_overhead + bus_delay.
+     */
+    void recover(PendingInvocation inv, double progressed);
 
     /**
      * Claim a warm container for an app: @p preferred's newest if that

@@ -195,18 +195,4 @@ HiveMindScheduler::invoke(const cloud::InvokeRequest& request,
     }
 }
 
-void
-HiveMindScheduler::invoke_parallel(const cloud::InvokeRequest& request,
-                                   int ways, cloud::InvokeCallback done)
-{
-    // Route each part through the scheduler so every fan-out worker
-    // gets its own straggler watchdog.
-    cloud::invoke_fan_out(
-        request, ways,
-        [this](const cloud::InvokeRequest& part, cloud::InvokeCallback cb) {
-            invoke(part, std::move(cb));
-        },
-        std::move(done));
-}
-
 }  // namespace hivemind::core

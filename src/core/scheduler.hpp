@@ -116,10 +116,6 @@ class HiveMindScheduler
     void invoke(const cloud::InvokeRequest& request,
                 cloud::InvokeCallback done);
 
-    /** Parallel fan-out variant of invoke(). */
-    void invoke_parallel(const cloud::InvokeRequest& request, int ways,
-                         cloud::InvokeCallback done);
-
     /** Duplicates launched by the mitigation policy. */
     std::uint64_t respawns() const { return respawns_; }
 

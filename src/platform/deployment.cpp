@@ -86,19 +86,18 @@ CloudTier::invoke(const cloud::InvokeRequest& request, int parallelism,
             done(r);
     };
 
-    if (scheduler_) {
-        if (parallelism > 1)
-            scheduler_->invoke_parallel(request, parallelism,
-                                        std::move(to_result));
-        else
-            scheduler_->invoke(request, std::move(to_result));
-    } else {
-        if (parallelism > 1)
-            faas_->invoke_parallel(request, parallelism,
-                                   std::move(to_result));
-        else
-            faas_->invoke(request, std::move(to_result));
-    }
+    // Each fan-out part goes through the scheduler when installed, so
+    // every part gets its own straggler watchdog; one way submits the
+    // request whole.
+    cloud::invoke_fan_out(
+        request, parallelism,
+        [this](const cloud::InvokeRequest& part, cloud::InvokeCallback cb) {
+            if (scheduler_)
+                scheduler_->invoke(part, std::move(cb));
+            else
+                faas_->invoke(part, std::move(cb));
+        },
+        std::move(to_result));
 }
 
 Deployment::Deployment(const DeploymentConfig& config,

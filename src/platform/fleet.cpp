@@ -1,14 +1,14 @@
 #include "platform/fleet.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
+
+#include "platform/sweep.hpp"
 
 namespace hivemind::platform {
 
@@ -146,7 +146,7 @@ swarm_record_json(const SwarmRecord& rec)
     if (!rec.ok)
         return line.kv("error", rec.error);
     const RunResult& r = rec.result;
-    return line.kv("shards", r.shards_used)
+    return line.kv("shards", r.shards)
         .kv("checksum", r.checksum)
         .kv("wall_s", r.wall_s)
         .kv("epochs", r.epochs)
@@ -158,94 +158,6 @@ swarm_record_json(const SwarmRecord& rec)
         .kv("respawns", r.metrics.respawns)
         .kv("mttr_s", r.metrics.recovery.mttr_s.mean())
         .kv("radio_bytes", r.metrics.radio_bytes_total);
-}
-
-MetricsPipeline::MetricsPipeline(std::ostream& out, std::size_t capacity)
-    : out_(out), capacity_(capacity == 0 ? 1 : capacity)
-{
-    writer_ = std::thread([this] { writer_loop(); });
-}
-
-MetricsPipeline::~MetricsPipeline()
-{
-    close();
-}
-
-void
-MetricsPipeline::push(SwarmRecord rec)
-{
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        can_push_.wait(lock, [this] {
-            return closed_ || queue_.size() < capacity_;
-        });
-        if (closed_)
-            throw std::logic_error(
-                "MetricsPipeline: push() after close()");
-        queue_.push_back(std::move(rec));
-        high_water_ = std::max(high_water_, queue_.size());
-    }
-    can_pop_.notify_one();
-}
-
-void
-MetricsPipeline::close()
-{
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (closed_ && !writer_.joinable())
-            return;
-        closed_ = true;
-    }
-    can_pop_.notify_all();
-    can_push_.notify_all();
-    if (writer_.joinable())
-        writer_.join();
-    out_.flush();
-}
-
-std::uint64_t
-MetricsPipeline::written() const
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    return written_;
-}
-
-std::size_t
-MetricsPipeline::high_water() const
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    return high_water_;
-}
-
-void
-MetricsPipeline::writer_loop()
-{
-    std::deque<SwarmRecord> batch;
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            can_pop_.wait(lock, [this] {
-                return closed_ || !queue_.empty();
-            });
-            if (queue_.empty() && closed_)
-                return;
-            // Take the whole backlog in one lock hold: one stream
-            // write + flush per batch, not per record.
-            batch.swap(queue_);
-        }
-        can_push_.notify_all();
-        std::string chunk;
-        for (const SwarmRecord& rec : batch)
-            chunk += swarm_record_json(rec).str() + "\n";
-        out_ << chunk;
-        out_.flush();
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            written_ += batch.size();
-        }
-        batch.clear();
-    }
 }
 
 Fleet::Fleet(FleetProfile profile) : profile_(std::move(profile))
@@ -285,41 +197,18 @@ Fleet::run(const FleetRunOptions& options) const
             jobs.push_back({&t, r});
 
     FleetResult result;
-    result.records.resize(jobs.size());
-
-    int workers = options.workers;
-    if (workers <= 0) {
-        if (auto env_workers = env::sweep_threads())
-            workers = static_cast<int>(*env_workers);
-        else
-            workers = static_cast<int>(
-                std::max(1u, std::thread::hardware_concurrency()));
-    }
-    workers = static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(workers),
-                              std::max<std::size_t>(jobs.size(), 1)));
-    result.workers = workers;
-
-    std::unique_ptr<MetricsPipeline> pipeline;
-    if (options.metrics)
-        pipeline = std::make_unique<MetricsPipeline>(
-            *options.metrics, options.queue_capacity);
+    result.workers = static_cast<int>(sweep_workers(
+        jobs.size(),
+        options.workers > 0 ? static_cast<unsigned>(options.workers) : 0));
 
     const auto wall0 = std::chrono::steady_clock::now();
-    std::atomic<std::size_t> cursor{0};
-    std::atomic<std::size_t> failed{0};
-    auto work = [&] {
-        for (;;) {
-            const std::size_t i =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size())
-                return;
-            const Job& job = jobs[i];
+    result.records = run_sweep(
+        jobs,
+        [](const Job& job) {
             SwarmRecord rec;
             rec.tenant = job.tenant->name;
             rec.replica = job.replica;
-            rec.seed =
-                job.tenant->seed0 +
+            rec.seed = job.tenant->seed0 +
                 static_cast<std::uint64_t>(job.replica);
             try {
                 rec.result = platform::run(
@@ -328,33 +217,25 @@ Fleet::run(const FleetRunOptions& options) const
                     deployment_of(*job.tenant, job.replica));
                 rec.ok = true;
             } catch (const std::exception& e) {
-                rec.ok = false;
                 rec.error = e.what();
-                failed.fetch_add(1, std::memory_order_relaxed);
             }
-            // Stream first (the record is complete either way — an
-            // abnormal swarm exit still reaches the JSONL), then park
-            // the canonical copy at its deterministic slot.
-            if (pipeline)
-                pipeline->push(rec);
-            result.records[i] = std::move(rec);
-        }
-    };
+            return rec;
+        },
+        static_cast<unsigned>(result.workers));
+    result.wall_s = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - wall0)
+                        .count();
+    result.failed = static_cast<std::size_t>(
+        std::count_if(result.records.begin(), result.records.end(),
+                      [](const SwarmRecord& rec) { return !rec.ok; }));
 
-    {
-        std::vector<std::jthread> pool;
-        pool.reserve(static_cast<std::size_t>(workers) - 1);
-        for (int w = 1; w < workers; ++w)
-            pool.emplace_back(work);
-        work();
-    }
-    const auto wall1 = std::chrono::steady_clock::now();
-    result.wall_s =
-        std::chrono::duration<double>(wall1 - wall0).count();
-    result.failed = failed.load();
-    if (pipeline) {
-        pipeline->close();
-        result.queue_high_water = pipeline->high_water();
+    // Every swarm has finished and the pool has joined: the JSONL is
+    // written here, untimed, in (tenant, replica) order, so its bytes
+    // do not depend on the worker count or on completion order.
+    if (options.metrics) {
+        for (const SwarmRecord& rec : result.records)
+            *options.metrics << swarm_record_json(rec).str() << '\n';
+        options.metrics->flush();
     }
     return result;
 }

@@ -14,32 +14,29 @@
  *    N tenants, each a full scenario profile (platform/profile.hpp)
  *    plus deployment sizing, platform preset, replica count and seed
  *    base. Versioned, strict (unknown keys throw), exact round-trip.
- *  - MetricsPipeline: a bounded MPSC queue in front of a background
- *    writer thread that batches per-swarm records into a JSONL
- *    stream. Producers block when the queue is full (backpressure,
- *    never drops); close() drains everything, including records from
- *    swarms that died abnormally.
  *  - Fleet: the concurrent driver. Flattens tenants × replicas into
- *    a job list, runs each job through platform::run() on a worker
- *    pool, streams records through the pipeline, and returns every
- *    record in deterministic (tenant, replica) order.
+ *    a job list, runs each job through platform::run() on the one
+ *    worker pool (platform/sweep.hpp), and returns every record in
+ *    deterministic (tenant, replica) order. Once the pool has joined
+ *    it writes one JSONL line per record, in that order, to the
+ *    optional metrics stream — records of swarms that died abnormally
+ *    included. Every reader of the stream reads it after run()
+ *    returns, so the fleet keeps no writer thread, queue or lock of
+ *    its own.
  *
  * Determinism contract: each swarm run is an independent
  * deterministic simulation with its own seed (seed0 + replica), so
  * every per-swarm checksum is byte-identical to a solo run of the
- * same tenant config at that seed, at ANY --workers value. The fleet
- * only adds scheduling, never sharing — tenants touch no common
- * mutable state. tests/fleet_test.cpp and bench/fleet_capacity.cpp
- * both gate on this.
+ * same tenant config at that seed, at ANY --workers value, and so is
+ * the JSONL stream once its wall_s fields are masked. The fleet only
+ * adds scheduling, never sharing — tenants touch no common mutable
+ * state. tests/fleet_test.cpp and bench/fleet_capacity.cpp both gate
+ * on this.
  */
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
-#include <mutex>
-#include <condition_variable>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "platform/profile.hpp"
@@ -88,7 +85,7 @@ FleetProfile fleet_from_json(const std::string& json);
 util::Json fleet_json(const FleetProfile& fleet);
 FleetProfile fleet_from_cursor(util::JsonCursor& in);
 
-/** One swarm run's outcome, as streamed to the metrics JSONL. */
+/** One swarm run's outcome, as written to the metrics JSONL. */
 struct SwarmRecord
 {
     std::string tenant;
@@ -103,61 +100,15 @@ struct SwarmRecord
 /** The JSONL line for one record (no trailing newline). */
 util::Json swarm_record_json(const SwarmRecord& rec);
 
-/**
- * Bounded MPSC queue + background JSONL writer (the gacspp COutput
- * idea: simulation threads never block on file I/O except through
- * explicit backpressure). push() blocks while the queue is at
- * capacity — records are never dropped. close() (or destruction)
- * drains the queue, flushes the stream and joins the writer; safe to
- * call twice. push() after close() throws std::logic_error.
- */
-class MetricsPipeline
-{
-  public:
-    explicit MetricsPipeline(std::ostream& out,
-                             std::size_t capacity = 64);
-    ~MetricsPipeline();
-
-    MetricsPipeline(const MetricsPipeline&) = delete;
-    MetricsPipeline& operator=(const MetricsPipeline&) = delete;
-
-    /** Enqueue one record; blocks while the queue is full. */
-    void push(SwarmRecord rec);
-
-    /** Drain, flush, join. Idempotent. */
-    void close();
-
-    /** Records written to the stream (complete after close()). */
-    std::uint64_t written() const;
-
-    /** Deepest queue occupancy observed (backpressure telemetry). */
-    std::size_t high_water() const;
-
-  private:
-    void writer_loop();
-
-    std::ostream& out_;
-    const std::size_t capacity_;
-    mutable std::mutex mu_;
-    std::condition_variable can_push_;
-    std::condition_variable can_pop_;
-    std::deque<SwarmRecord> queue_;
-    bool closed_ = false;
-    std::uint64_t written_ = 0;
-    std::size_t high_water_ = 0;
-    std::thread writer_;
-};
-
 /** Knobs for one Fleet::run() call. */
 struct FleetRunOptions
 {
     /** Worker threads; <= 0 resolves HIVEMIND_SWEEP_THREADS, then
-     *  hardware_concurrency (min 1). */
+     *  hardware_concurrency (see sweep_workers()). */
     int workers = 0;
-    /** JSONL sink for streaming records (null = no streaming). */
+    /** JSONL sink: one line per record, in record order, written
+     *  after every swarm finished (null = no JSONL). */
     std::ostream* metrics = nullptr;
-    /** MetricsPipeline queue bound when streaming. */
-    std::size_t queue_capacity = 64;
 };
 
 /** What one Fleet::run() did. */
@@ -170,19 +121,21 @@ struct FleetResult
     std::size_t failed = 0;
     /** Worker threads actually used. */
     int workers = 0;
-    /** Host wall-clock for the whole fleet, seconds. */
+    /** Host wall-clock of the swarm runs, seconds (the JSONL write
+     *  after them is not counted). */
     double wall_s = 0.0;
-    /** MetricsPipeline::high_water() (0 when not streaming). */
+    /** Always 0: the fleet has no record queue. Kept because the
+     *  repository benchmark still reads it. */
     std::size_t queue_high_water = 0;
 };
 
 /**
  * The concurrent multi-swarm driver. Construction validates the
  * profile (platform names resolve, replicas >= 1); run() executes
- * every tenant × replica job through platform::run() on a worker
- * pool. Each job is self-contained, so results are independent of
- * worker count; a job that throws becomes an ok == false record (the
- * fleet finishes, the pipeline still gets the record).
+ * every tenant × replica job through platform::run() on run_sweep()'s
+ * worker pool. Each job is self-contained, so results are independent
+ * of worker count; a job that throws becomes an ok == false record
+ * (the fleet finishes, and the record still reaches the JSONL).
  */
 class Fleet
 {

@@ -4,7 +4,6 @@
 #include "platform/deployment.hpp"
 #include "platform/options.hpp"
 #include "platform/scenario.hpp"
-#include "platform/sharded_scenario.hpp"
 
 namespace hivemind::platform {
 
@@ -21,9 +20,9 @@ fuzz_config_for(const FuzzCaseOptions& opt)
 fault::RunAudit
 run_fuzz_case(const fault::FaultPlan& plan, const FuzzCaseOptions& opt)
 {
+    // The horizon is the harness's own bound: elsewhere a plan may
+    // outlast time_cap. run() checks the device and server targets.
     fault::PlanBounds bounds;
-    bounds.devices = opt.devices;
-    bounds.servers = opt.servers;
     bounds.horizon = opt.horizon;
     plan.validate_or_throw(bounds);
 
@@ -44,6 +43,7 @@ run_fuzz_case(const fault::FaultPlan& plan, const FuzzCaseOptions& opt)
     sc.maze_side = 21;
     sc.time_cap = opt.horizon;
     sc.faults = plan;
+    sc.shards = opt.shards;
 
     DeploymentConfig dep;
     dep.devices = opt.devices;
@@ -57,11 +57,7 @@ run_fuzz_case(const fault::FaultPlan& plan, const FuzzCaseOptions& opt)
     // The baselines reject such plans, so the harness is HiveMind-only.
     const PlatformOptions platform = PlatformOptions::hivemind();
 
-    // The engine entry point directly, not platform::run(): the
-    // oracles need the audit only the engine result carries.
-    const int shards = opt.shards < 1 ? 1 : opt.shards;
-    fault::RunAudit audit =
-        run_scenario_sharded(sc, platform, dep, shards).audit;
+    fault::RunAudit audit = run(sc, platform, dep).audit;
     audit.expect_full_horizon = true;
     return audit;
 }

@@ -41,10 +41,11 @@ struct FuzzCaseOptions
 fault::FuzzConfig fuzz_config_for(const FuzzCaseOptions& opt);
 
 /**
- * Run @p plan under @p opt and return the filled audit (the seed and
- * expect_full_horizon are stamped in). The plan is validated against
- * the full deployment bounds first — a malformed plan throws before
- * anything runs.
+ * Run @p plan under @p opt through platform::run() and return the
+ * filled audit (the seed and expect_full_horizon are stamped in). A
+ * plan with an event at or past the horizon, or with a device or
+ * server target outside the deployment (run()'s check), throws
+ * std::invalid_argument before the run starts.
  */
 fault::RunAudit run_fuzz_case(const fault::FaultPlan& plan,
                               const FuzzCaseOptions& opt);

@@ -55,7 +55,6 @@ PlatformOptions::hivemind()
     o.kind = PlatformKind::HiveMind;
     o.net_accel = true;
     o.remote_mem_accel = true;
-    o.hybrid = true;
     o.smart_scheduler = true;
     o.label = "HiveMind";
     return o;

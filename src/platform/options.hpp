@@ -37,8 +37,6 @@ struct PlatformOptions
     bool net_accel = false;
     /** FPGA remote-memory fabric for function data exchange (4.4). */
     bool remote_mem_accel = false;
-    /** Hybrid cloud/edge task placement (Sec. 4.2). */
-    bool hybrid = false;
     /** HiveMind scheduler (co-location, keep-alive, stragglers, 4.3). */
     bool smart_scheduler = false;
     /** Label for result tables. */

@@ -1,8 +1,5 @@
 #include "platform/scenario.hpp"
 
-#include <algorithm>
-#include <utility>
-
 #include "platform/sharded_scenario.hpp"
 
 namespace hivemind::platform {
@@ -38,25 +35,8 @@ RunResult
 run(const ScenarioConfig& scenario, const PlatformOptions& options,
     const DeploymentConfig& deployment_config)
 {
-    // Reject malformed chaos plans at the facade, before the engine
-    // spins up a deployment for them. Horizon is deliberately left
-    // unchecked: plans may legitimately outlast time_cap (events past
-    // the stop simply never fire).
-    fault::PlanBounds bounds;
-    bounds.devices = deployment_config.devices;
-    bounds.servers = deployment_config.servers;
-    scenario.faults.validate_or_throw(bounds);
-
-    const int shards = std::max(scenario.shards, 1);
-    ShardedScenarioResult r =
-        run_scenario_sharded(scenario, options, deployment_config, shards);
-    RunResult out;
-    out.metrics = std::move(r.metrics);
-    out.checksum = r.checksum;
-    out.shards_used = shards;
-    out.wall_s = r.wall_s;
-    out.epochs = r.epochs;
-    return out;
+    return run_scenario_sharded(scenario, options, deployment_config,
+                                scenario.shards);
 }
 
 RunMetrics

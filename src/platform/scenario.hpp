@@ -25,15 +25,19 @@
  * and on HiveMind the controller repartitions its region (Fig. 10).
  * Scenarios end when the goal is met, the time cap expires, or no
  * device is left alive. Every run executes on the sharded engine
- * (platform/sharded_scenario.hpp), at one shard kernel or more.
+ * (platform/sharded_scenario.hpp), at one shard kernel or more, and
+ * reports one RunResult: the engine's whole result, whichever entry
+ * point (run() or run_scenario_sharded()) started it.
  */
 
 #include <cstdint>
 
 #include "apps/detection.hpp"
 #include "core/ha.hpp"
+#include "fault/oracle.hpp"
 #include "fault/plan.hpp"
 #include "fault/retry.hpp"
+#include "fault/shard_chaos.hpp"
 #include "platform/deployment.hpp"
 #include "platform/metrics.hpp"
 #include "platform/options.hpp"
@@ -101,30 +105,40 @@ struct ScenarioConfig
 /** Whether @p plan targets the swarm controller (needs the HA stack). */
 bool plan_has_controller_faults(const fault::FaultPlan& plan);
 
-/** Everything platform::run() reports about one swarm run. */
+/**
+ * Everything one swarm run reports. platform::run() and
+ * run_scenario_sharded() return this same struct (the latter under its
+ * second name, ShardedScenarioResult).
+ */
 struct RunResult
 {
     RunMetrics metrics;
     /**
      * FNV digest of the run's end state (device roster, ledgers,
-     * completion), the same at every shard count. Identical configs +
-     * seeds yield identical checksums — the fleet determinism gate.
+     * completion) in device-id order, the same at every shard count.
+     * Identical configs + seeds yield identical checksums — the fleet
+     * determinism gate.
      */
     std::uint64_t checksum = 0;
     /** Shard kernels used. */
-    int shards_used = 1;
+    int shards = 1;
     /** Host wall-clock spent inside the engine, seconds. */
     double wall_s = 0.0;
-    /** Conservative-sync epochs. */
-    std::uint64_t epochs = 0;
+    std::uint64_t epochs = 0;     ///< Conservative-sync barrier rounds.
+    std::uint64_t forwarded = 0;  ///< Cross-shard envelopes delivered.
+    /** What fault::route_plan() scheduled from the plan. */
+    fault::ShardChaosReport chaos;
+    /** Everything the invariant oracles need about this run. */
+    fault::RunAudit audit;
 };
 
 /**
- * The one entry point for scenario execution: rejects a malformed
- * chaos plan (and, through run_scenario_sharded(), a controller fault
- * on a platform without the HA stack) and runs the sharded engine on
- * max(scenario.shards, 1) kernels. Benches, tests, examples and the
- * fleet driver all route through here.
+ * The one entry point for scenario execution: run_scenario_sharded()
+ * on max(scenario.shards, 1) kernels, so it rejects a plan that
+ * targets a device or server outside the deployment, or a controller
+ * fault on a platform without the HA stack. The fuzz harness, the
+ * fleet driver, the examples and the benches without a shard axis
+ * route through here.
  */
 RunResult run(const ScenarioConfig& scenario, const PlatformOptions& options,
               const DeploymentConfig& deployment_config);

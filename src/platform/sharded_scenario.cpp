@@ -321,6 +321,12 @@ class ShardedScenarioEngine
                  nullptr),
           ctrl_(runtime_.shard(0), sc, dep.devices, dep.seed ^ 0x5ca1ab1eull)
     {
+        // The plan's targets, against the cloud this run built:
+        // scale_infra grows the server count with the swarm.
+        fault::PlanBounds bounds;
+        bounds.devices = dep.devices;
+        bounds.servers = cloud_.config().servers;
+        sc.faults.validate_or_throw(bounds);
         runtime_.set_adaptive_lookahead(sc.adaptive_lookahead);
         wire_devices(dep);
         wire_rovers();
@@ -330,7 +336,7 @@ class ShardedScenarioEngine
         wire_incidents();
     }
 
-    ShardedScenarioResult run();
+    RunResult run();
 
   private:
     bool hivemind() const { return opt_.kind == PlatformKind::HiveMind; }
@@ -1641,7 +1647,7 @@ ShardedScenarioEngine::finish(bool goal)
 // Run + results
 // ---------------------------------------------------------------------
 
-ShardedScenarioResult
+RunResult
 ShardedScenarioEngine::run()
 {
     const auto wall0 = std::chrono::steady_clock::now();
@@ -1668,7 +1674,7 @@ ShardedScenarioEngine::run()
     if (!ctrl_.done)
         finish(ctrl_.goal_fraction() >= 1.0);
 
-    ShardedScenarioResult result;
+    RunResult result;
     result.metrics = collect_metrics();
     result.checksum = checksum();
     result.audit = build_audit(result.metrics);
@@ -1877,7 +1883,7 @@ ShardedScenarioEngine::checksum() const
 
 }  // namespace
 
-ShardedScenarioResult
+RunResult
 run_scenario_sharded(const ScenarioConfig& scenario,
                      const PlatformOptions& options,
                      const DeploymentConfig& deployment_config,

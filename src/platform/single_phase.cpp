@@ -7,18 +7,22 @@ namespace hivemind::platform {
 
 namespace {
 
+/** Fraction of work HiveMind's hybrid pre-filter runs on-board. */
+constexpr double kHybridPrefilterShare = 0.10;
+/** Fraction of sensor bytes still uplinked after pre-filtering. */
+constexpr double kHybridUplinkFraction = 0.30;
+
 /** Mutable state shared by the run's callbacks. */
 struct JobHarness
 {
     Deployment* dep;
     const apps::AppSpec* app;
-    const JobConfig* job;
     RunMetrics metrics;
     std::size_t next_server = 0;
     sim::Rng arrivals;
 
-    JobHarness(Deployment& d, const apps::AppSpec& a, const JobConfig& j)
-        : dep(&d), app(&a), job(&j), arrivals(d.rng().fork())
+    JobHarness(Deployment& d, const apps::AppSpec& a)
+        : dep(&d), app(&a), arrivals(d.rng().fork())
     {
     }
 
@@ -66,20 +70,15 @@ JobHarness::run_centralized(std::size_t device)
 {
     sim::Time t0 = dep->simulator().now();
     std::size_t server = pick_server();
-    int par = 1;
-    if (dep->options().kind == PlatformKind::CentralizedFaas &&
-        job->serverless_intra_parallelism) {
-        par = app->parallelism;
-    }
     dep->network().send_uplink(
         device, server, app->input_bytes,
-        [this, device, server, t0, par](sim::Time t1) {
+        [this, device, server, t0](sim::Time t1) {
             // Dependent-function exchange: the task reads its frame
             // bundle and writes results through the sharing fabric.
             cloud::InvokeRequest req = cloud_request(
                 app->work_core_ms, app->inter_bytes, app->inter_bytes);
-            dep->cloud_invoke(req, par, [this, device, server, t0,
-                                         t1](const CloudResult& r) {
+            dep->cloud_invoke(req, 1, [this, device, server, t0,
+                                       t1](const CloudResult& r) {
                 sim::Time t2 = r.done;
                 dep->network().send_downlink(
                     server, device, app->output_bytes,
@@ -126,19 +125,19 @@ JobHarness::run_hivemind(std::size_t device)
     // the heavy stage runs serverless with intra-task parallelism.
     sim::Time t0 = dep->simulator().now();
     edge::Device& dev = dep->device(device);
-    double pre_work = app->work_core_ms * job->hybrid_prefilter_share;
+    double pre_work = app->work_core_ms * kHybridPrefilterShare;
     dev.executor().submit(pre_work, [this, device, t0](double pre_exec_s) {
         sim::Time t_pre = dep->simulator().now();
         std::size_t server = pick_server();
         std::uint64_t uplink_bytes = static_cast<std::uint64_t>(
             static_cast<double>(app->input_bytes) *
-            job->hybrid_uplink_fraction);
+            kHybridUplinkFraction);
         dep->network().send_uplink(
             device, server, uplink_bytes,
             [this, device, server, t0, t_pre,
              pre_exec_s](sim::Time t1) {
                 double cloud_work =
-                    app->work_core_ms * (1.0 - job->hybrid_prefilter_share);
+                    app->work_core_ms * (1.0 - kHybridPrefilterShare);
                 cloud::InvokeRequest req = cloud_request(
                     cloud_work, app->inter_bytes, app->inter_bytes);
                 dep->cloud_invoke(
@@ -208,7 +207,7 @@ install_arrivals(JobHarness& harness, Deployment& dep, const JobConfig& job,
             });
     } else {
         // Independent per-device Poisson arrivals.
-        double rate = app.task_rate_hz * job.load_scale;
+        double rate = app.task_rate_hz;
         for (std::size_t d = 0; d < dep.device_count(); ++d) {
             sim::recurring(
                 simulator,
@@ -273,7 +272,7 @@ run_single_phase(const apps::AppSpec& app, const PlatformOptions& options,
                  const JobConfig& job)
 {
     Deployment dep(deployment_config, options);
-    JobHarness harness(dep, app, job);
+    JobHarness harness(dep, app);
     install_arrivals(harness, dep, job, app);
     dep.simulator().run_until(job.duration + job.drain);
     settle_energy(dep, job);
@@ -291,7 +290,7 @@ run_multi_tenant(const std::vector<apps::AppSpec>& app_list,
     std::vector<std::unique_ptr<JobHarness>> harnesses;
     harnesses.reserve(app_list.size());
     for (const apps::AppSpec& app : app_list) {
-        harnesses.push_back(std::make_unique<JobHarness>(dep, app, job));
+        harnesses.push_back(std::make_unique<JobHarness>(dep, app));
         install_arrivals(*harnesses.back(), dep, job, app);
     }
     dep.simulator().run_until(job.duration + job.drain);

@@ -37,18 +37,10 @@ struct JobConfig
     sim::Time duration = 120 * sim::kSecond;
     /** Extra time allowed for queued tasks to drain. */
     sim::Time drain = 120 * sim::kSecond;
-    /** Multiplier on the app's per-device task rate. */
-    double load_scale = 1.0;
     /** Aggregate arrival-rate override (elasticity experiments). */
     const apps::LoadPattern* pattern = nullptr;
-    /** Let the centralized FaaS platform fan out within tasks too. */
-    bool serverless_intra_parallelism = false;
     /** Count hover/drive energy in the battery numbers. */
     bool include_motion_energy = false;
-    /** Fraction of work HiveMind's hybrid pre-filter runs on-board. */
-    double hybrid_prefilter_share = 0.10;
-    /** Fraction of sensor bytes still uplinked after pre-filtering. */
-    double hybrid_uplink_fraction = 0.30;
 };
 
 /** Run one application on one platform; returns collected metrics. */

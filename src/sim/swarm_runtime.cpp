@@ -7,13 +7,13 @@
 
 namespace hivemind::sim {
 
-SwarmRuntime::SwarmRuntime(int shards, const KernelConfig& config)
+SwarmRuntime::SwarmRuntime(int shards)
 {
     assert(shards >= 1);
     const std::size_t n = static_cast<std::size_t>(shards);
     sims_.reserve(n);
     for (int i = 0; i < shards; ++i)
-        sims_.push_back(std::make_unique<Simulator>(config));
+        sims_.push_back(std::make_unique<Simulator>());
     mail_.resize(n * n);
     staged_.resize(n);
     lat_.assign(n * n, Simulator::kNever);

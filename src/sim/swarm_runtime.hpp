@@ -92,7 +92,7 @@ class SwarmRuntime
         Time horizon = 0;             ///< Last window upper bound.
     };
 
-    explicit SwarmRuntime(int shards, const KernelConfig& config = {});
+    explicit SwarmRuntime(int shards);
     ~SwarmRuntime();
 
     SwarmRuntime(const SwarmRuntime&) = delete;

@@ -2,10 +2,11 @@
  * @file
  * Fleet service-mode tests: profile round-trips (randomized configs,
  * fuzzer-generated fault plans, strict unknown-key / version
- * rejection), the platform::run() facade's shard dispatch, fleet
- * determinism (per-swarm checksums equal solo runs and invariant to
- * worker count), and the MetricsPipeline contract (bounded queue,
- * no drops, flush on abnormal swarm exit, JSONL well-formedness).
+ * rejection), the platform::run() facade's shard dispatch and plan
+ * checks, fleet determinism (per-swarm checksums equal solo runs and
+ * invariant to worker count), and the JSONL stream (record order and
+ * bytes invariant to worker count, abnormal swarm exits,
+ * well-formedness).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fuzz.hpp"
@@ -312,7 +314,7 @@ TEST(RunFacadeTest, AutoDispatchesByShardsAndKind)
         small_scenario(platform::ScenarioKind::StationaryItems);
     sharded.shards = 2;
     platform::RunResult rs = platform::run(sharded, opt, dep);
-    EXPECT_EQ(rs.shards_used, 2);
+    EXPECT_EQ(rs.shards, 2);
     EXPECT_GT(rs.epochs, 0u);
     EXPECT_NE(rs.checksum, 0u);
 
@@ -321,19 +323,19 @@ TEST(RunFacadeTest, AutoDispatchesByShardsAndKind)
     platform::ScenarioConfig one = sharded;
     one.shards = 1;
     platform::RunResult r1 = platform::run(one, opt, dep);
-    EXPECT_EQ(r1.shards_used, 1);
+    EXPECT_EQ(r1.shards, 1);
     EXPECT_GT(r1.epochs, 0u);
     EXPECT_EQ(r1.checksum, rs.checksum);
     platform::ScenarioConfig zero = sharded;
     zero.shards = 0;
-    EXPECT_EQ(platform::run(zero, opt, dep).shards_used, 1);
+    EXPECT_EQ(platform::run(zero, opt, dep).shards, 1);
 
     // Rover kinds run on the same engine.
     platform::ScenarioConfig rover =
         small_scenario(platform::ScenarioKind::TreasureHunt);
     rover.shards = 4;
     platform::RunResult rr = platform::run(rover, opt, dep);
-    EXPECT_EQ(rr.shards_used, 4);
+    EXPECT_EQ(rr.shards, 4);
     EXPECT_GT(rr.epochs, 0u);
     platform::ScenarioConfig maze =
         small_scenario(platform::ScenarioKind::RoverMaze);
@@ -389,6 +391,51 @@ TEST(RunFacadeTest, BaselinesRejectControllerFaults)
                         sc, platform::PlatformOptions::hivemind(), dep, 2)
                         .audit.ha_enabled);
     }
+}
+
+TEST(RunFacadeTest, ServerTargetOutsideTheCloudIsRejected)
+{
+    // The default deployment has 12 servers, so a crash of server 99
+    // names a host the cloud does not have. The engine entry point
+    // holds the check, so both entry points refuse the plan instead of
+    // booking a crash that never happened.
+    platform::DeploymentConfig dep;
+    ASSERT_EQ(dep.devices, 16u);
+    ASSERT_EQ(dep.servers, 12u);
+    dep.seed = 7;
+    platform::ScenarioConfig sc =
+        small_scenario(platform::ScenarioKind::StationaryItems);
+    sc.faults.server_crash(2 * sim::kSecond, 99);
+    const platform::PlatformOptions opt = platform::PlatformOptions::hivemind();
+    EXPECT_THROW(platform::run_scenario_sharded(sc, opt, dep, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(platform::run(sc, opt, dep), std::invalid_argument);
+}
+
+TEST(RunFacadeTest, ServerBoundIsTheCloudScaleInfraBuilds)
+{
+    // scale_infra grows 12 servers to 12 x 64 / 16 = 48 for 64 drones,
+    // so server 20 exists: its crash runs and is booked once, and only
+    // a target past the built cloud is refused.
+    platform::DeploymentConfig dep;
+    dep.devices = 64;
+    dep.servers = 12;
+    dep.scale_infra = true;
+    dep.seed = 7;
+    platform::ScenarioConfig sc =
+        small_scenario(platform::ScenarioKind::StationaryItems);
+    sc.targets = 200;  // Unattainable: the crash fires before any finish.
+    sc.time_cap = 6 * sim::kSecond;
+    sc.faults.server_crash(sim::kSecond, 20, 2 * sim::kSecond);
+    const platform::PlatformOptions opt = platform::PlatformOptions::hivemind();
+    const platform::RunResult r = platform::run(sc, opt, dep);
+    EXPECT_EQ(r.audit.servers, 48u);
+    EXPECT_EQ(r.metrics.recovery.server_crashes, 1u);
+    EXPECT_EQ(r.metrics.recovery.mttr_s.count(), 1u);
+
+    sc.faults = {};
+    sc.faults.server_crash(sim::kSecond, 48);
+    EXPECT_THROW(platform::run(sc, opt, dep), std::invalid_argument);
 }
 
 // --- Fleet determinism -------------------------------------------------
@@ -459,7 +506,6 @@ TEST(FleetTest, AbnormalSwarmExitStillReachesTheStream)
     platform::FleetRunOptions opt;
     opt.workers = 3;
     opt.metrics = &jsonl;
-    opt.queue_capacity = 2;
     platform::FleetResult res = fleet.run(opt);
 
     EXPECT_EQ(res.failed, 2u);
@@ -480,11 +526,58 @@ TEST(FleetTest, AbnormalSwarmExitStillReachesTheStream)
     }
     EXPECT_EQ(lines, res.records.size());
     EXPECT_EQ(failed_lines, 2u);
-    // The bounded queue never exceeded its capacity.
-    EXPECT_LE(res.queue_high_water, 2u);
     // And the good tenant's records are intact.
     for (std::size_t i = 0; i < 3; ++i)
         EXPECT_TRUE(res.records[i].ok);
+}
+
+/** @p jsonl with every "wall_s" value (host time) replaced by 0. */
+std::string
+mask_wall_s(std::string jsonl)
+{
+    const std::string key = "\"wall_s\":";
+    for (std::size_t at = jsonl.find(key); at != std::string::npos;
+         at = jsonl.find(key, at)) {
+        at += key.size();
+        jsonl.replace(at, jsonl.find_first_of(",}", at) - at, "0");
+    }
+    return jsonl;
+}
+
+TEST(FleetTest, JsonlIsInRecordOrderAndWorkerInvariant)
+{
+    // The fleet writes the JSONL after every swarm finished: line i is
+    // record i, in (tenant, replica) order whichever swarm finished
+    // first, so the stream's bytes are the same at any worker count
+    // once the host-time field is masked.
+    const platform::Fleet fleet{small_fleet()};
+    const std::vector<std::pair<std::string, int>> order = {
+        {"drone_hive", 0}, {"drone_hive", 1}, {"drone_hive", 2},
+        {"rover_faas", 0}, {"rover_faas", 1}};
+    std::string reference;
+    for (int workers : {1, 2, 5}) {
+        std::ostringstream jsonl;
+        platform::FleetRunOptions opt;
+        opt.workers = workers;
+        opt.metrics = &jsonl;
+        const platform::FleetResult res = fleet.run(opt);
+        ASSERT_EQ(res.records.size(), order.size());
+        std::istringstream in(jsonl.str());
+        std::string line;
+        std::size_t i = 0;
+        for (; std::getline(in, line); ++i) {
+            ASSERT_LT(i, order.size()) << "workers=" << workers;
+            EXPECT_EQ(res.records[i].tenant, order[i].first);
+            EXPECT_EQ(res.records[i].replica, order[i].second);
+            EXPECT_EQ(line, platform::swarm_record_json(res.records[i]).str())
+                << "line " << i << " at workers=" << workers;
+        }
+        EXPECT_EQ(i, order.size()) << "workers=" << workers;
+        const std::string masked = mask_wall_s(jsonl.str());
+        if (reference.empty())
+            reference = masked;
+        EXPECT_EQ(masked, reference) << "workers=" << workers;
+    }
 }
 
 TEST(FleetTest, BaselineTenantWithControllerFaultFailsItsRecords)
@@ -509,7 +602,7 @@ TEST(FleetTest, BaselineTenantWithControllerFaultFailsItsRecords)
     }
 }
 
-// --- MetricsPipeline ---------------------------------------------------
+// --- JSONL records -----------------------------------------------------
 
 platform::SwarmRecord
 record_for(int i)
@@ -521,56 +614,6 @@ record_for(int i)
     rec.ok = true;
     rec.result.checksum = static_cast<std::uint64_t>(i) * 0x9e37;
     return rec;
-}
-
-TEST(MetricsPipelineTest, BoundedQueueNeverDrops)
-{
-    std::ostringstream out;
-    {
-        platform::MetricsPipeline pipe(out, 4);
-        // 500 producers' worth of records through a 4-deep queue:
-        // push() must block (backpressure), never drop.
-        for (int i = 0; i < 500; ++i)
-            pipe.push(record_for(i));
-        pipe.close();
-        EXPECT_EQ(pipe.written(), 500u);
-        EXPECT_LE(pipe.high_water(), 4u);
-    }
-    std::size_t lines = 0;
-    std::istringstream in(out.str());
-    std::string line;
-    while (std::getline(in, line))
-        if (!line.empty())
-            ++lines;
-    EXPECT_EQ(lines, 500u);
-}
-
-TEST(MetricsPipelineTest, DestructionFlushesEverything)
-{
-    std::ostringstream out;
-    {
-        platform::MetricsPipeline pipe(out, 64);
-        for (int i = 0; i < 10; ++i)
-            pipe.push(record_for(i));
-        // No close(): the destructor must drain the queue.
-    }
-    std::size_t lines = 0;
-    std::istringstream in(out.str());
-    std::string line;
-    while (std::getline(in, line))
-        if (!line.empty())
-            ++lines;
-    EXPECT_EQ(lines, 10u);
-}
-
-TEST(MetricsPipelineTest, PushAfterCloseThrows)
-{
-    std::ostringstream out;
-    platform::MetricsPipeline pipe(out, 4);
-    pipe.push(record_for(0));
-    pipe.close();
-    EXPECT_THROW(pipe.push(record_for(1)), std::logic_error);
-    EXPECT_EQ(pipe.written(), 1u);
 }
 
 TEST(MetricsPipelineTest, RecordsAreWellFormedJson)

@@ -42,9 +42,7 @@ TEST(Options, PresetsHaveExpectedFlags)
     EXPECT_FALSE(PlatformOptions::centralized_faas().net_accel);
     EXPECT_TRUE(PlatformOptions::hivemind().net_accel);
     EXPECT_TRUE(PlatformOptions::hivemind().remote_mem_accel);
-    EXPECT_TRUE(PlatformOptions::hivemind().hybrid);
     EXPECT_FALSE(PlatformOptions::hivemind_no_accel().net_accel);
-    EXPECT_TRUE(PlatformOptions::hivemind_no_accel().hybrid);
     EXPECT_TRUE(PlatformOptions::centralized_net_accel().net_accel);
     EXPECT_FALSE(
         PlatformOptions::centralized_net_accel().remote_mem_accel);
