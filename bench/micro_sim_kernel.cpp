@@ -9,7 +9,8 @@
  * BENCH_sim_kernel.json next to the recorded pre-overhaul baseline
  * (unordered_map callbacks + priority_queue only, no slab / wheel),
  * so the speedup of the slab+wheel kernel is tracked by scripts/CI.
- * The BM_Placement rows ride along as cycles/s per cluster size.
+ * The BM_SameTickArrivals (events/s), BM_Placement (cycles/s per
+ * cluster size) and BM_InvokeLifecycle (fan-outs/s) rows ride along.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +18,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "cloud/datastore.hpp"
@@ -25,6 +27,9 @@
 #include "dsl/scenarios.hpp"
 #include "geo/astar.hpp"
 #include "geo/maze.hpp"
+#include "platform/deployment.hpp"
+#include "platform/options.hpp"
+#include "platform/pipeline_spec.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "synth/api_synth.hpp"
@@ -138,6 +143,35 @@ BM_EventKernelRecurringTimers(benchmark::State& state)
 BENCHMARK(BM_EventKernelRecurringTimers)->Arg(64)->Arg(1024);
 
 /**
+ * Same-tick arrivals: a hold model of 64 pending events, each executed
+ * event scheduling one child at now + U(0, 100 us). Most children land
+ * inside the cursor's 131 us tick ahead of the ready run's tail, the
+ * out-of-order case the wheel's same-tick lane serves.
+ */
+void
+BM_SameTickArrivals(benchmark::State& state)
+{
+    struct Load
+    {
+        sim::Simulator simulator;
+        sim::Rng rng{17};
+
+        void arm()
+        {
+            simulator.schedule_in(
+                rng.uniform_int(0, 100 * sim::kMicrosecond),
+                [this] { arm(); });
+        }
+    } load;
+    for (int i = 0; i < 64; ++i)
+        load.arm();
+    for (auto _ : state)
+        load.simulator.step();
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SameTickArrivals);
+
+/**
  * One cloud placement cycle on a loaded cluster of range(0) servers:
  * a least-loaded pick that moves the chosen server one busy level up
  * and back, plus a FaaS invocation that claims the warm container the
@@ -176,6 +210,41 @@ BM_Placement(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Placement)->Arg(12)->Arg(768)->Arg(6144);
+
+/**
+ * One invocation lifecycle on the HiveMind cloud tier: an 8-way
+ * recognition fan-out through CloudTier::invoke (scheduler races,
+ * remote-memory sharing, warm containers), stepped until its join
+ * fires. Fan-outs run back to back on one tier, so the warm pool,
+ * the straggler history and the slabs are in steady state.
+ */
+void
+BM_InvokeLifecycle(benchmark::State& state)
+{
+    sim::Simulator simulator;
+    sim::Rng rng(42);
+    platform::CloudTier cloud(simulator, rng, platform::DeploymentConfig{},
+                              platform::PlatformOptions::hivemind(),
+                              nullptr);
+    const platform::PipelineSpec pipe =
+        platform::pipeline_for(platform::ScenarioKind::StationaryItems);
+    cloud::InvokeRequest req;
+    req.app = pipe.rec_app;
+    req.work_core_ms = pipe.rec_work_ms;
+    req.memory_mb = pipe.memory_mb;
+    req.input_bytes = pipe.inter_bytes;
+    req.output_bytes = pipe.inter_bytes;
+    bool done = false;
+    for (auto _ : state) {
+        done = false;
+        cloud.invoke(req, pipe.parallelism,
+                     [&done](const platform::CloudResult&) { done = true; });
+        while (!done && simulator.step()) {
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InvokeLifecycle);
 
 /** A* route planning on a 64x64 field with obstacles. */
 void
@@ -269,16 +338,25 @@ main(int argc, char** argv)
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
 
-    // Kernel before/after ledger for scripts and CI, plus placement.
+    // Kernel before/after ledger for scripts and CI, plus the
+    // same-tick, placement and invocation-lifecycle rows.
+    const std::pair<const char*, const char*> kUnits[] = {
+        {"BM_EventKernel", "events_per_sec"},
+        {"BM_SameTickArrivals", "events_per_sec"},
+        {"BM_Placement", "cycles_per_sec"},
+        {"BM_InvokeLifecycle", "fanouts_per_sec"},
+    };
     bench::Json results = bench::Json::array();
     for (const auto& [name, ips] : reporter.captured()) {
-        const bool kernel = name.rfind("BM_EventKernel", 0) == 0;
-        if (!kernel && name.rfind("BM_Placement", 0) != 0)
+        const char* unit = nullptr;
+        for (const auto& [prefix, u] : kUnits) {
+            if (name.rfind(prefix, 0) == 0)
+                unit = u;
+        }
+        if (!unit)
             continue;
         bench::Json row =
-            bench::Json::object()
-                .kv("benchmark", name)
-                .kv(kernel ? "events_per_sec" : "cycles_per_sec", ips);
+            bench::Json::object().kv("benchmark", name).kv(unit, ips);
         auto base = kPrePrBaseline.find(name);
         if (base != kPrePrBaseline.end()) {
             row.kv("pre_pr_events_per_sec", base->second)

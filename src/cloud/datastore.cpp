@@ -26,7 +26,7 @@ DataStore::fail_until(sim::Time until)
 }
 
 void
-DataStore::access(std::uint64_t bytes, std::function<void()> done)
+DataStore::access(std::uint64_t bytes, sim::InlineFn done)
 {
     sim::Time now = simulator_->now();
     // Controller round trip for the object handle precedes queueing.

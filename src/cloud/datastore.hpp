@@ -15,7 +15,6 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -50,7 +49,7 @@ class DataStore
      * Issue a read or write of @p bytes; @p done fires at completion.
      * Reads and writes share the handler pool.
      */
-    void access(std::uint64_t bytes, std::function<void()> done);
+    void access(std::uint64_t bytes, sim::InlineFn done);
 
     /** Requests completed so far. */
     std::uint64_t requests() const { return requests_; }

@@ -32,19 +32,18 @@ DataSharingFabric::DataSharingFabric(sim::Simulator& simulator, sim::Rng& rng,
 
 void
 DataSharingFabric::share(SharingProtocol protocol, std::uint64_t bytes,
-                         std::function<void()> done)
+                         sim::InlineFn done)
 {
     sim::Time start = simulator_->now();
     switch (protocol) {
       case SharingProtocol::CouchDb: {
         // Parent write, then child read, each a full store access.
-        auto self = this;
-        store_->access(bytes, [self, bytes, start,
+        store_->access(bytes, [this, bytes, start,
                                done = std::move(done)]() mutable {
-            self->store_->access(bytes, [self, start,
-                                         done = std::move(done)]() {
-                self->latency_couch_.add(
-                    sim::to_seconds(self->simulator_->now() - start));
+            store_->access(bytes, [this, start,
+                                   done = std::move(done)]() mutable {
+                latency_couch_.add(
+                    sim::to_seconds(simulator_->now() - start));
                 if (done)
                     done();
             });

@@ -19,7 +19,6 @@
  */
 
 #include <cstdint>
-#include <functional>
 
 #include "cloud/datastore.hpp"
 #include "sim/rng.hpp"
@@ -70,10 +69,11 @@ class DataSharingFabric
      *
      * @param protocol the mechanism to use
      * @param bytes payload size
-     * @param done completion callback
+     * @param done completion callback (an FaaS continuation's
+     *        16-byte capture stays inline all the way to its event)
      */
     void share(SharingProtocol protocol, std::uint64_t bytes,
-               std::function<void()> done);
+               sim::InlineFn done);
 
     /** Observed hand-off latency (seconds) per protocol. */
     const sim::Summary& latency(SharingProtocol p) const;

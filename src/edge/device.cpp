@@ -71,23 +71,29 @@ OnboardExecutor::maybe_run()
     if (running_ || queue_.empty())
         return;
     running_ = true;
-    Pending p = std::move(queue_.front());
+    task_ = std::move(queue_.front());
     queue_.pop_front();
     // Slow single core plus thermal/DVFS jitter.
-    double exec_ms = p.work_core_ms / speed_factor_ *
+    double exec_ms = task_.work_core_ms / speed_factor_ *
         rng_.lognormal_median(1.0, 0.10);
     busy_seconds_ += exec_ms / 1000.0;
-    auto self = this;
-    simulator_->schedule_in(
-        sim::from_millis(exec_ms), [self, p = std::move(p)]() {
-            self->running_ = false;
-            ++self->completed_;
-            double latency_s =
-                sim::to_seconds(self->simulator_->now() - p.submit);
-            if (p.done)
-                p.done(latency_s);
-            self->maybe_run();
-        });
+    simulator_->schedule_in(sim::from_millis(exec_ms),
+                            [this]() { task_done(); });
+}
+
+void
+OnboardExecutor::task_done()
+{
+    running_ = false;
+    ++completed_;
+    // The callback may submit again, so take the task off the core
+    // first.
+    Pending p = std::move(task_);
+    task_.done = nullptr;
+    double latency_s = sim::to_seconds(simulator_->now() - p.submit);
+    if (p.done)
+        p.done(latency_s);
+    maybe_run();
 }
 
 Device::Device(sim::Simulator& simulator, sim::Rng& rng, std::size_t id,

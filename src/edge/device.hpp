@@ -101,11 +101,16 @@ class OnboardExecutor
 
     void maybe_run();
 
+    /** The running task's completion event fired. */
+    void task_done();
+
     sim::Simulator* simulator_;
     sim::Rng rng_;
     double speed_factor_;
     std::size_t queue_limit_;
     std::deque<Pending> queue_;
+    /** The task on the core; its completion event captures `this`. */
+    Pending task_{};
     bool running_ = false;
     double busy_seconds_ = 0.0;
     std::uint64_t shed_ = 0;

@@ -19,7 +19,9 @@
  * 32 bytes exactly holds a `std::function` (32 B on libstdc++), so
  * every existing `schedule_*` call site converts implicitly, and the
  * kernel's per-event buffer moves stay at two cache-friendly 16-byte
- * pairs.
+ * pairs. InlineFn is `InlineFunction<void()>`; other signatures (a
+ * fan-out join's `void(const InvocationTrace&)`) use the same storage
+ * for callbacks that wait in a slab record.
  */
 
 #include <cstddef>
@@ -31,25 +33,31 @@
 
 namespace hivemind::sim {
 
-/** Move-only `void()` callable with 32-byte inline capture storage. */
-class InlineFn
+template <typename Signature>
+class InlineFunction;
+
+/** Move-only callable with 32-byte inline capture storage. */
+template <typename R, typename... Args>
+class InlineFunction<R(Args...)>
 {
   public:
     /** Captures up to this size (and max_align_t alignment) stay inline. */
     static constexpr std::size_t kInlineBytes = 32;
 
-    InlineFn() noexcept = default;
-    InlineFn(std::nullptr_t) noexcept {}
+    InlineFunction() noexcept = default;
+    InlineFunction(std::nullptr_t) noexcept {}
 
     /**
-     * Wrap any `void()` callable. Null-testable callables (function
-     * pointers, `std::function`) that are empty produce a null
-     * InlineFn, preserving the kernel's "schedule nothing" tolerance.
+     * Wrap any callable of this signature. Null-testable callables
+     * (function pointers, `std::function`) that are empty produce a
+     * null InlineFunction, preserving the kernel's "schedule nothing"
+     * tolerance.
      */
     template <typename F, typename D = std::decay_t<F>,
-              typename = std::enable_if_t<!std::is_same_v<D, InlineFn> &&
-                                          std::is_invocable_r_v<void, D&>>>
-    InlineFn(F&& f)
+              typename = std::enable_if_t<
+                  !std::is_same_v<D, InlineFunction> &&
+                  std::is_invocable_r_v<R, D&, Args...>>>
+    InlineFunction(F&& f)
     {
         construct_from(std::forward<F>(f));
     }
@@ -61,17 +69,18 @@ class InlineFn
      * construct-then-assign sequence would cost per event.
      */
     template <typename F, typename D = std::decay_t<F>,
-              typename = std::enable_if_t<!std::is_same_v<D, InlineFn> &&
-                                          std::is_invocable_r_v<void, D&>>>
+              typename = std::enable_if_t<
+                  !std::is_same_v<D, InlineFunction> &&
+                  std::is_invocable_r_v<R, D&, Args...>>>
     void assign(F&& f)
     {
         reset();
         construct_from(std::forward<F>(f));
     }
 
-    InlineFn(InlineFn&& other) noexcept { move_from(other); }
+    InlineFunction(InlineFunction&& other) noexcept { move_from(other); }
 
-    InlineFn& operator=(InlineFn&& other) noexcept
+    InlineFunction& operator=(InlineFunction&& other) noexcept
     {
         if (this != &other) {
             reset();
@@ -80,13 +89,16 @@ class InlineFn
         return *this;
     }
 
-    InlineFn(const InlineFn&) = delete;
-    InlineFn& operator=(const InlineFn&) = delete;
+    InlineFunction(const InlineFunction&) = delete;
+    InlineFunction& operator=(const InlineFunction&) = delete;
 
-    ~InlineFn() { reset(); }
+    ~InlineFunction() { reset(); }
 
     /** Invoke. Precondition: non-null. */
-    void operator()() { invoke_(storage_); }
+    R operator()(Args... args)
+    {
+        return invoke_(storage_, std::forward<Args>(args)...);
+    }
 
     explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
@@ -138,7 +150,10 @@ class InlineFn
         }
         if constexpr (fits_inline<D>) {
             ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-            invoke_ = [](void* s) { (*std::launder(static_cast<D*>(s)))(); };
+            invoke_ = [](void* s, Args... args) -> R {
+                return (*std::launder(static_cast<D*>(s)))(
+                    std::forward<Args>(args)...);
+            };
             // Trivially relocatable captures (plain data, reference /
             // pointer captures — the hot-path norm) keep manage_ null:
             // moving them is a raw buffer copy with no indirect call.
@@ -153,7 +168,9 @@ class InlineFn
             }
         } else {
             ptr(storage_) = new D(std::forward<F>(f));
-            invoke_ = [](void* s) { (*static_cast<D*>(ptr(s)))(); };
+            invoke_ = [](void* s, Args... args) -> R {
+                return (*static_cast<D*>(ptr(s)))(std::forward<Args>(args)...);
+            };
             manage_ = [](Op op, void* self, void* dst) {
                 if (op == Op::MoveTo)
                     ptr(dst) = ptr(self);
@@ -163,7 +180,7 @@ class InlineFn
         }
     }
 
-    void move_from(InlineFn& other) noexcept
+    void move_from(InlineFunction& other) noexcept
     {
         invoke_ = other.invoke_;
         manage_ = other.manage_;
@@ -176,8 +193,11 @@ class InlineFn
     }
 
     alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
-    void (*invoke_)(void*) = nullptr;
+    R (*invoke_)(void*, Args...) = nullptr;
     void (*manage_)(Op, void*, void*) = nullptr;
 };
+
+/** The event kernel's callable: a move-only `void()` InlineFunction. */
+using InlineFn = InlineFunction<void()>;
 
 }  // namespace hivemind::sim

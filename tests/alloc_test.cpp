@@ -1,0 +1,223 @@
+/**
+ * @file
+ * Allocation guard for the steady-state event path. This binary
+ * replaces the global operator new/delete with counting versions that
+ * call malloc/free (which is why it is its own executable), then, after
+ * a warm-up, counts the heap allocations of two workloads:
+ *
+ *  - 100k same-tick, out-of-order kernel arrivals (the wheel's
+ *    same-tick lane);
+ *  - 2,000 HiveMind 8-way CloudTier::invoke calls run to completion
+ *    (FaaS invocation records, scheduler races, fan-out joins and the
+ *    16-byte continuations between them).
+ *
+ * Both must stay under one allocation per 100 arrivals or FaaS
+ * invocations, which leaves room for amortised vector growth (the
+ * per-invocation sample stores) and nothing per event.
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
+#include "platform/deployment.hpp"
+#include "platform/options.hpp"
+#include "platform/pipeline_spec.hpp"
+#include "sim/rng.hpp"
+#include "sim/simulator.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void*
+counted_alloc(std::size_t n)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n == 0 ? 1 : n);
+}
+
+}  // namespace
+
+void*
+operator new(std::size_t n)
+{
+    if (void* p = counted_alloc(n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void*
+operator new[](std::size_t n)
+{
+    if (void* p = counted_alloc(n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void*
+operator new(std::size_t n, const std::nothrow_t&) noexcept
+{
+    return counted_alloc(n);
+}
+
+void*
+operator new[](std::size_t n, const std::nothrow_t&) noexcept
+{
+    return counted_alloc(n);
+}
+
+void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace hivemind {
+namespace {
+
+std::uint64_t
+allocations()
+{
+    return g_allocations.load(std::memory_order_relaxed);
+}
+
+/**
+ * Hold model: 64 events pending at any time, each executed event
+ * schedules one child at now + U(0, 100 us). Most children land in the
+ * cursor's 131 us tick ahead of the ready run's tail.
+ */
+struct SameTickLoad
+{
+    sim::Simulator simulator;
+    sim::Rng rng{17};
+    std::uint64_t executed = 0;
+
+    void arm()
+    {
+        simulator.schedule_in(rng.uniform_int(0, 100 * sim::kMicrosecond),
+                              [this] {
+                                  ++executed;
+                                  arm();
+                              });
+    }
+
+    /** Run @p events more events. */
+    void run(std::uint64_t events)
+    {
+        const std::uint64_t target = executed + events;
+        while (executed < target && simulator.step()) {
+        }
+    }
+};
+
+TEST(AllocationGuard, SameTickArrivalsAllocateNothing)
+{
+    SameTickLoad load;
+    for (int i = 0; i < 64; ++i)
+        load.arm();
+    // Warm-up past two wheel laps (~67 ms): every bucket and lane
+    // vector reaches its working size.
+    load.run(50000);
+
+    const std::uint64_t before = allocations();
+    load.run(100000);
+    const std::uint64_t allocs = allocations() - before;
+    std::printf("%llu allocations for 100000 arrivals\n",
+                static_cast<unsigned long long>(allocs));
+    EXPECT_EQ(load.simulator.pending(), 64u);
+    EXPECT_LE(allocs, 100000u / 100u);
+}
+
+/**
+ * HiveMind cloud tier (scheduler, remote-memory fabric) taking one
+ * 8-way recognition task every 5 ms.
+ */
+struct CloudLoad
+{
+    sim::Simulator simulator;
+    sim::Rng rng{42};
+    platform::CloudTier cloud;
+    cloud::InvokeRequest request;
+    int parallelism;
+    int issued = 0;
+    int completed = 0;
+
+    CloudLoad()
+        : cloud(simulator, rng, platform::DeploymentConfig{},
+                platform::PlatformOptions::hivemind(), nullptr)
+    {
+        const platform::PipelineSpec pipe = platform::pipeline_for(
+            platform::ScenarioKind::StationaryItems);
+        request.app = pipe.rec_app;
+        request.work_core_ms = pipe.rec_work_ms;
+        request.memory_mb = pipe.memory_mb;
+        request.input_bytes = pipe.inter_bytes;
+        request.output_bytes = pipe.inter_bytes;
+        parallelism = pipe.parallelism;
+    }
+
+    /** Issue @p calls invokes 5 ms apart and run until all finish. */
+    void run(int calls)
+    {
+        const int target = issued + calls;
+        sim::recurring(simulator, 0, [this, target](const sim::Recur& self) {
+            cloud.invoke(request, parallelism,
+                         [this](const platform::CloudResult&) {
+                             ++completed;
+                         });
+            if (++issued < target)
+                self.again_in(5 * sim::kMillisecond);
+        });
+        simulator.run();
+    }
+};
+
+TEST(AllocationGuard, HiveMindInvocationPathAllocatesNothing)
+{
+    CloudLoad load;
+    ASSERT_NE(load.cloud.scheduler(), nullptr);
+    // Warm-up (10 simulated seconds): slabs, pools, the straggler
+    // history's 4096-sample ring and every wheel bucket grow to their
+    // working size.
+    load.run(2000);
+    ASSERT_EQ(load.completed, 2000);
+
+    const std::uint64_t invocations0 = load.cloud.faas().completed();
+    const std::uint64_t before = allocations();
+    load.run(2000);
+    const std::uint64_t allocs = allocations() - before;
+    const std::uint64_t invocations =
+        load.cloud.faas().completed() - invocations0;
+    EXPECT_EQ(load.completed, 4000);
+    EXPECT_GE(invocations, 2000u * 8u);
+    std::printf("%llu allocations for %llu FaaS invocations\n",
+                static_cast<unsigned long long>(allocs),
+                static_cast<unsigned long long>(invocations));
+    EXPECT_LE(allocs, invocations / 100u);
+}
+
+}  // namespace
+}  // namespace hivemind

@@ -747,6 +747,39 @@ TEST(WarmPool, CrashEmptiesTheServerForEveryApp)
     EXPECT_EQ(a.server, 2u);  // The newest survivor.
 }
 
+TEST(FaasCrash, LostBodiesReportInBodyStartOrder)
+{
+    // Five Restore-None invocations on one server, all executing when
+    // the server crashes. Cold starts draw different latencies, so the
+    // bodies start in an order of their own; the crash must re-drive
+    // (here: lose) them in that order, the same order at every run.
+    sim::Simulator simulator;
+    sim::Rng rng(21);
+    Cluster cluster(1, 8, 32 * 1024);
+    DataStore store(simulator, rng, DataStoreConfig{});
+    FaasRuntime rt(simulator, rng, cluster, store, FaasConfig{});
+    InvokeRequest req;
+    req.app = "victim";
+    req.work_core_ms = 20000.0;
+    req.recovery = FaultRecovery::None;
+    std::vector<InvocationTrace> lost;
+    for (int i = 0; i < 5; ++i) {
+        rt.invoke(req, [&](const InvocationTrace& t) { lost.push_back(t); });
+    }
+    simulator.run_until(3 * sim::kSecond);
+    ASSERT_EQ(rt.active(), 5);
+    EXPECT_TRUE(lost.empty());
+    rt.crash_server(0, 0);
+    ASSERT_EQ(lost.size(), 5u);
+    for (std::size_t i = 0; i < lost.size(); ++i) {
+        EXPECT_TRUE(lost[i].lost);
+        if (i > 0) {
+            EXPECT_GE(lost[i].input_ready, lost[i - 1].input_ready) << i;
+        }
+    }
+    EXPECT_EQ(rt.killed_invocations(), 5u);
+}
+
 TEST(FaasPlacement, CoLocationHintSkipsACrashedServer)
 {
     // Twenty children hinted at their parent's server, which has

@@ -288,6 +288,36 @@ TEST_F(SchedulerFixture, FirstFinisherWinsOnce)
     EXPECT_EQ(calls, 1);  // Duplicate completion is suppressed.
 }
 
+TEST_F(SchedulerFixture, RaceEndCancelsTheWatchdog)
+{
+    // No warm-pool expiries and no straggler draws: after a run drains,
+    // the only event a race can leave behind is its watchdog.
+    runtime_.mutable_config().keepalive = 0;
+    runtime_.mutable_config().straggler_prob = 0.0;
+    cloud::InvokeRequest slow;
+    slow.app = "watched";
+    slow.work_core_ms = 400.0;
+    for (std::size_t i = 0; i <= scheduler_.config().straggler_min_samples;
+         ++i) {
+        scheduler_.invoke(slow, nullptr);
+        simulator_.run();
+    }
+    ASSERT_GT(scheduler_.history("watched").count(),
+              scheduler_.config().straggler_min_samples);
+    ASSERT_EQ(simulator_.pending(), 0u);
+
+    // A fast request wins its race long before the slow history's
+    // percentile deadline; its watchdog must go with the race.
+    cloud::InvokeRequest fast = slow;
+    fast.work_core_ms = 5.0;
+    std::size_t pending_at_done = 99;
+    scheduler_.invoke(fast, [&](const cloud::InvocationTrace&) {
+        pending_at_done = simulator_.pending();
+    });
+    simulator_.run();
+    EXPECT_EQ(pending_at_done, 0u);
+}
+
 TEST(SchedulerProbation, MaxFractionCapsBenching)
 {
     // Every slow completion straggles and one straggle benches its

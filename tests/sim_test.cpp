@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -300,6 +301,83 @@ TEST_P(WheelDeterminismProperty, WheelAndHeapOnlyKernelsAgree)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WheelDeterminismProperty,
                          ::testing::Range(1, 7));
+
+/**
+ * Same-tick property: events spawn bursts of children at
+ * now + U(0, 300 us), so most land inside the cursor's 131 us tick and
+ * sort before the ready run's tail (the same-tick lane), while random
+ * cancels force compactions of every lane.
+ */
+class SameTickProperty : public ::testing::TestWithParam<int>
+{
+  protected:
+    struct TraceRecord
+    {
+        Time when;
+        int tag;
+        bool operator==(const TraceRecord&) const = default;
+    };
+
+    std::vector<TraceRecord> run_workload(bool use_wheel)
+    {
+        KernelConfig cfg;
+        cfg.use_timer_wheel = use_wheel;
+        Simulator s(cfg);
+        Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
+        std::vector<TraceRecord> trace;
+        std::vector<EventId> cancellable;
+        int tag = 0;
+        std::function<void(int)> spawn = [&](int depth) {
+            const int children = static_cast<int>(rng.uniform_int(0, 4));
+            for (int c = 0; c < children && tag < 20000; ++c) {
+                const Time when =
+                    s.now() + rng.uniform_int(0, 300 * kMicrosecond);
+                const int t = tag++;
+                EventId id = s.schedule_at(when, [&trace, &s, &spawn, t,
+                                                  depth] {
+                    trace.push_back({s.now(), t});
+                    if (depth < 60)
+                        spawn(depth + 1);
+                });
+                if (rng.chance(0.5))
+                    cancellable.push_back(id);
+            }
+            if (rng.chance(0.03)) {
+                // Mass cancel: tombstones outnumber live entries, so
+                // the lanes compact.
+                for (EventId id : cancellable)
+                    s.cancel(id);
+                cancellable.clear();
+            } else if (!cancellable.empty() && rng.chance(0.3)) {
+                s.cancel(cancellable.back());
+                cancellable.pop_back();
+            }
+        };
+        for (int root = 0; root < 40; ++root) {
+            const int t = tag++;
+            s.schedule_at(rng.uniform_int(0, 2 * kMillisecond),
+                          [&trace, &s, &spawn, t] {
+                              trace.push_back({s.now(), t});
+                              spawn(0);
+                          });
+        }
+        s.run();
+        return trace;
+    }
+};
+
+TEST_P(SameTickProperty, WheelAndHeapOnlyKernelsAgree)
+{
+    auto with_wheel = run_workload(true);
+    auto heap_only = run_workload(false);
+    ASSERT_GT(with_wheel.size(), 1000u);
+    ASSERT_EQ(with_wheel.size(), heap_only.size());
+    EXPECT_EQ(with_wheel, heap_only);
+    for (std::size_t i = 1; i < with_wheel.size(); ++i)
+        EXPECT_GE(with_wheel[i].when, with_wheel[i - 1].when);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SameTickProperty, ::testing::Range(1, 7));
 
 TEST(InlineFn, SmallCapturesStayInline)
 {
