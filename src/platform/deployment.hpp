@@ -67,6 +67,8 @@ struct CloudResult
     double exec_s = 0.0;   ///< Pure execution.
     sim::Time done = 0;    ///< Completion time.
     std::size_t server = cloud::kNoServer;
+    /** A part was lost under FaultRecovery::None: no result exists. */
+    bool lost = false;
 };
 
 /**

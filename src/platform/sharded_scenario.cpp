@@ -32,6 +32,14 @@ using fnv::bits;
 using fnv::mix;
 
 constexpr std::uint64_t kCtrlMsgBytes = 64;
+
+/** What the result downlink carries back to a device for one frame. */
+enum class Reply : std::uint8_t
+{
+    Result,   ///< The cloud pipeline's result.
+    EdgeAck,  ///< DistributedEdge: the on-board result was ingested.
+    Lost,     ///< A stage was lost under Restore None: no result.
+};
 // Origin-id planes for the merge tiebreak. Device ids occupy [0, 2^20);
 // each link family gets its own plane so the (when, origin) key never
 // collides across channels.
@@ -353,7 +361,7 @@ class ShardedScenarioEngine
                     std::uint64_t bytes, int attempt);
     void on_result(DeviceActor& a, std::uint64_t frame,
                    const StageShares& cloud_shares, sim::Time t1,
-                   sim::Time cloud_done, bool edge_ack);
+                   sim::Time cloud_done, Reply reply);
     void drain_backlog(DeviceActor& a);
     void drain_attempt(DeviceActor& a, std::uint64_t bytes,
                        std::uint64_t frames, int tries_left);
@@ -370,7 +378,7 @@ class ShardedScenarioEngine
                        std::size_t server, sim::Time t1);
     void send_result(std::size_t device, std::uint64_t frame,
                      const StageShares& shares, sim::Time t1,
-                     sim::Time cloud_done, bool edge_ack);
+                     sim::Time cloud_done, Reply reply);
 
     // --- Controller side (shard 0) ---
     void controller_tick();
@@ -1068,7 +1076,7 @@ void
 ShardedScenarioEngine::on_result(DeviceActor& a, std::uint64_t frame,
                                  const StageShares& cloud_shares,
                                  sim::Time t1, sim::Time cloud_done,
-                                 bool edge_ack)
+                                 Reply reply)
 {
     auto it = a.pending.find(frame);
     if (it == a.pending.end())
@@ -1076,8 +1084,18 @@ ShardedScenarioEngine::on_result(DeviceActor& a, std::uint64_t frame,
     DeviceActor::PendingFrame p = it->second;
     a.pending.erase(it);
 
+    if (reply == Reply::Lost) {
+        // The cloud lost the task (Restore None): the frame is dropped,
+        // not delivered, and a rover re-senses unless a crash/rejoin
+        // re-drive owns the leg now.
+        a.radio_bytes += kCtrlMsgBytes;  // The notice burns radio too.
+        ++a.abandoned;
+        if (ctrl_.rover && p.gen == a.rover_gen)
+            rover_retry(a);
+        return;
+    }
     StageShares r;
-    if (edge_ack) {
+    if (reply == Reply::EdgeAck) {
         // DistributedEdge: t1 is the result's arrival at the cloud.
         a.radio_bytes += kCtrlMsgBytes;  // The ack burns radio too.
         r.total = sim::to_seconds(t1 - p.t0);
@@ -1200,7 +1218,7 @@ ShardedScenarioEngine::cloud_ingress(std::size_t device,
         // its cloud arrival time back for the latency books.
         cloud_.network().send_uplink_wired(
             device, server, bytes, [this, device, frame](sim::Time t2) {
-                send_result(device, frame, {}, t2, t2, true);
+                send_result(device, frame, {}, t2, t2, Reply::EdgeAck);
             });
         return;
     }
@@ -1225,12 +1243,18 @@ ShardedScenarioEngine::invoke_stages(std::size_t device,
     const int par = hivemind() ? pipe_.parallelism : 1;
     cloud_.invoke(rec, par, [this, device, frame, server, t1,
                              par](const CloudResult& r1) {
+        if (r1.lost) {
+            // No recognition output: the dedup stage has nothing to
+            // run on, and the device hears of the loss.
+            send_result(device, frame, {}, t1, r1.done, Reply::Lost);
+            return;
+        }
         if (pipe_.dedup_work_ms <= 0.0) {
             StageShares s;
             s.mgmt = r1.mgmt_s;
             s.data = r1.data_s;
             s.exec = r1.exec_s;
-            send_result(device, frame, s, t1, r1.done, false);
+            send_result(device, frame, s, t1, r1.done, Reply::Result);
             return;
         }
         // Dedup child: HiveMind co-locates it with its parent so the
@@ -1252,7 +1276,9 @@ ShardedScenarioEngine::invoke_stages(std::size_t device,
                           s.mgmt = r1.mgmt_s + r2.mgmt_s;
                           s.data = r1.data_s + r2.data_s;
                           s.exec = r1.exec_s + r2.exec_s;
-                          send_result(device, frame, s, t1, r2.done, false);
+                          send_result(device, frame, s, t1, r2.done,
+                                      r2.lost ? Reply::Lost
+                                              : Reply::Result);
                       });
         (void)server;
     });
@@ -1261,14 +1287,14 @@ ShardedScenarioEngine::invoke_stages(std::size_t device,
 void
 ShardedScenarioEngine::send_result(std::size_t device, std::uint64_t frame,
                                    const StageShares& shares, sim::Time t1,
-                                   sim::Time cloud_done, bool edge_ack)
+                                   sim::Time cloud_done, Reply reply)
 {
     const std::size_t server = device % cloud_.config().servers;
     const std::uint64_t bytes =
-        edge_ack ? kCtrlMsgBytes : pipe_.result_bytes;
+        reply == Reply::Result ? pipe_.result_bytes : kCtrlMsgBytes;
     cloud_.network().send_downlink_wired(
         server, device,
-        bytes, [this, device, frame, shares, t1, cloud_done, edge_ack,
+        bytes, [this, device, frame, shares, t1, cloud_done, reply,
                 bytes](sim::Time) {
             // Every downlink burns air — the 64-byte DistributedEdge
             // ack included (it hits the device radio ledger too).
@@ -1277,8 +1303,8 @@ ShardedScenarioEngine::send_result(std::size_t device, std::uint64_t frame,
             DeviceActor* a = devices_[device].get();
             data_down_[device].transfer(
                 bytes, sim::InlineFn([this, a, frame, shares, t1, cloud_done,
-                                      edge_ack] {
-                    on_result(*a, frame, shares, t1, cloud_done, edge_ack);
+                                      reply] {
+                    on_result(*a, frame, shares, t1, cloud_done, reply);
                 }));
         });
 }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "fault/metrics.hpp"
+#include "fault/oracle.hpp"
 #include "fault/shard_chaos.hpp"
 #include "net/shard_link.hpp"
 #include "platform/pipeline_spec.hpp"
@@ -663,6 +664,46 @@ TEST(ShardedScenarioTest, ServerCrashKillsInFlightInvocationsInvariantly)
             << "shards=" << n;
         EXPECT_EQ(r.metrics.recovery.reexecuted_core_ms,
                   rec.reexecuted_core_ms)
+            << "shards=" << n;
+    }
+}
+
+TEST(ShardedScenarioTest, LostInvocationsAreNotDelivered)
+{
+    // Every function body dies (fault_prob = 1) and Restore None gives
+    // each up: no frame can be delivered. A lost part must lose its
+    // task, skip the dedup stage and come back as a loss notice that
+    // the device books as dropped, never as a completed task.
+    platform::ScenarioConfig sc;
+    sc.kind = platform::ScenarioKind::StationaryItems;
+    sc.time_cap = 20 * sim::kSecond;
+    sc.recovery = cloud::FaultRecovery::None;
+    platform::DeploymentConfig dep;
+    dep.devices = 8;
+    dep.servers = 6;
+    dep.seed = 7;
+    dep.faas.fault_prob = 1.0;
+    const fault::OracleSuite oracles;
+    platform::ShardedScenarioResult ref;
+    for (int n : shard_counts()) {
+        platform::ShardedScenarioResult r = platform::run_scenario_sharded(
+            sc, platform::PlatformOptions::hivemind(), dep, n);
+        EXPECT_EQ(r.metrics.tasks_completed, 0u) << "shards=" << n;
+        EXPECT_EQ(r.audit.frames.delivered, 0u) << "shards=" << n;
+        EXPECT_GT(r.audit.frames.dropped, 0u) << "shards=" << n;
+        EXPECT_GT(r.metrics.recovery.offloads_abandoned, 0u)
+            << "shards=" << n;
+        EXPECT_EQ(r.metrics.goal_fraction, 0.0) << "shards=" << n;
+        const std::vector<fault::Violation> vs =
+            oracles.check_frame_conservation(r.audit);
+        EXPECT_TRUE(vs.empty())
+            << "shards=" << n << ": " << fault::violations_to_string(vs);
+        if (n == 1) {
+            ref = r;
+            continue;
+        }
+        EXPECT_EQ(r.checksum, ref.checksum) << "shards=" << n;
+        EXPECT_EQ(r.audit.frames.dropped, ref.audit.frames.dropped)
             << "shards=" << n;
     }
 }
