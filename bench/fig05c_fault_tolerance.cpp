@@ -45,6 +45,12 @@ run_with_faults(double fault_prob)
     cloud::FaasConfig cfg;
     cfg.fault_prob = fault_prob;
     cloud::FaasRuntime rt(simulator, rng, cluster, store, cfg);
+    // Sample the active count wherever it changes: right after each
+    // submission and in each completion callback.
+    sim::TimeSeries active;
+    auto sample_active = [&] {
+        active.add(simulator.now(), static_cast<double>(rt.active()));
+    };
     auto grng = std::make_shared<sim::Rng>(rng.fork());
     sim::recurring(simulator, 0, [&, grng](const sim::Recur& self) {
         if (simulator.now() >= kDuration)
@@ -53,13 +59,16 @@ run_with_faults(double fault_prob)
         req.app = app.id;
         req.work_core_ms = app.work_core_ms;
         req.memory_mb = app.memory_mb;
-        rt.invoke(req, nullptr);
+        rt.invoke(req, [&sample_active](const cloud::InvocationTrace&) {
+            sample_active();
+        });
+        sample_active();
         double rate = std::max(pattern.rate_at(simulator.now()), 0.2);
         self.again_in(sim::from_seconds(grng->exponential(1.0 / rate)));
     });
     simulator.run();
     SeriesResult out;
-    out.active = rt.active_series().window_means(kWindow, kDuration);
+    out.active = active.window_means(kWindow, kDuration);
     out.completed = rt.completed();
     out.faults = rt.faults();
     return out;

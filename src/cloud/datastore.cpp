@@ -41,12 +41,9 @@ DataStore::access(std::uint64_t bytes, sim::InlineFn done)
     service += sim::from_seconds(static_cast<double>(bytes) /
                                  config_.bandwidth_Bps);
     *it = start + service;
-    sim::Time completion = *it;
     ++requests_;
-    bytes_transferred_ += bytes;
-    latency_.add(sim::to_seconds(completion - now));
     if (done)
-        simulator_->schedule_at(completion, std::move(done));
+        simulator_->schedule_at(*it, std::move(done));
 }
 
 }  // namespace hivemind::cloud

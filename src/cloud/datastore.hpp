@@ -19,7 +19,6 @@
 
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
-#include "sim/stats.hpp"
 
 namespace hivemind::cloud {
 
@@ -54,12 +53,6 @@ class DataStore
     /** Requests completed so far. */
     std::uint64_t requests() const { return requests_; }
 
-    /** Total payload bytes moved through the store. */
-    std::uint64_t bytes_transferred() const { return bytes_transferred_; }
-
-    /** Observed access latencies (seconds). */
-    const sim::Summary& latency() const { return latency_; }
-
     /**
      * Outage window (chaos injection): every handler stalls until
      * @p until; accesses queue behind the outage and complete once the
@@ -77,8 +70,6 @@ class DataStore
     std::vector<sim::Time> handler_free_;
     sim::Time outage_until_ = 0;
     std::uint64_t requests_ = 0;
-    std::uint64_t bytes_transferred_ = 0;
-    sim::Summary latency_;
 };
 
 }  // namespace hivemind::cloud

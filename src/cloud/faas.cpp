@@ -146,7 +146,7 @@ FaasRuntime::recover(std::uint32_t slot, double progressed)
         inv.trace.exec_done = simulator_->now();
         inv.trace.done = inv.trace.exec_done;
         ++completed_;
-        bump_active(-1);
+        --active_;
         complete_invocation(slot);
         return;
     }
@@ -156,13 +156,6 @@ FaasRuntime::recover(std::uint32_t slot, double progressed)
     // Retry skips the front-end but re-enters scheduling.
     simulator_->schedule_in(config_.sched_overhead + config_.bus_delay,
                             [this, slot]() { scheduled(slot); });
-}
-
-void
-FaasRuntime::bump_active(int delta)
-{
-    active_ += delta;
-    active_series_.add(simulator_->now(), static_cast<double>(active_));
 }
 
 void
@@ -176,7 +169,7 @@ FaasRuntime::invoke(const InvokeRequest& request, InvokeCallback done)
     inv.trace.submit = simulator_->now();
     inv.completed_fraction = 0.0;
     inv.epoch = 0;
-    bump_active(1);
+    ++active_;
 
     // Front-end: NGINX + controller authentication against the DB,
     // then the scheduling decision and the Kafka hop. The controller
@@ -470,7 +463,7 @@ FaasRuntime::output_published(std::uint32_t slot)
         park_warm(inv.request.app, inv.trace.server, inv.request.memory_mb);
     inv.trace.done = simulator_->now();
     ++completed_;
-    bump_active(-1);
+    --active_;
     drain_queue();
     complete_invocation(slot);
 }

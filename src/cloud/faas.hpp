@@ -34,7 +34,6 @@
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/slab.hpp"
-#include "sim/stats.hpp"
 
 namespace hivemind::cloud {
 
@@ -271,9 +270,6 @@ class FaasRuntime
     /** Currently running + queued invocations. */
     int active() const { return active_; }
 
-    /** Active-task time series (Fig. 5c). */
-    const sim::TimeSeries& active_series() const { return active_series_; }
-
     /** Completed invocation count. */
     std::uint64_t completed() const { return completed_; }
 
@@ -431,8 +427,6 @@ class FaasRuntime
     /** Service the pending queue after capacity was released. */
     void drain_queue();
 
-    void bump_active(int delta);
-
     sim::Simulator* simulator_;
     sim::Rng rng_;
     Cluster* cluster_;
@@ -489,7 +483,6 @@ class FaasRuntime
         controller_free_;
     int active_ = 0;
     int running_ = 0;  // Functions holding a core (gated by the limit).
-    sim::TimeSeries active_series_;
     std::uint64_t completed_ = 0;
     std::uint64_t cold_starts_ = 0;
     std::uint64_t warm_starts_ = 0;

@@ -109,11 +109,6 @@ class Server
         changed(level, was);
     }
 
-    /** Straggler count feeding the probation policy. */
-    int straggler_count() const { return straggler_count_; }
-    void note_straggler() { ++straggler_count_; }
-    void reset_stragglers() { straggler_count_ = 0; }
-
     /**
      * Crash state (chaos injection, Sec. 4.7): a down server hosts
      * nothing and is excluded from placement until it restarts.
@@ -179,7 +174,6 @@ class Server
     bool on_probation_ = false;
     bool down_ = false;
     std::uint64_t epoch_ = 0;
-    int straggler_count_ = 0;
 };
 
 /**

@@ -34,19 +34,12 @@ void
 DataSharingFabric::share(SharingProtocol protocol, std::uint64_t bytes,
                          sim::InlineFn done)
 {
-    sim::Time start = simulator_->now();
     switch (protocol) {
       case SharingProtocol::CouchDb: {
         // Parent write, then child read, each a full store access.
-        store_->access(bytes, [this, bytes, start,
+        store_->access(bytes, [this, bytes,
                                done = std::move(done)]() mutable {
-            store_->access(bytes, [this, start,
-                                   done = std::move(done)]() mutable {
-                latency_couch_.add(
-                    sim::to_seconds(simulator_->now() - start));
-                if (done)
-                    done();
-            });
+            store_->access(bytes, std::move(done));
         });
         return;
       }
@@ -57,14 +50,12 @@ DataSharingFabric::share(SharingProtocol protocol, std::uint64_t bytes,
         // Mild jitter from the kernel stack.
         lat = sim::from_seconds(
             rng_.lognormal_median(sim::to_seconds(lat), 0.12));
-        latency_rpc_.add(sim::to_seconds(lat));
         simulator_->schedule_in(lat, std::move(done));
         return;
       }
       case SharingProtocol::InMemory: {
         sim::Time lat = sim::from_seconds(static_cast<double>(bytes) /
                                           config_.memcpy_bandwidth_Bps);
-        latency_mem_.add(sim::to_seconds(lat));
         simulator_->schedule_in(lat, std::move(done));
         return;
       }
@@ -72,27 +63,10 @@ DataSharingFabric::share(SharingProtocol protocol, std::uint64_t bytes,
         sim::Time lat = config_.rdma_latency +
             sim::from_seconds(static_cast<double>(bytes) /
                               config_.rdma_bandwidth_Bps);
-        latency_rdma_.add(sim::to_seconds(lat));
         simulator_->schedule_in(lat, std::move(done));
         return;
       }
     }
-}
-
-const sim::Summary&
-DataSharingFabric::latency(SharingProtocol p) const
-{
-    switch (p) {
-      case SharingProtocol::CouchDb:
-        return latency_couch_;
-      case SharingProtocol::DirectRpc:
-        return latency_rpc_;
-      case SharingProtocol::InMemory:
-        return latency_mem_;
-      case SharingProtocol::RemoteMemory:
-        return latency_rdma_;
-    }
-    return latency_couch_;
 }
 
 }  // namespace hivemind::cloud

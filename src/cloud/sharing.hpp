@@ -23,7 +23,6 @@
 #include "cloud/datastore.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
-#include "sim/stats.hpp"
 
 namespace hivemind::cloud {
 
@@ -56,7 +55,7 @@ struct SharingConfig
 
 /**
  * Executes data hand-offs between dependent functions under a chosen
- * protocol, recording per-protocol latency summaries.
+ * protocol.
  */
 class DataSharingFabric
 {
@@ -75,18 +74,11 @@ class DataSharingFabric
     void share(SharingProtocol protocol, std::uint64_t bytes,
                sim::InlineFn done);
 
-    /** Observed hand-off latency (seconds) per protocol. */
-    const sim::Summary& latency(SharingProtocol p) const;
-
   private:
     sim::Simulator* simulator_;
     sim::Rng rng_;
     DataStore* store_;
     SharingConfig config_;
-    sim::Summary latency_couch_;
-    sim::Summary latency_rpc_;
-    sim::Summary latency_mem_;
-    sim::Summary latency_rdma_;
 };
 
 }  // namespace hivemind::cloud

@@ -123,7 +123,6 @@ HiveMindScheduler::note_completion(const std::string& app, double latency_s,
             score = 0.0;
         return;
     }
-    srv.note_straggler();
     score += 1.0;
     // Never bench more than a fraction of the cluster: a systemic
     // slowdown is not one bad node, and the cluster must keep serving.
@@ -136,9 +135,7 @@ HiveMindScheduler::note_completion(const std::string& app, double latency_s,
         srv.set_probation(true);
         std::size_t id = server;
         simulator_->schedule_in(config_.probation_duration, [this, id]() {
-            cloud::Server& s = runtime_->cluster().server(id);
-            s.set_probation(false);
-            s.reset_stragglers();
+            runtime_->cluster().server(id).set_probation(false);
             straggler_score_[id] = 0.0;
             // Capacity returned: retry anything parked in the queue.
             runtime_->poke();
@@ -188,10 +185,6 @@ HiveMindScheduler::launch_duplicate(std::uint32_t slot,
     Race& race = races_[slot];
     race.watchdog = 0;
     ++respawns_;
-    if (trace_) {
-        trace_->add(simulator_->now(), TraceEvent::StragglerRespawn, -1,
-                    race.request.app);
-    }
     runtime_->invoke(race.request, race_callback(slot, generation));
 }
 

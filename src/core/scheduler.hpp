@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "cloud/faas.hpp"
-#include "core/trace.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/slab.hpp"
@@ -120,9 +119,6 @@ class HiveMindScheduler
     /** Duplicates launched by the mitigation policy. */
     std::uint64_t respawns() const { return respawns_; }
 
-    /** Attach a trace sink for respawn/probation events (optional). */
-    void set_trace(TraceLog* trace) { trace_ = trace; }
-
     /** Completed-latency history for an app. */
     const PercentileTracker& history(const std::string& app) const;
 
@@ -170,7 +166,6 @@ class HiveMindScheduler
     SchedulerConfig config_;
     std::map<std::string, PercentileTracker> history_;
     std::vector<double> straggler_score_;
-    TraceLog* trace_ = nullptr;
     std::uint64_t respawns_ = 0;
     sim::Slab<Race> races_;
 };

@@ -4,13 +4,8 @@
 
 namespace hivemind::net {
 
-Link::Link(sim::Simulator& simulator, std::string name, double rate_bps,
-           sim::Time propagation)
-    : simulator_(&simulator),
-      name_(std::move(name)),
-      rate_bps_(rate_bps),
-      propagation_(propagation),
-      meter_(sim::kSecond)
+Link::Link(sim::Simulator& simulator, double rate_bps, sim::Time propagation)
+    : simulator_(&simulator), rate_bps_(rate_bps), propagation_(propagation)
 {
 }
 
@@ -29,10 +24,6 @@ Link::transfer(std::uint64_t bytes, std::function<void()> done)
     sim::Time serialize = sim::from_seconds(bits / rate_bps_);
     busy_until_ = start + serialize;
     bytes_total_ += bytes;
-    // Meter at serialization start — when the bytes cross the wire —
-    // not at enqueue, so congestion spreads the reported bandwidth
-    // instead of spiking it above the physical capacity.
-    meter_.add(start, static_cast<double>(bytes));
     sim::Time arrival = busy_until_ + propagation_;
     if (done)
         simulator_->schedule_at(arrival, std::move(done));

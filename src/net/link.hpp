@@ -13,10 +13,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "sim/simulator.hpp"
-#include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace hivemind::net {
@@ -27,12 +25,10 @@ class Link
   public:
     /**
      * @param simulator event kernel the link schedules on
-     * @param name human-readable identifier for traces
      * @param rate_bps capacity in bits per second
      * @param propagation one-way propagation + switching latency
      */
-    Link(sim::Simulator& simulator, std::string name, double rate_bps,
-         sim::Time propagation);
+    Link(sim::Simulator& simulator, double rate_bps, sim::Time propagation);
 
     /**
      * Enqueue a transfer of @p bytes; @p done fires when the last bit
@@ -62,18 +58,11 @@ class Link
     /** Adjust capacity (used to scale links with swarm size, Fig. 17b). */
     void set_rate_bps(double rate_bps) { rate_bps_ = rate_bps; }
 
-    /** Per-second throughput meter in bytes (for bandwidth figures). */
-    const sim::RateMeter& meter() const { return meter_; }
-
-    /** Link name. */
-    const std::string& name() const { return name_; }
-
     /** Fraction of time busy since construction, up to now. */
     double utilization() const;
 
   private:
     sim::Simulator* simulator_;
-    std::string name_;
     double rate_bps_;
     sim::Time propagation_;
     sim::Time busy_until_ = 0;
@@ -84,7 +73,6 @@ class Link
     /// queued backlog never counts as utilization before it happens.
     sim::Time busy_accum_ = 0;
     sim::Time busy_start_ = 0;
-    sim::RateMeter meter_;
 };
 
 }  // namespace hivemind::net

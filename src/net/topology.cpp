@@ -1,6 +1,5 @@
 #include "net/topology.hpp"
 
-#include <string>
 #include <utility>
 
 namespace hivemind::net {
@@ -17,35 +16,27 @@ SwarmTopology::SwarmTopology(sim::Simulator& simulator,
     double scale = config.infra_scale;
     for (std::size_t i = 0; i < config.devices; ++i) {
         device_up_.push_back(std::make_unique<Link>(
-            simulator, "dev" + std::to_string(i) + ".up",
-            config.device_radio_bps, config.wireless_prop));
+            simulator, config.device_radio_bps, config.wireless_prop));
         device_down_.push_back(std::make_unique<Link>(
-            simulator, "dev" + std::to_string(i) + ".down",
-            config.device_radio_bps, config.wireless_prop));
+            simulator, config.device_radio_bps, config.wireless_prop));
         device_rpc_.push_back(std::make_unique<RpcProcessor>(
             simulator, RpcConfig::software_stack(1)));
     }
     for (std::size_t r = 0; r < config.routers; ++r) {
         router_up_.push_back(std::make_unique<Link>(
-            simulator, "router" + std::to_string(r) + ".up",
-            config.router_bps * scale, config.lan_prop));
+            simulator, config.router_bps * scale, config.lan_prop));
         router_down_.push_back(std::make_unique<Link>(
-            simulator, "router" + std::to_string(r) + ".down",
-            config.router_bps * scale, config.lan_prop));
+            simulator, config.router_bps * scale, config.lan_prop));
     }
-    tor_up_ = std::make_unique<Link>(simulator, "tor.up",
-                                     config.tor_bps * scale,
+    tor_up_ = std::make_unique<Link>(simulator, config.tor_bps * scale,
                                      config.lan_prop);
-    tor_down_ = std::make_unique<Link>(simulator, "tor.down",
-                                       config.tor_bps * scale,
+    tor_down_ = std::make_unique<Link>(simulator, config.tor_bps * scale,
                                        config.lan_prop);
     for (std::size_t s = 0; s < config.servers; ++s) {
         nic_in_.push_back(std::make_unique<Link>(
-            simulator, "srv" + std::to_string(s) + ".in",
-            config.server_nic_bps, config.lan_prop));
+            simulator, config.server_nic_bps, config.lan_prop));
         nic_out_.push_back(std::make_unique<Link>(
-            simulator, "srv" + std::to_string(s) + ".out",
-            config.server_nic_bps, config.lan_prop));
+            simulator, config.server_nic_bps, config.lan_prop));
         server_rpc_.push_back(std::make_unique<RpcProcessor>(
             simulator,
             config.cloud_rpc_offload ? RpcConfig::fpga_offload(2)

@@ -130,12 +130,6 @@ class SwarmTopology
      */
     double cloud_rpc_cpu_seconds() const;
 
-    /** Queueing backlog currently on a router uplink (diagnostics). */
-    sim::Time router_backlog(std::size_t router) const
-    {
-        return router_up_[router]->backlog();
-    }
-
     /** Wireless retransmissions performed so far. */
     std::uint64_t retransmissions() const { return retransmissions_; }
 

@@ -97,22 +97,6 @@ PlatformOptions::hivemind_no_accel()
     return o;
 }
 
-const char*
-platform_preset_name(PlatformKind kind)
-{
-    switch (kind) {
-      case PlatformKind::CentralizedIaas:
-        return "centralized_iaas";
-      case PlatformKind::CentralizedFaas:
-        return "centralized_faas";
-      case PlatformKind::DistributedEdge:
-        return "distributed_edge";
-      case PlatformKind::HiveMind:
-        return "hivemind";
-    }
-    return "?";
-}
-
 PlatformOptions
 platform_from_name(const std::string& name)
 {

@@ -57,12 +57,8 @@ struct PlatformOptions
 
 /** Parse a platform preset name ("hivemind", "centralized_faas",
  *  "centralized_iaas", "distributed_edge"); throws
- *  std::invalid_argument on anything else. Inverse of
- *  platform_preset_name(). */
+ *  std::invalid_argument on anything else. */
 PlatformOptions platform_from_name(const std::string& name);
-
-/** Stable preset name for profile serialization (by kind). */
-const char* platform_preset_name(PlatformKind kind);
 
 /**
  * The HIVEMIND_* environment overrides, all in one place.

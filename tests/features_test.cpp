@@ -2,7 +2,7 @@
  * @file
  * Tests for the extension features: fault-recovery policies,
  * performance isolation, multi-tenancy, the generic task-graph
- * runner, the trace log, and the scheduler's percentile tracker.
+ * runner, and the scheduler's percentile tracker.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/scheduler.hpp"
-#include "core/trace.hpp"
 #include "dsl/scenarios.hpp"
 #include "platform/graph_runner.hpp"
 #include "platform/single_phase.hpp"
@@ -357,45 +356,6 @@ TEST(GraphRunner, SimulationProfilerPrefersCloudForHeavyWork)
     EXPECT_EQ(best.placement.at("crunch"), synth::Location::Cloud);
     EXPECT_EQ(best.placement.at("sense"), synth::Location::Edge);
     EXPECT_GT(best.estimate.latency_s, 0.0);
-}
-
-// ---------------------------------------------------------------------
-// Trace log
-// ---------------------------------------------------------------------
-
-TEST(Trace, RecordsAndFilters)
-{
-    core::TraceLog log;
-    log.add(sim::kSecond, core::TraceEvent::TaskSubmit, 3, "S1");
-    log.add(2 * sim::kSecond, core::TraceEvent::TaskComplete, 3, "S1", 0.42);
-    log.add(3 * sim::kSecond, core::TraceEvent::DeviceFailure, 7);
-    EXPECT_EQ(log.size(), 3u);
-    EXPECT_EQ(log.count(core::TraceEvent::TaskSubmit), 1u);
-    EXPECT_EQ(log.count(core::TraceEvent::WarmStart), 0u);
-    auto fails = log.filter(core::TraceEvent::DeviceFailure);
-    ASSERT_EQ(fails.size(), 1u);
-    EXPECT_EQ(fails[0].subject, 7);
-    log.clear();
-    EXPECT_TRUE(log.empty());
-}
-
-TEST(Trace, CsvEscapesAndHeaders)
-{
-    core::TraceLog log;
-    log.add(0, core::TraceEvent::Custom, 1, "hello, \"world\"", 1.5);
-    std::string csv = log.to_csv();
-    EXPECT_NE(csv.find("time_s,event,subject,label,value"),
-              std::string::npos);
-    EXPECT_NE(csv.find("\"hello, \"\"world\"\"\""), std::string::npos);
-}
-
-TEST(Trace, JsonlEscapes)
-{
-    core::TraceLog log;
-    log.add(sim::kSecond, core::TraceEvent::Repartition, 2, "a\"b\\c");
-    std::string j = log.to_jsonl();
-    EXPECT_NE(j.find("\"event\":\"repartition\""), std::string::npos);
-    EXPECT_NE(j.find("a\\\"b\\\\c"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

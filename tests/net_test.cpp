@@ -17,7 +17,7 @@ namespace {
 TEST(Link, SerializationTime)
 {
     sim::Simulator s;
-    Link link(s, "l", 8e6 /* 1 MB/s */, 0);
+    Link link(s, 8e6 /* 1 MB/s */, 0);
     sim::Time done = link.transfer(1'000'000, nullptr);
     EXPECT_EQ(done, sim::kSecond);
     EXPECT_EQ(link.bytes_total(), 1'000'000u);
@@ -26,7 +26,7 @@ TEST(Link, SerializationTime)
 TEST(Link, PropagationAdds)
 {
     sim::Simulator s;
-    Link link(s, "l", 8e6, sim::from_millis(5.0));
+    Link link(s, 8e6, sim::from_millis(5.0));
     sim::Time done = link.transfer(1'000'000, nullptr);
     EXPECT_EQ(done, sim::kSecond + sim::from_millis(5.0));
 }
@@ -34,7 +34,7 @@ TEST(Link, PropagationAdds)
 TEST(Link, FifoQueueing)
 {
     sim::Simulator s;
-    Link link(s, "l", 8e6, 0);
+    Link link(s, 8e6, 0);
     sim::Time first = link.transfer(1'000'000, nullptr);
     sim::Time second = link.transfer(1'000'000, nullptr);
     EXPECT_EQ(first, sim::kSecond);
@@ -45,7 +45,7 @@ TEST(Link, FifoQueueing)
 TEST(Link, CallbackFiresAtArrival)
 {
     sim::Simulator s;
-    Link link(s, "l", 8e6, sim::from_millis(1.0));
+    Link link(s, 8e6, sim::from_millis(1.0));
     sim::Time seen = 0;
     link.transfer(500'000, [&] { seen = s.now(); });
     s.run();
@@ -55,7 +55,7 @@ TEST(Link, CallbackFiresAtArrival)
 TEST(Link, CongestionGrowsLatency)
 {
     sim::Simulator s;
-    Link link(s, "l", 8e6, 0);
+    Link link(s, 8e6, 0);
     // Offered load 2x capacity: completion times diverge linearly.
     sim::Time last = 0;
     for (int i = 0; i < 10; ++i)
@@ -64,21 +64,10 @@ TEST(Link, CongestionGrowsLatency)
     EXPECT_NEAR(link.utilization(), 0.0, 1e-9);  // now() still 0.
 }
 
-TEST(Link, MeterTracksThroughput)
-{
-    sim::Simulator s;
-    Link link(s, "l", 80e6, 0);
-    link.transfer(1'000'000, nullptr);
-    s.run();
-    auto rates = link.meter().rates(sim::kSecond);
-    ASSERT_EQ(rates.size(), 1u);
-    EXPECT_DOUBLE_EQ(rates[0], 1'000'000.0);
-}
-
 TEST(Link, UtilizationCountsOnlyElapsedBusyTime)
 {
     sim::Simulator s;
-    Link link(s, "l", 8e6 /* 1 MB/s */, 0);
+    Link link(s, 8e6 /* 1 MB/s */, 0);
     // 10 MB queued at t=0 keeps the serializer busy until t=10 s, but
     // at t=1 s only one second of that work has actually happened.
     for (int i = 0; i < 10; ++i)
@@ -99,28 +88,13 @@ TEST(Link, UtilizationCountsOnlyElapsedBusyTime)
 TEST(Link, UtilizationSurvivesIdleGaps)
 {
     sim::Simulator s;
-    Link link(s, "l", 8e6, 0);
+    Link link(s, 8e6, 0);
     link.transfer(1'000'000, [] {});  // Busy [0, 1 s).
     s.schedule_at(3 * sim::kSecond, [&] {
         link.transfer(1'000'000, [] {});  // Busy [3 s, 4 s).
     });
     s.run();
     EXPECT_NEAR(link.utilization(), 2.0 / 4.0, 1e-9);
-}
-
-TEST(Link, MeterChargesAtSerializationStart)
-{
-    sim::Simulator s;
-    Link link(s, "l", 8e6 /* 1 MB/s */, 0);
-    // Both frames enqueue at t=0 but the second only crosses the wire
-    // during [1 s, 2 s): the per-second rate must never exceed the
-    // physical capacity.
-    link.transfer(1'000'000, nullptr);
-    link.transfer(1'000'000, nullptr);
-    auto rates = link.meter().rates(2 * sim::kSecond);
-    ASSERT_EQ(rates.size(), 2u);
-    EXPECT_DOUBLE_EQ(rates[0], 1'000'000.0);
-    EXPECT_DOUBLE_EQ(rates[1], 1'000'000.0);
 }
 
 TEST(RpcConfig, Presets)
