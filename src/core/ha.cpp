@@ -14,12 +14,6 @@ ControllerCheckpoint::size_bytes() const
         8 * static_cast<std::uint64_t>(inflight.size()) + 16;
 }
 
-CheckpointStore::CheckpointStore(sim::Simulator& simulator,
-                                 cloud::DataStore* store)
-    : simulator_(&simulator), store_(store)
-{
-}
-
 void
 CheckpointStore::persist(ControllerCheckpoint cp)
 {
@@ -32,29 +26,17 @@ CheckpointStore::persist(ControllerCheckpoint cp)
         ++persisted_;
         bytes_written_ += bytes;
     };
-    if (write_transport_)
-        write_transport_(bytes, std::move(commit));
-    else if (store_ != nullptr)
-        store_->access(bytes, std::move(commit));
-    else
-        simulator_->schedule_in(0, std::move(commit));
+    write_transport_(bytes, std::move(commit));
 }
 
 void
 CheckpointStore::read_latest(std::function<void()> done)
 {
-    if (read_transport_)
-        read_transport_(durable_ ? durable_->size_bytes() : 64,
-                        std::move(done));
-    else if (store_ != nullptr && durable_)
-        store_->access(durable_->size_bytes(), std::move(done));
-    else
-        simulator_->schedule_in(0, std::move(done));
+    read_transport_(durable_ ? durable_->size_bytes() : 64, std::move(done));
 }
 
-HaCluster::HaCluster(sim::Simulator& simulator, cloud::DataStore* store,
-                     const HaConfig& config)
-    : simulator_(&simulator), config_(config), store_(simulator, store)
+HaCluster::HaCluster(sim::Simulator& simulator, const HaConfig& config)
+    : simulator_(&simulator), config_(config)
 {
 }
 
@@ -163,8 +145,6 @@ HaCluster::checkpoint_tick()
     ControllerCheckpoint cp = snapshot_();
     cp.taken_at = simulator_->now();
     cp.seq = ++seq_;
-    if (on_checkpoint_)
-        on_checkpoint_(cp.seq, cp.size_bytes());
     store_.persist(std::move(cp));
 }
 

@@ -13,9 +13,10 @@
  *    registry (alive/failed flags), the load balancer's region
  *    partition, per-device in-flight offload counts and a
  *    tasks-started watermark. Its byte size is accounted.
- *  - CheckpointStore persists checkpoints through the cloud::DataStore
- *    queue model; a checkpoint is durable only when the write
- *    completes, so datastore outages delay durability.
+ *  - CheckpointStore persists checkpoints over the owner's write
+ *    transport (the scenario engine's: a checkpoint-plane RPC to the
+ *    cloud::DataStore queue); a checkpoint is durable only when the
+ *    write completes, so datastore outages delay durability.
  *  - HaCluster runs the primary's heartbeat, the standby's
  *    missed-deadline election, checkpoint read + replay, and the
  *    reconciliation/redrive delays. It exposes available() so the
@@ -40,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "cloud/datastore.hpp"
 #include "core/load_balancer.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -107,7 +107,7 @@ struct ReconcileReport
 };
 
 /**
- * Durable checkpoint storage on the datastore model.
+ * Durable checkpoint storage behind a pair of transports.
  *
  * persist() issues an async write sized by the checkpoint; latest()
  * only returns a checkpoint once its write completed, so a crash
@@ -124,14 +124,11 @@ class CheckpointStore
     using Transport =
         std::function<void(std::uint64_t, std::function<void()>)>;
 
-    /** @param store backing store; nullptr persists after one event. */
-    CheckpointStore(sim::Simulator& simulator, cloud::DataStore* store);
-
     /**
-     * Route persistence over caller-supplied transports instead of
-     * the local DataStore pointer. The sharded engine uses this to
-     * carry checkpoint RPCs over dedicated ShardLink planes to the
-     * cloud shard's DataStore, so checkpoint traffic is metered and
+     * Install the write and read transports; both must be set before
+     * the first persist() or read_latest(). The sharded engine carries
+     * checkpoint RPCs over dedicated ShardLink planes to the cloud
+     * shard's DataStore, so checkpoint traffic is metered and
      * loss-exposed like every other byte on the air.
      */
     void set_transport(Transport write, Transport read)
@@ -150,9 +147,9 @@ class CheckpointStore
     }
 
     /**
-     * Model the standby's checkpoint read: @p done fires once the
-     * latest durable checkpoint has been fetched from the store (or
-     * immediately next event when nothing is durable yet).
+     * Model the standby's checkpoint read: @p done fires once the read
+     * transport has fetched the latest durable checkpoint (a 64-byte
+     * header when nothing is durable yet).
      */
     void read_latest(std::function<void()> done);
 
@@ -163,8 +160,6 @@ class CheckpointStore
     std::uint64_t bytes_written() const { return bytes_written_; }
 
   private:
-    sim::Simulator* simulator_;
-    cloud::DataStore* store_;
     Transport write_transport_;
     Transport read_transport_;
     std::optional<ControllerCheckpoint> durable_;
@@ -184,8 +179,7 @@ class CheckpointStore
 class HaCluster
 {
   public:
-    HaCluster(sim::Simulator& simulator, cloud::DataStore* store,
-              const HaConfig& config);
+    HaCluster(sim::Simulator& simulator, const HaConfig& config);
 
     /** Captures controller state for a checkpoint. */
     void set_snapshot(std::function<ControllerCheckpoint()> fn)
@@ -218,13 +212,7 @@ class HaCluster
         on_restored_ = std::move(fn);
     }
 
-    /** A checkpoint write was issued (seq, bytes) — for tracing. */
-    void set_on_checkpoint(std::function<void(std::uint64_t, std::uint64_t)> fn)
-    {
-        on_checkpoint_ = std::move(fn);
-    }
-
-    /** Checkpoint persistence layer (transport override seam). */
+    /** Checkpoint persistence layer: install its transports here. */
     CheckpointStore& checkpoint_store() { return store_; }
 
     /** Bootstrap checkpoint + heartbeat/watchdog/checkpoint timers. */
@@ -284,7 +272,6 @@ class HaCluster
     std::function<void(bool)> on_availability_;
     std::function<void()> on_detected_;
     std::function<void(double)> on_restored_;
-    std::function<void(std::uint64_t, std::uint64_t)> on_checkpoint_;
 
     bool running_ = false;
     bool available_ = true;
