@@ -6,6 +6,7 @@
  * in Sec. 5.5), as the scenario engine runs them.
  */
 
+#include <algorithm>
 #include <cstdint>
 
 #include "platform/scenario_kind.hpp"
@@ -20,7 +21,7 @@ struct PipelineSpec
     /**
      * Sensor payload per recognition task: a one-second frame batch
      * (8 fps x 2 MB, Sec. 2.1). Centralized platforms ship all of it;
-     * HiveMind's on-board pre-filter forwards ~30%.
+     * HiveMind's on-board pre-filter forwards hivemind_uplink_bytes().
      */
     std::uint64_t frame_bytes = 16u << 20;
     std::uint64_t inter_bytes = 128u << 10;
@@ -57,6 +58,29 @@ pipeline_for(ScenarioKind kind, std::uint64_t frame_bytes_override = 0)
     if (frame_bytes_override > 0)
         spec.frame_bytes = frame_bytes_override;
     return spec;
+}
+
+/*
+ * HiveMind's split of a frame in the scenario engine (DESIGN.md
+ * §8.1): the drone runs an on-board pre-filter, then uplinks the
+ * reduced candidate stream, on which the cloud runs the whole
+ * recognition stage.
+ */
+
+/** On-board pre-filter work per frame: 10% of recognition. */
+inline double
+hivemind_prefilter_work_ms(const PipelineSpec& spec)
+{
+    return spec.rec_work_ms * 0.10;
+}
+
+/** Bytes per frame left after the pre-filter: 4 MiB plus 2% of the
+ *  raw payload, never more than the raw payload. */
+inline double
+hivemind_uplink_bytes(const PipelineSpec& spec)
+{
+    const double raw = static_cast<double>(spec.frame_bytes);
+    return std::min(raw, 4.0 * 1024.0 * 1024.0 + 0.02 * raw);
 }
 
 }  // namespace hivemind::platform
