@@ -111,7 +111,7 @@ TEST(PlanFuzzer, PlansValidSortedAndBounded)
     }
 }
 
-TEST(PlanFuzzer, ConfigGatesControllerSpatialAndPermanent)
+TEST(PlanFuzzer, ConfigGatesControllerAndPermanent)
 {
     fault::FuzzConfig cfg;
     cfg.allow_controller = false;
@@ -618,7 +618,7 @@ TEST(PlanJson, BuilderSnippetNamesEveryEvent)
 // End-to-end smoke: fuzzed plans at shards {1, 2, 4} + all oracles
 // ---------------------------------------------------------------------
 
-TEST(FuzzSmoke, FuzzedPlansSurviveBothEnginesAndAllOracles)
+TEST(FuzzSmoke, FuzzedPlansSurviveAllOracles)
 {
     platform::FuzzCaseOptions opt;
     opt.devices = 4;
@@ -634,7 +634,7 @@ TEST(FuzzSmoke, FuzzedPlansSurviveBothEnginesAndAllOracles)
     }
 }
 
-TEST(FuzzSmoke, RoverPlansSurviveBothEnginesAndAllOracles)
+TEST(FuzzSmoke, RoverPlansSurviveAllOracles)
 {
     for (platform::ScenarioKind kind :
          {platform::ScenarioKind::TreasureHunt,
@@ -687,7 +687,7 @@ std::string read_file(const std::filesystem::path& path)
 
 }  // namespace
 
-TEST(FuzzCorpus, EveryCheckedInPlanReplaysCleanOnBothEngines)
+TEST(FuzzCorpus, EveryCheckedInPlanReplaysClean)
 {
     std::size_t replayed = 0;
     for (const auto& entry :

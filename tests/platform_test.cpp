@@ -230,7 +230,7 @@ TEST(Scenario, RoverMazeFinishes)
     EXPECT_EQ(m.job_latency_s.count(), 8u);
 }
 
-TEST(Scenario, FleetWideCrashWithQuickRejoinCompletesOnBothEngines)
+TEST(Scenario, FleetWideCrashWithQuickRejoinCompletes)
 {
     // Regression: the controller tick used to abort the mission on
     // the first tick that observed every device dead, even when the
