@@ -69,7 +69,7 @@ platform::RunMetrics
 run_point(const RunPoint& p)
 {
     platform::ScenarioConfig sc = crash_scenario();
-    sc.ha.checkpoint_interval = p.interval;
+    sc.checkpoint_interval = p.interval;
     return platform::run_scenario_sharded(
                sc, platform::PlatformOptions::hivemind(),
                paper_deployment(p.seed), p.shards)

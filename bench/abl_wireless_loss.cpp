@@ -39,7 +39,7 @@ Row
 run_point(const Point& pt)
 {
     platform::DeploymentConfig dep = paper_deployment(42);
-    dep.net.wireless_loss = pt.loss;
+    dep.wireless_loss = pt.loss;
     platform::JobConfig job;
     job.duration = 90 * sim::kSecond;
     job.drain = 60 * sim::kSecond;

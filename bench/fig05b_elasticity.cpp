@@ -12,6 +12,7 @@
 #include <cmath>
 #include <memory>
 
+#include "apps/workload.hpp"
 #include "bench_util.hpp"
 #include "cloud/iaas.hpp"
 

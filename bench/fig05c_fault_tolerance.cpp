@@ -15,6 +15,7 @@
 
 #include <memory>
 
+#include "apps/workload.hpp"
 #include "bench_util.hpp"
 
 using namespace hivemind;

@@ -36,13 +36,13 @@ main(int argc, char** argv)
     dep.servers = 6;
     dep.cores_per_server = 20;
     dep.seed = 42;
-    platform::GraphJobConfig job;
+    platform::JobConfig job;
     job.duration = 30 * sim::kSecond;
-    job.activation_rate_hz = rate;
+    job.drain = 60 * sim::kSecond;
 
     synth::PlacementExplorer measured(graph, synth::CostModelParams{});
     measured.set_profiler(platform::make_simulation_profiler(
-        platform::PlatformOptions::hivemind(), dep, job));
+        platform::PlatformOptions::hivemind(), dep, job, rate));
     synth::PlacementExplorer predicted(graph, synth::CostModelParams{});
 
     auto measured_all = measured.explore_all();

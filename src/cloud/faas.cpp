@@ -46,7 +46,7 @@ FaasRuntime::container_lost(const Invocation& inv) const
 }
 
 void
-FaasRuntime::crash_server(std::size_t server, sim::Time down_for)
+FaasRuntime::crash_server(std::size_t server)
 {
     if (server >= cluster_->size())
         return;
@@ -96,12 +96,6 @@ FaasRuntime::crash_server(std::size_t server, sim::Time down_for)
         double progressed = inv.completed_fraction +
             (1.0 - inv.completed_fraction) * frac;
         redrive_after_crash(slot, progressed);
-    }
-
-    if (down_for > 0) {
-        simulator_->schedule_in(down_for, [this, server]() {
-            restore_server(server);
-        });
     }
 }
 

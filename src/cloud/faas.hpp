@@ -246,11 +246,12 @@ class FaasRuntime
      * it dies instantly — warm pool entries evaporate, in-flight
      * invocations are killed and re-driven through their Restore
      * policies (None loses them, Respawn restarts from scratch,
-     * Checkpoint resumes from the last boundary). The server rejoins
-     * placement after @p down_for (0 keeps it down until someone calls
-     * restore_server). No-op when the server is already down.
+     * Checkpoint resumes from the last boundary). The server stays
+     * down until someone calls restore_server (fault::route_plan()
+     * schedules that for a crash with a duration). No-op when the
+     * server is already down.
      */
-    void crash_server(std::size_t server, sim::Time down_for);
+    void crash_server(std::size_t server);
 
     /** Bring a crashed server back into placement immediately. */
     void restore_server(std::size_t server);
@@ -284,9 +285,6 @@ class FaasRuntime
 
     /** Invocations lost under FaultRecovery::None. */
     std::uint64_t lost() const { return lost_; }
-
-    /** The data-sharing fabric (for direct experiments, Fig. 6c). */
-    DataSharingFabric& sharing() { return sharing_; }
 
     /** The cluster (worker-monitor view). */
     Cluster& cluster() { return *cluster_; }

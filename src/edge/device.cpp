@@ -16,8 +16,6 @@ DeviceSpec::drone()
     s.power.compute_w = 2.5;         // Cortex A8 at full load.
     s.power.radio_j_per_byte = 1.0e-7;
     s.power.idle_w = 1.5;
-    s.camera_fps = 8.0;
-    s.frame_bytes = 2u * 1024u * 1024u;
     s.footprint_w = 6.7;
     s.footprint_h = 8.75;
     return s;
@@ -35,8 +33,6 @@ DeviceSpec::rover()
     s.power.compute_w = 4.0;
     s.power.radio_j_per_byte = 1.0e-7;
     s.power.idle_w = 2.0;
-    s.camera_fps = 8.0;
-    s.frame_bytes = 2u * 1024u * 1024u;
     s.footprint_w = 4.0;             // Forward-facing camera swath.
     s.footprint_h = 5.0;
     return s;

@@ -6,12 +6,15 @@
  *
  * The drone preset mirrors the Parrot AR 2.0 testbed of Sec. 2.1:
  * a 1 GHz 32-bit ARM Cortex A8 (modeled as a 0.12x cloud-core speed
- * factor), 4 m/s flight speed, an 8 fps camera at 2 MB/frame with a
- * 6.7 m x 8.75 m ground footprint, and 802.11 connectivity. The rover
- * preset mirrors the Raspberry Pi cars of Sec. 5.5 (slower motion,
- * larger battery, faster SoC). A device follows a waypoint route,
- * produces camera frames, and runs tasks on a single-core on-board
- * executor whose busy time feeds the battery model.
+ * factor), 4 m/s flight speed, a camera with a 6.7 m x 8.75 m ground
+ * footprint, and 802.11 connectivity. The camera's frame rate and
+ * frame size (8 fps x 2 MB, Sec. 2.1) live with the workloads that
+ * send the frames: platform::PipelineSpec's payload per recognition
+ * task and the scenario engine's task rate. The rover preset mirrors
+ * the Raspberry Pi cars of Sec. 5.5 (slower motion, larger battery,
+ * faster SoC). A device follows a waypoint route, produces camera
+ * frames, and runs tasks on a single-core on-board executor whose
+ * busy time feeds the battery model.
  */
 
 #include <cstdint>
@@ -40,10 +43,6 @@ struct DeviceSpec
     double battery_j = 60'000.0;
     /** Power draws. */
     PowerModel power;
-    /** Camera frames per second. */
-    double camera_fps = 8.0;
-    /** Bytes per camera frame (default 2 MB, Sec. 2.1). */
-    std::uint64_t frame_bytes = 2u * 1024u * 1024u;
     /** Camera ground footprint, meters (cross-track x along-track). */
     double footprint_w = 6.7;
     double footprint_h = 8.75;

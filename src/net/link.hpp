@@ -38,9 +38,6 @@ class Link
      */
     sim::Time transfer(std::uint64_t bytes, std::function<void()> done);
 
-    /** Time at which the serializer becomes free. */
-    sim::Time busy_until() const { return busy_until_; }
-
     /** Queueing delay a new transfer would currently see. */
     sim::Time
     backlog() const
@@ -51,12 +48,6 @@ class Link
 
     /** Total payload bytes accepted. */
     std::uint64_t bytes_total() const { return bytes_total_; }
-
-    /** Capacity in bits per second. */
-    double rate_bps() const { return rate_bps_; }
-
-    /** Adjust capacity (used to scale links with swarm size, Fig. 17b). */
-    void set_rate_bps(double rate_bps) { rate_bps_ = rate_bps; }
 
     /** Fraction of time busy since construction, up to now. */
     double utilization() const;

@@ -55,17 +55,8 @@ class ShardLink
      */
     sim::Time transfer(std::uint64_t bytes, sim::InlineFn done);
 
-    /** Time at which the serializer becomes free. */
-    sim::Time busy_until() const { return busy_until_; }
-
     /** Total payload bytes accepted. */
     std::uint64_t bytes_total() const { return bytes_total_; }
-
-    /** Destination shard. */
-    int dst() const { return dst_; }
-
-    /** Earliest possible delivery delay (the declared lookahead). */
-    sim::Time propagation() const { return propagation_; }
 
     /**
      * Chaos loss override for this link. Negative (the default) means

@@ -5,16 +5,24 @@
 
 namespace hivemind::platform {
 
+namespace {
+
+/** Memory per server (the testbed's 192 GB hosts, Sec. 2.1). */
+constexpr std::uint64_t kServerMemoryMb = 192ull * 1024ull;
+
+}  // namespace
+
 CloudTier::CloudTier(sim::Simulator& simulator, sim::Rng& rng,
                      const DeploymentConfig& config,
                      const PlatformOptions& options, sim::Rng* radio_loss)
     : simulator_(&simulator), config_(config), options_(options)
 {
     // --- Network ---
-    net::TopologyConfig net = config_.net;
+    net::TopologyConfig net;
     net.devices = config_.devices;
     net.servers = config_.servers;
     net.cloud_rpc_offload = options_.net_accel;
+    net.wireless_loss = config_.wireless_loss;
     if (config_.scale_infra && config_.devices > 16) {
         double factor = static_cast<double>(config_.devices) / 16.0;
         net.infra_scale = factor;
@@ -29,9 +37,9 @@ CloudTier::CloudTier(sim::Simulator& simulator, sim::Rng& rng,
 
     // --- Cloud ---
     cluster_ = std::make_unique<cloud::Cluster>(
-        config_.servers, config_.cores_per_server, config_.server_memory_mb);
+        config_.servers, config_.cores_per_server, kServerMemoryMb);
     store_ = std::make_unique<cloud::DataStore>(simulator, rng,
-                                                config_.store);
+                                                cloud::DataStoreConfig{});
 
     cloud::FaasConfig faas = config_.faas;
     if (options_.remote_mem_accel)

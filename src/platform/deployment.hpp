@@ -37,19 +37,26 @@
 
 namespace hivemind::platform {
 
-/** Sizing and tuning of one deployment. */
+/**
+ * Sizing and tuning of one deployment. The network is
+ * net::TopologyConfig's testbed defaults sized by devices, servers and
+ * scale_infra; the data store is cloud::DataStoreConfig's defaults.
+ */
 struct DeploymentConfig
 {
     std::size_t devices = 16;
     std::size_t servers = 12;
     int cores_per_server = 40;
-    std::uint64_t server_memory_mb = 192ull * 1024ull;
     std::uint64_t seed = 42;
     edge::DeviceSpec device_spec = edge::DeviceSpec::drone();
-    net::TopologyConfig net;
+    /**
+     * Per-attempt wireless corruption probability (Sec. 1: devices
+     * "are prone to unreliable network connections"); see
+     * net::TopologyConfig::wireless_loss.
+     */
+    double wireless_loss = 0.0;
     cloud::FaasConfig faas;
     cloud::IaasConfig iaas;
-    cloud::DataStoreConfig store;
     core::SchedulerConfig scheduler;
     /**
      * Scale routers/ToR/servers proportionally with the swarm (the

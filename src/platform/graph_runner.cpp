@@ -33,16 +33,13 @@ struct GraphHarness
     Deployment* dep;
     const dsl::TaskGraph* graph;
     const synth::PlacementAssignment* placement;
-    const GraphJobConfig* job;
     RunMetrics metrics;
     sim::Rng arrivals;
     std::size_t next_server = 0;
 
     GraphHarness(Deployment& d, const dsl::TaskGraph& g,
-                 const synth::PlacementAssignment& p,
-                 const GraphJobConfig& j)
-        : dep(&d), graph(&g), placement(&p), job(&j),
-          arrivals(d.rng().fork())
+                 const synth::PlacementAssignment& p)
+        : dep(&d), graph(&g), placement(&p), arrivals(d.rng().fork())
     {
     }
 
@@ -199,61 +196,29 @@ run_task_graph(const dsl::TaskGraph& graph,
                const synth::PlacementAssignment& placement,
                const PlatformOptions& options,
                const DeploymentConfig& deployment_config,
-               const GraphJobConfig& job)
+               const JobConfig& job, double activation_rate_hz)
 {
     Deployment dep(deployment_config, options);
-    GraphHarness harness(dep, graph, placement, job);
-    sim::Simulator& simulator = dep.simulator();
-
-    for (std::size_t d = 0; d < dep.device_count(); ++d) {
-        sim::recurring(
-            simulator,
-            sim::from_seconds(
-                harness.arrivals.uniform(0.0, 1.0 / job.activation_rate_hz)),
-            [&harness, &simulator, &job, d](const sim::Recur& self) {
-                if (simulator.now() >= job.duration)
-                    return;
-                harness.start_activation(d);
-                self.again_in(sim::from_seconds(harness.arrivals.exponential(
-                    1.0 / job.activation_rate_hz)));
-            });
-    }
-
-    simulator.run_until(job.duration + job.drain);
-
-    dep.settle_radio_energy();
-    double active_s = sim::to_seconds(
-        std::min(simulator.now(), job.duration + job.drain));
-    for (std::size_t d = 0; d < dep.device_count(); ++d) {
-        edge::Device& dev = dep.device(d);
-        dev.account_compute(dev.executor().busy_seconds());
-        dev.account_idle(active_s);
-        if (job.include_motion_energy)
-            dev.account_motion(active_s);
-        harness.metrics.battery_pct.add(dev.battery().consumed_percent());
-        harness.metrics.tasks_shed += dev.executor().shed();
-    }
-    sim::Summary bw = dep.network().air_meter().rate_summary(job.duration);
-    for (double r : bw.samples())
-        harness.metrics.bandwidth_MBps.add(r / 1e6);
-    harness.metrics.cold_starts = dep.faas().cold_starts();
-    harness.metrics.warm_starts = dep.faas().warm_starts();
-    harness.metrics.faults = dep.faas().faults();
-    if (dep.scheduler())
-        harness.metrics.respawns = dep.scheduler()->respawns();
+    GraphHarness harness(dep, graph, placement);
+    install_poisson_arrivals(
+        dep, harness.arrivals, activation_rate_hz, job,
+        [&harness](std::size_t d) { harness.start_activation(d); });
+    dep.simulator().run_until(job.duration + job.drain);
+    settle_energy(dep, job);
+    collect_shared(dep, job, harness.metrics);
     return harness.metrics;
 }
 
 synth::Profiler
 make_simulation_profiler(const PlatformOptions& options,
                          const DeploymentConfig& deployment,
-                         const GraphJobConfig& job)
+                         const JobConfig& job, double activation_rate_hz)
 {
-    return [options, deployment, job](
+    return [options, deployment, job, activation_rate_hz](
                const dsl::TaskGraph& graph,
                const synth::PlacementAssignment& placement) {
-        RunMetrics m =
-            run_task_graph(graph, placement, options, deployment, job);
+        RunMetrics m = run_task_graph(graph, placement, options, deployment,
+                                      job, activation_rate_hz);
         synth::PlacementEstimate est;
         est.latency_s = m.task_latency_s.mean();
         // Joules per activation per device.

@@ -21,36 +21,25 @@
 #include "platform/deployment.hpp"
 #include "platform/metrics.hpp"
 #include "platform/options.hpp"
+#include "platform/single_phase.hpp"
 #include "synth/cost_model.hpp"
 #include "synth/explorer.hpp"
 #include "synth/placement.hpp"
 
 namespace hivemind::platform {
 
-/** Graph-run parameters. */
-struct GraphJobConfig
-{
-    /** Generation window. */
-    sim::Time duration = 60 * sim::kSecond;
-    /** Extra drain time for in-flight activations. */
-    sim::Time drain = 60 * sim::kSecond;
-    /** Graph activations per device per second. */
-    double activation_rate_hz = 0.5;
-    /** Count hover/drive energy. */
-    bool include_motion_energy = false;
-};
-
 /**
- * Run @p graph under @p placement; returns metrics where
- * task_latency_s holds per-*activation* end-to-end latencies (root
- * sensor reading to last leaf completion) and the stage summaries
- * hold per-activation shares.
+ * Run @p graph under @p placement, activated on every device at
+ * @p activation_rate_hz (the single-phase runner's Poisson arrivals);
+ * returns metrics where task_latency_s holds per-*activation*
+ * end-to-end latencies (root sensor reading to last leaf completion)
+ * and the stage summaries hold per-activation shares.
  */
 RunMetrics run_task_graph(const dsl::TaskGraph& graph,
                           const synth::PlacementAssignment& placement,
                           const PlatformOptions& options,
                           const DeploymentConfig& deployment_config,
-                          const GraphJobConfig& job);
+                          const JobConfig& job, double activation_rate_hz);
 
 /**
  * A measurement-backed Profiler for synth::PlacementExplorer: runs a
@@ -60,6 +49,7 @@ RunMetrics run_task_graph(const dsl::TaskGraph& graph,
  */
 synth::Profiler make_simulation_profiler(const PlatformOptions& options,
                                          const DeploymentConfig& deployment,
-                                         const GraphJobConfig& job);
+                                         const JobConfig& job,
+                                         double activation_rate_hz);
 
 }  // namespace hivemind::platform

@@ -12,9 +12,12 @@ namespace {
 // v2 dropped v1's tick-batching toggle along with the per-device tick
 // path; v3 dropped the engine switch along with the legacy engine; v4
 // dropped the inject_failure_* shim and ha.enabled, which only
-// restated the fault plan, and nests plan JSON v3. Other versions,
-// v1 to v3 included, are rejected, not migrated.
-constexpr int kProfileVersion = 4;
+// restated the fault plan, and nests plan JSON v3; v5 dropped the
+// settings no run varied (frame_task_rate_hz, obstacle_rate_hz,
+// retrain_interval, detection, retry) and flattened ha to its one
+// varied field, checkpoint_interval. Other versions, v1 to v4
+// included, are rejected, not migrated.
+constexpr int kProfileVersion = 5;
 
 std::int64_t
 ns(sim::Time t)
@@ -67,114 +70,6 @@ parse_recovery(util::JsonCursor& in)
     if (name == "checkpoint")
         return cloud::FaultRecovery::Checkpoint;
     in.fail("unknown recovery policy \"" + name + "\"");
-}
-
-util::Json
-detection_json(const apps::DetectionConfig& d)
-{
-    return util::Json::object()
-        .kv("base_correct", d.base_correct)
-        .kv("max_correct", d.max_correct)
-        .kv("tau_samples", d.tau_samples)
-        .kv("fn_share", d.fn_share);
-}
-
-apps::DetectionConfig
-parse_detection(util::JsonCursor& in)
-{
-    apps::DetectionConfig d;
-    util::parse_object(in, [&](util::JsonCursor& in,
-                               const std::string& key) {
-        if (key == "base_correct")
-            d.base_correct = in.parse_number();
-        else if (key == "max_correct")
-            d.max_correct = in.parse_number();
-        else if (key == "tau_samples")
-            d.tau_samples = in.parse_number();
-        else if (key == "fn_share")
-            d.fn_share = in.parse_number();
-        else
-            in.fail("unknown detection key \"" + key + "\"");
-    });
-    return d;
-}
-
-util::Json
-retry_json(const fault::RetryConfig& r)
-{
-    return util::Json::object()
-        .kv("max_attempts", r.max_attempts)
-        .kv("base_backoff", ns(r.base_backoff))
-        .kv("multiplier", r.multiplier)
-        .kv("jitter", r.jitter)
-        .kv("breaker_threshold", r.breaker_threshold)
-        .kv("breaker_cooldown", ns(r.breaker_cooldown));
-}
-
-fault::RetryConfig
-parse_retry(util::JsonCursor& in)
-{
-    fault::RetryConfig r;
-    util::parse_object(in, [&](util::JsonCursor& in,
-                               const std::string& key) {
-        if (key == "max_attempts")
-            r.max_attempts = static_cast<int>(in.parse_int());
-        else if (key == "base_backoff")
-            r.base_backoff = parse_time(in);
-        else if (key == "multiplier")
-            r.multiplier = in.parse_number();
-        else if (key == "jitter")
-            r.jitter = in.parse_number();
-        else if (key == "breaker_threshold")
-            r.breaker_threshold = static_cast<int>(in.parse_int());
-        else if (key == "breaker_cooldown")
-            r.breaker_cooldown = parse_time(in);
-        else
-            in.fail("unknown retry key \"" + key + "\"");
-    });
-    return r;
-}
-
-util::Json
-ha_json(const core::HaConfig& h)
-{
-    return util::Json::object()
-        .kv("checkpoint_interval", ns(h.checkpoint_interval))
-        .kv("primary_beat_interval", ns(h.primary_beat_interval))
-        .kv("election_timeout", ns(h.election_timeout))
-        .kv("standbys", h.standbys)
-        .kv("replay_Bps", h.replay_Bps)
-        .kv("reconcile_per_device", ns(h.reconcile_per_device))
-        .kv("redrive_per_offload", ns(h.redrive_per_offload))
-        .kv("drift_replay_frac", h.drift_replay_frac);
-}
-
-core::HaConfig
-parse_ha(util::JsonCursor& in)
-{
-    core::HaConfig h;
-    util::parse_object(in, [&](util::JsonCursor& in,
-                               const std::string& key) {
-        if (key == "checkpoint_interval")
-            h.checkpoint_interval = parse_time(in);
-        else if (key == "primary_beat_interval")
-            h.primary_beat_interval = parse_time(in);
-        else if (key == "election_timeout")
-            h.election_timeout = parse_time(in);
-        else if (key == "standbys")
-            h.standbys = static_cast<int>(in.parse_int());
-        else if (key == "replay_Bps")
-            h.replay_Bps = in.parse_number();
-        else if (key == "reconcile_per_device")
-            h.reconcile_per_device = parse_time(in);
-        else if (key == "redrive_per_offload")
-            h.redrive_per_offload = parse_time(in);
-        else if (key == "drift_replay_frac")
-            h.drift_replay_frac = in.parse_number();
-        else
-            in.fail("unknown ha key \"" + key + "\"");
-    });
-    return h;
 }
 
 }  // namespace
@@ -231,11 +126,7 @@ scenario_json(const ScenarioConfig& sc)
         .kv("kind", scenario_kind_name(sc.kind))
         .kv("field_size_m", sc.field_size_m)
         .kv("targets", static_cast<std::uint64_t>(sc.targets))
-        .kv("frame_task_rate_hz", sc.frame_task_rate_hz)
-        .kv("obstacle_rate_hz", sc.obstacle_rate_hz)
         .kv("retrain", retrain_mode_name(sc.retrain))
-        .kv("detection", detection_json(sc.detection))
-        .kv("retrain_interval", ns(sc.retrain_interval))
         .kv("time_cap", ns(sc.time_cap))
         .kv("max_passes", sc.max_passes)
         .kv("course_legs", sc.course_legs)
@@ -243,8 +134,7 @@ scenario_json(const ScenarioConfig& sc)
         .kv("frame_bytes_override", sc.frame_bytes_override)
         .kv("faults", fault::plan_json(sc.faults))
         .kv("recovery", recovery_name(sc.recovery))
-        .kv("retry", retry_json(sc.retry))
-        .kv("ha", ha_json(sc.ha))
+        .kv("checkpoint_interval", ns(sc.checkpoint_interval))
         .kv("shards", sc.shards)
         .kv("adaptive_lookahead", sc.adaptive_lookahead);
 }
@@ -274,16 +164,8 @@ scenario_from_cursor(util::JsonCursor& in)
             sc.field_size_m = in.parse_number();
         } else if (key == "targets") {
             sc.targets = static_cast<std::size_t>(in.parse_int());
-        } else if (key == "frame_task_rate_hz") {
-            sc.frame_task_rate_hz = in.parse_number();
-        } else if (key == "obstacle_rate_hz") {
-            sc.obstacle_rate_hz = in.parse_number();
         } else if (key == "retrain") {
             sc.retrain = parse_retrain(in);
-        } else if (key == "detection") {
-            sc.detection = parse_detection(in);
-        } else if (key == "retrain_interval") {
-            sc.retrain_interval = parse_time(in);
         } else if (key == "time_cap") {
             sc.time_cap = parse_time(in);
         } else if (key == "max_passes") {
@@ -299,10 +181,8 @@ scenario_from_cursor(util::JsonCursor& in)
             sc.faults = fault::plan_from_cursor(in);
         } else if (key == "recovery") {
             sc.recovery = parse_recovery(in);
-        } else if (key == "retry") {
-            sc.retry = parse_retry(in);
-        } else if (key == "ha") {
-            sc.ha = parse_ha(in);
+        } else if (key == "checkpoint_interval") {
+            sc.checkpoint_interval = parse_time(in);
         } else if (key == "shards") {
             sc.shards = static_cast<int>(in.parse_int());
         } else if (key == "adaptive_lookahead") {

@@ -19,9 +19,10 @@
  * versions (or reject the old one loudly), and document the bump in
  * DESIGN.md. Unknown keys always throw: a typo'd knob must never
  * silently run the default experiment. The current schema is
- * version 4 (v3 also carried the since-removed inject_failure_* shim
- * and ha.enabled, v2 the engine switch as well, v1 the tick-batching
- * toggle too).
+ * version 5 (v4 also carried frame_task_rate_hz, obstacle_rate_hz,
+ * retrain_interval and the detection, retry and ha objects, v3 the
+ * since-removed inject_failure_* shim and ha.enabled as well, v2 the
+ * engine switch too, v1 the tick-batching toggle too).
  *
  * Times serialize as integer nanoseconds (sim::Time's native unit);
  * doubles in the shortest form that round-trips bit-exactly

@@ -36,7 +36,6 @@
 #include "core/ha.hpp"
 #include "fault/oracle.hpp"
 #include "fault/plan.hpp"
-#include "fault/retry.hpp"
 #include "fault/shard_chaos.hpp"
 #include "platform/deployment.hpp"
 #include "platform/metrics.hpp"
@@ -53,15 +52,8 @@ struct ScenarioConfig
     double field_size_m = 96.0;
     /** Items (Scenario A: 15) or people (Scenario B: 25). */
     std::size_t targets = 15;
-    /** Recognition tasks per device per second while sweeping. */
-    double frame_task_rate_hz = 1.0;
-    /** On-board obstacle-avoidance rate (always at the edge). */
-    double obstacle_rate_hz = 2.0;
     /** Continuous-learning mode (Fig. 15). */
     apps::RetrainMode retrain = apps::RetrainMode::Swarm;
-    apps::DetectionConfig detection;
-    /** Retraining round period. */
-    sim::Time retrain_interval = 10 * sim::kSecond;
     /** Give-up horizon. */
     sim::Time time_cap = 1500 * sim::kSecond;
     /** Maximum coverage sweeps before declaring failure. */
@@ -75,16 +67,15 @@ struct ScenarioConfig
     fault::FaultPlan faults;
     /** Restore policy applied to cloud pipeline stages. */
     cloud::FaultRecovery recovery = cloud::FaultRecovery::Respawn;
-    /** Edge->cloud offload retry / circuit-breaker tuning (Sec. 4.6). */
-    fault::RetryConfig retry;
     /**
-     * Swarm-controller HA tuning (Sec. 4.6-4.7). The HA stack spins up
-     * iff the fault plan contains controller_crash /
-     * controller_partition events, which only the HiveMind platform
-     * accepts; every other run is byte-identical to the pre-HA
-     * behavior.
+     * Swarm-controller checkpoint period (Sec. 4.6), the one HA knob a
+     * scenario sets; the rest of the HA stack runs core::HaConfig's
+     * defaults (Sec. 4.7: two hot standbys). The stack spins up iff
+     * the fault plan contains controller_crash / controller_partition
+     * events, which only the HiveMind platform accepts; every other
+     * run is byte-identical to the pre-HA behavior.
      */
-    core::HaConfig ha;
+    sim::Time checkpoint_interval = core::HaConfig{}.checkpoint_interval;
     /**
      * Simulation shards: device actors (all four scenario kinds)
      * spread over max(shards, 1) sim::SwarmRuntime kernels. The result

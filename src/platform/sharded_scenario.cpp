@@ -60,6 +60,12 @@ constexpr double kCkptLinkBps = 1e9;
 // reality by up to one beat period plus control-plane transfer, so a
 // single all-dead reading can race a rejoin already on the wire.
 constexpr int kFleetDeadDwellTicks = 3;
+// Recognition frames per device per second while sweeping.
+constexpr double kFrameTaskRateHz = 1.0;
+// On-board obstacle-avoidance rate (always at the edge, Sec. 2.1).
+constexpr double kObstacleRateHz = 2.0;
+// Continuous-learning retraining round period (Fig. 15).
+constexpr sim::Time kRetrainInterval = 10 * sim::kSecond;
 
 /** Stage shares of one completed frame. */
 struct StageShares
@@ -147,9 +153,9 @@ struct DeviceActor
     std::uint64_t rover_gen = 0;
 
     DeviceActor(sim::Simulator& shard, std::uint64_t seed, std::size_t d,
-                const edge::DeviceSpec& spec, const fault::RetryConfig& retry)
+                const edge::DeviceSpec& spec)
         : id(d), sim(&shard), rng(seed), dev(shard, rng, d, spec),
-          retrier(retry)
+          retrier(fault::RetryConfig{})
     {
     }
 
@@ -233,7 +239,7 @@ struct ControllerTier
           balancer(geo::Rect{0.0, 0.0, sc.field_size_m, sc.field_size_m},
                    devices),
           detector(shard, devices),
-          learning(devices, sc.detection, sc.retrain),
+          learning(devices, apps::DetectionConfig{}, sc.retrain),
           pass(devices, 0), alive_known(devices, 1),
           inflight_known(devices, 0), started_known(devices, 0)
     {
@@ -399,6 +405,13 @@ class ShardedScenarioEngine
     void note_restored(std::size_t device, bool repartitioned);
 
     // --- Controller HA (shard 0, checkpoint RPCs to the cloud shard) ---
+    /** core::HaConfig's defaults with the scenario's checkpoint period. */
+    core::HaConfig ha_config() const
+    {
+        core::HaConfig ha;
+        ha.checkpoint_interval = sc_.checkpoint_interval;
+        return ha;
+    }
     core::ControllerCheckpoint make_checkpoint() const;
     core::ReconcileReport reconcile_after_takeover(
         const core::ControllerCheckpoint& cp);
@@ -458,7 +471,7 @@ void
 ShardedScenarioEngine::wire_devices(const DeploymentConfig& dep)
 {
     const std::size_t n = dep.devices;
-    const net::TopologyConfig& net = dep.net;
+    const net::TopologyConfig& net = cloud_.network().config();
     devices_.reserve(n);
     data_up_.reserve(n);
     data_down_.reserve(n);
@@ -469,7 +482,7 @@ ShardedScenarioEngine::wire_devices(const DeploymentConfig& dep)
         sim::Simulator& shard = runtime_.shard(owner);
         devices_.push_back(std::make_unique<DeviceActor>(
             shard, dep.seed ^ (0x9e3779b97f4a7c15ull * (d + 1)), d,
-            dep.device_spec, sc_.retry));
+            dep.device_spec));
         DeviceActor* a = devices_.back().get();
         a->configured_loss = net.wireless_loss;
         // Data plane to/from the cloud shard; control plane to/from
@@ -530,7 +543,7 @@ ShardedScenarioEngine::wire_devices(const DeploymentConfig& dep)
                 if (a->dev.alive())
                     frame_task(*a);
                 self.again_in(sim::from_seconds(
-                    a->rng.exponential(1.0 / sc_.frame_task_rate_hz)));
+                    a->rng.exponential(1.0 / kFrameTaskRateHz)));
             });
 
         // Obstacle avoidance always runs on-board (Sec. 2.1) and
@@ -542,7 +555,7 @@ ShardedScenarioEngine::wire_devices(const DeploymentConfig& dep)
                 if (a->dev.alive())
                     a->dev.executor().submit(18.0 * 0.55, nullptr);
                 self.again_in(sim::from_seconds(
-                    a->rng.exponential(1.0 / sc_.obstacle_rate_hz)));
+                    a->rng.exponential(1.0 / kObstacleRateHz)));
             });
     }
 }
@@ -606,7 +619,7 @@ ShardedScenarioEngine::wire_ha(const DeploymentConfig& dep)
     // plans on every platform but HiveMind.
     if (!plan_has_controller_faults(sc_.faults))
         return;
-    const net::TopologyConfig& net = dep.net;
+    const net::TopologyConfig& net = cloud_.network().config();
     // The checkpoint plane shares the radio propagation so it never
     // tightens the declared lookahead below the existing channels.
     ckpt_up_ = std::make_unique<net::ShardLink>(
@@ -617,7 +630,7 @@ ShardedScenarioEngine::wire_ha(const DeploymentConfig& dep)
         net.wireless_prop);
     ckpt_rng_ = std::make_unique<sim::Rng>(dep.seed ^ 0xc4ec9017ull);
 
-    ha_ = std::make_unique<core::HaCluster>(*ctrl_.sim, sc_.ha);
+    ha_ = std::make_unique<core::HaCluster>(*ctrl_.sim, ha_config());
     // Checkpoint writes ride the RPC plane to the cloud DataStore and
     // commit on shard 0 once the ack returns; a write lost on the
     // plane simply never becomes durable (the next interval retries).
@@ -716,7 +729,7 @@ ShardedScenarioEngine::arm_chaos()
     hooks.crash_server = [this](std::size_t s, sim::Time down_for) {
         // route_plan() routes only effective crashes (never one on a
         // server still down), so every call here is a new incident.
-        cloud_.faas().crash_server(s, 0);
+        cloud_.faas().crash_server(s);
         ++server_crashes_;
         // Worker monitors detect the crash at once; service is back
         // when the server rejoins placement, down_for later.
@@ -995,7 +1008,7 @@ ShardedScenarioEngine::offload(DeviceActor& a, std::uint64_t frame,
     }
     a.radio_bytes += bytes;  // Radio energy per offload attempt.
     air_attempt(a, frame, bytes, attempt,
-                cloud_.config().net.max_retransmits);
+                cloud_.network().config().max_retransmits);
 }
 
 void
@@ -1004,7 +1017,7 @@ ShardedScenarioEngine::air_attempt(DeviceActor& a, std::uint64_t frame,
                                    int tries_left)
 {
     const double loss = a.loss_now();
-    const sim::Time timeout = cloud_.config().net.retransmit_timeout;
+    const sim::Time timeout = cloud_.network().config().retransmit_timeout;
     if (loss >= 1.0) {
         // Radio blackout: nothing reaches the air; each retry burns a
         // retransmit timeout until the budget is gone.
@@ -1164,7 +1177,7 @@ ShardedScenarioEngine::drain_backlog(DeviceActor& a)
     a.radio_bytes += bytes;
     a.drain_inflight += backlog.frames;
     drain_attempt(a, bytes, backlog.frames,
-                  cloud_.config().net.max_retransmits);
+                  cloud_.network().config().max_retransmits);
 }
 
 void
@@ -1172,7 +1185,7 @@ ShardedScenarioEngine::drain_attempt(DeviceActor& a, std::uint64_t bytes,
                                      std::uint64_t frames, int tries_left)
 {
     const double loss = a.loss_now();
-    const sim::Time timeout = cloud_.config().net.retransmit_timeout;
+    const sim::Time timeout = cloud_.network().config().retransmit_timeout;
     if (loss > 0.0 && (loss >= 1.0 || a.rng.chance(loss))) {
         if (tries_left <= 0) {
             ++a.wireless_drops;  // Backlog lost on the air.
@@ -1625,7 +1638,7 @@ ShardedScenarioEngine::controller_tick()
         return;
     sim::Time now = ctrl_.sim->now();
     if (!ctrl_.down) {
-        if (now - ctrl_.last_retrain >= sc_.retrain_interval) {
+        if (now - ctrl_.last_retrain >= kRetrainInterval) {
             ctrl_.learning.retrain();
             ctrl_.last_retrain = now;
         }
@@ -1800,10 +1813,12 @@ ShardedScenarioEngine::build_audit(const RunMetrics& m) const
     audit.completion_margin = sim::kSecond;
     audit.completed = ctrl_.goal;
     audit.ha_enabled = ha_ != nullptr;
-    audit.ha_standbys = sc_.ha.standbys;
-    audit.checkpoint_interval_s = sim::to_seconds(sc_.ha.checkpoint_interval);
-    audit.breaker_cooldown_s = sim::to_seconds(sc_.retry.breaker_cooldown);
-    audit.configured_loss = cloud_.config().net.wireless_loss;
+    const core::HaConfig ha = ha_config();
+    audit.ha_standbys = ha.standbys;
+    audit.checkpoint_interval_s = sim::to_seconds(ha.checkpoint_interval);
+    audit.breaker_cooldown_s =
+        sim::to_seconds(fault::RetryConfig{}.breaker_cooldown);
+    audit.configured_loss = cloud_.network().config().wireless_loss;
     audit.plan = sc_.faults;
     audit.recovery = m.recovery;
     for (const auto& ap : devices_) {

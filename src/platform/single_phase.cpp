@@ -180,74 +180,27 @@ JobHarness::handle_task(std::size_t device)
 
 }  // namespace
 
-namespace {
-
-/** Install the arrival process(es) for one harness. */
 void
-install_arrivals(JobHarness& harness, Deployment& dep, const JobConfig& job,
-                 const apps::AppSpec& app)
+install_poisson_arrivals(Deployment& dep, sim::Rng& arrivals, double rate_hz,
+                         const JobConfig& job,
+                         std::function<void(std::size_t)> arrive)
 {
     sim::Simulator& simulator = dep.simulator();
-    if (job.pattern) {
-        // Aggregate open-loop arrivals assigned to random devices.
+    for (std::size_t d = 0; d < dep.device_count(); ++d) {
         sim::recurring(
-            simulator, 0,
-            [&harness, &simulator, &job, &dep](const sim::Recur& self) {
+            simulator,
+            sim::from_seconds(arrivals.uniform(0.0, 1.0 / rate_hz)),
+            [&simulator, &arrivals, &job, arrive, d,
+             rate_hz](const sim::Recur& self) {
                 if (simulator.now() >= job.duration)
                     return;
-                double rate = job.pattern->rate_at(simulator.now());
-                if (rate > 1e-9) {
-                    std::size_t device =
-                        harness.arrivals.pick(dep.device_count());
-                    harness.handle_task(device);
-                }
-                double next_rate = std::max(rate, 0.2);
+                arrive(d);
                 self.again_in(sim::from_seconds(
-                    harness.arrivals.exponential(1.0 / next_rate)));
+                    arrivals.exponential(1.0 / rate_hz)));
             });
-    } else {
-        // Independent per-device Poisson arrivals.
-        double rate = app.task_rate_hz;
-        for (std::size_t d = 0; d < dep.device_count(); ++d) {
-            sim::recurring(
-                simulator,
-                sim::from_seconds(harness.arrivals.uniform(0.0, 1.0 / rate)),
-                [&harness, &simulator, &job, d, rate](const sim::Recur& self) {
-                    if (simulator.now() >= job.duration)
-                        return;
-                    harness.handle_task(d);
-                    self.again_in(sim::from_seconds(
-                        harness.arrivals.exponential(1.0 / rate)));
-                });
-        }
     }
-
 }
 
-/** Shared-deployment totals appended to a harness's metrics. */
-void
-collect_shared(JobHarness& harness, Deployment& dep, const JobConfig& job)
-{
-    for (std::size_t d = 0; d < dep.device_count(); ++d) {
-        edge::Device& dev = dep.device(d);
-        harness.metrics.battery_pct.add(dev.battery().consumed_percent());
-        harness.metrics.tasks_shed += dev.executor().shed();
-    }
-    sim::Summary bw = dep.network().air_meter().rate_summary(job.duration);
-    for (double r : bw.samples())
-        harness.metrics.bandwidth_MBps.add(r / 1e6);
-    harness.metrics.cold_starts = dep.faas().cold_starts();
-    harness.metrics.warm_starts = dep.faas().warm_starts();
-    harness.metrics.faults = dep.faas().faults();
-    if (dep.scheduler())
-        harness.metrics.respawns = dep.scheduler()->respawns();
-    harness.metrics.cloud_rpc_cpu_s = dep.network().cloud_rpc_cpu_seconds();
-    harness.metrics.recovery.frames_dropped = dep.network().frames_dropped();
-    harness.metrics.recovery.wireless_retransmissions =
-        dep.network().retransmissions();
-}
-
-/** Settle device energy at the end of a run. */
 void
 settle_energy(Deployment& dep, const JobConfig& job)
 {
@@ -264,20 +217,34 @@ settle_energy(Deployment& dep, const JobConfig& job)
     }
 }
 
-}  // namespace
+void
+collect_shared(Deployment& dep, const JobConfig& job, RunMetrics& metrics)
+{
+    for (std::size_t d = 0; d < dep.device_count(); ++d) {
+        edge::Device& dev = dep.device(d);
+        metrics.battery_pct.add(dev.battery().consumed_percent());
+        metrics.tasks_shed += dev.executor().shed();
+    }
+    sim::Summary bw = dep.network().air_meter().rate_summary(job.duration);
+    for (double r : bw.samples())
+        metrics.bandwidth_MBps.add(r / 1e6);
+    metrics.cold_starts = dep.faas().cold_starts();
+    metrics.warm_starts = dep.faas().warm_starts();
+    metrics.faults = dep.faas().faults();
+    if (dep.scheduler())
+        metrics.respawns = dep.scheduler()->respawns();
+    metrics.cloud_rpc_cpu_s = dep.network().cloud_rpc_cpu_seconds();
+    metrics.recovery.frames_dropped = dep.network().frames_dropped();
+    metrics.recovery.wireless_retransmissions =
+        dep.network().retransmissions();
+}
 
 RunMetrics
 run_single_phase(const apps::AppSpec& app, const PlatformOptions& options,
                  const DeploymentConfig& deployment_config,
                  const JobConfig& job)
 {
-    Deployment dep(deployment_config, options);
-    JobHarness harness(dep, app);
-    install_arrivals(harness, dep, job, app);
-    dep.simulator().run_until(job.duration + job.drain);
-    settle_energy(dep, job);
-    collect_shared(harness, dep, job);
-    return harness.metrics;
+    return run_multi_tenant({app}, options, deployment_config, job).front();
 }
 
 std::vector<RunMetrics>
@@ -291,14 +258,16 @@ run_multi_tenant(const std::vector<apps::AppSpec>& app_list,
     harnesses.reserve(app_list.size());
     for (const apps::AppSpec& app : app_list) {
         harnesses.push_back(std::make_unique<JobHarness>(dep, app));
-        install_arrivals(*harnesses.back(), dep, job, app);
+        JobHarness* h = harnesses.back().get();
+        install_poisson_arrivals(dep, h->arrivals, app.task_rate_hz, job,
+                                 [h](std::size_t d) { h->handle_task(d); });
     }
     dep.simulator().run_until(job.duration + job.drain);
     settle_energy(dep, job);
     std::vector<RunMetrics> out;
     out.reserve(app_list.size());
     for (auto& h : harnesses) {
-        collect_shared(*h, dep, job);
+        collect_shared(dep, job, h->metrics);
         out.push_back(h->metrics);
     }
     return out;

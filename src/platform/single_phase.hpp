@@ -5,10 +5,12 @@
  * Runner for the single-phase applications S1-S10.
  *
  * Reproduces the paper's methodology (Sec. 2.3): each job runs for a
- * fixed duration under an open-loop arrival process (per-device task
- * rate, or an aggregate LoadPattern for the elasticity experiments),
- * on one of the four platforms. Per-task stage latencies, battery,
- * and bandwidth are collected into RunMetrics.
+ * fixed duration under an open-loop arrival process (independent
+ * per-device Poisson arrivals at the app's task rate), on one of the
+ * four platforms. Per-task stage latencies, battery, and bandwidth are
+ * collected into RunMetrics. The task-graph runner
+ * (platform/graph_runner.hpp) shares the job config, the arrival
+ * process and the end-of-run settlement.
  *
  * Platform task paths:
  *  - Centralized (FaaS/IaaS): sensor payload uplink -> cloud task ->
@@ -20,30 +22,48 @@
  *    intra-task parallelism under the HiveMind scheduler).
  */
 
+#include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "apps/appspec.hpp"
-#include "apps/workload.hpp"
 #include "platform/deployment.hpp"
 #include "platform/metrics.hpp"
 #include "platform/options.hpp"
 
 namespace hivemind::platform {
 
-/** Single-phase run parameters. */
+/** Job run parameters (single-phase apps and task graphs). */
 struct JobConfig
 {
     /** Generation window; tasks arriving before this are completed. */
     sim::Time duration = 120 * sim::kSecond;
     /** Extra time allowed for queued tasks to drain. */
     sim::Time drain = 120 * sim::kSecond;
-    /** Aggregate arrival-rate override (elasticity experiments). */
-    const apps::LoadPattern* pattern = nullptr;
     /** Count hover/drive energy in the battery numbers. */
     bool include_motion_energy = false;
 };
 
-/** Run one application on one platform; returns collected metrics. */
+/**
+ * Independent per-device Poisson arrivals at @p rate_hz until
+ * job.duration: device d's first arrival is uniform in
+ * [0, 1 / rate_hz), each later one an exponential gap drawn after
+ * @p arrive(d) runs, all from @p arrivals (which must outlive the
+ * run).
+ */
+void install_poisson_arrivals(Deployment& dep, sim::Rng& arrivals,
+                              double rate_hz, const JobConfig& job,
+                              std::function<void(std::size_t)> arrive);
+
+/** Settle device compute, idle, radio (and motion) energy at run end. */
+void settle_energy(Deployment& dep, const JobConfig& job);
+
+/** Add the shared-deployment totals (battery, bandwidth, cloud and
+ *  radio counters) to @p metrics, after settle_energy(). */
+void collect_shared(Deployment& dep, const JobConfig& job,
+                    RunMetrics& metrics);
+
+/** Run one application on one platform: run_multi_tenant() of one. */
 RunMetrics run_single_phase(const apps::AppSpec& app,
                             const PlatformOptions& options,
                             const DeploymentConfig& deployment_config,

@@ -1,114 +1,15 @@
 /**
  * @file
- * Tests for the workload algorithm cores: occupancy-grid mapping
- * (S10's SLAM backbone) and embedding deduplication (S5 / FaceNet's
- * Euclidean-space clustering).
+ * Tests for the workload algorithm core of embedding deduplication
+ * (S5 / FaceNet's Euclidean-space clustering).
  */
 
 #include <gtest/gtest.h>
 
 #include "apps/embedding.hpp"
-#include "geo/mapping.hpp"
 
 namespace hivemind {
 namespace {
-
-// ---------------------------------------------------------------------
-// Occupancy-grid mapping
-// ---------------------------------------------------------------------
-
-geo::Grid
-walled_world()
-{
-    geo::Grid world(geo::Rect{0, 0, 20, 20}, 1.0);
-    // A wall segment at x = 10, y in [5, 15).
-    for (int y = 5; y < 15; ++y)
-        world.set_blocked({10, y}, true);
-    return world;
-}
-
-TEST(RayCast, HitsWall)
-{
-    geo::Grid world = walled_world();
-    geo::RangeReading r =
-        geo::cast_ray(world, {2.0, 10.0}, {1.0, 0.0}, 30.0);
-    EXPECT_TRUE(r.hit);
-    EXPECT_NEAR(r.range, 8.0, 1.0);
-}
-
-TEST(RayCast, MissesIntoOpenSpace)
-{
-    geo::Grid world = walled_world();
-    geo::RangeReading r =
-        geo::cast_ray(world, {2.0, 2.0}, {1.0, 0.0}, 10.0);
-    EXPECT_FALSE(r.hit);
-    EXPECT_DOUBLE_EQ(r.range, 10.0);
-}
-
-TEST(RayCast, StopsAtWorldBoundary)
-{
-    geo::Grid world = walled_world();
-    geo::RangeReading r =
-        geo::cast_ray(world, {18.0, 18.0}, {1.0, 0.0}, 50.0);
-    EXPECT_FALSE(r.hit);
-}
-
-TEST(OccupancyMapper, SingleScanClassifiesFreeAndOccupied)
-{
-    geo::Grid world = walled_world();
-    geo::OccupancyMapper mapper(world.bounds(), 1.0);
-    // Several scans from the same pose build confidence.
-    for (int i = 0; i < 4; ++i)
-        mapper.integrate_scan(geo::scan_world(world, {5.0, 10.0}, 180, 18.0));
-    EXPECT_GT(mapper.known_count(), 50u);
-    // The cell in front of the sensor is free; the wall cell occupied.
-    EXPECT_TRUE(mapper.free(geo::Cell{6, 10}));
-    EXPECT_TRUE(mapper.occupied(geo::Cell{10, 10}));
-}
-
-TEST(OccupancyMapper, UnknownAtStart)
-{
-    geo::OccupancyMapper mapper(geo::Rect{0, 0, 10, 10}, 1.0);
-    EXPECT_EQ(mapper.known_count(), 0u);
-    EXPECT_FALSE(mapper.occupied(geo::Cell{3, 3}));
-    EXPECT_FALSE(mapper.free(geo::Cell{3, 3}));
-    EXPECT_DOUBLE_EQ(mapper.log_odds(geo::Cell{3, 3}), 0.0);
-}
-
-/** Property: mapping a random world from a survey route is accurate. */
-class MappingAccuracy : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(MappingAccuracy, RecoversRandomWorlds)
-{
-    sim::Rng rng(static_cast<std::uint64_t>(GetParam()) * 991);
-    geo::Grid world(geo::Rect{0, 0, 24, 24}, 1.0);
-    for (int x = 0; x < 24; ++x) {
-        for (int y = 0; y < 24; ++y) {
-            if (rng.chance(0.08))
-                world.set_blocked({x, y}, true);
-        }
-    }
-    geo::OccupancyMapper mapper(world.bounds(), 1.0);
-    // Survey from a lattice of free poses, several passes.
-    for (int pass = 0; pass < 3; ++pass) {
-        for (int gx = 2; gx < 24; gx += 5) {
-            for (int gy = 2; gy < 24; gy += 5) {
-                geo::Vec2 pose{static_cast<double>(gx) + 0.5,
-                               static_cast<double>(gy) + 0.5};
-                if (world.blocked(world.cell_at(pose)))
-                    continue;
-                mapper.integrate_scan(
-                    geo::scan_world(world, pose, 120, 12.0));
-            }
-        }
-    }
-    EXPECT_GT(mapper.known_count(), 200u);
-    EXPECT_GT(mapper.accuracy_against(world), 0.9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MappingAccuracy, ::testing::Range(1, 7));
 
 // ---------------------------------------------------------------------
 // Embedding deduplication

@@ -751,7 +751,7 @@ TEST(WarmPool, CrashEmptiesTheServerForEveryApp)
     w.one(0, "a", 2);
     w.one(1, "a", 1);
     w.one(2, "b", 1);
-    w.rt.crash_server(1, 0);
+    w.rt.crash_server(1);
     EXPECT_EQ(w.cluster.server(1).used_memory_mb(), 0u);
     w.rt.restore_server(1);
     EXPECT_TRUE(w.one(3, "b", 1).cold_start);  // "b"'s only container died.
@@ -782,7 +782,7 @@ TEST(FaasCrash, LostBodiesReportInBodyStartOrder)
     simulator.run_until(3 * sim::kSecond);
     ASSERT_EQ(rt.active(), 5);
     EXPECT_TRUE(lost.empty());
-    rt.crash_server(0, 0);
+    rt.crash_server(0);
     ASSERT_EQ(lost.size(), 5u);
     for (std::size_t i = 0; i < lost.size(); ++i) {
         EXPECT_TRUE(lost[i].lost);
@@ -812,7 +812,7 @@ TEST(FaasPlacement, CoLocationHintSkipsACrashedServer)
                 simulator, rng, rt, core::SchedulerConfig{});
             scheduler->install();
         }
-        rt.crash_server(1, 0);  // Never restored.
+        rt.crash_server(1);  // Never restored.
         InvokeRequest req;
         req.app = "child";
         req.work_core_ms = 10.0;
@@ -827,18 +827,6 @@ TEST(FaasPlacement, CoLocationHintSkipsACrashedServer)
         simulator.run_until(120 * sim::kSecond);
         EXPECT_EQ(completed, 20);
     }
-}
-
-TEST(LinkExtras, RateChangeAffectsNewTransfers)
-{
-    sim::Simulator s;
-    net::Link link(s, 8e6, 0);
-    sim::Time first = link.transfer(1'000'000, nullptr);
-    EXPECT_EQ(first, sim::kSecond);
-    link.set_rate_bps(16e6);
-    sim::Time second = link.transfer(1'000'000, nullptr);
-    EXPECT_EQ(second, sim::kSecond + sim::kSecond / 2);
-    EXPECT_DOUBLE_EQ(link.rate_bps(), 16e6);
 }
 
 /** Property: interference grows with server occupancy. */

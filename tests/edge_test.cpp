@@ -45,8 +45,6 @@ TEST(DeviceSpec, Presets)
     EXPECT_GT(drone.power.motion_w, rover.power.motion_w);  // Hovering.
     // Sec. 2.1 constants.
     EXPECT_DOUBLE_EQ(drone.speed_mps, 4.0);
-    EXPECT_DOUBLE_EQ(drone.camera_fps, 8.0);
-    EXPECT_EQ(drone.frame_bytes, 2u * 1024u * 1024u);
     EXPECT_DOUBLE_EQ(drone.footprint_w, 6.7);
     EXPECT_DOUBLE_EQ(drone.footprint_h, 8.75);
 }

@@ -207,7 +207,9 @@ run_crash_recovery(cloud::FaultRecovery policy)
     // The body starts after front-end + cold start (~170 ms); by 1.2 s
     // the function is mid-run, past at least one checkpoint boundary.
     s.schedule_at(1200 * sim::kMillisecond, [&]() {
-        rt.crash_server(0, 500 * sim::kMillisecond);
+        rt.crash_server(0);
+        s.schedule_in(500 * sim::kMillisecond,
+                      [&]() { rt.restore_server(0); });
     });
     s.run();
     out.killed = rt.killed_invocations();
@@ -278,7 +280,8 @@ TEST(ServerCrash, WarmPoolEvaporatesAndServerRejoins)
     ASSERT_EQ(completions, 1);
 
     // Crash while idle: the warm container dies with the host.
-    rt.crash_server(0, 100 * sim::kMillisecond);
+    rt.crash_server(0);
+    s.schedule_in(100 * sim::kMillisecond, [&]() { rt.restore_server(0); });
     s.run();
     rt.invoke(req, [&](const cloud::InvocationTrace& t) {
         ++completions;

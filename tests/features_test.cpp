@@ -285,11 +285,12 @@ TEST(GraphRunner, RunsListing3Graph)
     dep.servers = 6;
     dep.cores_per_server = 20;
     dep.seed = 4;
-    platform::GraphJobConfig job;
+    platform::JobConfig job;
     job.duration = 20 * sim::kSecond;
-    job.activation_rate_hz = 0.5;
+    job.drain = 60 * sim::kSecond;
     platform::RunMetrics m = platform::run_task_graph(
-        graph, placement, platform::PlatformOptions::hivemind(), dep, job);
+        graph, placement, platform::PlatformOptions::hivemind(), dep, job,
+        0.5);
     EXPECT_GT(m.tasks_completed, 30u);
     EXPECT_GT(m.task_latency_s.median(), 0.0);
     // The activation spans five tasks including slow edge stages.
@@ -313,14 +314,16 @@ TEST(GraphRunner, AllEdgeSlowerThanHybridForHeavyGraph)
     dep.servers = 6;
     dep.cores_per_server = 20;
     dep.seed = 6;
-    platform::GraphJobConfig job;
+    platform::JobConfig job;
     job.duration = 20 * sim::kSecond;
-    job.activation_rate_hz = 0.05;  // Keep the edge core stable.
+    job.drain = 60 * sim::kSecond;
+    const double rate = 0.05;  // Keep the edge core stable.
     platform::RunMetrics edge_m = platform::run_task_graph(
         graph, all_edge, platform::PlatformOptions::distributed_edge(), dep,
-        job);
+        job, rate);
     platform::RunMetrics hybrid_m = platform::run_task_graph(
-        graph, hybrid, platform::PlatformOptions::hivemind(), dep, job);
+        graph, hybrid, platform::PlatformOptions::hivemind(), dep, job,
+        rate);
     EXPECT_GT(edge_m.task_latency_s.median(),
               hybrid_m.task_latency_s.median());
 }
@@ -345,13 +348,13 @@ TEST(GraphRunner, SimulationProfilerPrefersCloudForHeavyWork)
     dep.servers = 6;
     dep.cores_per_server = 20;
     dep.seed = 8;
-    platform::GraphJobConfig job;
+    platform::JobConfig job;
     job.duration = 15 * sim::kSecond;
-    job.activation_rate_hz = 0.2;
+    job.drain = 60 * sim::kSecond;
 
     synth::PlacementExplorer explorer(graph, synth::CostModelParams{});
     explorer.set_profiler(platform::make_simulation_profiler(
-        platform::PlatformOptions::hivemind(), dep, job));
+        platform::PlatformOptions::hivemind(), dep, job, 0.2));
     auto best = explorer.best(synth::Objective{});
     EXPECT_EQ(best.placement.at("crunch"), synth::Location::Cloud);
     EXPECT_EQ(best.placement.at("sense"), synth::Location::Edge);

@@ -2,15 +2,16 @@
  * @file
  * Fleet service-mode tests: profile round-trips (randomized configs,
  * fuzzer-generated fault plans, strict unknown-key / version
- * rejection), the platform::run() facade's shard dispatch and plan
- * checks, fleet determinism (per-swarm checksums equal solo runs and
- * invariant to worker count), and the JSONL stream (record order and
- * bytes invariant to worker count, abnormal swarm exits,
- * well-formedness).
+ * rejection, the checked-in example fleet profile), the
+ * platform::run() facade's shard dispatch and plan checks, fleet
+ * determinism (per-swarm checksums equal solo runs and invariant to
+ * worker count), and the JSONL stream (record order and bytes
+ * invariant to worker count, abnormal swarm exits, well-formedness).
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -50,14 +51,7 @@ exotic_scenario()
     sc.kind = platform::ScenarioKind::MovingPeople;
     sc.field_size_m = 123.456789012345;
     sc.targets = 77;
-    sc.frame_task_rate_hz = 2.5;
-    sc.obstacle_rate_hz = 0.125;
     sc.retrain = apps::RetrainMode::Self;
-    sc.detection.base_correct = 0.71;
-    sc.detection.max_correct = 0.9991;
-    sc.detection.tau_samples = 42.42;
-    sc.detection.fn_share = 0.333;
-    sc.retrain_interval = 7 * sim::kSecond + 3;
     sc.time_cap = 999 * sim::kSecond + 1;
     sc.max_passes = 13;
     sc.course_legs = 9;
@@ -68,20 +62,7 @@ exotic_scenario()
         .controller_crash(30 * sim::kSecond)
         .device_crash(5 * sim::kSecond, 3);
     sc.recovery = cloud::FaultRecovery::Checkpoint;
-    sc.retry.max_attempts = 9;
-    sc.retry.base_backoff = 250 * sim::kMillisecond;
-    sc.retry.multiplier = 1.75;
-    sc.retry.jitter = 0.4;
-    sc.retry.breaker_threshold = 5;
-    sc.retry.breaker_cooldown = 11 * sim::kSecond;
-    sc.ha.checkpoint_interval = 3 * sim::kSecond;
-    sc.ha.primary_beat_interval = 400 * sim::kMillisecond;
-    sc.ha.election_timeout = 1300 * sim::kMillisecond;
-    sc.ha.standbys = 3;
-    sc.ha.replay_Bps = 48e6;
-    sc.ha.reconcile_per_device = 15 * sim::kMillisecond;
-    sc.ha.redrive_per_offload = 7 * sim::kMillisecond;
-    sc.ha.drift_replay_frac = 0.27;
+    sc.checkpoint_interval = 3 * sim::kSecond + 7;
     sc.shards = 4;
     sc.adaptive_lookahead = false;
     return sc;
@@ -132,15 +113,7 @@ TEST(ScenarioProfileTest, RandomizedConfigsRoundTrip)
         sc.kind = kinds[rng.uniform_int(0, 3)];
         sc.field_size_m = rng.uniform(1.0, 4096.0);
         sc.targets = static_cast<std::size_t>(rng.uniform_int(1, 500));
-        sc.frame_task_rate_hz = rng.uniform(0.01, 30.0);
-        sc.obstacle_rate_hz = rng.uniform(0.01, 10.0);
         sc.retrain = retrains[rng.uniform_int(0, 2)];
-        sc.detection.base_correct = rng.uniform(0.0, 1.0);
-        sc.detection.max_correct = rng.uniform(0.0, 1.0);
-        sc.detection.tau_samples = rng.uniform(1.0, 1e4);
-        sc.detection.fn_share = rng.uniform(0.0, 1.0);
-        sc.retrain_interval = rng.uniform_int(1, 100) * sim::kSecond +
-                              rng.uniform_int(0, 999);
         sc.time_cap = rng.uniform_int(1, 5000) * sim::kSecond;
         sc.max_passes = rng.uniform_int(1, 1000000);
         sc.course_legs = rng.uniform_int(1, 20);
@@ -148,11 +121,8 @@ TEST(ScenarioProfileTest, RandomizedConfigsRoundTrip)
         sc.frame_bytes_override =
             static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30));
         sc.recovery = recoveries[rng.uniform_int(0, 2)];
-        sc.retry.max_attempts = rng.uniform_int(1, 16);
-        sc.retry.multiplier = rng.uniform(1.0, 4.0);
-        sc.retry.jitter = rng.uniform(0.0, 1.0);
-        sc.ha.replay_Bps = rng.uniform(1e6, 1e9);
-        sc.ha.drift_replay_frac = rng.uniform(0.0, 1.0);
+        sc.checkpoint_interval = rng.uniform_int(1, 100) * sim::kSecond +
+                                 rng.uniform_int(0, 999);
         sc.shards = rng.uniform_int(1, 16);
         sc.adaptive_lookahead = rng.chance(0.5);
         sc.faults = fuzzer.generate(
@@ -166,7 +136,7 @@ TEST(ScenarioProfileTest, RandomizedConfigsRoundTrip)
 TEST(ScenarioProfileTest, MissingKeysKeepDefaults)
 {
     platform::ScenarioConfig sc = platform::scenario_from_json(
-        "{\"version\":4,\"kind\":\"rover_maze\",\"maze_side\":13}");
+        "{\"version\":5,\"kind\":\"rover_maze\",\"maze_side\":13}");
     EXPECT_EQ(sc.kind, platform::ScenarioKind::RoverMaze);
     EXPECT_EQ(sc.maze_side, 13);
     EXPECT_EQ(sc.targets, platform::ScenarioConfig{}.targets);
@@ -178,38 +148,23 @@ TEST(ScenarioProfileTest, RejectsUnknownAndMalformed)
     // Unknown top-level keys, v2's engine switch and v3's
     // inject_failure_* shim included.
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":4,\"sharts\":2}"),
+                     "{\"version\":5,\"sharts\":2}"),
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":4,\"engine\":\"auto\"}"),
+                     "{\"version\":5,\"engine\":\"auto\"}"),
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":4,\"inject_failure_at\":5}"),
+                     "{\"version\":5,\"inject_failure_at\":5}"),
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":4,\"inject_failure_device\":1}"),
-                 std::invalid_argument);
-    // Unknown nested keys.
-    EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":4,\"detection\":{\"bias\":1}}"),
-                 std::invalid_argument);
-    EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":4,\"retry\":{\"attempts\":4}}"),
-                 std::invalid_argument);
-    EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":4,\"ha\":{\"quorum\":3}}"),
-                 std::invalid_argument);
-    // v3's ha.enabled restated the plan: the HA stack wires iff the
-    // plan holds a controller fault.
-    EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":4,\"ha\":{\"enabled\":true}}"),
+                     "{\"version\":5,\"inject_failure_device\":1}"),
                  std::invalid_argument);
     // Bad enum values.
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":4,\"kind\":\"balloon_race\"}"),
+                     "{\"version\":5,\"kind\":\"balloon_race\"}"),
                  std::invalid_argument);
-    // Version handling: missing, superseded (v1, v2, v3), unknown,
-    // trailing garbage.
+    // Version handling: missing, superseded (v1, v2, v3), trailing
+    // garbage; v4 and v6 have a test of their own.
     EXPECT_THROW(platform::scenario_from_json("{\"kind\":\"rover_maze\"}"),
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json("{\"version\":1}"),
@@ -218,15 +173,55 @@ TEST(ScenarioProfileTest, RejectsUnknownAndMalformed)
                  std::invalid_argument);
     EXPECT_THROW(platform::scenario_from_json("{\"version\":3}"),
                  std::invalid_argument);
-    EXPECT_THROW(platform::scenario_from_json("{\"version\":5}"),
+    EXPECT_THROW(platform::scenario_from_json("{\"version\":5} extra"),
                  std::invalid_argument);
-    EXPECT_THROW(platform::scenario_from_json("{\"version\":4} extra"),
-                 std::invalid_argument);
-    // A v2 plan nested in a v4 profile is rejected too.
+    // A v2 plan nested in a v5 profile is rejected too.
     EXPECT_THROW(platform::scenario_from_json(
-                     "{\"version\":4,\"faults\":{\"version\":2,"
+                     "{\"version\":5,\"faults\":{\"version\":2,"
                      "\"events\":[]}}"),
                  std::invalid_argument);
+}
+
+/** Whether parsing @p json throws an invalid_argument naming @p why. */
+::testing::AssertionResult
+rejected_for(const std::string& json, const std::string& why)
+{
+    try {
+        platform::scenario_from_json(json);
+    } catch (const std::invalid_argument& e) {
+        if (std::string(e.what()).find(why) != std::string::npos)
+            return ::testing::AssertionSuccess();
+        return ::testing::AssertionFailure()
+            << json << " threw \"" << e.what() << "\", not \"" << why
+            << "\"";
+    }
+    return ::testing::AssertionFailure() << json << " parsed";
+}
+
+TEST(ScenarioProfileTest, RejectsV4AndV6)
+{
+    // v4 is superseded and v6 does not exist; neither is migrated.
+    EXPECT_TRUE(rejected_for("{\"version\":4}",
+                             "unsupported profile version 4"));
+    EXPECT_TRUE(rejected_for("{\"version\":6}",
+                             "unsupported profile version 6"));
+    EXPECT_NO_THROW(platform::scenario_from_json("{\"version\":5}"));
+}
+
+TEST(ScenarioProfileTest, RejectsKeysV5Removed)
+{
+    // v5 dropped the settings no run varied. Each is an unknown key
+    // now, so a stale profile fails loudly instead of running the
+    // defaults it spelled out.
+    for (const char* key :
+         {"retry", "ha", "detection", "frame_task_rate_hz"}) {
+        const std::string value =
+            std::string(key) == "frame_task_rate_hz" ? "1" : "{}";
+        EXPECT_TRUE(rejected_for(std::string("{\"version\":5,\"") + key +
+                                     "\":" + value + "}",
+                                 std::string("unknown profile key \"") +
+                                     key + "\""));
+    }
 }
 
 // --- Fleet profile round-trip -----------------------------------------
@@ -271,6 +266,21 @@ TEST(FleetProfileTest, RoundTripsExactly)
     EXPECT_EQ(platform::fleet_from_json(platform::fleet_to_json(fleet)),
               fleet);
     EXPECT_EQ(fleet.swarms(), 5u);
+}
+
+TEST(FleetProfileTest, ExampleProfileParsesAndRoundTrips)
+{
+    // The checked-in example fleet_capacity reads: 4 tenants of 8
+    // replicas, each a current-version scenario profile.
+    std::ifstream file(FLEET_PROFILE_EXAMPLE);
+    ASSERT_TRUE(file) << FLEET_PROFILE_EXAMPLE;
+    std::stringstream text;
+    text << file.rdbuf();
+    const platform::FleetProfile fleet = platform::fleet_from_json(text.str());
+    EXPECT_EQ(fleet.tenants.size(), 4u);
+    EXPECT_EQ(fleet.swarms(), 32u);
+    EXPECT_EQ(platform::fleet_from_json(platform::fleet_to_json(fleet)),
+              fleet);
 }
 
 TEST(FleetProfileTest, RejectsBadProfiles)

@@ -414,7 +414,7 @@ TEST(ScenarioHa, FrequentCheckpointsShrinkRecoveryTime)
         sc.field_size_m = 96.0;
         sc.targets = 50;  // Unreachable: the cap ends the run.
         sc.time_cap = 40 * sim::kSecond;
-        sc.ha.checkpoint_interval = interval;
+        sc.checkpoint_interval = interval;
         sc.faults.controller_crash(
             15 * sim::kSecond + 700 * sim::kMillisecond);
         return run_scenario(sc, platform::PlatformOptions::hivemind(),
@@ -495,7 +495,7 @@ TEST(ScenarioHa, ShardedFrequentCheckpointsShrinkRecoveryTime)
         sc.field_size_m = 96.0;
         sc.targets = 50;  // Unreachable: the cap ends the run.
         sc.time_cap = 40 * sim::kSecond;
-        sc.ha.checkpoint_interval = interval;
+        sc.checkpoint_interval = interval;
         sc.faults.controller_crash(
             15 * sim::kSecond + 700 * sim::kMillisecond);
         return platform::run_scenario_sharded(
