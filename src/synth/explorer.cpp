@@ -104,10 +104,13 @@ PlacementExplorer::pareto() const
         if (!dominated)
             frontier.push_back(r);
     }
-    std::sort(frontier.begin(), frontier.end(),
-              [](const ExplorationResult& a, const ExplorationResult& b) {
-                  return a.estimate.latency_s < b.estimate.latency_s;
-              });
+    // Stable, so points of equal latency keep their explore_all()
+    // order on any standard library.
+    std::stable_sort(frontier.begin(), frontier.end(),
+                     [](const ExplorationResult& a,
+                        const ExplorationResult& b) {
+                         return a.estimate.latency_s < b.estimate.latency_s;
+                     });
     return frontier;
 }
 

@@ -65,7 +65,10 @@ class PlacementExplorer
      */
     ExplorationResult best(const Objective& objective) const;
 
-    /** Latency/energy Pareto frontier over all placements. */
+    /**
+     * Latency/energy Pareto frontier over all placements, by ascending
+     * latency; ties keep their explore_all() order.
+     */
     std::vector<ExplorationResult> pareto() const;
 
   private:

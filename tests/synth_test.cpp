@@ -225,6 +225,40 @@ TEST(Explorer, ParetoFrontierIsNonDominated)
     }
 }
 
+TEST(Explorer, ParetoTiesKeepExploreAllOrder)
+{
+    // Five free tasks give 32 placements, past the size where an
+    // unstable sort stops behaving like insertion sort. Every estimate
+    // is one of two equal points, so all 32 sit on the frontier and
+    // only a stable sort reproduces the enumeration order.
+    dsl::TaskGraph g("chain");
+    for (int i = 0; i < 5; ++i) {
+        dsl::TaskDef t;
+        t.name = "t" + std::to_string(i);
+        g.add_task(t);
+        if (i > 0)
+            g.add_edge("t" + std::to_string(i - 1), t.name);
+    }
+    PlacementExplorer explorer(g, CostModelParams{});
+    explorer.set_profiler([](const dsl::TaskGraph&,
+                             const PlacementAssignment& p) {
+        bool cloud = p.at("t0") == Location::Cloud;
+        PlacementEstimate e;
+        e.latency_s = cloud ? 1.0 : 2.0;
+        e.edge_energy_j = cloud ? 2.0 : 1.0;
+        return e;
+    });
+    std::vector<PlacementAssignment> expected;
+    for (double latency : {1.0, 2.0})
+        for (const ExplorationResult& r : explorer.explore_all())
+            if (r.estimate.latency_s == latency)
+                expected.push_back(r.placement);
+    auto frontier = explorer.pareto();
+    ASSERT_EQ(frontier.size(), 32u);
+    for (std::size_t i = 0; i < frontier.size(); ++i)
+        EXPECT_EQ(frontier[i].placement, expected[i]) << "rank " << i;
+}
+
 TEST(Explorer, ProfilerOverrides)
 {
     dsl::TaskGraph g = two_tier();
