@@ -38,32 +38,11 @@ class Link
      */
     sim::Time transfer(std::uint64_t bytes, std::function<void()> done);
 
-    /** Queueing delay a new transfer would currently see. */
-    sim::Time
-    backlog() const
-    {
-        sim::Time now = simulator_->now();
-        return busy_until_ > now ? busy_until_ - now : 0;
-    }
-
-    /** Total payload bytes accepted. */
-    std::uint64_t bytes_total() const { return bytes_total_; }
-
-    /** Fraction of time busy since construction, up to now. */
-    double utilization() const;
-
   private:
     sim::Simulator* simulator_;
     double rate_bps_;
     sim::Time propagation_;
     sim::Time busy_until_ = 0;
-    std::uint64_t bytes_total_ = 0;
-    /// Busy time of completed busy periods (periods that ended before
-    /// the serializer next went idle). The open period, if any, spans
-    /// [busy_start_, busy_until_] and is clipped to now on read, so a
-    /// queued backlog never counts as utilization before it happens.
-    sim::Time busy_accum_ = 0;
-    sim::Time busy_start_ = 0;
 };
 
 }  // namespace hivemind::net
