@@ -22,7 +22,7 @@ run_occupied(double occupancy, bool isolated)
 {
     sim::Simulator simulator;
     sim::Rng rng(23);
-    cloud::Cluster cluster(4, 40, 192 * 1024);
+    cloud::Cluster cluster(4, 40, platform::kServerMemoryMb);
     int pre = static_cast<int>(occupancy * 40.0);
     for (std::size_t s = 0; s < cluster.size(); ++s) {
         for (int c = 0; c < pre; ++c)

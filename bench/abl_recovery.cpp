@@ -29,7 +29,7 @@ run_policy(cloud::FaultRecovery policy, double fault_prob)
 {
     sim::Simulator simulator;
     sim::Rng rng(17);
-    cloud::Cluster cluster(12, 40, 192 * 1024);
+    cloud::Cluster cluster(12, 40, platform::kServerMemoryMb);
     cloud::DataStore store(simulator, rng, cloud::DataStoreConfig{});
     cloud::FaasConfig cfg;
     cfg.fault_prob = fault_prob;

@@ -62,7 +62,7 @@ run_mode(Mode mode)
     if (mode == Mode::Serverless) {
         sim::Simulator simulator;
         sim::Rng rng(3);
-        cloud::Cluster cluster(12, 40, 192 * 1024);
+        cloud::Cluster cluster(12, 40, platform::kServerMemoryMb);
         cloud::DataStore store(simulator, rng, cloud::DataStoreConfig{});
         cloud::FaasRuntime rt(simulator, rng, cluster, store,
                               cloud::FaasConfig{});

@@ -65,7 +65,7 @@ run_app(const apps::AppSpec& app)
     {
         sim::Simulator simulator;
         sim::Rng rng(4);
-        cloud::Cluster cluster(12, 40, 192 * 1024);
+        cloud::Cluster cluster(12, 40, platform::kServerMemoryMb);
         cloud::DataStore store(simulator, rng, cloud::DataStoreConfig{});
         cloud::FaasRuntime rt(simulator, rng, cluster, store,
                               cloud::FaasConfig{});

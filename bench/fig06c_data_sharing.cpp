@@ -36,7 +36,7 @@ run_app(const apps::AppSpec& app)
         sim::Summary lat;
         sim::Simulator simulator;
         sim::Rng rng(8);
-        cloud::Cluster cluster(12, 40, 192 * 1024);
+        cloud::Cluster cluster(12, 40, platform::kServerMemoryMb);
         cloud::DataStore store(simulator, rng, cloud::DataStoreConfig{});
         cloud::FaasConfig cfg;
         cfg.sharing = proto;

@@ -84,8 +84,7 @@ BM_SharingProtocolSimulatedLatency(benchmark::State& state)
     sim::Simulator simulator;
     sim::Rng rng(1);
     cloud::DataStore store(simulator, rng, cloud::DataStoreConfig{});
-    cloud::DataSharingFabric fabric(simulator, rng, store,
-                                    cloud::SharingConfig{});
+    cloud::DataSharingFabric fabric(simulator, rng, store);
     // Each hand-off is timed from the share() call to its callback.
     double total_s = 0.0;
     for (auto _ : state) {

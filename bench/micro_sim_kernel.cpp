@@ -1,8 +1,8 @@
 /**
  * @file
  * Microbenchmarks of the simulation substrate itself, via
- * google-benchmark: event-kernel throughput, cloud placement, A*
- * planning, maze generation/solving, and placement enumeration. These
+ * google-benchmark: event-kernel throughput, cloud placement, maze
+ * generation/solving, and placement enumeration. These
  * bound how large a swarm the DES can handle (Sec. 5.6 methodology).
  *
  * The BM_EventKernel* results are additionally written to
@@ -25,7 +25,6 @@
 #include "cloud/faas.hpp"
 #include "cloud/server.hpp"
 #include "dsl/scenarios.hpp"
-#include "geo/astar.hpp"
 #include "geo/maze.hpp"
 #include "platform/deployment.hpp"
 #include "platform/options.hpp"
@@ -184,7 +183,7 @@ BM_Placement(benchmark::State& state)
     const auto servers = static_cast<std::size_t>(state.range(0));
     sim::Simulator simulator;
     sim::Rng rng(5);
-    cloud::Cluster cluster(servers, 40, 192 * 1024);
+    cloud::Cluster cluster(servers, 40, platform::kServerMemoryMb);
     cloud::DataStore store(simulator, rng, cloud::DataStoreConfig{});
     cloud::FaasConfig cfg;
     cfg.keepalive = 30 * sim::kSecond;
@@ -245,28 +244,6 @@ BM_InvokeLifecycle(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InvokeLifecycle);
-
-/** A* route planning on a 64x64 field with obstacles. */
-void
-BM_AStarPlan(benchmark::State& state)
-{
-    sim::Rng rng(3);
-    geo::Grid grid(geo::Rect{0, 0, 64, 64}, 1.0);
-    for (int x = 0; x < 64; ++x) {
-        for (int y = 0; y < 64; ++y) {
-            if (rng.chance(0.2))
-                grid.set_blocked({x, y}, true);
-        }
-    }
-    grid.set_blocked({0, 0}, false);
-    grid.set_blocked({63, 63}, false);
-    geo::AStarPlanner planner(grid);
-    for (auto _ : state) {
-        auto path = planner.plan({0, 0}, {63, 63});
-        benchmark::DoNotOptimize(path);
-    }
-}
-BENCHMARK(BM_AStarPlan);
 
 /** Maze generation + wall-follower solve (S6's algorithm). */
 void

@@ -14,7 +14,7 @@ FaasRuntime::FaasRuntime(sim::Simulator& simulator, sim::Rng& rng,
       rng_(rng.fork()),
       cluster_(&cluster),
       config_(config),
-      sharing_(simulator, rng, store, SharingConfig{})
+      sharing_(simulator, rng, store)
 {
     for (int r = 0; r < std::max(config.controllers, 1); ++r)
         controller_free_.push(0);
@@ -53,7 +53,6 @@ FaasRuntime::crash_server(std::size_t server)
     Server& srv = cluster_->server(server);
     if (srv.down())
         return;
-    ++server_crashes_;
     srv.set_down(true);
     srv.bump_epoch();
 

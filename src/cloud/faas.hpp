@@ -256,9 +256,6 @@ class FaasRuntime
     /** Bring a crashed server back into placement immediately. */
     void restore_server(std::size_t server);
 
-    /** Backend server crashes injected. */
-    std::uint64_t server_crashes() const { return server_crashes_; }
-
     /** In-flight invocations killed by server crashes. */
     std::uint64_t killed_invocations() const { return killed_invocations_; }
 
@@ -486,7 +483,6 @@ class FaasRuntime
     std::uint64_t warm_starts_ = 0;
     std::uint64_t faults_ = 0;
     std::uint64_t lost_ = 0;
-    std::uint64_t server_crashes_ = 0;
     std::uint64_t killed_invocations_ = 0;
     double work_lost_core_ms_ = 0.0;
     double reexecuted_core_ms_ = 0.0;

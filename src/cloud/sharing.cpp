@@ -4,6 +4,23 @@
 
 namespace hivemind::cloud {
 
+namespace {
+
+// Latency/throughput constants of the sharing mechanisms.
+
+/** Software RPC: per-message stack latency, both ends combined. */
+constexpr sim::Time kRpcLatency = sim::from_micros(60.0);
+/** Software RPC payload bandwidth (TCP on 10 GbE, one stream). */
+constexpr double kRpcBandwidthBps = 1.0e9;
+/** In-memory hand-off bandwidth (memcpy). */
+constexpr double kMemcpyBandwidthBps = 8.0e9;
+/** FPGA remote-memory access base latency (RoCE-style over UPI). */
+constexpr sim::Time kRdmaLatency = sim::from_micros(2.4);
+/** FPGA remote-memory streaming bandwidth (UPI-attached). */
+constexpr double kRdmaBandwidthBps = 11.0e9;
+
+}  // namespace
+
 const char*
 to_string(SharingProtocol p)
 {
@@ -21,12 +38,8 @@ to_string(SharingProtocol p)
 }
 
 DataSharingFabric::DataSharingFabric(sim::Simulator& simulator, sim::Rng& rng,
-                                     DataStore& store,
-                                     const SharingConfig& config)
-    : simulator_(&simulator),
-      rng_(rng.fork()),
-      store_(&store),
-      config_(config)
+                                     DataStore& store)
+    : simulator_(&simulator), rng_(rng.fork()), store_(&store)
 {
 }
 
@@ -44,9 +57,9 @@ DataSharingFabric::share(SharingProtocol protocol, std::uint64_t bytes,
         return;
       }
       case SharingProtocol::DirectRpc: {
-        sim::Time lat = config_.rpc_latency +
+        sim::Time lat = kRpcLatency +
             sim::from_seconds(static_cast<double>(bytes) /
-                              config_.rpc_bandwidth_Bps);
+                              kRpcBandwidthBps);
         // Mild jitter from the kernel stack.
         lat = sim::from_seconds(
             rng_.lognormal_median(sim::to_seconds(lat), 0.12));
@@ -55,14 +68,14 @@ DataSharingFabric::share(SharingProtocol protocol, std::uint64_t bytes,
       }
       case SharingProtocol::InMemory: {
         sim::Time lat = sim::from_seconds(static_cast<double>(bytes) /
-                                          config_.memcpy_bandwidth_Bps);
+                                          kMemcpyBandwidthBps);
         simulator_->schedule_in(lat, std::move(done));
         return;
       }
       case SharingProtocol::RemoteMemory: {
-        sim::Time lat = config_.rdma_latency +
+        sim::Time lat = kRdmaLatency +
             sim::from_seconds(static_cast<double>(bytes) /
-                              config_.rdma_bandwidth_Bps);
+                              kRdmaBandwidthBps);
         simulator_->schedule_in(lat, std::move(done));
         return;
       }

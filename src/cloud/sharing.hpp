@@ -38,21 +38,6 @@ enum class SharingProtocol
 /** Human-readable protocol name for table output. */
 const char* to_string(SharingProtocol p);
 
-/** Latency/throughput constants of the sharing mechanisms. */
-struct SharingConfig
-{
-    /** Software RPC: per-message stack latency, both ends combined. */
-    sim::Time rpc_latency = sim::from_micros(60.0);
-    /** Software RPC payload bandwidth (TCP on 10 GbE, one stream). */
-    double rpc_bandwidth_Bps = 1.0e9;
-    /** In-memory hand-off bandwidth (memcpy). */
-    double memcpy_bandwidth_Bps = 8.0e9;
-    /** FPGA remote-memory access base latency (RoCE-style over UPI). */
-    sim::Time rdma_latency = sim::from_micros(2.4);
-    /** FPGA remote-memory streaming bandwidth (UPI-attached). */
-    double rdma_bandwidth_Bps = 11.0e9;
-};
-
 /**
  * Executes data hand-offs between dependent functions under a chosen
  * protocol.
@@ -61,7 +46,7 @@ class DataSharingFabric
 {
   public:
     DataSharingFabric(sim::Simulator& simulator, sim::Rng& rng,
-                      DataStore& store, const SharingConfig& config);
+                      DataStore& store);
 
     /**
      * Move @p bytes of parent output to the child.
@@ -78,7 +63,6 @@ class DataSharingFabric
     sim::Simulator* simulator_;
     sim::Rng rng_;
     DataStore* store_;
-    SharingConfig config_;
 };
 
 }  // namespace hivemind::cloud

@@ -9,8 +9,7 @@ FailureDetector::FailureDetector(sim::Simulator& simulator,
       beat_interval_(beat_interval),
       timeout_(timeout),
       last_beat_(devices, 0),
-      failed_(devices, false),
-      failed_at_(devices, 0)
+      failed_(devices, false)
 {
 }
 
@@ -34,8 +33,6 @@ FailureDetector::beat(std::size_t device)
     if (failed_[device]) {
         // The device is back: clear the mark and report the rejoin.
         failed_[device] = false;
-        recovery_latencies_.push_back(
-            sim::to_seconds(now - failed_at_[device]));
         last_beat_[device] = now;
         if (on_recovery_)
             on_recovery_(device);
@@ -53,9 +50,8 @@ FailureDetector::reconcile(std::size_t device, bool alive)
     if (alive) {
         failed_[device] = false;
         last_beat_[device] = now;
-    } else if (!failed_[device]) {
+    } else {
         failed_[device] = true;
-        failed_at_[device] = last_beat_[device];
     }
 }
 
@@ -70,9 +66,6 @@ FailureDetector::sweep(std::uint64_t epoch)
             continue;
         if (now - last_beat_[d] > timeout_) {
             failed_[d] = true;
-            failed_at_[d] = last_beat_[d];
-            detection_latencies_.push_back(
-                sim::to_seconds(now - last_beat_[d]));
             if (on_failure_)
                 on_failure_(d);
         }

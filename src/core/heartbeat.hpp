@@ -50,8 +50,8 @@ class FailureDetector
     /**
      * Standby reconciliation after a controller takeover (Sec. 4.6):
      * overwrite the tracked state with the re-registration ping's
-     * ground truth. Unlike beat()/sweep() this fires no callbacks and
-     * records no latency samples — the caller repartitions explicitly.
+     * ground truth. Unlike beat()/sweep() this fires no callbacks —
+     * the caller repartitions explicitly.
      */
     void reconcile(std::size_t device, bool alive);
 
@@ -79,18 +79,6 @@ class FailureDetector
     /** Number of devices declared failed. */
     std::size_t failed_count() const;
 
-    /** Detection latency observed for each failure (seconds). */
-    const std::vector<double>& detection_latencies() const
-    {
-        return detection_latencies_;
-    }
-
-    /** Failure-to-recovery latency for each rejoin (seconds). */
-    const std::vector<double>& recovery_latencies() const
-    {
-        return recovery_latencies_;
-    }
-
   private:
     /** @p epoch guards against stale chains after stop()/start(). */
     void sweep(std::uint64_t epoch);
@@ -100,11 +88,8 @@ class FailureDetector
     sim::Time timeout_;
     std::vector<sim::Time> last_beat_;
     std::vector<bool> failed_;
-    std::vector<sim::Time> failed_at_;
     std::function<void(std::size_t)> on_failure_;
     std::function<void(std::size_t)> on_recovery_;
-    std::vector<double> detection_latencies_;
-    std::vector<double> recovery_latencies_;
     bool running_ = false;
     std::uint64_t epoch_ = 0;
 };

@@ -7,6 +7,13 @@ namespace hivemind::fault {
 
 namespace {
 
+/** Absolute tolerance on second-valued comparisons. */
+constexpr double kEpsS = 1e-9;
+/** Transport/serialization allowance on the checkpoint-age bound. */
+constexpr double kCheckpointSlackS = 5.0;
+/** Backoff allowance before an idle breaker must have closed. */
+constexpr double kBreakerSlackS = 15.0;
+
 std::string
 u64(std::uint64_t v)
 {
@@ -274,7 +281,7 @@ OracleSuite::check_ledger_sanity(const RunAudit& run) const
     // --- Recovery summaries ---
     auto non_negative = [&](const char* name, const sim::Summary& s) {
         for (double v : s.samples()) {
-            if (v < -cfg_.eps_s) {
+            if (v < -kEpsS) {
                 out.push_back({oracle, std::string(name) +
                                            " holds a negative sample " +
                                            dbl(v)});
@@ -327,7 +334,7 @@ OracleSuite::check_ledger_sanity(const RunAudit& run) const
         const std::vector<double>& mttr = r.controller_mttr_s.samples();
         for (std::size_t i = 0; i < std::min(mttd.size(), mttr.size());
              ++i) {
-            if (mttr[i] + cfg_.eps_s < mttd[i]) {
+            if (mttr[i] + kEpsS < mttd[i]) {
                 out.push_back({oracle,
                                "takeover " + std::to_string(i) +
                                    ": MTTR " + dbl(mttr[i]) +
@@ -341,7 +348,7 @@ OracleSuite::check_ledger_sanity(const RunAudit& run) const
         const double age_bound = run.checkpoint_interval_s +
             x.stall_window_s +
             (r.controller_mttr_s.empty() ? 0.0 : r.controller_mttr_s.max()) +
-            cfg_.checkpoint_slack_s;
+            kCheckpointSlackS;
         for (double age : r.checkpoint_age_s.samples()) {
             if (age > age_bound) {
                 out.push_back({oracle,
@@ -357,7 +364,7 @@ OracleSuite::check_ledger_sanity(const RunAudit& run) const
         }
         const double completion_s = sim::to_seconds(run.completion);
         if (r.controller_outage_s < 0.0 ||
-            r.controller_outage_s > completion_s + cfg_.eps_s) {
+            r.controller_outage_s > completion_s + kEpsS) {
             out.push_back({oracle,
                            "controller_outage_s " +
                                dbl(r.controller_outage_s) +
@@ -443,7 +450,7 @@ OracleSuite::check_liveness(const RunAudit& run) const
     if (run.configured_loss <= 0.0) {
         const double quiet_s =
             sim::to_seconds(run.completion - x.last_wireless_end);
-        if (quiet_s > run.breaker_cooldown_s + cfg_.breaker_slack_s) {
+        if (quiet_s > run.breaker_cooldown_s + kBreakerSlackS) {
             for (std::size_t d = 0; d < run.devices; ++d) {
                 if (run.device_end[d].breaker_open) {
                     out.push_back({oracle,

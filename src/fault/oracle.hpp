@@ -118,17 +118,6 @@ struct Violation
 /** Render a violation list, one per line ("" when clean). */
 std::string violations_to_string(const std::vector<Violation>& violations);
 
-/** Slack knobs; defaults are sound for every shipped scenario. */
-struct OracleConfig
-{
-    /** Absolute tolerance on second-valued comparisons. */
-    double eps_s = 1e-9;
-    /** Transport/serialization allowance on the checkpoint-age bound. */
-    double checkpoint_slack_s = 5.0;
-    /** Backoff allowance before an idle breaker must have closed. */
-    double breaker_slack_s = 15.0;
-};
-
 /**
  * The invariant catalogue. Stateless; every method returns the
  * violations it found (empty = clean).
@@ -136,8 +125,6 @@ struct OracleConfig
 class OracleSuite
 {
   public:
-    explicit OracleSuite(OracleConfig config = {}) : cfg_(config) {}
-
     /** Every single-run invariant: conservation, ledger, liveness. */
     std::vector<Violation> audit(const RunAudit& run) const;
 
@@ -152,9 +139,6 @@ class OracleSuite
     /** Same seed across shard counts: identical up to `shards`. */
     std::vector<Violation> check_shard_invariance(
         const std::vector<RunAudit>& runs) const;
-
-  private:
-    OracleConfig cfg_;
 };
 
 }  // namespace hivemind::fault

@@ -108,13 +108,6 @@ FaultPlan::controller_partition(sim::Time at, sim::Time duration)
     return *this;
 }
 
-FaultPlan&
-FaultPlan::merge(const FaultPlan& other)
-{
-    events.insert(events.end(), other.events.begin(), other.events.end());
-    return *this;
-}
-
 std::vector<std::string>
 FaultPlan::validate(const PlanBounds& bounds) const
 {

@@ -117,9 +117,6 @@ struct FaultPlan
     /** Make the swarm controller unreachable over [at, at + duration). */
     FaultPlan& controller_partition(sim::Time at, sim::Time duration);
 
-    /** Append another plan's events. */
-    FaultPlan& merge(const FaultPlan& other);
-
     /**
      * Seeded Poisson device churn: crash/rejoin cycles with
      * exponentially distributed inter-arrival times (`mean_interarrival`)

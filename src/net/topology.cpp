@@ -171,18 +171,6 @@ SwarmTopology::send_downlink_wired(std::size_t server, std::size_t device,
                   bytes, nullptr, nullptr, std::move(done));
 }
 
-void
-SwarmTopology::send_server_to_server(std::size_t from, std::size_t to,
-                                     std::uint64_t bytes,
-                                     DeliveryCallback done)
-{
-    flows_.launch(server_rpc_[from].get(),
-                  {nic_out_[from].get(), tor_up_.get(),
-                   nic_in_[to].get()},
-                  bytes, nullptr, server_rpc_[to].get(),
-                  std::move(done));
-}
-
 double
 SwarmTopology::cloud_rpc_cpu_seconds() const
 {

@@ -94,10 +94,6 @@ class SwarmTopology
     void send_downlink(std::size_t server, std::size_t device,
                        std::uint64_t bytes, DeliveryCallback done);
 
-    /** Intra-cluster transfer between two servers via the ToR. */
-    void send_server_to_server(std::size_t from, std::size_t to,
-                               std::uint64_t bytes, DeliveryCallback done);
-
     /**
      * Wired half of an uplink: router -> ToR -> server NIC plus the
      * receiving server's RPC processing. No radio hop, no wireless

@@ -5,13 +5,6 @@
 
 namespace hivemind::platform {
 
-namespace {
-
-/** Memory per server (the testbed's 192 GB hosts, Sec. 2.1). */
-constexpr std::uint64_t kServerMemoryMb = 192ull * 1024ull;
-
-}  // namespace
-
 CloudTier::CloudTier(sim::Simulator& simulator, sim::Rng& rng,
                      const DeploymentConfig& config,
                      const PlatformOptions& options, sim::Rng* radio_loss)

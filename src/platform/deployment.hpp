@@ -37,6 +37,9 @@
 
 namespace hivemind::platform {
 
+/** Memory per server (the testbed's 192 GB hosts, Sec. 2.1). */
+inline constexpr std::uint64_t kServerMemoryMb = 192ull * 1024ull;
+
 /**
  * Sizing and tuning of one deployment. The network is
  * net::TopologyConfig's testbed defaults sized by devices, servers and

@@ -180,12 +180,8 @@ GraphHarness::task_finished(const std::shared_ptr<Activation>& act,
             launch_task(act, child, now);
     }
     if (act->remaining == 0) {
-        metrics.task_latency_s.add(sim::to_seconds(now - act->start));
-        metrics.network_s.add(act->network_s);
-        metrics.mgmt_s.add(act->mgmt_s);
-        metrics.data_s.add(act->data_s);
-        metrics.exec_s.add(act->exec_s);
-        ++metrics.tasks_completed;
+        metrics.record_task(sim::to_seconds(now - act->start), act->network_s,
+                            act->mgmt_s, act->data_s, act->exec_s);
     }
 }
 

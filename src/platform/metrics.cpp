@@ -6,6 +6,18 @@
 namespace hivemind::platform {
 
 void
+RunMetrics::record_task(double latency_s, double network, double mgmt,
+                        double data, double exec)
+{
+    task_latency_s.add(latency_s);
+    network_s.add(network);
+    mgmt_s.add(mgmt);
+    data_s.add(data);
+    exec_s.add(exec);
+    ++tasks_completed;
+}
+
+void
 RunMetrics::merge(const RunMetrics& other)
 {
     task_latency_s.merge(other.task_latency_s);

@@ -63,6 +63,11 @@ struct RunMetrics
     /** Fault-injection ledger (MTTD/MTTR, lost work, retries). */
     fault::RecoveryMetrics recovery;
 
+    /** Book one finished task (or graph activation) and its stage
+     *  shares, seconds. */
+    void record_task(double latency_s, double network, double mgmt,
+                     double data, double exec);
+
     /** Merge a repeat run into this record (summaries append). */
     void merge(const RunMetrics& other);
 };

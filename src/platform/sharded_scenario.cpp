@@ -443,7 +443,7 @@ class ShardedScenarioEngine
     std::vector<std::vector<std::size_t>> tick_groups_;
     std::vector<net::ShardLink> data_up_, data_down_, ctrl_up_, ctrl_down_;
     fault::ShardChaosReport chaos_;
-    std::uint64_t server_crashes_ = 0;
+    std::uint64_t crashed_servers_ = 0;
     std::uint64_t datastore_outages_ = 0;
     std::uint64_t partitions_ = 0;
     std::uint64_t device_crashes_ = 0;
@@ -730,7 +730,7 @@ ShardedScenarioEngine::arm_chaos()
         // route_plan() routes only effective crashes (never one on a
         // server still down), so every call here is a new incident.
         cloud_.faas().crash_server(s);
-        ++server_crashes_;
+        ++crashed_servers_;
         // Worker monitors detect the crash at once; service is back
         // when the server rejoins placement, down_for later.
         if (down_for > 0)
@@ -1764,7 +1764,7 @@ ShardedScenarioEngine::collect_metrics()
     m.detect_fp_pct = 100.0 * ctrl_.learning.swarm_p_false_positive();
     m.recovery.device_crashes = device_crashes_;
     m.recovery.device_rejoins = device_rejoins_;
-    m.recovery.server_crashes = server_crashes_;
+    m.recovery.server_crashes = crashed_servers_;
     // Device incidents first, then restored server crashes: one sample
     // order at every shard count. Reported only, like the FaaS loss
     // ledger below; the checksum never reads them.

@@ -1,6 +1,7 @@
 #include "platform/single_phase.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 
 namespace hivemind::platform {
@@ -12,170 +13,126 @@ constexpr double kHybridPrefilterShare = 0.10;
 /** Fraction of sensor bytes still uplinked after pre-filtering. */
 constexpr double kHybridUplinkFraction = 0.30;
 
+/**
+ * Where one task's stages run: an optional on-board stage, the uplink
+ * to a server, then an optional serverless stage whose result is sent
+ * back down. The platforms differ only in this plan (Sec. 2.3).
+ */
+struct StagePlan
+{
+    double onboard_ms = 0.0;  ///< On-board work; 0 skips the stage.
+    std::uint64_t uplink_bytes = 0;
+    double cloud_ms = 0.0;    ///< Serverless work; 0 ends at the uplink.
+    int parallelism = 1;      ///< Intra-task fan-out of the cloud stage.
+};
+
+StagePlan
+plan_stages(const apps::AppSpec& app, PlatformKind kind)
+{
+    if (kind == PlatformKind::CentralizedFaas ||
+        kind == PlatformKind::CentralizedIaas) {
+        // Uplink the sensor payload, run the whole task serverless.
+        return {0.0, app.input_bytes, app.work_core_ms, 1};
+    }
+    if (kind == PlatformKind::DistributedEdge || app.edge_friendly) {
+        // Run on-board and uplink only the result; HiveMind's hybrid
+        // placement keeps S3/S4/S7 here too.
+        return {app.work_core_ms * app.edge_work_factor, app.output_bytes,
+                0.0, 1};
+    }
+    // Hybrid split: an on-board pre-filter shrinks the sensor payload,
+    // the heavy stage runs serverless with intra-task parallelism.
+    return {app.work_core_ms * kHybridPrefilterShare,
+            static_cast<std::uint64_t>(static_cast<double>(app.input_bytes) *
+                                       kHybridUplinkFraction),
+            app.work_core_ms * (1.0 - kHybridPrefilterShare),
+            app.parallelism};
+}
+
 /** Mutable state shared by the run's callbacks. */
 struct JobHarness
 {
     Deployment* dep;
     const apps::AppSpec* app;
+    StagePlan plan;
     RunMetrics metrics;
     std::size_t next_server = 0;
     sim::Rng arrivals;
 
     JobHarness(Deployment& d, const apps::AppSpec& a)
-        : dep(&d), app(&a), arrivals(d.rng().fork())
+        : dep(&d),
+          app(&a),
+          plan(plan_stages(a, d.options().kind)),
+          arrivals(d.rng().fork())
     {
-    }
-
-    std::size_t
-    pick_server()
-    {
-        std::size_t s = next_server;
-        next_server = (next_server + 1) % dep->config().servers;
-        return s;
-    }
-
-    void
-    record(double total, double network, double mgmt, double data,
-           double exec)
-    {
-        metrics.task_latency_s.add(total);
-        metrics.network_s.add(network);
-        metrics.mgmt_s.add(mgmt);
-        metrics.data_s.add(data);
-        metrics.exec_s.add(exec);
-        ++metrics.tasks_completed;
-    }
-
-    cloud::InvokeRequest
-    cloud_request(double work_ms, std::uint64_t inter_in,
-                  std::uint64_t inter_out) const
-    {
-        cloud::InvokeRequest req;
-        req.app = app->id;
-        req.work_core_ms = work_ms;
-        req.memory_mb = app->memory_mb;
-        req.input_bytes = inter_in;
-        req.output_bytes = inter_out;
-        return req;
     }
 
     void handle_task(std::size_t device);
-    void run_centralized(std::size_t device);
-    void run_distributed(std::size_t device);
-    void run_hivemind(std::size_t device);
+    /** Uplink to the next server once the on-board stage (if any)
+     *  ended at @p t_up after @p onboard_exec_s of execution. */
+    void uplink(std::size_t device, sim::Time t0, sim::Time t_up,
+                double onboard_exec_s);
 };
-
-void
-JobHarness::run_centralized(std::size_t device)
-{
-    sim::Time t0 = dep->simulator().now();
-    std::size_t server = pick_server();
-    dep->network().send_uplink(
-        device, server, app->input_bytes,
-        [this, device, server, t0](sim::Time t1) {
-            // Dependent-function exchange: the task reads its frame
-            // bundle and writes results through the sharing fabric.
-            cloud::InvokeRequest req = cloud_request(
-                app->work_core_ms, app->inter_bytes, app->inter_bytes);
-            dep->cloud_invoke(req, 1, [this, device, server, t0,
-                                       t1](const CloudResult& r) {
-                sim::Time t2 = r.done;
-                dep->network().send_downlink(
-                    server, device, app->output_bytes,
-                    [this, t0, t1, t2, r](sim::Time t3) {
-                        double network = sim::to_seconds(t1 - t0) +
-                            sim::to_seconds(t3 - t2);
-                        record(sim::to_seconds(t3 - t0), network, r.mgmt_s,
-                               r.data_s, r.exec_s);
-                    });
-            });
-        });
-}
-
-void
-JobHarness::run_distributed(std::size_t device)
-{
-    sim::Time t0 = dep->simulator().now();
-    edge::Device& dev = dep->device(device);
-    double work = app->work_core_ms * app->edge_work_factor;
-    dev.executor().submit(work, [this, device, t0](double exec_s) {
-        sim::Time t1 = dep->simulator().now();
-        std::size_t server = pick_server();
-        dep->network().send_uplink(
-            device, server, app->output_bytes,
-            [this, t0, t1, exec_s](sim::Time t2) {
-                double queue_s = sim::to_seconds(t1 - t0) - exec_s;
-                if (queue_s < 0.0)
-                    queue_s = 0.0;
-                record(sim::to_seconds(t2 - t0), sim::to_seconds(t2 - t1),
-                       queue_s, 0.0, exec_s);
-            });
-    });
-}
-
-void
-JobHarness::run_hivemind(std::size_t device)
-{
-    if (app->edge_friendly) {
-        // S3/S4/S7: hybrid placement keeps these on-board (Sec. 2.3).
-        run_distributed(device);
-        return;
-    }
-    // Hybrid split: an on-board pre-filter shrinks the sensor payload,
-    // the heavy stage runs serverless with intra-task parallelism.
-    sim::Time t0 = dep->simulator().now();
-    edge::Device& dev = dep->device(device);
-    double pre_work = app->work_core_ms * kHybridPrefilterShare;
-    dev.executor().submit(pre_work, [this, device, t0](double pre_exec_s) {
-        sim::Time t_pre = dep->simulator().now();
-        std::size_t server = pick_server();
-        std::uint64_t uplink_bytes = static_cast<std::uint64_t>(
-            static_cast<double>(app->input_bytes) *
-            kHybridUplinkFraction);
-        dep->network().send_uplink(
-            device, server, uplink_bytes,
-            [this, device, server, t0, t_pre,
-             pre_exec_s](sim::Time t1) {
-                double cloud_work =
-                    app->work_core_ms * (1.0 - kHybridPrefilterShare);
-                cloud::InvokeRequest req = cloud_request(
-                    cloud_work, app->inter_bytes, app->inter_bytes);
-                dep->cloud_invoke(
-                    req, app->parallelism,
-                    [this, device, server, t0, t_pre, t1, pre_exec_s](
-                        const CloudResult& r) {
-                        sim::Time t2 = r.done;
-                        dep->network().send_downlink(
-                            server, device, app->output_bytes,
-                            [this, t0, t_pre, t1, t2, pre_exec_s,
-                             r](sim::Time t3) {
-                                double network =
-                                    sim::to_seconds(t1 - t_pre) +
-                                    sim::to_seconds(t3 - t2);
-                                record(sim::to_seconds(t3 - t0), network,
-                                       r.mgmt_s, r.data_s,
-                                       pre_exec_s + r.exec_s);
-                            });
-                    });
-            });
-    });
-}
 
 void
 JobHarness::handle_task(std::size_t device)
 {
-    switch (dep->options().kind) {
-      case PlatformKind::CentralizedFaas:
-      case PlatformKind::CentralizedIaas:
-        run_centralized(device);
-        break;
-      case PlatformKind::DistributedEdge:
-        run_distributed(device);
-        break;
-      case PlatformKind::HiveMind:
-        run_hivemind(device);
-        break;
+    sim::Time t0 = dep->simulator().now();
+    if (plan.onboard_ms <= 0.0) {
+        uplink(device, t0, t0, 0.0);
+        return;
     }
+    dep->device(device).executor().submit(
+        plan.onboard_ms, [this, device, t0](double exec_s) {
+            uplink(device, t0, dep->simulator().now(), exec_s);
+        });
+}
+
+void
+JobHarness::uplink(std::size_t device, sim::Time t0, sim::Time t_up,
+                   double onboard_exec_s)
+{
+    std::size_t server = next_server;
+    next_server = (next_server + 1) % dep->config().servers;
+    dep->network().send_uplink(
+        device, server, plan.uplink_bytes,
+        [this, device, server, t0, t_up, onboard_exec_s](sim::Time t1) {
+            if (plan.cloud_ms <= 0.0) {
+                // The uplink carried the result. With no serverless
+                // stage, the on-board queue is the management share.
+                double queue_s = sim::to_seconds(t_up - t0) - onboard_exec_s;
+                if (queue_s < 0.0)
+                    queue_s = 0.0;
+                metrics.record_task(sim::to_seconds(t1 - t0),
+                                    sim::to_seconds(t1 - t_up), queue_s, 0.0,
+                                    onboard_exec_s);
+                return;
+            }
+            // Dependent-function exchange: the task reads its frame
+            // bundle and writes results through the sharing fabric.
+            cloud::InvokeRequest req;
+            req.app = app->id;
+            req.work_core_ms = plan.cloud_ms;
+            req.memory_mb = app->memory_mb;
+            req.input_bytes = app->inter_bytes;
+            req.output_bytes = app->inter_bytes;
+            dep->cloud_invoke(
+                req, plan.parallelism,
+                [this, device, server, t0, t_up, t1,
+                 onboard_exec_s](const CloudResult& r) {
+                    sim::Time t2 = r.done;
+                    dep->network().send_downlink(
+                        server, device, app->output_bytes,
+                        [this, t0, t_up, t1, t2, onboard_exec_s,
+                         r](sim::Time t3) {
+                            double network = sim::to_seconds(t1 - t_up) +
+                                sim::to_seconds(t3 - t2);
+                            metrics.record_task(sim::to_seconds(t3 - t0),
+                                                network, r.mgmt_s, r.data_s,
+                                                onboard_exec_s + r.exec_s);
+                        });
+                });
+        });
 }
 
 }  // namespace

@@ -12,7 +12,10 @@
  * (platform/graph_runner.hpp) shares the job config, the arrival
  * process and the end-of-run settlement.
  *
- * Platform task paths:
+ * Every task runs one chain: an optional on-board stage, the uplink
+ * to the next server (round robin), then an optional serverless stage
+ * whose result is sent back down. A per-(app, platform) stage plan
+ * says which stages run and how large they are:
  *  - Centralized (FaaS/IaaS): sensor payload uplink -> cloud task ->
  *    result downlink.
  *  - Distributed: on-board execution -> small result uplink.

@@ -89,27 +89,6 @@ Summary::merge(const Summary& other)
     sorted_valid_ = false;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0)
-{
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-        return;
-    }
-    std::size_t i = static_cast<std::size_t>((x - lo_) / width_);
-    if (i >= counts_.size()) {
-        ++overflow_;
-        return;
-    }
-    ++counts_[i];
-}
-
 std::vector<double>
 TimeSeries::window_means(Time window, Time until) const
 {

@@ -6,8 +6,7 @@
  *
  * Summary accumulates scalar samples and reports moments and exact
  * percentiles (it keeps all samples; experiment scales here are small
- * enough that exactness beats sketching). Histogram buckets samples for
- * PDF-style figures (violin plots in the paper). TimeSeries records
+ * enough that exactness beats sketching). TimeSeries records
  * (time, value) pairs, and RateMeter converts discrete byte/event
  * arrivals into per-interval rates for bandwidth figures.
  */
@@ -75,41 +74,6 @@ class Summary
     mutable bool sorted_valid_ = false;
     double sum_ = 0.0;
     double sum_sq_ = 0.0;
-};
-
-/** Fixed-width histogram over [lo, hi) with overflow/underflow bins. */
-class Histogram
-{
-  public:
-    /** Create @p bins equal-width buckets spanning [lo, hi). */
-    Histogram(double lo, double hi, std::size_t bins);
-
-    /** Record a sample. */
-    void add(double x);
-
-    /** Count in bucket @p i (0..bins-1). */
-    std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-
-    /** Number of buckets. */
-    std::size_t bins() const { return counts_.size(); }
-
-    /** Lower edge of bucket @p i. */
-    double bucket_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-
-    /** Samples below lo / at-or-above hi. */
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-
-    /** Total samples recorded including under/overflow. */
-    std::uint64_t total() const { return total_; }
-
-  private:
-    double lo_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 /** Time-stamped scalar series (e.g., active tasks over time). */

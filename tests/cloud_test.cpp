@@ -234,7 +234,7 @@ TEST(Sharing, ProtocolOrdering)
     sim::Rng rng(2);
     DataStoreConfig dcfg;
     DataStore store(s, rng, dcfg);
-    DataSharingFabric fabric(s, rng, store, SharingConfig{});
+    DataSharingFabric fabric(s, rng, store);
     const std::uint64_t bytes = 256 << 10;
     // Hand-off latency per protocol, from the share() call to its
     // completion callback.

@@ -121,16 +121,12 @@ TEST(FaultPlan, BuildersAppendEvents)
         .partition(3 * sim::kSecond, sim::kSecond, 1)
         .server_crash(4 * sim::kSecond, 0)
         .datastore_outage(5 * sim::kSecond, sim::kSecond)
-        .controller_crash(6 * sim::kSecond);
-    ASSERT_EQ(p.events.size(), 6u);
+        .controller_crash(6 * sim::kSecond)
+        .controller_partition(sim::kSecond, 2 * sim::kSecond);
+    ASSERT_EQ(p.events.size(), 7u);
     EXPECT_EQ(p.events[0].kind, FaultKind::DeviceCrash);
     EXPECT_EQ(p.events[0].duration, 2 * sim::kSecond);
     EXPECT_EQ(p.events[5].kind, FaultKind::ControllerCrash);
-
-    FaultPlan q;
-    q.controller_partition(sim::kSecond, 2 * sim::kSecond);
-    p.merge(q);
-    EXPECT_EQ(p.events.size(), 7u);
     EXPECT_EQ(p.events[6].kind, FaultKind::ControllerPartition);
 }
 

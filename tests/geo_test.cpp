@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for geometry, A* planning, coverage partitioning, mazes, and
- * motion models (src/geo).
+ * Tests for geometry, coverage partitioning, mazes, and motion models
+ * (src/geo).
  */
 
 #include <gtest/gtest.h>
@@ -9,9 +9,7 @@
 #include <cmath>
 #include <set>
 
-#include "geo/astar.hpp"
 #include "geo/coverage.hpp"
-#include "geo/grid.hpp"
 #include "geo/maze.hpp"
 #include "geo/motion.hpp"
 #include "geo/vec2.hpp"
@@ -42,118 +40,6 @@ TEST(Rect, ContainsAndClamp)
     EXPECT_DOUBLE_EQ(c.x, 10.0);
     EXPECT_DOUBLE_EQ(c.y, 0.0);
     EXPECT_DOUBLE_EQ(r.center().x, 5.0);
-}
-
-TEST(Grid, DimensionsAndBlocking)
-{
-    Grid g(Rect{0, 0, 10, 6}, 2.0);
-    EXPECT_EQ(g.width(), 5);
-    EXPECT_EQ(g.height(), 3);
-    EXPECT_EQ(g.free_count(), 15u);
-    g.set_blocked({2, 1}, true);
-    EXPECT_TRUE(g.blocked({2, 1}));
-    EXPECT_EQ(g.free_count(), 14u);
-    EXPECT_TRUE(g.blocked({-1, 0}));  // Out of bounds.
-    EXPECT_TRUE(g.blocked({5, 0}));
-}
-
-TEST(Grid, CellCenterRoundTrip)
-{
-    Grid g(Rect{0, 0, 10, 10}, 1.0);
-    Cell c{3, 7};
-    Vec2 center = g.cell_center(c);
-    EXPECT_EQ(g.cell_at(center), c);
-    // Clamping for outside points.
-    EXPECT_EQ(g.cell_at({-5, -5}), (Cell{0, 0}));
-    EXPECT_EQ(g.cell_at({100, 100}), (Cell{9, 9}));
-}
-
-TEST(Grid, Neighbors4ExcludesBlocked)
-{
-    Grid g(Rect{0, 0, 3, 3}, 1.0);
-    g.set_blocked({1, 0}, true);
-    auto n = g.neighbors4({0, 0});
-    ASSERT_EQ(n.size(), 1u);
-    EXPECT_EQ(n[0], (Cell{0, 1}));
-}
-
-TEST(AStar, StraightLine)
-{
-    Grid g(Rect{0, 0, 10, 10}, 1.0);
-    AStarPlanner p(g);
-    auto path = p.plan({0, 0}, {9, 0});
-    ASSERT_TRUE(path.has_value());
-    EXPECT_EQ(path->steps(), 9u);
-}
-
-TEST(AStar, RoutesAroundObstacle)
-{
-    Grid g(Rect{0, 0, 5, 5}, 1.0);
-    // Wall with one gap at y=4.
-    for (int y = 0; y < 4; ++y)
-        g.set_blocked({2, y}, true);
-    AStarPlanner p(g);
-    auto path = p.plan({0, 0}, {4, 0});
-    ASSERT_TRUE(path.has_value());
-    EXPECT_EQ(path->steps(), 12u);  // Up, around, down.
-}
-
-TEST(AStar, NoPathReturnsNullopt)
-{
-    Grid g(Rect{0, 0, 5, 5}, 1.0);
-    for (int y = 0; y < 5; ++y)
-        g.set_blocked({2, y}, true);
-    AStarPlanner p(g);
-    EXPECT_FALSE(p.plan({0, 0}, {4, 0}).has_value());
-    EXPECT_FALSE(p.plan({2, 0}, {4, 0}).has_value());  // Blocked start.
-}
-
-TEST(AStar, TrivialPath)
-{
-    Grid g(Rect{0, 0, 3, 3}, 1.0);
-    AStarPlanner p(g);
-    auto path = p.plan({1, 1}, {1, 1});
-    ASSERT_TRUE(path.has_value());
-    EXPECT_EQ(path->steps(), 0u);
-}
-
-/** Property: A* with the Manhattan heuristic matches Dijkstra. */
-class AStarOptimality : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(AStarOptimality, MatchesDijkstra)
-{
-    sim::Rng rng(static_cast<std::uint64_t>(GetParam()) * 131);
-    Grid g(Rect{0, 0, 20, 20}, 1.0);
-    // Random 25% obstacles.
-    for (int x = 0; x < 20; ++x) {
-        for (int y = 0; y < 20; ++y) {
-            if (rng.chance(0.25))
-                g.set_blocked({x, y}, true);
-        }
-    }
-    g.set_blocked({0, 0}, false);
-    g.set_blocked({19, 19}, false);
-    AStarPlanner p(g);
-    auto a = p.plan({0, 0}, {19, 19});
-    auto d = p.plan_dijkstra({0, 0}, {19, 19});
-    EXPECT_EQ(a.has_value(), d.has_value());
-    if (a && d) {
-        EXPECT_EQ(a->steps(), d->steps());
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AStarOptimality, ::testing::Range(1, 13));
-
-TEST(OrderVisits, NearestNeighborOrder)
-{
-    Grid g(Rect{0, 0, 10, 10}, 1.0);
-    auto ordered = order_visits(g, {0, 0}, {{9, 9}, {1, 0}, {5, 5}});
-    ASSERT_EQ(ordered.size(), 3u);
-    EXPECT_EQ(ordered[0], (Cell{1, 0}));
-    EXPECT_EQ(ordered[1], (Cell{5, 5}));
-    EXPECT_EQ(ordered[2], (Cell{9, 9}));
 }
 
 TEST(Coverage, PartitionConservesArea)

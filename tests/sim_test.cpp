@@ -846,24 +846,6 @@ TEST(Summary, PercentileAfterIncrementalAdds)
     EXPECT_DOUBLE_EQ(s.max(), 20.0);
 }
 
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(0.0);
-    h.add(5.5);
-    h.add(9.999);
-    h.add(10.0);
-    h.add(100.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(5), 1u);
-    EXPECT_EQ(h.bucket(9), 1u);
-    EXPECT_EQ(h.total(), 6u);
-    EXPECT_DOUBLE_EQ(h.bucket_lo(5), 5.0);
-}
-
 TEST(TimeSeries, WindowMeans)
 {
     TimeSeries ts;
