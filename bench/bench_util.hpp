@@ -27,14 +27,12 @@
 
 namespace hivemind::bench {
 
-/** The paper's reference deployment: 16 drones, 12 servers. */
+/** The paper's reference deployment, DeploymentConfig's defaults:
+ *  16 drones, 12 servers of 40 cores. */
 inline platform::DeploymentConfig
 paper_deployment(std::uint64_t seed)
 {
     platform::DeploymentConfig cfg;
-    cfg.devices = 16;
-    cfg.servers = 12;
-    cfg.cores_per_server = 40;
     cfg.seed = seed;
     return cfg;
 }

@@ -25,11 +25,20 @@
  *    `SKIPPED (hw_threads < shards)` marker instead of emitting a
  *    bogus speedup verdict.
  *
+ * Every row also reports the CPU-seconds the hypervisor stole from
+ * the host while its leg ran (the aggregate steal column of
+ * /proc/stat; n/a, and null in the json, where that file is
+ * unreadable): on a shared VM the shards=4 wall follows it, so read
+ * the speedup verdict beside it.
+ *
  * Writes BENCH_scenario_shards.json (hw_threads included) for
  * scripts/bench_diff.py to diff and for EXPERIMENTS.md's multi-core
  * section.
  */
 
+#include <unistd.h>
+
+#include <optional>
 #include <thread>
 
 #include "bench_util.hpp"
@@ -80,12 +89,59 @@ shard_counts()
     return counts;
 }
 
-void
-print_row(const char* label, const platform::ShardedScenarioResult& r,
-          double speedup, const char* digest)
+/** CPU-seconds stolen from all of the host's CPUs since boot: the
+ *  steal field of /proc/stat's aggregate `cpu` line, in USER_HZ
+ *  ticks. Empty when the file cannot be read. */
+std::optional<double>
+host_steal_cpu_s()
 {
-    std::printf("%-10s %-7d %10.2f %9.2fx %10llu %12llu %12.1f  %s\n",
-                label, r.shards, r.wall_s, speedup,
+    std::FILE* f = std::fopen("/proc/stat", "r");
+    if (f == nullptr)
+        return std::nullopt;
+    unsigned long long t[8] = {};
+    const int fields = std::fscanf(
+        f, "cpu %llu %llu %llu %llu %llu %llu %llu %llu", &t[0], &t[1],
+        &t[2], &t[3], &t[4], &t[5], &t[6], &t[7]);
+    std::fclose(f);
+    const long hz = sysconf(_SC_CLK_TCK);
+    if (fields != 8 || hz <= 0)
+        return std::nullopt;
+    return static_cast<double>(t[7]) / static_cast<double>(hz);
+}
+
+/** One leg's result and the CPU-seconds stolen while it ran. */
+struct Leg
+{
+    platform::ShardedScenarioResult r;
+    std::optional<double> steal_cpu_s;
+};
+
+Leg
+run_leg(const platform::ScenarioConfig& sc,
+        const platform::PlatformOptions& opt,
+        const platform::DeploymentConfig& dep, int shards)
+{
+    const std::optional<double> before = host_steal_cpu_s();
+    Leg leg{platform::run_scenario_sharded(sc, opt, dep, shards),
+            std::nullopt};
+    const std::optional<double> after = host_steal_cpu_s();
+    if (before && after)
+        leg.steal_cpu_s = *after - *before;
+    return leg;
+}
+
+void
+print_row(const char* label, const Leg& leg, double speedup,
+          const char* digest)
+{
+    const platform::ShardedScenarioResult& r = leg.r;
+    char steal[16];
+    if (leg.steal_cpu_s)
+        std::snprintf(steal, sizeof steal, "%.2f", *leg.steal_cpu_s);
+    else
+        std::snprintf(steal, sizeof steal, "n/a");
+    std::printf("%-10s %-7d %10.2f %9s %9.2fx %10llu %12llu %12.1f  %s\n",
+                label, r.shards, r.wall_s, steal, speedup,
                 static_cast<unsigned long long>(r.epochs),
                 static_cast<unsigned long long>(r.forwarded),
                 r.metrics.completion_s, digest);
@@ -101,9 +157,9 @@ main()
                  "Scenario A (8192 drones) on the sharded runtime: "
                  "wall-clock vs shard count, checksum-verified");
     std::printf("host hardware threads: %u\n\n", hw);
-    std::printf("%-10s %-7s %10s %9s %10s %12s %12s  %s\n", "config",
-                "shards", "wall(s)", "speedup", "epochs", "forwarded",
-                "sim-compl(s)", "checksum");
+    std::printf("%-10s %-7s %10s %9s %10s %10s %12s %12s  %s\n", "config",
+                "shards", "wall(s)", "steal(s)", "speedup", "epochs",
+                "forwarded", "sim-compl(s)", "checksum");
 
     platform::DeploymentConfig dep = shard_deployment();
     platform::PlatformOptions opt = platform::PlatformOptions::hivemind();
@@ -112,26 +168,27 @@ main()
     // and must stay byte-identical to.
     platform::ScenarioConfig base_sc = shard_scenario();
     base_sc.adaptive_lookahead = false;
-    platform::ShardedScenarioResult baseline =
-        platform::run_scenario_sharded(base_sc, opt, dep, 1);
+    const Leg base_leg = run_leg(base_sc, opt, dep, 1);
+    const platform::ShardedScenarioResult& baseline = base_leg.r;
     char base_digest[32];
     std::snprintf(base_digest, sizeof base_digest, "%016llx",
                   static_cast<unsigned long long>(baseline.checksum));
-    print_row("baseline", baseline, 1.0, base_digest);
+    print_row("baseline", base_leg, 1.0, base_digest);
 
     // Optimized legs, sequential on purpose: each run owns all its
     // shard threads, so timing them concurrently would only contend.
     platform::ScenarioConfig sc = shard_scenario();
-    std::vector<platform::ShardedScenarioResult> results;
+    std::vector<Leg> legs;
     for (int n : shard_counts())
-        results.push_back(platform::run_scenario_sharded(sc, opt, dep, n));
+        legs.push_back(run_leg(sc, opt, dep, n));
 
     bool invariant = true;
     Json rows = Json::array();
-    const double base_wall = results.front().wall_s;
+    const double base_wall = legs.front().r.wall_s;
     double wall_at_4 = 0.0;
     std::uint64_t epochs_at_1 = 0;
-    for (const platform::ShardedScenarioResult& r : results) {
+    for (const Leg& leg : legs) {
+        const platform::ShardedScenarioResult& r = leg.r;
         if (r.checksum != baseline.checksum)
             invariant = false;
         if (r.shards == 1)
@@ -142,10 +199,11 @@ main()
         char digest[32];
         std::snprintf(digest, sizeof digest, "%016llx",
                       static_cast<unsigned long long>(r.checksum));
-        print_row("optimized", r, speedup, digest);
+        print_row("optimized", leg, speedup, digest);
         rows.push(Json::object()
                       .kv("shards", r.shards)
                       .kv("wall_s", r.wall_s)
+                      .kv("steal_cpu_s", leg.steal_cpu_s)
                       .kv("speedup", speedup)
                       .kv("epochs", r.epochs)
                       .kv("forwarded", r.forwarded)
@@ -168,8 +226,8 @@ main()
     std::uint64_t rover_ref = 0;
     double rover_base_wall = 0.0;
     for (int n : shard_counts()) {
-        platform::ShardedScenarioResult r =
-            platform::run_scenario_sharded(rover_sc, opt, rover_dep, n);
+        const Leg leg = run_leg(rover_sc, opt, rover_dep, n);
+        const platform::ShardedScenarioResult& r = leg.r;
         if (rover_base_wall == 0.0) {
             rover_ref = r.checksum;
             rover_base_wall = r.wall_s;
@@ -181,10 +239,11 @@ main()
         char digest[32];
         std::snprintf(digest, sizeof digest, "%016llx",
                       static_cast<unsigned long long>(r.checksum));
-        print_row("rover", r, speedup, digest);
+        print_row("rover", leg, speedup, digest);
         rover_rows.push(Json::object()
                             .kv("shards", r.shards)
                             .kv("wall_s", r.wall_s)
+                            .kv("steal_cpu_s", leg.steal_cpu_s)
                             .kv("speedup", speedup)
                             .kv("epochs", r.epochs)
                             .kv("forwarded", r.forwarded)
@@ -237,6 +296,7 @@ main()
             .kv("rover_checksum_invariant", rover_invariant)
             .kv("baseline", Json::object()
                                 .kv("wall_s", baseline.wall_s)
+                                .kv("steal_cpu_s", base_leg.steal_cpu_s)
                                 .kv("epochs", baseline.epochs)
                                 .kv("forwarded", baseline.forwarded)
                                 .kv("checksum", std::string(base_digest)))

@@ -25,6 +25,7 @@
 
 #include "analytic/model.hpp"
 #include "bench_util.hpp"
+#include "platform/pipeline_spec.hpp"
 #include "platform/sharded_scenario.hpp"
 
 using namespace hivemind;
@@ -36,15 +37,20 @@ analytic::AnalyticInput
 scenario_input(bool scenario_b, std::size_t devices,
                const platform::PlatformOptions& opt)
 {
+    const platform::PipelineSpec pipe = platform::pipeline_for(
+        scenario_b ? platform::ScenarioKind::MovingPeople
+                   : platform::ScenarioKind::StationaryItems);
     analytic::AnalyticInput in;
     in.devices = devices;
     in.scale_infra = true;
-    in.task_rate_hz = 1.0;
-    in.input_bytes = 16u << 20;  // Full 8 fps x 2 MB stream per second.
-    in.output_bytes = 16u << 10;
-    in.work_core_ms = scenario_b ? 770.0 : 220.0;  // rec (+dedup).
-    in.parallelism = 8;
-    in.apply_platform(opt);
+    // One task per second on the full 8 fps x 2 MB stream.
+    in.app.input_bytes = pipe.frame_bytes;
+    in.app.output_bytes = pipe.result_bytes;
+    in.app.work_core_ms = pipe.rec_work_ms + pipe.dedup_work_ms;
+    in.app.parallelism = pipe.parallelism;
+    // The twin's stage hand-off, not the engine's 128 KiB.
+    in.app.inter_bytes = 256u << 10;
+    in.platform = opt;
     return in;
 }
 

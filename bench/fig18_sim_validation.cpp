@@ -39,8 +39,8 @@ main()
             platform::RunMetrics des =
                 run_job_repeated(app, opt, paper_job(), 3);
             analytic::AnalyticInput in;
-            in.apply_app(app);
-            in.apply_platform(opt);
+            in.app = app;
+            in.platform = opt;
             analytic::AnalyticOutput model = analytic::evaluate(in);
             double des_tail = des.task_latency_s.p99();
             double dev = des_tail > 0.0

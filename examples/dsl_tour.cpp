@@ -73,7 +73,7 @@ main(int argc, char** argv)
     std::printf("Meaningful execution models: %zu (sensor source and "
                 "actuator pinned to the edge)\n",
                 placements.size());
-    synth::PlacementExplorer explorer(graph, synth::CostModelParams{});
+    synth::PlacementExplorer explorer(graph);
     synth::Objective objective;
     objective.w_latency = 1.0;
     objective.w_energy = 0.02;

@@ -40,10 +40,10 @@ main(int argc, char** argv)
     job.duration = 30 * sim::kSecond;
     job.drain = 60 * sim::kSecond;
 
-    synth::PlacementExplorer measured(graph, synth::CostModelParams{});
+    synth::PlacementExplorer measured(graph);
     measured.set_profiler(platform::make_simulation_profiler(
         platform::PlatformOptions::hivemind(), dep, job, rate));
-    synth::PlacementExplorer predicted(graph, synth::CostModelParams{});
+    synth::PlacementExplorer predicted(graph);
 
     auto measured_all = measured.explore_all();
     auto predicted_all = predicted.explore_all();

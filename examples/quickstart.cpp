@@ -56,7 +56,7 @@ main()
                 graph.name().c_str(), graph.size());
 
     // --- 2. Explore placements ---
-    synth::PlacementExplorer explorer(graph, synth::CostModelParams{});
+    synth::PlacementExplorer explorer(graph);
     auto best = explorer.best(synth::Objective{});
     std::printf("Placement search picked: %s  (est. latency %.0f ms, "
                 "device energy %.1f J/task)\n",

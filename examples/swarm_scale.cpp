@@ -14,6 +14,7 @@
 #include <cstdlib>
 
 #include "analytic/model.hpp"
+#include "platform/pipeline_spec.hpp"
 #include "platform/scenario.hpp"
 
 using namespace hivemind;
@@ -52,17 +53,21 @@ main(int argc, char** argv)
     std::printf("%-8s %14s %14s %16s %16s\n", "drones", "centr p99(s)",
                 "hive p99(s)", "centr bottleneck", "hive bottleneck");
     for (std::size_t n : {16u, 64u, 256u, 1024u, 4096u, 8192u}) {
+        const platform::PipelineSpec pipe =
+            platform::pipeline_for(platform::ScenarioKind::StationaryItems);
         analytic::AnalyticInput in;
         in.devices = n;
         in.scale_infra = true;
-        in.task_rate_hz = 1.0;
-        in.input_bytes = 16u << 20;
-        in.work_core_ms = 220.0;
-        in.parallelism = 8;
+        in.app.input_bytes = pipe.frame_bytes;
+        in.app.output_bytes = pipe.result_bytes;
+        in.app.work_core_ms = pipe.rec_work_ms + pipe.dedup_work_ms;
+        in.app.parallelism = pipe.parallelism;
+        // The twin's stage hand-off, not the engine's 128 KiB.
+        in.app.inter_bytes = 256u << 10;
         analytic::AnalyticInput centr = in;
-        centr.apply_platform(platform::PlatformOptions::centralized_faas());
+        centr.platform = platform::PlatformOptions::centralized_faas();
         analytic::AnalyticInput hive = in;
-        hive.apply_platform(platform::PlatformOptions::hivemind());
+        hive.platform = platform::PlatformOptions::hivemind();
         auto c = analytic::evaluate(centr);
         auto h = analytic::evaluate(hive);
         std::printf("%-8zu %14.2f %14.2f %15.0f%% %15.0f%%\n", n,

@@ -11,79 +11,33 @@
  * controller, invoker cores, data store — each approximated as an
  * M/M/c queue; per-task latency is the sum of station sojourns plus
  * the fixed overheads (cold-start amortization, sharing protocol).
+ *
+ * The testbed is the DES's own: link rates, cluster size, controller
+ * throughput, the drone's CPU, queue and battery, and the job window
+ * come from the simulator's default settings, and the infrastructure
+ * scaling, controller replicas and hybrid split from the rules the
+ * DES applies. Only the station approximations' calibrations are the
+ * model's own.
  */
 
-#include <cstdint>
+#include <cstddef>
 
 #include "apps/appspec.hpp"
 #include "platform/options.hpp"
 
 namespace hivemind::analytic {
 
-/** Workload + infrastructure description for the analytic model. */
+/** Workload and swarm size for the analytic model. */
 struct AnalyticInput
 {
     std::size_t devices = 16;
-    /** Tasks per device per second. */
-    double task_rate_hz = 1.0;
-    /** Sensor payload per task, bytes. */
-    std::uint64_t input_bytes = 2u << 20;
-    /** Result payload, bytes. */
-    std::uint64_t output_bytes = 16u << 10;
-    /** Intermediate data between dependent functions, bytes. */
-    std::uint64_t inter_bytes = 256u << 10;
-    /** Reference-core work per task, ms. */
-    double work_core_ms = 220.0;
-    /** Intra-task fan-out exploited (HiveMind). */
-    int parallelism = 1;
-    /** Edge CPU speed factor. */
-    double edge_cpu_factor = 0.12;
-    /** Edge work multiplier (S4-style in-place discount). */
-    double edge_work_factor = 1.0;
-
-    // Infrastructure (defaults mirror DeploymentConfig).
-    std::size_t routers = 2;
-    double router_bps = 867e6;
-    double device_radio_bps = 600e6;
-    std::size_t servers = 12;
-    int cores_per_server = 40;
-    double controller_rps = 600.0;
-    int controllers = 1;
-    /** Fixed per-task serverless overhead (mgmt + amortized start). */
-    double faas_overhead_s = 0.062;
-    /** Extra instantiation paid at the tail (cold-start mix). */
-    double faas_overhead_tail_s = 0.140;
-    /** Base data-sharing latency per hand-off (CouchDB base+lookup). */
-    double sharing_s = 0.016;
-    /** Data-sharing payload bandwidth, bytes/second. */
-    double sharing_Bps = 150e6;
-    /** On-board task-queue bound (drop-oldest shedding in the DES). */
-    int edge_queue_limit = 64;
-    /** p99/mean multiplier of a stable station's queueing part. */
-    double stable_tail_factor = 3.0;
-    /** p99/mean multiplier of the execution jitter + stragglers. */
-    double exec_tail_factor = 1.7;
-    /** Observation horizon for saturated stations. */
-    double horizon_s = 120.0;
-    /** Post-horizon drain window; completions later are censored. */
-    double drain_s = 120.0;
-    /** Scale routers/ToR/servers with devices/16 (Sec. 5.6). */
+    /** Scale routers/ToR/servers with the swarm
+     *  (platform::infra_scale, Sec. 5.6). */
     bool scale_infra = false;
-
-    // Platform behaviour.
-    platform::PlatformKind kind = platform::PlatformKind::CentralizedFaas;
-    /** HiveMind hybrid: fraction of bytes still uplinked. */
-    double hybrid_uplink_fraction = 0.30;
-    /** HiveMind hybrid: fraction of work done on-board. */
-    double hybrid_prefilter_share = 0.10;
-    /** Whether HiveMind places this job entirely on-board (S3/S4/S7). */
-    bool hybrid_runs_on_edge = false;
-
-    /** Fill workload fields from an application spec. */
-    void apply_app(const apps::AppSpec& app);
-
-    /** Fill platform fields from PlatformOptions. */
-    void apply_platform(const platform::PlatformOptions& options);
+    /** The job every device runs (rate, payloads, work, fan-out). */
+    apps::AppSpec app;
+    /** The platform and its feature flags. */
+    platform::PlatformOptions platform;
 };
 
 /** Analytic predictions. */

@@ -115,9 +115,6 @@ class TaskGraph
     /** All declared ordering rules. */
     const std::vector<OrderingRule>& orderings() const { return rules_; }
 
-    /** All synchronization points. */
-    const std::vector<SyncPoint>& sync_points() const { return syncs_; }
-
     /** Tasks with no parents / no children. */
     std::vector<std::string> roots() const;
     std::vector<std::string> leaves() const;

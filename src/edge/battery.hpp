@@ -16,7 +16,8 @@
 
 namespace hivemind::edge {
 
-/** Energy draw constants for one device class. */
+/** Energy draw constants for one device class; the defaults are the
+ *  drone's (quadrotor hover, Cortex A8). */
 struct PowerModel
 {
     /** Motion (hover + translation for drones; drive for rovers), W. */
@@ -36,7 +37,6 @@ class Battery
     /** @param capacity_j usable capacity in joules. */
     explicit Battery(double capacity_j) : capacity_j_(capacity_j) {}
 
-    double capacity_j() const { return capacity_j_; }
     double used_j() const { return used_j_; }
 
     /** Remaining charge in [0, 1]. */

@@ -7,18 +7,7 @@ namespace hivemind::edge {
 DeviceSpec
 DeviceSpec::drone()
 {
-    DeviceSpec s;
-    s.kind = "drone";
-    s.speed_mps = 4.0;
-    s.cpu_speed_factor = 0.12;
-    s.battery_j = 60'000.0;          // ~16.6 Wh pack.
-    s.power.motion_w = 80.0;         // Quadrotor hover + translation.
-    s.power.compute_w = 2.5;         // Cortex A8 at full load.
-    s.power.radio_j_per_byte = 1.0e-7;
-    s.power.idle_w = 1.5;
-    s.footprint_w = 6.7;
-    s.footprint_h = 8.75;
-    return s;
+    return {};
 }
 
 DeviceSpec

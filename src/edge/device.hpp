@@ -31,7 +31,7 @@
 
 namespace hivemind::edge {
 
-/** Static description of a device class. */
+/** Static description of a device class; the defaults are the drone. */
 struct DeviceSpec
 {
     std::string kind = "drone";
@@ -39,7 +39,7 @@ struct DeviceSpec
     double speed_mps = 4.0;
     /** On-board CPU speed relative to a reference cloud core. */
     double cpu_speed_factor = 0.12;
-    /** Usable battery capacity, J. */
+    /** Usable battery capacity, J (the drone's ~16.6 Wh pack). */
     double battery_j = 60'000.0;
     /** Power draws. */
     PowerModel power;
@@ -51,7 +51,8 @@ struct DeviceSpec
     /** Sensor frames bufferable on-board while disconnected (Sec. 4.6). */
     std::size_t frame_buffer_limit = 256;
 
-    /** The Parrot AR 2.0 drone of the paper's main testbed. */
+    /** The Parrot AR 2.0 drone of the paper's main testbed: the
+     *  defaults above. */
     static DeviceSpec drone();
 
     /** The Raspberry Pi robotic car of Sec. 5.5. */

@@ -5,6 +5,20 @@
 
 namespace hivemind::platform {
 
+double
+infra_scale(std::size_t devices, bool scale_infra)
+{
+    return scale_infra && devices > 16
+        ? static_cast<double>(devices) / 16.0
+        : 1.0;
+}
+
+int
+hivemind_controllers(std::size_t devices)
+{
+    return std::max<int>(2, static_cast<int>(devices / 8));
+}
+
 CloudTier::CloudTier(sim::Simulator& simulator, sim::Rng& rng,
                      const DeploymentConfig& config,
                      const PlatformOptions& options, sim::Rng* radio_loss)
@@ -13,18 +27,14 @@ CloudTier::CloudTier(sim::Simulator& simulator, sim::Rng& rng,
     // --- Network ---
     net::TopologyConfig net;
     net.devices = config_.devices;
-    net.servers = config_.servers;
     net.cloud_rpc_offload = options_.net_accel;
     net.wireless_loss = config_.wireless_loss;
-    if (config_.scale_infra && config_.devices > 16) {
-        double factor = static_cast<double>(config_.devices) / 16.0;
-        net.infra_scale = factor;
-        // The serverless cloud grows with offered load too; the
-        // controller does NOT (that is the scalability bottleneck).
-        config_.servers = static_cast<std::size_t>(
-            static_cast<double>(config_.servers) * factor);
-        net.servers = config_.servers;
-    }
+    net.infra_scale = infra_scale(config_.devices, config_.scale_infra);
+    // The serverless cloud grows with offered load too; the controller
+    // does NOT (that is the scalability bottleneck).
+    config_.servers = static_cast<std::size_t>(
+        static_cast<double>(config_.servers) * net.infra_scale);
+    net.servers = config_.servers;
     network_ = std::make_unique<net::SwarmTopology>(simulator, net,
                                                     radio_loss);
 
@@ -39,10 +49,8 @@ CloudTier::CloudTier(sim::Simulator& simulator, sim::Rng& rng,
         faas.sharing = cloud::SharingProtocol::RemoteMemory;
     if (options_.smart_scheduler) {
         // HiveMind deploys multiple shared-state schedulers when one
-        // becomes the bottleneck (Sec. 4.3); replicas scale with the
-        // swarm so fan-out never saturates the control plane.
-        faas.controllers = std::max<int>(
-            2, static_cast<int>(config_.devices / 8));
+        // becomes the bottleneck (Sec. 4.3).
+        faas.controllers = hivemind_controllers(config_.devices);
         // Function concurrency is an internal limit, not a public
         // cloud quota, under HiveMind's full-control deployment.
         faas.max_concurrency = 100000;

@@ -69,6 +69,21 @@ struct DeploymentConfig
     bool scale_infra = false;
 };
 
+/**
+ * How much the shared infrastructure (router and ToR capacity, server
+ * count) grows for a swarm of @p devices: devices / 16 once
+ * @p scale_infra is set and the swarm outgrows the 16-drone testbed
+ * (Sec. 5.6), 1 otherwise.
+ */
+double infra_scale(std::size_t devices, bool scale_infra);
+
+/**
+ * Controller replicas the HiveMind scheduler deploys for a swarm of
+ * @p devices: one per 8 devices and never fewer than 2, so fan-out
+ * never saturates the control plane (Sec. 4.3).
+ */
+int hivemind_controllers(std::size_t devices);
+
 /** Normalized result of one cloud task (FaaS or IaaS). */
 struct CloudResult
 {

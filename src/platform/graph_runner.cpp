@@ -23,8 +23,10 @@ struct Activation
     double mgmt_s = 0.0;
     double data_s = 0.0;
     double exec_s = 0.0;
-    int outstanding = 0;  ///< Tasks currently running.
     int remaining = 0;    ///< Tasks not yet finished.
+    /** A crossing ran out of retransmits: the activation is lost, so
+     *  nothing is recorded and no later task starts. */
+    bool dropped = false;
 };
 
 /** The whole run's mutable state. */
@@ -71,7 +73,6 @@ GraphHarness::launch_task(const std::shared_ptr<Activation>& act,
 {
     const dsl::TaskDef& task = graph->task(name);
     synth::Location loc = placement->at(name);
-    ++act->outstanding;
 
     // Latest-finishing parent determines the data source.
     sim::Time parents_done = ready_at;
@@ -105,6 +106,10 @@ GraphHarness::launch_task(const std::shared_ptr<Activation>& act,
             dep->network().send_downlink(
                 from, act->device, task.input_bytes,
                 [self, act, t0, run_local](sim::Time t1) {
+                    if (t1 == net::kDropped) {
+                        act->dropped = true;
+                        return;
+                    }
                     act->network_s += sim::to_seconds(t1 - t0);
                     run_local();
                 });
@@ -159,6 +164,10 @@ GraphHarness::launch_task(const std::shared_ptr<Activation>& act,
         dep->network().send_uplink(
             act->device, server, task.input_bytes,
             [self, act, t0, invoke_cloud](sim::Time t1) {
+                if (t1 == net::kDropped) {
+                    act->dropped = true;
+                    return;
+                }
                 act->network_s += sim::to_seconds(t1 - t0);
                 invoke_cloud();
             });
@@ -171,9 +180,10 @@ void
 GraphHarness::task_finished(const std::shared_ptr<Activation>& act,
                             const std::string& name)
 {
+    if (act->dropped)
+        return;
     sim::Time now = dep->simulator().now();
     act->finished[name] = now;
-    --act->outstanding;
     --act->remaining;
     for (const std::string& child : graph->task(name).children) {
         if (--act->waiting[child] == 0)

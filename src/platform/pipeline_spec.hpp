@@ -3,7 +3,8 @@
 /**
  * @file
  * Work/size constants of the scenario pipelines (from the task graphs
- * in Sec. 5.5), as the scenario engine runs them.
+ * in Sec. 5.5), as the scenario engine runs them, and HiveMind's
+ * hybrid split of a task between the drone and the cloud.
  */
 
 #include <algorithm>
@@ -61,17 +62,22 @@ pipeline_for(ScenarioKind kind, std::uint64_t frame_bytes_override = 0)
 }
 
 /*
- * HiveMind's split of a frame in the scenario engine (DESIGN.md
- * §8.1): the drone runs an on-board pre-filter, then uplinks the
- * reduced candidate stream, on which the cloud runs the whole
- * recognition stage.
+ * HiveMind's hybrid split (DESIGN.md §8.1). The job runner's stage
+ * plan and the analytic twin read both constants. The scenario engine
+ * runs the same on-board share, then uplinks hivemind_uplink_bytes()
+ * of the frame, on which the cloud runs the whole recognition stage.
  */
 
-/** On-board pre-filter work per frame: 10% of recognition. */
+/** Fraction of a task's work the on-board pre-filter runs. */
+inline constexpr double kHybridPrefilterShare = 0.10;
+/** Fraction of a job task's sensor bytes uplinked after it. */
+inline constexpr double kHybridUplinkFraction = 0.30;
+
+/** On-board pre-filter work per frame. */
 inline double
 hivemind_prefilter_work_ms(const PipelineSpec& spec)
 {
-    return spec.rec_work_ms * 0.10;
+    return spec.rec_work_ms * kHybridPrefilterShare;
 }
 
 /** Bytes per frame left after the pre-filter: 4 MiB plus 2% of the

@@ -4,14 +4,11 @@
 #include <cstdint>
 #include <memory>
 
+#include "platform/pipeline_spec.hpp"
+
 namespace hivemind::platform {
 
 namespace {
-
-/** Fraction of work HiveMind's hybrid pre-filter runs on-board. */
-constexpr double kHybridPrefilterShare = 0.10;
-/** Fraction of sensor bytes still uplinked after pre-filtering. */
-constexpr double kHybridUplinkFraction = 0.30;
 
 /**
  * Where one task's stages run: an optional on-board stage, the uplink
@@ -97,6 +94,10 @@ JobHarness::uplink(std::size_t device, sim::Time t0, sim::Time t_up,
     dep->network().send_uplink(
         device, server, plan.uplink_bytes,
         [this, device, server, t0, t_up, onboard_exec_s](sim::Time t1) {
+            // A transfer whose retransmit budget ran out loses the
+            // task: nothing is recorded and no later stage runs.
+            if (t1 == net::kDropped)
+                return;
             if (plan.cloud_ms <= 0.0) {
                 // The uplink carried the result. With no serverless
                 // stage, the on-board queue is the management share.
@@ -125,6 +126,8 @@ JobHarness::uplink(std::size_t device, sim::Time t0, sim::Time t_up,
                         server, device, app->output_bytes,
                         [this, t0, t_up, t1, t2, onboard_exec_s,
                          r](sim::Time t3) {
+                            if (t3 == net::kDropped)
+                                return;
                             double network = sim::to_seconds(t1 - t_up) +
                                 sim::to_seconds(t3 - t2);
                             metrics.record_task(sim::to_seconds(t3 - t0),

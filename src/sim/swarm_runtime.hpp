@@ -121,13 +121,6 @@ class SwarmRuntime
     /** Minimum declared channel latency (kNever if none declared). */
     Time lookahead() const { return lookahead_; }
 
-    /** Declared (src, dst) channel latency; kNever if undeclared. */
-    Time channel_latency(int src, int dst) const
-    {
-        return lat_[static_cast<std::size_t>(src) * sims_.size() +
-                    static_cast<std::size_t>(dst)];
-    }
-
     /**
      * Toggle adaptive per-pair windows (on by default; off selects
      * global-lookahead mode). Call before run_until().

@@ -3,13 +3,36 @@
 #include <algorithm>
 #include <map>
 
+#include "edge/device.hpp"
+
 namespace hivemind::synth {
+
+namespace {
+
+/** Effective device uplink bandwidth, bytes/second. */
+constexpr double kUplinkBps = 20e6;
+/** One-way wireless latency, seconds. */
+constexpr double kWirelessLatencyS = 0.004;
+/** Serverless management latency per cloud task, seconds. */
+constexpr double kFaasMgmtS = 0.006;
+/** Amortized instantiation latency per cloud task, seconds. */
+constexpr double kFaasInstantiationS = 0.080;
+/** Cloud-to-cloud data hand-off latency per edge, seconds. */
+constexpr double kCloudSharingS = 0.012;
+/** Cloud sharing bandwidth, bytes/second (CouchDB). */
+constexpr double kCloudSharingBps = 250e6;
+/** Cloud price, cost units per core-second. */
+constexpr double kCloudCostPerCoreS = 1.0;
+/** Max useful intra-task fan-out in the cloud. */
+constexpr int kMaxParallelism = 16;
+
+}  // namespace
 
 PlacementEstimate
 estimate_placement(const dsl::TaskGraph& graph,
-                   const PlacementAssignment& placement,
-                   const CostModelParams& params)
+                   const PlacementAssignment& placement)
 {
+    const edge::DeviceSpec drone = edge::DeviceSpec::drone();
     PlacementEstimate est;
     auto topo = graph.topo_order();
     if (!topo)
@@ -26,14 +49,13 @@ estimate_placement(const dsl::TaskGraph& graph,
         // Node latency.
         double node_s;
         if (loc == Location::Edge) {
-            node_s = t.work_core_ms / 1000.0 / params.edge_cpu_factor;
-            est.edge_energy_j += node_s * params.compute_w;
+            node_s = t.work_core_ms / 1000.0 / drone.cpu_speed_factor;
+            est.edge_energy_j += node_s * drone.power.compute_w;
         } else {
-            int ways = std::min(t.parallelism, params.max_parallelism);
-            node_s = params.faas_mgmt_s + params.faas_instantiation_s +
+            int ways = std::min(t.parallelism, kMaxParallelism);
+            node_s = kFaasMgmtS + kFaasInstantiationS +
                 t.work_core_ms / 1000.0 / static_cast<double>(ways);
-            est.cloud_cost +=
-                t.work_core_ms / 1000.0 * params.cloud_cost_per_core_s;
+            est.cloud_cost += t.work_core_ms / 1000.0 * kCloudCostPerCoreS;
         }
 
         double start = 0.0;
@@ -47,14 +69,14 @@ estimate_placement(const dsl::TaskGraph& graph,
             std::uint64_t bytes = pt.output_bytes;
             if (ploc != loc) {
                 // Wireless boundary crossing.
-                edge_s = params.wireless_latency_s +
-                    static_cast<double>(bytes) / params.uplink_Bps;
+                edge_s = kWirelessLatencyS +
+                    static_cast<double>(bytes) / kUplinkBps;
                 est.crossing_bytes += bytes;
-                est.edge_energy_j +=
-                    params.radio_j_per_byte * static_cast<double>(bytes);
+                est.edge_energy_j += drone.power.radio_j_per_byte *
+                    static_cast<double>(bytes);
             } else if (loc == Location::Cloud) {
-                edge_s = params.cloud_sharing_s +
-                    static_cast<double>(bytes) / params.cloud_sharing_Bps;
+                edge_s = kCloudSharingS +
+                    static_cast<double>(bytes) / kCloudSharingBps;
             }
             start = std::max(start, pit->second + edge_s);
         }

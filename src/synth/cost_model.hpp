@@ -10,7 +10,9 @@
  * under test for the explorer). The model computes, per task-graph
  * activation: the critical-path latency through the DAG, the energy
  * drawn from the device battery, the cloud core-seconds consumed, and
- * the bytes crossing the wireless boundary.
+ * the bytes crossing the wireless boundary. The device is the drone
+ * preset (edge::DeviceSpec::drone()): its CPU speed, compute power
+ * and radio energy.
  */
 
 #include <cstdint>
@@ -19,33 +21,6 @@
 #include "synth/placement.hpp"
 
 namespace hivemind::synth {
-
-/** Constants of the analytic estimate. */
-struct CostModelParams
-{
-    /** Edge CPU speed relative to a cloud core. */
-    double edge_cpu_factor = 0.12;
-    /** Effective device uplink bandwidth, bytes/second. */
-    double uplink_Bps = 20e6;
-    /** One-way wireless latency, seconds. */
-    double wireless_latency_s = 0.004;
-    /** Serverless management latency per cloud task, seconds. */
-    double faas_mgmt_s = 0.006;
-    /** Amortized instantiation latency per cloud task, seconds. */
-    double faas_instantiation_s = 0.080;
-    /** Cloud-to-cloud data hand-off latency per edge, seconds. */
-    double cloud_sharing_s = 0.012;
-    /** Cloud sharing bandwidth, bytes/second (CouchDB). */
-    double cloud_sharing_Bps = 250e6;
-    /** Device compute power, W. */
-    double compute_w = 2.5;
-    /** Radio energy, J/byte. */
-    double radio_j_per_byte = 1.0e-7;
-    /** Cloud price, cost units per core-second. */
-    double cloud_cost_per_core_s = 1.0;
-    /** Max useful intra-task fan-out in the cloud. */
-    int max_parallelism = 16;
-};
 
 /** Analytic estimate for one placement. */
 struct PlacementEstimate
@@ -62,7 +37,6 @@ struct PlacementEstimate
 
 /** Compute the analytic estimate of @p placement for @p graph. */
 PlacementEstimate estimate_placement(const dsl::TaskGraph& graph,
-                                     const PlacementAssignment& placement,
-                                     const CostModelParams& params);
+                                     const PlacementAssignment& placement);
 
 }  // namespace hivemind::synth

@@ -5,9 +5,8 @@
 
 namespace hivemind::synth {
 
-PlacementExplorer::PlacementExplorer(const dsl::TaskGraph& graph,
-                                     const CostModelParams& params)
-    : graph_(&graph), params_(params)
+PlacementExplorer::PlacementExplorer(const dsl::TaskGraph& graph)
+    : graph_(&graph)
 {
 }
 
@@ -46,7 +45,7 @@ PlacementExplorer::explore_all() const
     for (PlacementAssignment& a : enumerate_placements(*graph_)) {
         ExplorationResult r;
         r.estimate = profiler_ ? profiler_(*graph_, a)
-                               : estimate_placement(*graph_, a, params_);
+                               : estimate_placement(*graph_, a);
         r.feasible = satisfies_constraints(r.estimate);
         r.placement = std::move(a);
         out.push_back(std::move(r));

@@ -49,8 +49,7 @@ using Profiler = std::function<PlacementEstimate(
 class PlacementExplorer
 {
   public:
-    PlacementExplorer(const dsl::TaskGraph& graph,
-                      const CostModelParams& params);
+    explicit PlacementExplorer(const dsl::TaskGraph& graph);
 
     /** Replace the analytic model with a measurement-backed profiler. */
     void set_profiler(Profiler profiler);
@@ -77,7 +76,6 @@ class PlacementExplorer
                  const Objective& objective) const;
 
     const dsl::TaskGraph* graph_;
-    CostModelParams params_;
     Profiler profiler_;
 };
 

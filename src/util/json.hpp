@@ -26,6 +26,7 @@
  */
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -83,6 +84,11 @@ class Json
     Json& kv(const std::string& key, const Json& v)
     {
         return raw_kv(key, v.str());
+    }
+    /** A number, or null when @p v is empty. */
+    Json& kv(const std::string& key, const std::optional<double>& v)
+    {
+        return v ? kv(key, *v) : raw_kv(key, "null");
     }
 
     Json& push(double v) { return raw_push(format_double(v)); }

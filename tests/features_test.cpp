@@ -297,6 +297,50 @@ TEST(GraphRunner, RunsListing3Graph)
     EXPECT_GT(m.task_latency_s.median(), 0.3);
 }
 
+TEST(GraphRunner, DroppedCrossingLosesTheActivation)
+{
+    // A crossing whose retransmit budget ran out (net::kDropped) ends
+    // its activation: nothing is recorded and no later task starts.
+    dsl::TaskGraph graph = dsl::scenario_b_graph();
+    synth::PlacementAssignment placement;
+    for (const std::string& name : graph.task_names()) {
+        const dsl::TaskDef& t = graph.task(name);
+        bool edge = t.sensor_source || t.actuator_sink ||
+            t.placement == dsl::PlacementHint::Edge;
+        placement[name] =
+            edge ? synth::Location::Edge : synth::Location::Cloud;
+    }
+    platform::DeploymentConfig dep;
+    dep.devices = 8;
+    dep.servers = 6;
+    dep.cores_per_server = 20;
+    dep.seed = 4;
+    platform::JobConfig job;
+    job.duration = 20 * sim::kSecond;
+    job.drain = 60 * sim::kSecond;
+
+    dep.wireless_loss = 1.0;
+    platform::RunMetrics dark = platform::run_task_graph(
+        graph, placement, platform::PlatformOptions::hivemind(), dep, job,
+        0.5);
+    EXPECT_GT(dark.recovery.frames_dropped, 0u);
+    EXPECT_EQ(dark.tasks_completed, 0u);
+    EXPECT_EQ(dark.network_s.count(), 0u);
+
+    dep.wireless_loss = 0.3;
+    platform::RunMetrics lossy = platform::run_task_graph(
+        graph, placement, platform::PlatformOptions::hivemind(), dep, job,
+        0.5);
+    EXPECT_GT(lossy.recovery.frames_dropped, 0u);
+    EXPECT_GT(lossy.tasks_completed, 0u);
+    for (const sim::Summary* s : {&lossy.task_latency_s, &lossy.network_s,
+                                  &lossy.mgmt_s, &lossy.data_s,
+                                  &lossy.exec_s}) {
+        for (double x : s->samples())
+            EXPECT_GE(x, 0.0);
+    }
+}
+
 TEST(GraphRunner, AllEdgeSlowerThanHybridForHeavyGraph)
 {
     dsl::TaskGraph graph = dsl::scenario_b_graph();
@@ -352,7 +396,7 @@ TEST(GraphRunner, SimulationProfilerPrefersCloudForHeavyWork)
     job.duration = 15 * sim::kSecond;
     job.drain = 60 * sim::kSecond;
 
-    synth::PlacementExplorer explorer(graph, synth::CostModelParams{});
+    synth::PlacementExplorer explorer(graph);
     explorer.set_profiler(platform::make_simulation_profiler(
         platform::PlatformOptions::hivemind(), dep, job, 0.2));
     auto best = explorer.best(synth::Objective{});

@@ -186,8 +186,8 @@ TEST_P(AnalyticSweep, OutputsAreFiniteAndOrdered)
 {
     auto [platform_idx, app_id] = GetParam();
     analytic::AnalyticInput in;
-    in.apply_app(apps::app_by_id(app_id));
-    in.apply_platform(platform_by_index(platform_idx));
+    in.app = apps::app_by_id(app_id);
+    in.platform = platform_by_index(platform_idx);
     analytic::AnalyticOutput out = analytic::evaluate(in);
     EXPECT_GT(out.mean_latency_s, 0.0);
     EXPECT_GE(out.tail_latency_s, out.mean_latency_s);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/appspec.hpp"
 #include "edge/device.hpp"
 #include "platform/deployment.hpp"
@@ -227,6 +229,46 @@ TEST(SinglePhase, MultiTenantResultsArePinned)
     ASSERT_GT(lossy_runs.front().recovery.wireless_retransmissions, 0u);
     fold_metrics(hash, lossy_runs);
     EXPECT_EQ(hash, 0xe3a314835d117fb8ull) << std::hex << "0x" << hash;
+}
+
+/** The smallest sample of any summary in @p m (0 when all are empty). */
+double
+min_sample(const RunMetrics& m)
+{
+    double lo = 0.0;
+    for (const sim::Summary* s :
+         {&m.task_latency_s, &m.network_s, &m.mgmt_s, &m.data_s, &m.exec_s,
+          &m.battery_pct, &m.job_latency_s, &m.bandwidth_MBps}) {
+        for (double x : s->samples())
+            lo = std::min(lo, x);
+    }
+    return lo;
+}
+
+TEST(SinglePhase, DroppedTransferLosesTheTask)
+{
+    // A transfer whose retransmit budget ran out (net::kDropped) ends
+    // its task: a blacked-out radio completes nothing, and a lossy one
+    // records no task with a negative latency or network share.
+    const apps::AppSpec& s1 = apps::app_by_id("S1");
+    JobConfig job;
+    job.duration = 90 * sim::kSecond;
+    job.drain = 60 * sim::kSecond;
+    for (const PlatformOptions& options :
+         {PlatformOptions::centralized_faas(),
+          PlatformOptions::distributed_edge(), PlatformOptions::hivemind()}) {
+        DeploymentConfig dep;
+        dep.wireless_loss = 1.0;
+        RunMetrics dark = run_single_phase(s1, options, dep, job);
+        EXPECT_GT(dark.recovery.frames_dropped, 0u) << options.label;
+        EXPECT_EQ(dark.tasks_completed, 0u) << options.label;
+
+        dep.wireless_loss = 0.3;
+        RunMetrics lossy = run_single_phase(s1, options, dep, job);
+        EXPECT_GT(lossy.recovery.frames_dropped, 0u) << options.label;
+        EXPECT_GT(lossy.tasks_completed, 0u) << options.label;
+        EXPECT_GE(min_sample(lossy), 0.0) << options.label;
+    }
 }
 
 ScenarioConfig
