@@ -33,9 +33,10 @@ run_occupied(double occupancy, bool isolated)
     cfg.straggler_prob = 0.0;
     cfg.performance_isolation = isolated;
     cloud::FaasRuntime rt(simulator, rng, cluster, store, cfg);
+    const cloud::AppId app_id = rt.intern("S1");
     sim::Summary exec;
     cloud::InvokeRequest req;
-    req.app = "S1";
+    req.app = app_id;
     req.work_core_ms = 350.0;
     for (int i = 0; i < 120; ++i) {
         rt.invoke(req, [&](const cloud::InvocationTrace& t) {

@@ -34,9 +34,10 @@ run_policy(cloud::FaultRecovery policy, double fault_prob)
     cloud::FaasConfig cfg;
     cfg.fault_prob = fault_prob;
     cloud::FaasRuntime rt(simulator, rng, cluster, store, cfg);
+    const cloud::AppId app_id = rt.intern("S1");
     Result out;
     cloud::InvokeRequest req;
-    req.app = "S1";
+    req.app = app_id;
     req.work_core_ms = 350.0;
     req.recovery = policy;
     auto grng = std::make_shared<sim::Rng>(rng.fork());

@@ -66,12 +66,13 @@ run_mode(Mode mode)
         cloud::DataStore store(simulator, rng, cloud::DataStoreConfig{});
         cloud::FaasRuntime rt(simulator, rng, cluster, store,
                               cloud::FaasConfig{});
+        const cloud::AppId app_id = rt.intern(app.id);
         auto grng = std::make_shared<sim::Rng>(rng.fork());
         sim::recurring(simulator, 0, [&, grng](const sim::Recur& self) {
             if (simulator.now() >= kDuration)
                 return;
             cloud::InvokeRequest req;
-            req.app = app.id;
+            req.app = app_id;
             req.work_core_ms = app.work_core_ms;
             req.memory_mb = app.memory_mb;
             rt.invoke(req, [&](const cloud::InvocationTrace& t) {

@@ -46,6 +46,7 @@ run_with_faults(double fault_prob)
     cloud::FaasConfig cfg;
     cfg.fault_prob = fault_prob;
     cloud::FaasRuntime rt(simulator, rng, cluster, store, cfg);
+    const cloud::AppId app_id = rt.intern(app.id);
     // Sample the active count wherever it changes: right after each
     // submission and in each completion callback.
     sim::TimeSeries active;
@@ -57,7 +58,7 @@ run_with_faults(double fault_prob)
         if (simulator.now() >= kDuration)
             return;
         cloud::InvokeRequest req;
-        req.app = app.id;
+        req.app = app_id;
         req.work_core_ms = app.work_core_ms;
         req.memory_mb = app.memory_mb;
         rt.invoke(req, [&sample_active](const cloud::InvocationTrace&) {

@@ -69,9 +69,10 @@ run_app(const apps::AppSpec& app)
         cloud::DataStore store(simulator, rng, cloud::DataStoreConfig{});
         cloud::FaasRuntime rt(simulator, rng, cluster, store,
                               cloud::FaasConfig{});
+        const cloud::AppId app_id = rt.intern(app.id);
         drive(simulator, rng, rate, [&]() {
             cloud::InvokeRequest req;
-            req.app = app.id;
+            req.app = app_id;
             req.work_core_ms = app.work_core_ms;
             req.memory_mb = app.memory_mb;
             req.input_bytes = app.inter_bytes;

@@ -37,13 +37,14 @@ run_app(const apps::AppSpec& app)
     cloud::DataStore store(simulator, rng, cloud::DataStoreConfig{});
     cloud::FaasRuntime rt(simulator, rng, cluster, store,
                           cloud::FaasConfig{});
+    const cloud::AppId app_id = rt.intern(app.id);
     double rate = app.task_rate_hz * 16.0;
     auto grng = std::make_shared<sim::Rng>(rng.fork());
     sim::recurring(simulator, 0, [&, grng](const sim::Recur& self) {
         if (simulator.now() >= kDuration)
             return;
         cloud::InvokeRequest req;
-        req.app = app.id;
+        req.app = app_id;
         req.work_core_ms = app.work_core_ms;
         req.memory_mb = app.memory_mb;
         req.input_bytes = app.inter_bytes;

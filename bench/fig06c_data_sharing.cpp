@@ -41,6 +41,7 @@ run_app(const apps::AppSpec& app)
         cloud::FaasConfig cfg;
         cfg.sharing = proto;
         cloud::FaasRuntime rt(simulator, rng, cluster, store, cfg);
+        const cloud::AppId app_id = rt.intern(app.id);
         double rate = app.task_rate_hz * 16.0;
         auto grng = std::make_shared<sim::Rng>(rng.fork());
         sim::recurring(simulator, 0, [&, grng](const sim::Recur& self) {
@@ -49,7 +50,7 @@ run_app(const apps::AppSpec& app)
             // Parent function writes, dependent child reads: two
             // hand-offs of the app's intermediate data per task.
             cloud::InvokeRequest req;
-            req.app = app.id;
+            req.app = app_id;
             req.work_core_ms = app.work_core_ms;
             req.memory_mb = app.memory_mb;
             req.input_bytes = app.inter_bytes;

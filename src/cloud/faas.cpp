@@ -18,6 +18,18 @@ FaasRuntime::FaasRuntime(sim::Simulator& simulator, sim::Rng& rng,
 {
     for (int r = 0; r < std::max(config.controllers, 1); ++r)
         controller_free_.push(0);
+    intern("");  // AppId{}: requests that name no app.
+}
+
+AppId
+FaasRuntime::intern(std::string_view name)
+{
+    for (std::size_t i = 0; i < app_names_.size(); ++i) {
+        if (app_names_[i] == name)
+            return AppId{static_cast<std::uint32_t>(i)};
+    }
+    app_names_.emplace_back(name);
+    return AppId{static_cast<std::uint32_t>(app_names_.size() - 1)};
 }
 
 void
@@ -59,9 +71,14 @@ FaasRuntime::crash_server(std::size_t server)
     // Warm containers on the host die with it: drop their pool entries
     // and cancel the keep-alive expiries. Their memory claims (and the
     // ones of every in-flight container) are wiped wholesale below, so
-    // per-entry releases would double-free.
-    for (auto& [app, pool] : warm_) {
-        (void)app;
+    // per-entry releases would double-free. The sweep runs in app id
+    // order; the order cannot matter, since it only cancels expiries
+    // and frees pool slots, and which kernel or pool slot a later
+    // event or container takes decides nothing about the order things
+    // run in.
+    for (WarmApp& pool : warm_) {
+        if (pool.newest_on.empty())
+            continue;  // The app never parked a container.
         while (pool.newest_on[server] != kNil) {
             std::uint32_t slot = pool.newest_on[server];
             simulator_->cancel(warm_slots_[slot].expiry);
@@ -187,24 +204,22 @@ FaasRuntime::scheduled(std::uint32_t slot)
 }
 
 std::optional<std::size_t>
-FaasRuntime::peek_warm(const std::string& app, std::size_t preferred) const
+FaasRuntime::peek_warm(AppId app, std::size_t preferred) const
 {
-    auto it = warm_.find(app);
-    if (it == warm_.end() || it->second.newest == kNil)
+    if (app.index >= warm_.size() || warm_[app.index].newest == kNil)
         return std::nullopt;
-    const WarmApp& pool = it->second;
+    const WarmApp& pool = warm_[app.index];
     if (preferred < pool.newest_on.size() && pool.newest_on[preferred] != kNil)
         return preferred;
     return warm_slots_[pool.newest].server;
 }
 
 std::optional<std::size_t>
-FaasRuntime::claim_warm(const std::string& app, std::size_t preferred)
+FaasRuntime::claim_warm(AppId app, std::size_t preferred)
 {
-    auto it = warm_.find(app);
-    if (it == warm_.end())
+    if (app.index >= warm_.size())
         return std::nullopt;
-    const WarmApp& pool = it->second;
+    const WarmApp& pool = warm_[app.index];
     auto usable = [this](std::size_t server) {
         const Server& s = cluster_->server(server);
         return !s.down() && s.free_cores() > 0 && !s.on_probation();
@@ -462,8 +477,7 @@ FaasRuntime::output_published(std::uint32_t slot)
 }
 
 void
-FaasRuntime::park_warm(const std::string& app, std::size_t server,
-                       std::uint64_t memory_mb)
+FaasRuntime::park_warm(AppId app, std::size_t server, std::uint64_t memory_mb)
 {
     if (config_.keepalive <= 0)
         return;
@@ -484,14 +498,16 @@ FaasRuntime::park_warm(const std::string& app, std::size_t server,
             expire_warm(slot, generation);
         });
 
-    WarmApp& pool = warm_[app];
+    if (app.index >= warm_.size())
+        warm_.resize(app.index + 1);
+    WarmApp& pool = warm_[app.index];
     if (pool.newest_on.empty())
         pool.newest_on.assign(cluster_->size(), kNil);
     WarmEntry& e = warm_slots_[slot];
     e.memory_mb = memory_mb;
     e.expiry = expiry;
     e.server = server;
-    e.app = &pool;
+    e.app = app;
     e.newer = kNil;
     e.older = pool.newest;
     e.newer_here = kNil;
@@ -520,7 +536,7 @@ void
 FaasRuntime::unpark(std::uint32_t slot)
 {
     WarmEntry& e = warm_slots_[slot];
-    WarmApp& pool = *e.app;
+    WarmApp& pool = warm_[e.app.index];
     (e.newer == kNil ? pool.newest : warm_slots_[e.newer].older) = e.older;
     if (e.older != kNil)
         warm_slots_[e.older].newer = e.newer;

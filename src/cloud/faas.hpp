@@ -26,6 +26,7 @@
 #include <map>
 #include <queue>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cloud/datastore.hpp"
@@ -104,11 +105,24 @@ struct FaasConfig
     bool performance_isolation = false;
 };
 
+/**
+ * Dense id of an app (an action, i.e. a container image) within one
+ * FaasRuntime. FaasRuntime::intern hands ids out in first-use order,
+ * and the warm pool and the scheduler's latency history index by them.
+ * AppId{} is the unnamed app "", which every runtime interns first.
+ */
+struct AppId
+{
+    std::uint32_t index = 0;
+
+    friend bool operator==(AppId, AppId) = default;
+};
+
 /** One function invocation request. */
 struct InvokeRequest
 {
-    /** Action (container image) identifier; warm reuse is per-app. */
-    std::string app;
+    /** Action (container image) id; warm reuse is per-app. */
+    AppId app;
     /** CPU work on a reference cloud core, in core-milliseconds. */
     double work_core_ms = 10.0;
     /** Container memory footprint. */
@@ -203,6 +217,13 @@ class FaasRuntime
   public:
     FaasRuntime(sim::Simulator& simulator, sim::Rng& rng, Cluster& cluster,
                 DataStore& store, const FaasConfig& config);
+
+    /**
+     * The id of app @p name, assigned on its first use. Set-up work: a
+     * linear search over the names seen so far, so callers intern once
+     * per name and keep the id.
+     */
+    AppId intern(std::string_view name);
 
     /** Submit an invocation; @p done fires at completion. */
     void invoke(const InvokeRequest& request, InvokeCallback done);
@@ -397,20 +418,18 @@ class FaasRuntime
      * server can take it, otherwise the newest on any server that can.
      * @return the server it runs on.
      */
-    std::optional<std::size_t> claim_warm(const std::string& app,
-                                          std::size_t preferred);
+    std::optional<std::size_t> claim_warm(AppId app, std::size_t preferred);
 
     /**
      * Peek which server holds a warm container without claiming:
      * @p preferred if it holds one, otherwise the server of the app's
      * newest container.
      */
-    std::optional<std::size_t> peek_warm(const std::string& app,
+    std::optional<std::size_t> peek_warm(AppId app,
                                          std::size_t preferred) const;
 
     /** Park an idle container as warm with a keep-alive timer. */
-    void park_warm(const std::string& app, std::size_t server,
-                   std::uint64_t memory_mb);
+    void park_warm(AppId app, std::size_t server, std::uint64_t memory_mb);
 
     /** Keep-alive expiry of the container parked in @p slot at
      *  @p generation; a no-op once that container left the pool. */
@@ -433,26 +452,32 @@ class FaasRuntime
     sim::Slab<Invocation> invocations_;
     sim::Slab<Join> joins_;
 
+    /** App names by id (intern). */
+    std::vector<std::string> app_names_;
+
     /*
      * Idle warm containers, reused most recently parked first (MRU,
      * DESIGN.md §8.1). Each parked container is a slot in a slab,
      * linked newest-first into its app's list and into its (app,
      * server) list. Freed slots go on a free list, so parking stops
-     * allocating once the slab reaches the run's peak.
+     * allocating once the slab reaches the run's peak. The per-app
+     * heads sit in a vector indexed by AppId, grown when an app first
+     * parks.
      */
     static constexpr std::uint32_t kNil =
         std::numeric_limits<std::uint32_t>::max();
     struct WarmApp
     {
         std::uint32_t newest = kNil;
-        std::vector<std::uint32_t> newest_on;  ///< Per server, or kNil.
+        /** Per server, or kNil; empty until the app first parks. */
+        std::vector<std::uint32_t> newest_on;
     };
     struct WarmEntry
     {
         std::uint64_t memory_mb = 0;
         sim::EventId expiry = 0;
         std::size_t server = kNoServer;
-        WarmApp* app = nullptr;
+        AppId app;
         /** Neighbours in the app's list; `older` also links free slots. */
         std::uint32_t newer = kNil;
         std::uint32_t older = kNil;
@@ -461,7 +486,7 @@ class FaasRuntime
         std::uint32_t older_here = kNil;
         std::uint32_t generation = 0;  ///< Bumped when the slot is freed.
     };
-    std::map<std::string, WarmApp> warm_;
+    std::vector<WarmApp> warm_;
     std::vector<WarmEntry> warm_slots_;
     std::uint32_t warm_free_ = kNil;
 

@@ -24,23 +24,80 @@ PercentileTracker::threshold(double p) const
         return 0.0;
     if (cached_p_ == p && total_ - cached_at_ < refresh_)
         return cached_value_;
-    // The two order statistics the interpolation reads, by selection:
-    // rank lo, then rank lo + 1 as the minimum of the part above it.
-    scratch_.assign(ring_.begin(), ring_.end());
-    double rank = p / 100.0 * static_cast<double>(scratch_.size() - 1);
+    const std::size_t n = ring_.size();
+    double rank = p / 100.0 * static_cast<double>(n - 1);
     std::size_t lo = static_cast<std::size_t>(rank);
     double frac = rank - static_cast<double>(lo);
-    if (lo + 1 < scratch_.size()) {
-        auto nth = scratch_.begin() + static_cast<std::ptrdiff_t>(lo);
-        std::nth_element(scratch_.begin(), nth, scratch_.end());
-        double next = *std::min_element(nth + 1, scratch_.end());
-        cached_value_ = *nth * (1.0 - frac) + next * frac;
+    if (lo + 1 < n) {
+        double at_lo = 0.0;
+        double next = 0.0;
+        if (!band_select(lo, at_lo, next))
+            full_select(lo, at_lo, next);
+        cached_value_ = at_lo * (1.0 - frac) + next * frac;
     } else {
-        cached_value_ = *std::max_element(scratch_.begin(), scratch_.end());
+        cached_value_ = *std::max_element(ring_.begin(), ring_.end());
     }
     cached_p_ = p;
     cached_at_ = total_;
     return cached_value_;
+}
+
+bool
+PercentileTracker::band_select(std::size_t lo, double& at_lo,
+                               double& at_next) const
+{
+    if (!band_valid_)
+        return false;
+    // One branch-free pass: count the values below the band and
+    // compact the band's values to the front of the scratch buffer.
+    scratch_.resize(ring_.size());
+    std::size_t below = 0;
+    std::size_t in_band = 0;
+    for (double x : ring_) {
+        below += x < band_lo_ ? 1 : 0;
+        scratch_[in_band] = x;
+        in_band += (x >= band_lo_ && x <= band_hi_) ? 1 : 0;
+    }
+    // The band holds ranks [below, below + in_band) of the window.
+    if (below > lo || below + in_band < lo + 2)
+        return false;
+    auto band = scratch_.begin();
+    std::sort(band, band + static_cast<std::ptrdiff_t>(in_band));
+    const std::size_t i = lo - below;
+    at_lo = scratch_[i];
+    at_next = scratch_[i + 1];
+    // Re-centre the band on the new answer, as far as it reaches.
+    band_lo_ = scratch_[i >= kBandMargin ? i - kBandMargin : 0];
+    band_hi_ = scratch_[std::min(i + 1 + kBandMargin, in_band - 1)];
+    return true;
+}
+
+void
+PercentileTracker::full_select(std::size_t lo, double& at_lo,
+                               double& at_next) const
+{
+    // Rank lo by selection, then rank lo + 1 as the minimum of the
+    // part above it.
+    scratch_.assign(ring_.begin(), ring_.end());
+    auto nth = scratch_.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(scratch_.begin(), nth, scratch_.end());
+    at_lo = *nth;
+    auto after = std::min_element(nth + 1, scratch_.end());
+    at_next = *after;
+    // The band's edges: ranks lo - kBandMargin and lo + 1 + kBandMargin,
+    // each selected inside the side of the partition that holds it.
+    if (lo >= kBandMargin) {
+        auto edge = nth - static_cast<std::ptrdiff_t>(kBandMargin);
+        std::nth_element(scratch_.begin(), edge, nth);
+        band_lo_ = *edge;
+    } else {
+        band_lo_ = *std::min_element(scratch_.begin(), nth + 1);
+    }
+    const std::size_t hi = std::min(lo + 1 + kBandMargin, scratch_.size() - 1);
+    auto edge = scratch_.begin() + static_cast<std::ptrdiff_t>(hi);
+    std::nth_element(nth + 1, edge, scratch_.end());
+    band_hi_ = *edge;
+    band_valid_ = true;
 }
 
 HiveMindScheduler::HiveMindScheduler(sim::Simulator& simulator, sim::Rng& rng,
@@ -96,18 +153,19 @@ HiveMindScheduler::place(const cloud::InvokeRequest& request,
 }
 
 const PercentileTracker&
-HiveMindScheduler::history(const std::string& app) const
+HiveMindScheduler::history(cloud::AppId app) const
 {
     static const PercentileTracker empty;
-    auto it = history_.find(app);
-    return it == history_.end() ? empty : it->second;
+    return app.index < history_.size() ? history_[app.index] : empty;
 }
 
 void
-HiveMindScheduler::note_completion(const std::string& app, double latency_s,
+HiveMindScheduler::note_completion(cloud::AppId app, double latency_s,
                                    std::size_t server)
 {
-    PercentileTracker& h = history_[app];
+    if (app.index >= history_.size())
+        history_.resize(app.index + 1);
+    PercentileTracker& h = history_[app.index];
     bool straggled = h.count() >= config_.straggler_min_samples &&
         latency_s > h.threshold(config_.straggler_percentile);
     h.add(latency_s);

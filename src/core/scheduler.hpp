@@ -16,8 +16,6 @@
  */
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "cloud/faas.hpp"
@@ -34,6 +32,13 @@ namespace hivemind::core {
  * Keeps the most recent @p capacity latencies in a ring and caches the
  * requested percentile, recomputing it every @p refresh additions —
  * so per-completion cost stays O(1) even over million-task runs.
+ *
+ * A refresh reads the two order statistics the interpolation needs
+ * exactly, without selecting over the whole window: it keeps a band of
+ * values around the last answer, counts the window's values below the
+ * band and sorts only the values inside it (about 2 * kBandMargin).
+ * When the target ranks left the band, it falls back to a full
+ * selection and re-centres the band.
  */
 class PercentileTracker
 {
@@ -54,12 +59,28 @@ class PercentileTracker
     double threshold(double p) const;
 
   private:
+    /** Ranks kept on each side of the answer's two ranks. */
+    static constexpr std::size_t kBandMargin = 64;
+
+    /**
+     * The values of ranks @p lo and lo + 1 (lo + 1 < window size) from
+     * the band; false when either rank lies outside it.
+     */
+    bool band_select(std::size_t lo, double& at_lo, double& at_next) const;
+
+    /** The same two values by selection over the whole window; sets
+     *  the band to ranks lo - kBandMargin .. lo + 1 + kBandMargin. */
+    void full_select(std::size_t lo, double& at_lo, double& at_next) const;
+
     std::size_t capacity_;
     std::size_t refresh_;
     std::vector<double> ring_;
     std::size_t next_ = 0;
     std::uint64_t total_ = 0;
     mutable std::vector<double> scratch_;  ///< Reused selection buffer.
+    mutable bool band_valid_ = false;
+    mutable double band_lo_ = 0.0;  ///< Band: band_lo_ <= x <= band_hi_.
+    mutable double band_hi_ = 0.0;
     mutable double cached_p_ = -1.0;
     mutable double cached_value_ = 0.0;
     mutable std::uint64_t cached_at_ = 0;
@@ -120,7 +141,7 @@ class HiveMindScheduler
     std::uint64_t respawns() const { return respawns_; }
 
     /** Completed-latency history for an app. */
-    const PercentileTracker& history(const std::string& app) const;
+    const PercentileTracker& history(cloud::AppId app) const;
 
     const SchedulerConfig& config() const { return config_; }
 
@@ -152,7 +173,7 @@ class HiveMindScheduler
                                         std::uint32_t generation);
 
     /** Record a completion and update server straggler accounting. */
-    void note_completion(const std::string& app, double latency_s,
+    void note_completion(cloud::AppId app, double latency_s,
                          std::size_t server);
 
     /** Placement decision (the PlacementPolicy hook body). */
@@ -164,7 +185,8 @@ class HiveMindScheduler
     sim::Rng rng_;
     cloud::FaasRuntime* runtime_;
     SchedulerConfig config_;
-    std::map<std::string, PercentileTracker> history_;
+    /** Latency history per app, indexed by AppId; grown on first use. */
+    std::vector<PercentileTracker> history_;
     std::vector<double> straggler_score_;
     std::uint64_t respawns_ = 0;
     sim::Slab<Race> races_;

@@ -38,11 +38,15 @@ struct GraphHarness
     RunMetrics metrics;
     sim::Rng arrivals;
     std::size_t next_server = 0;
+    /** Each task's app ("graph:task") on the deployment's runtime. */
+    std::map<std::string, cloud::AppId> apps;
 
     GraphHarness(Deployment& d, const dsl::TaskGraph& g,
                  const synth::PlacementAssignment& p)
         : dep(&d), graph(&g), placement(&p), arrivals(d.rng().fork())
     {
+        for (const std::string& name : g.task_names())
+            apps[name] = d.faas().intern(g.name() + ":" + name);
     }
 
     void start_activation(std::size_t device);
@@ -125,7 +129,7 @@ GraphHarness::launch_task(const std::shared_ptr<Activation>& act,
     bool parent_at_edge = latest_parent.empty() ||
         placement->at(latest_parent) == synth::Location::Edge;
     cloud::InvokeRequest req;
-    req.app = graph->name() + ":" + name;
+    req.app = apps.at(name);
     req.work_core_ms = task.work_core_ms;
     req.memory_mb = 256;
     req.input_bytes = parent_at_edge ? 0 : task.input_bytes;

@@ -10,9 +10,18 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "cloud/faas.hpp"
 #include "platform/scenario_kind.hpp"
 
 namespace hivemind::platform {
+
+/**
+ * Names of the scenario pipeline's two apps. CloudTier interns them
+ * on construction, right after its runtime's unnamed app, so on every
+ * tier they hold the ids PipelineSpec::rec_app and dedup_app carry.
+ */
+inline constexpr const char* kPipelineApps[] = {"scenarioRec",
+                                                "scenarioDedup"};
 
 /** Per-task stage work and payload sizes of one scenario pipeline. */
 struct PipelineSpec
@@ -29,8 +38,8 @@ struct PipelineSpec
     std::uint64_t result_bytes = 16u << 10;
     int parallelism = 8;
     std::uint64_t memory_mb = 512;
-    const char* rec_app = "scenarioRec";
-    const char* dedup_app = "scenarioDedup";
+    cloud::AppId rec_app{1};    ///< kPipelineApps[0] on a CloudTier.
+    cloud::AppId dedup_app{2};  ///< kPipelineApps[1] on a CloudTier.
 };
 
 /** Pipeline constants for @p kind, with @p frame_bytes_override > 0

@@ -51,6 +51,7 @@ struct JobHarness
 {
     Deployment* dep;
     const apps::AppSpec* app;
+    cloud::AppId app_id;  ///< The app on the deployment's runtime.
     StagePlan plan;
     RunMetrics metrics;
     std::size_t next_server = 0;
@@ -59,6 +60,7 @@ struct JobHarness
     JobHarness(Deployment& d, const apps::AppSpec& a)
         : dep(&d),
           app(&a),
+          app_id(d.faas().intern(a.id)),
           plan(plan_stages(a, d.options().kind)),
           arrivals(d.rng().fork())
     {
@@ -112,7 +114,7 @@ JobHarness::uplink(std::size_t device, sim::Time t0, sim::Time t_up,
             // Dependent-function exchange: the task reads its frame
             // bundle and writes results through the sharing fabric.
             cloud::InvokeRequest req;
-            req.app = app->id;
+            req.app = app_id;
             req.work_core_ms = plan.cloud_ms;
             req.memory_mb = app->memory_mb;
             req.input_bytes = app->inter_bytes;

@@ -298,7 +298,7 @@ TEST_F(FaasFixture, TraceIsMonotone)
 {
     FaasRuntime rt = make(FaasConfig{});
     InvokeRequest req;
-    req.app = "a";
+    req.app = rt.intern("a");
     req.work_core_ms = 50.0;
     req.input_bytes = 64 << 10;
     req.output_bytes = 16 << 10;
@@ -330,7 +330,7 @@ TEST_F(FaasFixture, WarmReuseWithinKeepalive)
     cfg.keepalive = 5 * sim::kSecond;
     FaasRuntime rt = make(cfg);
     InvokeRequest req;
-    req.app = "a";
+    req.app = rt.intern("a");
     req.work_core_ms = 10.0;
     bool second_cold = true;
     rt.invoke(req, [&](const InvocationTrace&) {
@@ -352,7 +352,7 @@ TEST_F(FaasFixture, KeepaliveExpiryForcesColdStart)
     cfg.keepalive = sim::from_millis(200.0);
     FaasRuntime rt = make(cfg);
     InvokeRequest req;
-    req.app = "a";
+    req.app = rt.intern("a");
     req.work_core_ms = 10.0;
     bool second_cold = false;
     rt.invoke(req, [&](const InvocationTrace&) {
@@ -373,10 +373,10 @@ TEST_F(FaasFixture, WarmContainersArelPerApp)
     cfg.keepalive = 20 * sim::kSecond;
     FaasRuntime rt = make(cfg);
     InvokeRequest a;
-    a.app = "a";
+    a.app = rt.intern("a");
     a.work_core_ms = 5.0;
     InvokeRequest b;
-    b.app = "b";
+    b.app = rt.intern("b");
     b.work_core_ms = 5.0;
     bool b_cold = false;
     rt.invoke(a, [&](const InvocationTrace&) {
@@ -398,7 +398,7 @@ TEST_F(FaasFixture, FaultsRespawnAndComplete)
     int completions = 0;
     int attempts_total = 0;
     InvokeRequest req;
-    req.app = "a";
+    req.app = rt.intern("a");
     req.work_core_ms = 20.0;
     for (int i = 0; i < 40; ++i) {
         rt.invoke(req, [&](const InvocationTrace& t) {
@@ -419,7 +419,7 @@ TEST_F(FaasFixture, ConcurrencyLimitQueues)
     FaasRuntime rt = make(cfg);
     int completions = 0;
     InvokeRequest req;
-    req.app = "a";
+    req.app = rt.intern("a");
     req.work_core_ms = 100.0;
     for (int i = 0; i < 20; ++i)
         rt.invoke(req, [&](const InvocationTrace&) { ++completions; });
@@ -432,7 +432,7 @@ TEST_F(FaasFixture, CoresNeverOversubscribed)
     FaasConfig cfg;
     FaasRuntime rt = make(cfg);
     InvokeRequest req;
-    req.app = "a";
+    req.app = rt.intern("a");
     req.work_core_ms = 200.0;
     // 4 servers x 8 cores = 32 cores; offer 100 tasks.
     int completions = 0;
@@ -462,7 +462,7 @@ TEST_F(FaasFixture, PlacementPolicyOverride)
             return 3;
         });
     InvokeRequest req;
-    req.app = "a";
+    req.app = rt.intern("a");
     req.work_core_ms = 5.0;
     std::size_t server = kNoServer;
     rt.invoke(req, [&](const InvocationTrace& t) { server = t.server; });
@@ -476,7 +476,7 @@ TEST_F(FaasFixture, ParallelFanoutFasterForLargeWork)
     cfg.straggler_prob = 0.0;
     FaasRuntime rt = make(cfg);
     InvokeRequest req;
-    req.app = "big";
+    req.app = rt.intern("big");
     req.work_core_ms = 2000.0;
     double serial_s = 0.0, parallel_s = 0.0;
     rt.invoke(req, [&](const InvocationTrace& t) { serial_s = t.total_s(); });
@@ -494,7 +494,7 @@ TEST_F(FaasFixture, ActiveCountTracksLoad)
 {
     FaasRuntime rt = make(FaasConfig{});
     InvokeRequest req;
-    req.app = "a";
+    req.app = rt.intern("a");
     req.work_core_ms = 50.0;
     for (int i = 0; i < 5; ++i)
         rt.invoke(req, nullptr);
@@ -552,7 +552,7 @@ TEST_F(FaasFixture, WarmParkingDeclinesUnderMemoryPressure)
     cfg.keepalive = 30 * sim::kSecond;
     FaasRuntime rt(s, rng, tight, store, cfg);
     InvokeRequest req;
-    req.app = "fat";
+    req.app = rt.intern("fat");
     req.memory_mb = 256;
     req.work_core_ms = 10.0;
     bool second_cold = false;
@@ -561,7 +561,7 @@ TEST_F(FaasFixture, WarmParkingDeclinesUnderMemoryPressure)
             // A second app occupies the memory the parked container
             // would have needed.
             InvokeRequest other;
-            other.app = "other";
+            other.app = rt.intern("other");
             other.memory_mb = 256;
             other.work_core_ms = 5.0;
             rt.invoke(other, [&](const InvocationTrace& t2) {
@@ -582,7 +582,7 @@ TEST_F(FaasFixture, WarmClaimFollowsFreeCoreToAnotherServer)
     cfg.keepalive = 30 * sim::kSecond;
     FaasRuntime rt = make(cfg);
     InvokeRequest req;
-    req.app = "a";
+    req.app = rt.intern("a");
     req.work_core_ms = 5.0;
     // Warm a container on some server, then saturate that server's
     // cores and warm another elsewhere; the claim must follow.
@@ -646,7 +646,7 @@ struct WarmWorld
     {
         std::vector<InvocationTrace> traces;
         InvokeRequest req;
-        req.app = app;
+        req.app = rt.intern(app);
         req.work_core_ms = 5.0;
         req.preferred_server = hint;
         simulator.schedule_at(second * sim::kSecond, [&, req, n]() {
@@ -760,6 +760,78 @@ TEST(WarmPool, CrashEmptiesTheServerForEveryApp)
     EXPECT_EQ(a.server, 2u);  // The newest survivor.
 }
 
+TEST(WarmPool, AppsKeepSeparateMruPools)
+{
+    WarmWorld w(30 * sim::kSecond);
+    w.one(0, "a", 2);
+    w.one(1, "b", 0);
+    w.one(2, "a", 1);
+    w.one(3, "b", 3);
+    // Each app reuses its own newest container, never the other's.
+    InvocationTrace a = w.one(4, "a");
+    EXPECT_FALSE(a.cold_start);
+    EXPECT_EQ(a.server, 1u);
+    InvocationTrace b = w.one(5, "b");
+    EXPECT_FALSE(b.cold_start);
+    EXPECT_EQ(b.server, 3u);
+    // "b" took its newest back; "a"'s pool still leads with server 1.
+    a = w.one(6, "a");
+    EXPECT_FALSE(a.cold_start);
+    EXPECT_EQ(a.server, 1u);
+    EXPECT_TRUE(w.one(7, "c").cold_start);  // No pool of its own.
+}
+
+TEST(FaasCrash, RedrivesTwoAppsWithPinnedTraces)
+{
+    // Server 1 runs six long invocations of apps "a" and "b" and holds
+    // parked containers of both when it crashes. The parked ones die,
+    // the running ones are re-driven through their Restore policies
+    // and land on the survivors, claiming each app's own warm
+    // containers there; every trace field is pinned.
+    WarmWorld w(30 * sim::kSecond);
+    std::vector<InvocationTrace> traces;
+    const FaultRecovery policies[] = {FaultRecovery::Respawn,
+                                      FaultRecovery::Checkpoint,
+                                      FaultRecovery::None};
+    for (int i = 0; i < 6; ++i) {
+        InvokeRequest req;
+        req.app = w.rt.intern(i % 2 == 0 ? "a" : "b");
+        req.work_core_ms = 20000.0;
+        req.preferred_server = 1;
+        req.recovery = policies[i % 3];
+        w.rt.invoke(req, [&traces](const InvocationTrace& t) {
+            traces.push_back(t);
+        });
+    }
+    w.run(1, "a", 1, 2);
+    w.run(2, "b", 1, 2);
+    w.one(3, "a", 2);
+    w.one(4, "b", 0);
+    EXPECT_EQ(w.cluster.server(1).used_memory_mb(), 6u * 256u + 4u * 256u);
+    w.rt.crash_server(1);
+    w.simulator.run();
+    ASSERT_EQ(traces.size(), 6u);
+    std::uint64_t digest = 1469598103934665603ull;
+    auto mix = [&digest](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            digest ^= (v >> (i * 8)) & 0xff;
+            digest *= 1099511628211ull;
+        }
+    };
+    for (const InvocationTrace& t : traces) {
+        for (sim::Time x : {t.submit, t.scheduled, t.container_ready,
+                            t.input_ready, t.exec_done, t.done})
+            mix(static_cast<std::uint64_t>(x));
+        mix(t.server);
+        mix(static_cast<std::uint64_t>(t.attempts));
+        mix((t.cold_start ? 1u : 0u) | (t.lost ? 2u : 0u));
+    }
+    EXPECT_EQ(w.rt.killed_invocations(), 6u);
+    EXPECT_EQ(w.rt.lost(), 2u);
+    EXPECT_EQ(w.rt.warm_starts(), 2u);  // One re-drive per app's pool.
+    EXPECT_EQ(digest, 7380984674381881608ull);
+}
+
 TEST(FaasCrash, LostBodiesReportInBodyStartOrder)
 {
     // Five Restore-None invocations on one server, all executing when
@@ -772,7 +844,7 @@ TEST(FaasCrash, LostBodiesReportInBodyStartOrder)
     DataStore store(simulator, rng, DataStoreConfig{});
     FaasRuntime rt(simulator, rng, cluster, store, FaasConfig{});
     InvokeRequest req;
-    req.app = "victim";
+    req.app = rt.intern("victim");
     req.work_core_ms = 20000.0;
     req.recovery = FaultRecovery::None;
     std::vector<InvocationTrace> lost;
@@ -814,7 +886,7 @@ TEST(FaasPlacement, CoLocationHintSkipsACrashedServer)
         }
         rt.crash_server(1);  // Never restored.
         InvokeRequest req;
-        req.app = "child";
+        req.app = rt.intern("child");
         req.work_core_ms = 10.0;
         req.preferred_server = 1;
         int completed = 0;
@@ -852,7 +924,8 @@ TEST_P(InterferenceProperty, BusyClusterIsMoreVariable)
     }
     sim::Summary idle_lat, busy_lat;
     InvokeRequest req;
-    req.app = "x";
+    req.app = idle_rt.intern("x");
+    ASSERT_TRUE(busy_rt.intern("x") == req.app);  // Both fresh runtimes.
     req.work_core_ms = 100.0;
     for (int i = 0; i < 60; ++i) {
         idle_rt.invoke(req, [&](const InvocationTrace& t) {

@@ -222,7 +222,7 @@ TEST_F(SchedulerFixture, InstallWidensKeepalive)
 TEST_F(SchedulerFixture, ParentCoLocationHonored)
 {
     cloud::InvokeRequest req;
-    req.app = "child";
+    req.app = runtime_.intern("child");
     req.work_core_ms = 10.0;
     req.preferred_server = 2;
     req.colocate_with_parent = true;
@@ -240,7 +240,7 @@ TEST_F(SchedulerFixture, FullParentFallsBackToLeastLoaded)
     for (int i = 0; i < 8; ++i)
         cluster_.server(2).acquire_core();
     cloud::InvokeRequest req;
-    req.app = "child";
+    req.app = runtime_.intern("child");
     req.work_core_ms = 10.0;
     req.preferred_server = 2;
     std::size_t server = cloud::kNoServer;
@@ -255,7 +255,7 @@ TEST_F(SchedulerFixture, FullParentFallsBackToLeastLoaded)
 TEST_F(SchedulerFixture, StragglerRespawnsAfterHistory)
 {
     cloud::InvokeRequest req;
-    req.app = "job";
+    req.app = runtime_.intern("job");
     req.work_core_ms = 40.0;
     int completions = 0;
     // Build enough history first.
@@ -267,7 +267,7 @@ TEST_F(SchedulerFixture, StragglerRespawnsAfterHistory)
         simulator_.run();
     }
     EXPECT_EQ(completions, 60);
-    EXPECT_GE(scheduler_.history("job").count(), 60u);
+    EXPECT_GE(scheduler_.history(runtime_.intern("job")).count(), 60u);
     // Now a pathological straggler: inflate work dramatically; the
     // watchdog should fire a duplicate (which is equally slow, but the
     // respawn count proves mitigation engaged).
@@ -285,7 +285,7 @@ TEST_F(SchedulerFixture, StragglerRespawnsAfterHistory)
 TEST_F(SchedulerFixture, FirstFinisherWinsOnce)
 {
     cloud::InvokeRequest req;
-    req.app = "race";
+    req.app = runtime_.intern("race");
     req.work_core_ms = 30.0;
     for (int i = 0; i < 40; ++i) {
         scheduler_.invoke(req, nullptr);
@@ -306,14 +306,14 @@ TEST_F(SchedulerFixture, RaceEndCancelsTheWatchdog)
     runtime_.mutable_config().keepalive = 0;
     runtime_.mutable_config().straggler_prob = 0.0;
     cloud::InvokeRequest slow;
-    slow.app = "watched";
+    slow.app = runtime_.intern("watched");
     slow.work_core_ms = 400.0;
     for (std::size_t i = 0; i <= scheduler_.config().straggler_min_samples;
          ++i) {
         scheduler_.invoke(slow, nullptr);
         simulator_.run();
     }
-    ASSERT_GT(scheduler_.history("watched").count(),
+    ASSERT_GT(scheduler_.history(runtime_.intern("watched")).count(),
               scheduler_.config().straggler_min_samples);
     ASSERT_EQ(simulator_.pending(), 0u);
 
@@ -352,7 +352,7 @@ TEST(SchedulerProbation, MaxFractionCapsBenching)
         std::size_t peak = 0;
         for (int i = 0; i < 400; ++i) {
             cloud::InvokeRequest req;
-            req.app = "job";
+            req.app = runtime.intern("job");
             req.work_core_ms = i % 2 == 0 ? 10.0 : 200.0;
             scheduler.invoke(req, nullptr);
             simulator.run_until(simulator.now() + sim::from_millis(25.0));

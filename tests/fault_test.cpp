@@ -190,7 +190,7 @@ run_crash_recovery(cloud::FaultRecovery policy)
     cloud::FaasRuntime rt(s, rng, cluster, store, cloud::FaasConfig{});
 
     cloud::InvokeRequest req;
-    req.app = "victim";
+    req.app = rt.intern("victim");
     req.work_core_ms = 2000.0;  // Executes for ~2 s.
     req.recovery = policy;
     req.checkpoint_granularity = 0.25;
@@ -268,7 +268,7 @@ TEST(ServerCrash, WarmPoolEvaporatesAndServerRejoins)
     cloud::FaasRuntime rt(s, rng, cluster, store, cfg);
 
     cloud::InvokeRequest req;
-    req.app = "a";
+    req.app = rt.intern("a");
     req.work_core_ms = 20.0;
     int completions = 0;
     rt.invoke(req, [&](const cloud::InvocationTrace&) { ++completions; });
