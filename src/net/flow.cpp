@@ -38,7 +38,6 @@ FlowPool::release(Flow* flow)
     flow->dst_rpc = nullptr;
     flow->free_next = free_;
     free_ = flow;
-    --live_;
 }
 
 void
@@ -46,27 +45,31 @@ FlowPool::advance(Flow* flow)
 {
     if (flow->next_hop < flow->hop_count) {
         Link* hop = flow->hops[flow->next_hop++];
-        // Two raw pointers: fits std::function's inline storage, so
-        // the hot per-hop path stays allocation-free.
+        // Two raw pointers: inline in the kernel's callable, so the
+        // hot per-hop path stays allocation-free.
         hop->transfer(flow->bytes, [this, flow] { advance(flow); });
         return;
     }
     const sim::Time arrival = simulator_->now();
     if (flow->meter != nullptr)
         flow->meter->add(arrival, static_cast<double>(flow->bytes));
-    RpcProcessor* dst_rpc = flow->dst_rpc;
-    DeliveryCallback done = std::move(flow->done);
-    release(flow);  // Back on the freelist before the RPC tail runs.
-    if (dst_rpc != nullptr) {
-        sim::Simulator* simulator = simulator_;
-        dst_rpc->process([simulator, done = std::move(done)]() {
-            if (done)
-                done(simulator->now());
-        });
+    --live_;  // The hops are done; only the delivery tail is left.
+    if (flow->dst_rpc != nullptr) {
+        // The record carries the callback through the RPC stage.
+        flow->dst_rpc->process(
+            [this, flow] { deliver(flow, simulator_->now()); });
         return;
     }
+    deliver(flow, arrival);
+}
+
+void
+FlowPool::deliver(Flow* flow, sim::Time when)
+{
+    DeliveryCallback done = std::move(flow->done);
+    release(flow);  // Back on the freelist before the callback runs.
     if (done)
-        done(arrival);
+        done(when);
 }
 
 void

@@ -12,24 +12,24 @@
  * heap-backed closure per hop per transfer; at 8k devices that is
  * millions of short-lived allocations per simulated second, all with
  * the same shape. FlowPool replaces them with a freelist of slab-
- * allocated Flow records — the hop array lives inline, the per-hop
- * continuation captures one Flow pointer (small enough for
- * std::function's inline buffer), and the only remaining allocation
- * is the caller's completion callback, moved exactly once into the
- * record.
+ * allocated Flow records — the hop array lives inline, every
+ * continuation (per hop and the destination RPC tail) captures the
+ * pool and one Flow pointer, and the caller's completion callback is
+ * moved exactly once into the record.
  *
  * Flows are simulator-local and single-threaded, like everything
- * else scheduled on one kernel; records return to the freelist the
- * moment the last hop lands, before the destination RPC stage runs.
+ * else scheduled on one kernel. A flow leaves live() the moment its
+ * last hop lands; its record returns to the freelist once the
+ * destination RPC stage (if any) has run.
  */
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <vector>
 
+#include "sim/inline_fn.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -39,8 +39,12 @@ namespace hivemind::net {
 class Link;
 class RpcProcessor;
 
-/** Completion callback carrying the delivery time. */
-using DeliveryCallback = std::function<void(sim::Time)>;
+/**
+ * Completion callback carrying the delivery time: move-only, with 32
+ * bytes of inline capture storage, so a continuation of a few
+ * pointers and times never takes a heap cell.
+ */
+using DeliveryCallback = sim::InlineFunction<void(sim::Time)>;
 
 /** Freelist-slab allocator driving pooled multi-hop transfers. */
 class FlowPool
@@ -100,6 +104,8 @@ class FlowPool
     void release(Flow* flow);
     /** Start the next hop, or run the meter/RPC/done tail. */
     void advance(Flow* flow);
+    /** Recycle @p flow, then report delivery at @p when. */
+    void deliver(Flow* flow, sim::Time when);
 
     sim::Simulator* simulator_;
     std::vector<std::unique_ptr<Flow[]>> slabs_;

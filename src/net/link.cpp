@@ -10,7 +10,7 @@ Link::Link(sim::Simulator& simulator, double rate_bps, sim::Time propagation)
 }
 
 sim::Time
-Link::transfer(std::uint64_t bytes, std::function<void()> done)
+Link::transfer(std::uint64_t bytes, sim::InlineFn done)
 {
     sim::Time now = simulator_->now();
     sim::Time start = busy_until_ > now ? busy_until_ : now;

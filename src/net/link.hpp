@@ -12,8 +12,8 @@
  */
 
 #include <cstdint>
-#include <functional>
 
+#include "sim/inline_fn.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -36,7 +36,7 @@ class Link
      *
      * @return the completion time of the transfer.
      */
-    sim::Time transfer(std::uint64_t bytes, std::function<void()> done);
+    sim::Time transfer(std::uint64_t bytes, sim::InlineFn done);
 
   private:
     sim::Simulator* simulator_;

@@ -36,7 +36,7 @@ RpcProcessor::RpcProcessor(sim::Simulator& simulator, RpcConfig config)
 }
 
 sim::Time
-RpcProcessor::process(std::function<void()> done)
+RpcProcessor::process(sim::InlineFn done)
 {
     sim::Time now = simulator_->now();
     // Pick the earliest-free core (deterministic tie-break by index).

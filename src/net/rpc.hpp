@@ -15,9 +15,9 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "sim/inline_fn.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -62,7 +62,7 @@ class RpcProcessor
      *
      * @return the completion time.
      */
-    sim::Time process(std::function<void()> done);
+    sim::Time process(sim::InlineFn done);
 
     /** Host CPU seconds consumed so far by message processing. */
     double cpu_seconds_used() const { return cpu_seconds_; }
