@@ -1,5 +1,7 @@
 #include "core/load_balancer.hpp"
 
+#include <algorithm>
+
 namespace hivemind::core {
 
 SwarmLoadBalancer::SwarmLoadBalancer(const geo::Rect& field,
@@ -10,16 +12,29 @@ SwarmLoadBalancer::SwarmLoadBalancer(const geo::Rect& field,
     assignments_.reserve(devices);
     for (std::size_t i = 0; i < strips.size(); ++i)
         assignments_.push_back({i, strips[i]});
+    reindex();
+}
+
+void
+SwarmLoadBalancer::reindex()
+{
+    std::fill(position_.begin(), position_.end(), kNoPosition);
+    // Right to left, so a device listed twice maps to its first entry,
+    // the one a left-to-right scan would find.
+    for (std::size_t i = assignments_.size(); i-- > 0;) {
+        const std::size_t device = assignments_[i].device;
+        if (device >= position_.size())
+            position_.resize(device + 1, kNoPosition);
+        position_[device] = i;
+    }
 }
 
 std::optional<geo::Rect>
 SwarmLoadBalancer::region_of(std::size_t device) const
 {
-    for (const Assignment& a : assignments_) {
-        if (a.device == device)
-            return a.region;
-    }
-    return std::nullopt;
+    if (device >= position_.size() || position_[device] == kNoPosition)
+        return std::nullopt;
+    return assignments_[position_[device]].region;
 }
 
 std::vector<std::size_t>
@@ -36,26 +51,24 @@ std::vector<std::size_t>
 SwarmLoadBalancer::handle_failure(std::size_t device)
 {
     std::vector<std::size_t> changed;
-    for (std::size_t i = 0; i < assignments_.size(); ++i) {
-        if (assignments_[i].device != device)
-            continue;
-        // Mirror geo::repartition_after_failure on the Rect list while
-        // tracking which owners grew.
-        std::vector<geo::Rect> regions;
-        regions.reserve(assignments_.size());
-        for (const Assignment& a : assignments_)
-            regions.push_back(a.region);
-        geo::repartition_after_failure(regions, i);
-        if (i > 0)
-            changed.push_back(assignments_[i - 1].device);
-        if (i + 1 < assignments_.size())
-            changed.push_back(assignments_[i + 1].device);
-        assignments_.erase(assignments_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        for (std::size_t j = 0; j < assignments_.size(); ++j)
-            assignments_[j].region = regions[j];
+    if (device >= position_.size() || position_[device] == kNoPosition)
         return changed;
-    }
+    const std::size_t i = position_[device];
+    // Mirror geo::repartition_after_failure on the Rect list while
+    // tracking which owners grew.
+    std::vector<geo::Rect> regions;
+    regions.reserve(assignments_.size());
+    for (const Assignment& a : assignments_)
+        regions.push_back(a.region);
+    geo::repartition_after_failure(regions, i);
+    if (i > 0)
+        changed.push_back(assignments_[i - 1].device);
+    if (i + 1 < assignments_.size())
+        changed.push_back(assignments_[i + 1].device);
+    assignments_.erase(assignments_.begin() + static_cast<std::ptrdiff_t>(i));
+    for (std::size_t j = 0; j < assignments_.size(); ++j)
+        assignments_[j].region = regions[j];
+    reindex();
     return changed;
 }
 
@@ -63,13 +76,12 @@ std::vector<std::size_t>
 SwarmLoadBalancer::handle_rejoin(std::size_t device)
 {
     std::vector<std::size_t> changed;
-    for (const Assignment& a : assignments_) {
-        if (a.device == device)
-            return changed;  // Still holds a region; nothing to do.
-    }
+    if (region_of(device))
+        return changed;  // Still holds a region; nothing to do.
     if (assignments_.empty()) {
         // Everyone was gone: the rejoiner takes the whole field.
         assignments_.push_back({device, field_});
+        reindex();
         changed.push_back(device);
         return changed;
     }
@@ -90,6 +102,7 @@ SwarmLoadBalancer::handle_rejoin(std::size_t device)
     assignments_.insert(
         assignments_.begin() + static_cast<std::ptrdiff_t>(widest) + 1,
         {device, given});
+    reindex();
     return changed;
 }
 
@@ -119,6 +132,7 @@ SwarmLoadBalancer::restore(const Snapshot& snap)
     assignments_.reserve(snap.assignments.size());
     for (const auto& [device, region] : snap.assignments)
         assignments_.push_back({device, region});
+    reindex();
 }
 
 double

@@ -87,8 +87,19 @@ class SwarmLoadBalancer
         geo::Rect region;
     };
 
+    static constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);
+
+    /** Rebuild position_ from assignments_. */
+    void reindex();
+
     geo::Rect field_;
     std::vector<Assignment> assignments_;  // Ordered left to right.
+    /**
+     * Device id -> index of its assignment (kNoPosition when it holds
+     * none), so a route request finds its region without a scan. A
+     * vector, not a hash map, so no result can hang on hash order.
+     */
+    std::vector<std::size_t> position_;
 };
 
 }  // namespace hivemind::core
