@@ -80,6 +80,15 @@ Summary::percentile(double p) const
 }
 
 void
+Summary::clear()
+{
+    samples_.clear();
+    sorted_valid_ = false;
+    sum_ = 0.0;
+    sum_sq_ = 0.0;
+}
+
+void
 Summary::merge(const Summary& other)
 {
     samples_.insert(samples_.end(), other.samples_.begin(),

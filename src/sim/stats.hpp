@@ -63,6 +63,9 @@ class Summary
     /** Merge another summary's samples into this one. */
     void merge(const Summary& other);
 
+    /** Drop every sample, keeping the buffers for reuse. */
+    void clear();
+
     /** All samples, unsorted, in insertion order. */
     const std::vector<double>& samples() const { return samples_; }
 
