@@ -425,6 +425,111 @@ TEST(Scenario, HiveMindCompetitiveWithCentralizedOnScenarioA)
     EXPECT_LE(hive_total, centr_total * 2.0);
 }
 
+/** fleet_test's small mission shape: a 48 m field, 4 targets, 60 s. */
+ScenarioConfig
+pinned_mission(ScenarioKind kind)
+{
+    ScenarioConfig sc;
+    sc.kind = kind;
+    sc.field_size_m = 48.0;
+    sc.targets = 4;
+    sc.time_cap = 60 * sim::kSecond;
+    sc.course_legs = 2;
+    sc.maze_side = 5;
+    return sc;
+}
+
+/** Six devices on three servers, rovers for the rover kinds. */
+DeploymentConfig
+pinned_swarm(ScenarioKind kind)
+{
+    DeploymentConfig cfg;
+    cfg.devices = 6;
+    cfg.servers = 3;
+    cfg.seed = 42;
+    if (kind == ScenarioKind::TreasureHunt || kind == ScenarioKind::RoverMaze)
+        cfg.device_spec = edge::DeviceSpec::rover();
+    return cfg;
+}
+
+/** Fold @p r's checksum and the reported values it skips into
+ *  @p hash. */
+void
+fold_mission(std::uint64_t& hash, const RunResult& r)
+{
+    const fault::RecoveryMetrics& rec = r.metrics.recovery;
+    fnv::mix(hash, r.checksum);
+    for (const sim::Summary* s :
+         {&rec.mttd_s, &rec.mttr_s, &r.metrics.bandwidth_MBps}) {
+        fnv::mix(hash, s->count());
+        for (double x : s->samples())
+            fnv::mix(hash, fnv::bits(x));
+    }
+    fnv::mix(hash, rec.killed_invocations);
+    fnv::mix(hash, fnv::bits(rec.work_lost_core_ms));
+    fnv::mix(hash, fnv::bits(rec.reexecuted_core_ms));
+}
+
+TEST(Scenario, MissionResultsArePinned)
+{
+    // Pins the mission engine's exact output: every scenario kind on
+    // the four headline platforms, one HiveMind Scenario A mission
+    // under every fault kind, and one on a lossy radio. The radio,
+    // the retry budget, the HA stack, the DataStore and the detection
+    // model all reach this digest, so moving any of their constants,
+    // or what a mission draws and schedules, moves it.
+    const ScenarioKind kinds[] = {
+        ScenarioKind::StationaryItems,
+        ScenarioKind::MovingPeople,
+        ScenarioKind::TreasureHunt,
+        ScenarioKind::RoverMaze,
+    };
+    const PlatformOptions presets[] = {
+        PlatformOptions::centralized_iaas(),
+        PlatformOptions::centralized_faas(),
+        PlatformOptions::distributed_edge(),
+        PlatformOptions::hivemind(),
+    };
+    std::uint64_t hash = fnv::kBasis;
+    for (ScenarioKind kind : kinds) {
+        for (const PlatformOptions& options : presets)
+            fold_mission(hash, run(pinned_mission(kind), options,
+                                   pinned_swarm(kind)));
+    }
+
+    const ScenarioKind a = ScenarioKind::StationaryItems;
+    ScenarioConfig chaos = pinned_mission(a);
+    chaos.faults.server_crash(2 * sim::kSecond, 0, 4 * sim::kSecond)
+        .device_crash(3 * sim::kSecond, 1, 6 * sim::kSecond)
+        .datastore_outage(7 * sim::kSecond, 3 * sim::kSecond)
+        .link_burst(9 * sim::kSecond, 4 * sim::kSecond)
+        .partition(11 * sim::kSecond, 3 * sim::kSecond, 2)
+        .controller_crash(13 * sim::kSecond)
+        .controller_partition(18 * sim::kSecond, 2 * sim::kSecond);
+    const RunResult faulted =
+        run(chaos, PlatformOptions::hivemind(), pinned_swarm(a));
+    const fault::RecoveryMetrics& rec = faulted.metrics.recovery;
+    EXPECT_EQ(rec.device_crashes, 1u);
+    EXPECT_EQ(rec.device_rejoins, 1u);
+    EXPECT_EQ(rec.server_crashes, 1u);
+    EXPECT_GT(rec.killed_invocations, 0u);
+    EXPECT_EQ(rec.datastore_outages, 1u);
+    EXPECT_EQ(rec.link_burst_windows, 1u);
+    EXPECT_EQ(rec.partitions, 1u);
+    EXPECT_EQ(rec.controller_crashes, 1u);
+    EXPECT_EQ(rec.controller_partitions, 1u);
+    EXPECT_EQ(rec.controller_failovers, 1u);
+    fold_mission(hash, faulted);
+
+    DeploymentConfig lossy = pinned_swarm(a);
+    lossy.wireless_loss = 0.05;
+    const RunResult lossy_run =
+        run(pinned_mission(a), PlatformOptions::hivemind(), lossy);
+    ASSERT_GT(lossy_run.metrics.recovery.wireless_retransmissions, 0u);
+    fold_mission(hash, lossy_run);
+    EXPECT_EQ(hash, 0x1db4a0d366688206ull) << std::hex << "0x" << hash;
+}
+
 TEST(Scenario, NamesAreStable)
 {
     EXPECT_STREQ(to_string(ScenarioKind::StationaryItems),
