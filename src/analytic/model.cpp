@@ -146,7 +146,7 @@ evaluate(const AnalyticInput& in)
             double excess = app.task_rate_hz - mu;
             double raw_full = std::min(excess * horizon_s,
                                        static_cast<double>(
-                                           drone.queue_limit)) *
+                                           edge::kDeviceQueueLimit)) *
                 edge_work_s;
             double diff = std::sqrt(app.task_rate_hz * horizon_s) *
                 edge_work_s;
@@ -161,14 +161,14 @@ evaluate(const AnalyticInput& in)
 
     // --- Wireless stations ---
     if (up_bytes > 0.0) {
-        double radio_s = up_bytes * 8.0 / topology.device_radio_bps;
+        double radio_s = up_bytes * 8.0 / net::kDeviceRadioBps;
         double mu_radio = 1.0 / radio_s;
         note_rho(app.task_rate_hz, mu_radio);
         double soj = saturated_sojourn(app.task_rate_hz, mu_radio, 1,
                                        horizon_s);
         acc.add(soj, (kStableTailFactor - 1.0) * (soj - radio_s));
 
-        double router_bps = topology.router_bps * infra;
+        double router_bps = net::kRouterBps * infra;
         double router_s = up_bytes * 8.0 / router_bps;
         double mu_router = 1.0 / router_s;
         note_rho(lambda_total,
@@ -182,7 +182,7 @@ evaluate(const AnalyticInput& in)
 
     // --- Cloud stations ---
     if (!on_edge) {
-        double mu_ctl = faas.controller_rps;
+        double mu_ctl = cloud::kControllerRps;
         note_rho(lambda_total, mu_ctl * static_cast<double>(controllers));
         double csoj = saturated_sojourn(lambda_total, mu_ctl, controllers,
                                         horizon_s);

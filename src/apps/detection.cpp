@@ -4,6 +4,15 @@
 
 namespace hivemind::apps {
 
+namespace {
+
+/** Samples to ~63% of the remaining improvement. */
+constexpr double kTauSamples = 150.0;
+/** Fraction of residual error that is a false negative (miss). */
+constexpr double kFnShare = 0.62;
+
+}  // namespace
+
 const char*
 to_string(RetrainMode m)
 {
@@ -37,21 +46,20 @@ DetectionModel::observe(RetrainMode mode, std::uint64_t own,
 double
 DetectionModel::p_correct() const
 {
-    double gap = config_.max_correct - config_.base_correct;
-    return config_.max_correct -
-        gap * std::exp(-samples_ / config_.tau_samples);
+    double gap = kMaxCorrect - kBaseCorrect;
+    return kMaxCorrect - gap * std::exp(-samples_ / kTauSamples);
 }
 
 double
 DetectionModel::p_false_negative() const
 {
-    return (1.0 - p_correct()) * config_.fn_share;
+    return (1.0 - p_correct()) * kFnShare;
 }
 
 double
 DetectionModel::p_false_positive() const
 {
-    return (1.0 - p_correct()) * (1.0 - config_.fn_share);
+    return (1.0 - p_correct()) * (1.0 - kFnShare);
 }
 
 }  // namespace hivemind::apps

@@ -35,30 +35,15 @@ enum class RetrainMode
 /** Human-readable mode name. */
 const char* to_string(RetrainMode m);
 
-/** Tunable accuracy parameters of one recognition model. */
-struct DetectionConfig
-{
-    /** Accuracy of the pre-trained model. */
-    double base_correct = 0.80;
-    /** Asymptotic accuracy with unlimited retraining data. */
-    double max_correct = 0.995;
-    /** Samples to ~63% of the remaining improvement. */
-    double tau_samples = 150.0;
-    /** Fraction of residual error that is a false negative (miss). */
-    double fn_share = 0.62;
-
-    bool operator==(const DetectionConfig&) const = default;
-};
+/** Accuracy of the pre-trained model. */
+inline constexpr double kBaseCorrect = 0.80;
+/** Asymptotic accuracy with unlimited retraining data. */
+inline constexpr double kMaxCorrect = 0.995;
 
 /** Learning-curve accuracy model for one device's detector. */
 class DetectionModel
 {
   public:
-    explicit DetectionModel(const DetectionConfig& config)
-        : config_(config)
-    {
-    }
-
     /**
      * Record retraining feedback: @p own samples from this device and
      * @p swarm_total from the whole swarm; which stream is used
@@ -83,7 +68,6 @@ class DetectionModel
     double samples() const { return samples_; }
 
   private:
-    DetectionConfig config_;
     double samples_ = 0.0;
 };
 

@@ -24,15 +24,15 @@ ItemField::ItemField(const geo::Rect& field, std::size_t items,
     }
 }
 
-std::vector<std::size_t>
-ItemField::items_in_view(const geo::Vec2& center, double w, double h) const
+void
+ItemField::items_in_view(const geo::Vec2& center, double w, double h,
+                         std::vector<std::size_t>& out) const
 {
-    std::vector<std::size_t> out;
+    out.clear();
     for (std::size_t i = 0; i < items_.size(); ++i) {
         if (in_footprint(items_[i], center, w, h))
             out.push_back(i);
     }
-    return out;
 }
 
 std::size_t
@@ -56,16 +56,15 @@ CrowdField::CrowdField(const geo::Rect& field, std::size_t people,
     }
 }
 
-std::vector<std::size_t>
+void
 CrowdField::people_in_view(sim::Time t, const geo::Vec2& center, double w,
-                           double h)
+                           double h, std::vector<std::size_t>& out)
 {
-    std::vector<std::size_t> out;
+    out.clear();
     for (std::size_t i = 0; i < walkers_.size(); ++i) {
         if (in_footprint(walkers_[i].position_at(t), center, w, h))
             out.push_back(i);
     }
-    return out;
 }
 
 std::size_t

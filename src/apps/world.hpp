@@ -34,11 +34,11 @@ class ItemField
     const std::vector<geo::Vec2>& items() const { return items_; }
 
     /**
-     * Indices of items inside a camera footprint of @p w x @p h
-     * meters centered at @p center.
+     * Fill @p out with the indices, ascending, of items inside a
+     * camera footprint of @p w x @p h meters centered at @p center.
      */
-    std::vector<std::size_t> items_in_view(const geo::Vec2& center,
-                                           double w, double h) const;
+    void items_in_view(const geo::Vec2& center, double w, double h,
+                       std::vector<std::size_t>& out) const;
 
     /** Record that an item was located. */
     void mark_found(std::size_t item) { found_[item] = true; }
@@ -68,12 +68,12 @@ class CrowdField
     std::size_t population() const { return walkers_.size(); }
 
     /**
-     * Person ids visible in a footprint at time @p t. Time must be
-     * non-decreasing across calls (walkers advance lazily).
+     * Fill @p out with the person ids, ascending, visible in a
+     * footprint at time @p t. Time must be non-decreasing across calls
+     * (walkers advance lazily).
      */
-    std::vector<std::size_t> people_in_view(sim::Time t,
-                                            const geo::Vec2& center,
-                                            double w, double h);
+    void people_in_view(sim::Time t, const geo::Vec2& center, double w,
+                        double h, std::vector<std::size_t>& out);
 
     /** Record that a person was counted (post-deduplication). */
     void mark_counted(std::size_t person) { counted_[person] = true; }

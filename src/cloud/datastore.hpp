@@ -22,17 +22,11 @@
 
 namespace hivemind::cloud {
 
-/** Tuning knobs of the store model. */
+/** Store settings tests vary; the rest are constants (datastore.cpp). */
 struct DataStoreConfig
 {
     /** Concurrent request handlers. */
     int handlers = 16;
-    /** Base service latency per request (parse/index/commit). */
-    sim::Time base_latency = sim::from_millis(10.0);
-    /** Payload streaming bandwidth (bytes/second). */
-    double bandwidth_Bps = 150e6;
-    /** Controller round trip to resolve the object handle (Sec. 3.3). */
-    sim::Time handle_lookup = sim::from_millis(3.0);
     /** Lognormal sigma on the base latency (compaction, contention). */
     double jitter_sigma = 0.45;
 };

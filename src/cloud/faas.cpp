@@ -7,6 +7,25 @@
 
 namespace hivemind::cloud {
 
+namespace {
+
+/** NGINX + controller + auth-DB front-end latency (median). */
+constexpr sim::Time kFrontEndMedian = sim::from_millis(3.0);
+constexpr double kFrontEndSigma = 0.40;
+/** Kafka publish-subscribe hop to the chosen invoker. */
+constexpr sim::Time kBusDelay = sim::from_millis(2.0);
+/** Controller scheduling decision. */
+constexpr sim::Time kSchedOverhead = sim::from_millis(1.0);
+/** Docker cold-start latency (median, lognormal). */
+constexpr sim::Time kColdStartMedian = sim::from_millis(160.0);
+constexpr double kColdStartSigma = 0.35;
+/** Service-time jitter floor (reserved-style noise). */
+constexpr double kInterferenceBaseSigma = 0.06;
+/** Extra jitter proportional to server occupancy (co-location). */
+constexpr double kInterferenceLoadSigma = 0.50;
+
+}  // namespace
+
 FaasRuntime::FaasRuntime(sim::Simulator& simulator, sim::Rng& rng,
                          Cluster& cluster, DataStore& store,
                          const FaasConfig& config)
@@ -164,7 +183,7 @@ FaasRuntime::recover(std::uint32_t slot, double progressed)
     inv.completed_fraction = saved;
     inv.trace.attempts += 1;
     // Retry skips the front-end but re-enters scheduling.
-    simulator_->schedule_in(config_.sched_overhead + config_.bus_delay,
+    simulator_->schedule_in(kSchedOverhead + kBusDelay,
                             [this, slot]() { scheduled(slot); });
 }
 
@@ -185,14 +204,14 @@ FaasRuntime::invoke(const InvokeRequest& request, InvokeCallback done)
     // then the scheduling decision and the Kafka hop. The controller
     // replicas form a FIFO service queue whose saturation is the
     // centralized-scalability bottleneck of Sec. 5.6.
-    double fe_ms = rng_.lognormal_median(
-        sim::to_millis(config_.front_end_median), config_.front_end_sigma);
-    sim::Time service = sim::from_seconds(1.0 / config_.controller_rps);
+    double fe_ms = rng_.lognormal_median(sim::to_millis(kFrontEndMedian),
+                                         kFrontEndSigma);
+    sim::Time service = sim::from_seconds(1.0 / kControllerRps);
     sim::Time start = std::max(controller_free_.top(), simulator_->now());
     controller_free_.pop();
     controller_free_.push(start + service);
     sim::Time decided = start + service + sim::from_millis(fe_ms) +
-        config_.sched_overhead + config_.bus_delay;
+        kSchedOverhead + kBusDelay;
     simulator_->schedule_at(decided, [this, slot]() { scheduled(slot); });
 }
 
@@ -328,8 +347,7 @@ FaasRuntime::start_on_server(std::uint32_t slot, std::size_t server,
         ++cold_starts_;
         inv.trace.cold_start = true;
         start_latency = sim::from_millis(rng_.lognormal_median(
-            sim::to_millis(config_.cold_start_median),
-            config_.cold_start_sigma));
+            sim::to_millis(kColdStartMedian), kColdStartSigma));
     }
     simulator_->schedule_in(start_latency,
                             [this, slot]() { container_started(slot); });
@@ -373,10 +391,10 @@ FaasRuntime::run_body(std::uint32_t slot)
     // Interference scales with how full the host is (Sec. 3.3);
     // optional performance isolation (cache/bandwidth partitioning,
     // Sec. 4.3) removes the load-dependent part.
-    double sigma = config_.interference_base_sigma +
+    double sigma = kInterferenceBaseSigma +
         (config_.performance_isolation
              ? 0.0
-             : config_.interference_load_sigma * srv.occupancy());
+             : kInterferenceLoadSigma * srv.occupancy());
     double factor = rng_.lognormal_median(1.0, sigma);
     if (rng_.chance(config_.straggler_prob)) {
         factor *= rng_.bounded_pareto(1.5, config_.straggler_max_factor, 1.2);

@@ -49,19 +49,17 @@ enum class FaultRecovery
 /** Sentinel for "no preferred server". */
 inline constexpr std::size_t kNoServer = std::numeric_limits<std::size_t>::max();
 
-/** Runtime tuning knobs (defaults model stock OpenWhisk). */
+/**
+ * Controller front-end throughput, requests/second. The stock
+ * OpenWhisk deployment runs one controller; it becomes the
+ * serialization point at large swarm sizes (Sec. 5.6). HiveMind
+ * deploys multiple shared-state schedulers when needed.
+ */
+inline constexpr double kControllerRps = 600.0;
+
+/** Settings a run varies (defaults model stock OpenWhisk). */
 struct FaasConfig
 {
-    /** NGINX + controller + auth-DB front-end latency (median). */
-    sim::Time front_end_median = sim::from_millis(3.0);
-    double front_end_sigma = 0.40;
-    /** Kafka publish-subscribe hop to the chosen invoker. */
-    sim::Time bus_delay = sim::from_millis(2.0);
-    /** Controller scheduling decision. */
-    sim::Time sched_overhead = sim::from_millis(1.0);
-    /** Docker cold-start latency (median, lognormal). */
-    sim::Time cold_start_median = sim::from_millis(160.0);
-    double cold_start_sigma = 0.35;
     /**
      * Warm container reuse latency. Stock OpenWhisk pauses idle
      * containers; reuse pays an unpause + runtime re-init. HiveMind's
@@ -75,19 +73,8 @@ struct FaasConfig
     sim::Time keepalive = sim::from_millis(400.0);
     /** Concurrent-function user limit (AWS default: 1000). */
     int max_concurrency = 1000;
-    /**
-     * Controller front-end throughput, requests/second. The stock
-     * OpenWhisk deployment runs one controller; it becomes the
-     * serialization point at large swarm sizes (Sec. 5.6). HiveMind
-     * deploys multiple shared-state schedulers when needed.
-     */
-    double controller_rps = 600.0;
     /** Number of controller/scheduler replicas (Sec. 4.3). */
     int controllers = 1;
-    /** Service-time jitter floor (reserved-style noise). */
-    double interference_base_sigma = 0.06;
-    /** Extra jitter proportional to server occupancy (co-location). */
-    double interference_load_sigma = 0.50;
     /** Probability an invocation is an extreme straggler. */
     double straggler_prob = 0.012;
     /** Straggler slow-down upper bound (bounded pareto). */
@@ -406,7 +393,7 @@ class FaasRuntime
      * checkpoint boundary, and the progress past what is kept is
      * booked as work lost. None then reports the invocation lost;
      * every other policy books that progress as re-executed and
-     * re-enters scheduling after sched_overhead + bus_delay.
+     * re-enters scheduling after kSchedOverhead + kBusDelay.
      */
     void recover(std::uint32_t slot, double progressed);
 

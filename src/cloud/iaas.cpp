@@ -5,6 +5,21 @@
 
 namespace hivemind::cloud {
 
+namespace {
+
+/** Request dispatch overhead (load balancer hop). */
+constexpr sim::Time kDispatch = sim::from_millis(0.8);
+/**
+ * Load-balancer throughput (requests/second). Like the OpenWhisk
+ * controller, the reserved deployment's front end is a central
+ * process that saturates at large swarm sizes.
+ */
+constexpr double kLbRps = 800.0;
+/** Straggler slow-down upper bound (bounded pareto). */
+constexpr double kStragglerMaxFactor = 4.0;
+
+}  // namespace
+
 IaasPool::IaasPool(sim::Simulator& simulator, sim::Rng& rng,
                    const IaasConfig& config)
     : simulator_(&simulator),
@@ -26,11 +41,11 @@ IaasPool::submit(double work_core_ms,
     p.submit = simulator_->now();
     ++active_;
     // The load balancer is a single FIFO service stage.
-    sim::Time service = sim::from_seconds(1.0 / config_.lb_rps);
+    sim::Time service = sim::from_seconds(1.0 / kLbRps);
     sim::Time start = std::max(lb_free_, simulator_->now());
     lb_free_ = start + service;
     auto self = this;
-    simulator_->schedule_at(lb_free_ + config_.dispatch,
+    simulator_->schedule_at(lb_free_ + kDispatch,
                             [self, p = std::move(p)]() mutable {
                                 self->dispatch(std::move(p));
                             });
@@ -56,7 +71,7 @@ IaasPool::run(Pending p, std::size_t worker)
     trace.exec_start = simulator_->now();
     double factor = rng_.lognormal_median(1.0, config_.interference_sigma);
     if (rng_.chance(config_.straggler_prob))
-        factor *= rng_.bounded_pareto(1.5, config_.straggler_max_factor, 1.2);
+        factor *= rng_.bounded_pareto(1.5, kStragglerMaxFactor, 1.2);
     double exec_ms = p.work_core_ms * factor;
     auto self = this;
     simulator_->schedule_in(

@@ -23,24 +23,15 @@
 
 namespace hivemind::cloud {
 
-/** Reserved-pool deployment knobs. */
+/** Reserved-pool settings; the rest are constants (iaas.cpp). */
 struct IaasConfig
 {
     /** Long-running worker containers (each pinned to a core). */
     int workers = 40;
-    /** Request dispatch overhead (load balancer hop). */
-    sim::Time dispatch = sim::from_millis(0.8);
-    /**
-     * Load-balancer throughput (requests/second). Like the OpenWhisk
-     * controller, the reserved deployment's front end is a central
-     * process that saturates at large swarm sizes.
-     */
-    double lb_rps = 800.0;
     /** Service-time jitter (reserved resources are quieter). */
     double interference_sigma = 0.08;
     /** Probability of an extreme straggler. */
     double straggler_prob = 0.004;
-    double straggler_max_factor = 4.0;
 };
 
 /** Completion record for a reserved-pool task. */
@@ -70,9 +61,6 @@ class IaasPool
 
     /** Tasks completed. */
     std::uint64_t completed() const { return completed_; }
-
-    /** Pool size. */
-    int workers() const { return config_.workers; }
 
   private:
     struct Pending

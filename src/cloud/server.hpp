@@ -46,7 +46,6 @@ class Server
     int busy_cores() const { return busy_cores_; }
     int free_cores() const { return cores_ - busy_cores_; }
 
-    std::uint64_t memory_mb() const { return memory_mb_; }
     std::uint64_t used_memory_mb() const { return used_memory_mb_; }
 
     /** Fraction of cores currently occupied, in [0, 1]. */

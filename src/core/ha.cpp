@@ -4,6 +4,27 @@
 
 namespace hivemind::core {
 
+namespace {
+
+/** Primary -> standby heartbeat period. */
+constexpr sim::Time kPrimaryBeatInterval = 500 * sim::kMillisecond;
+/** Missed-heartbeat silence that triggers the standby election. */
+constexpr sim::Time kElectionTimeout = 1500 * sim::kMillisecond;
+/** Checkpoint deserialization/replay bandwidth, bytes/second. */
+constexpr double kReplayBps = 64e6;
+/** Re-registration ping cost per edge device during reconcile. */
+constexpr sim::Time kReconcilePerDevice = 20 * sim::kMillisecond;
+/** Redrive cost per in-flight/lost offload (epoch-redrive path). */
+constexpr sim::Time kRedrivePerOffload = 5 * sim::kMillisecond;
+/**
+ * Fraction of the checkpoint's age spent replaying the event delta
+ * (heartbeats, detections, partition moves) that post-dates it.
+ * This is what makes recovery time grow with checkpoint age.
+ */
+constexpr double kDriftReplayFrac = 0.15;
+
+}  // namespace
+
 std::uint64_t
 ControllerCheckpoint::size_bytes() const
 {
@@ -49,12 +70,12 @@ HaCluster::start()
     // Bootstrap checkpoint so a crash before the first interval still
     // has (early, stale) state to replay.
     checkpoint_tick();
-    sim::recurring(*simulator_, config_.primary_beat_interval,
+    sim::recurring(*simulator_, kPrimaryBeatInterval,
                    [this](const sim::Recur& self) {
                        if (!running_)
                            return;
                        watchdog_tick();
-                       self.again_in(config_.primary_beat_interval);
+                       self.again_in(kPrimaryBeatInterval);
                    });
     sim::recurring(*simulator_, config_.checkpoint_interval,
                    [this](const sim::Recur& self) {
@@ -127,7 +148,7 @@ HaCluster::watchdog_tick()
         last_beat_ = now;
         return;
     }
-    if (!electing_ && now - last_beat_ > config_.election_timeout) {
+    if (!electing_ && now - last_beat_ > kElectionTimeout) {
         // Missed-deadline election: a standby promotes itself.
         electing_ = true;
         detect_s_.add(sim::to_seconds(now - crash_at_));
@@ -162,18 +183,18 @@ HaCluster::begin_takeover()
         // Deserialize the checkpoint, then replay the event delta that
         // post-dates it — the lost-work term that grows with age.
         sim::Time replay = sim::from_seconds(
-            static_cast<double>(cp.size_bytes()) / config_.replay_Bps);
+            static_cast<double>(cp.size_bytes()) / kReplayBps);
         replay += static_cast<sim::Time>(
-            config_.drift_replay_frac * static_cast<double>(age));
+            kDriftReplayFrac * static_cast<double>(age));
         simulator_->schedule_in(replay, [this, cp, age]() {
             if (!running_ || !crashed_)
                 return;
             ReconcileReport rep =
                 on_takeover_ ? on_takeover_(cp) : ReconcileReport{};
             offloads_redriven_ += rep.offloads_redriven;
-            sim::Time reconcile = config_.reconcile_per_device *
+            sim::Time reconcile = kReconcilePerDevice *
                     static_cast<sim::Time>(rep.devices_reregistered) +
-                config_.redrive_per_offload *
+                kRedrivePerOffload *
                     static_cast<sim::Time>(rep.offloads_redriven);
             simulator_->schedule_in(reconcile, [this, age]() {
                 if (!running_ || !crashed_)

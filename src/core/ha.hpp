@@ -48,31 +48,13 @@
 
 namespace hivemind::core {
 
-/** HA tuning (defaults follow Sec. 4.6 timing constants). */
+/** HA settings runs vary; Sec. 4.6's timings are constants (ha.cpp). */
 struct HaConfig
 {
     /** Period between controller state checkpoints. */
     sim::Time checkpoint_interval = 5 * sim::kSecond;
-    /** Primary -> standby heartbeat period. */
-    sim::Time primary_beat_interval = 500 * sim::kMillisecond;
-    /** Missed-heartbeat silence that triggers the standby election. */
-    sim::Time election_timeout = 1500 * sim::kMillisecond;
     /** Hot standbys behind the primary (Sec. 4.7: two). */
     int standbys = 2;
-    /** Checkpoint deserialization/replay bandwidth, bytes/second. */
-    double replay_Bps = 64e6;
-    /** Re-registration ping cost per edge device during reconcile. */
-    sim::Time reconcile_per_device = 20 * sim::kMillisecond;
-    /** Redrive cost per in-flight/lost offload (epoch-redrive path). */
-    sim::Time redrive_per_offload = 5 * sim::kMillisecond;
-    /**
-     * Fraction of the checkpoint's age spent replaying the event delta
-     * (heartbeats, detections, partition moves) that post-dates it.
-     * This is what makes recovery time grow with checkpoint age.
-     */
-    double drift_replay_frac = 0.15;
-
-    bool operator==(const HaConfig&) const = default;
 };
 
 /** Serialized controller state (Sec. 4.6 checkpoint format). */

@@ -5,13 +5,9 @@
 namespace hivemind::core {
 
 LearningCoordinator::LearningCoordinator(std::size_t devices,
-                                         const apps::DetectionConfig& config,
                                          apps::RetrainMode mode)
-    : mode_(mode), buffered_(devices, 0)
+    : mode_(mode), models_(devices), buffered_(devices, 0)
 {
-    models_.reserve(devices);
-    for (std::size_t i = 0; i < devices; ++i)
-        models_.emplace_back(config);
 }
 
 void

@@ -23,9 +23,7 @@ namespace hivemind::core {
 class LearningCoordinator
 {
   public:
-    LearningCoordinator(std::size_t devices,
-                        const apps::DetectionConfig& config,
-                        apps::RetrainMode mode);
+    LearningCoordinator(std::size_t devices, apps::RetrainMode mode);
 
     /** Record @p samples decision feedback from @p device. */
     void record(std::size_t device, std::uint64_t samples = 1);
@@ -49,8 +47,6 @@ class LearningCoordinator
     /** Mean FN / FP probabilities across the swarm. */
     double swarm_p_false_negative() const;
     double swarm_p_false_positive() const;
-
-    apps::RetrainMode mode() const { return mode_; }
 
     /** Devices managed (one model per device). */
     std::size_t device_count() const { return models_.size(); }

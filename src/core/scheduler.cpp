@@ -5,6 +5,13 @@
 
 namespace hivemind::core {
 
+namespace {
+
+/** Probation duration ("a few minutes"). */
+constexpr sim::Time kProbationDuration = 120 * sim::kSecond;
+
+}  // namespace
+
 void
 PercentileTracker::add(double x)
 {
@@ -192,7 +199,7 @@ HiveMindScheduler::note_completion(cloud::AppId app, double latency_s,
         benched + 1.0 <= cap) {
         srv.set_probation(true);
         std::size_t id = server;
-        simulator_->schedule_in(config_.probation_duration, [this, id]() {
+        simulator_->schedule_in(kProbationDuration, [this, id]() {
             runtime_->cluster().server(id).set_probation(false);
             straggler_score_[id] = 0.0;
             // Capacity returned: retry anything parked in the queue.

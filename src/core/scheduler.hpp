@@ -106,8 +106,6 @@ struct SchedulerConfig
     double probation_threshold = 6.0;
     /** Score decay per normal completion. */
     double probation_decay = 0.25;
-    /** Probation duration ("a few minutes"). */
-    sim::Time probation_duration = 120 * sim::kSecond;
     /** Never put more than this fraction of servers on probation. */
     double probation_max_fraction = 0.5;
 };

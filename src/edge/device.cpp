@@ -99,7 +99,7 @@ Device::Device(sim::Simulator& simulator, sim::Rng& rng, std::size_t id,
       id_(id),
       spec_(spec),
       battery_(spec.battery_j),
-      executor_(simulator, rng, spec.cpu_speed_factor, spec.queue_limit)
+      executor_(simulator, rng, spec.cpu_speed_factor, kDeviceQueueLimit)
 {
 }
 

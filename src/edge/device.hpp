@@ -29,6 +29,9 @@
 
 namespace hivemind::edge {
 
+/** On-board task queue bound; older tasks are shed beyond this. */
+inline constexpr std::size_t kDeviceQueueLimit = 64;
+
 /** Static description of a device class; the defaults are the drone. */
 struct DeviceSpec
 {
@@ -44,8 +47,6 @@ struct DeviceSpec
     /** Camera ground footprint, meters (cross-track x along-track). */
     double footprint_w = 6.7;
     double footprint_h = 8.75;
-    /** On-board task queue bound; older tasks are shed beyond this. */
-    std::size_t queue_limit = 64;
     /** Sensor frames bufferable on-board while disconnected (Sec. 4.6). */
     std::size_t frame_buffer_limit = 256;
 

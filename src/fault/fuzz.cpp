@@ -14,6 +14,8 @@ namespace {
 
 /** Decorrelate the user seed from other consumers of the same value. */
 constexpr std::uint64_t kFuzzSalt = 0xc6a4a7935bd1e995ull;
+/** Most fault events a generated plan holds. */
+constexpr std::size_t kMaxFuzzEvents = 10;
 
 sim::Time
 random_time(sim::Rng& rng, sim::Time lo, sim::Time hi)
@@ -66,8 +68,8 @@ PlanFuzzer::generate(std::uint64_t seed) const
     }
 
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(
-        static_cast<std::int64_t>(cfg_.min_events),
-        static_cast<std::int64_t>(cfg_.max_events)));
+        static_cast<std::int64_t>(kMinFuzzEvents),
+        static_cast<std::int64_t>(kMaxFuzzEvents)));
     bool permanent_used = false;
     for (std::size_t i = 0; i < n; ++i) {
         const FaultKind kind = pool[rng.pick(pool.size())];

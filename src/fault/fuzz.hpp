@@ -33,14 +33,15 @@
 
 namespace hivemind::fault {
 
+/** Fewest fault events a generated plan holds. */
+inline constexpr std::size_t kMinFuzzEvents = 3;
+
 /** Deployment envelope the fuzzer generates plans against. */
 struct FuzzConfig
 {
     std::size_t devices = 6;
     std::size_t servers = 2;
     sim::Time horizon = 60 * sim::kSecond;
-    std::size_t min_events = 3;
-    std::size_t max_events = 10;
     /** Generate controller faults (crash/partition). */
     bool allow_controller = true;
     /** Allow permanent device crashes (duration 0, never rejoins);
@@ -63,8 +64,6 @@ class PlanFuzzer
 
     /** Bounds matching the config, for validate() calls. */
     PlanBounds bounds() const;
-
-    const FuzzConfig& config() const { return cfg_; }
 
   private:
     FuzzConfig cfg_;

@@ -18,11 +18,12 @@
 
 namespace hivemind::fault {
 
+/** Total offload attempts per frame (first try + retries). */
+inline constexpr int kMaxOffloadAttempts = 4;
+
 /** Tuning for the offload retry loop and circuit breaker. */
 struct RetryConfig
 {
-    /** Total offload attempts per frame (first try + retries). */
-    int max_attempts = 4;
     /** Backoff before retry k is base * multiplier^k, jittered. */
     sim::Time base_backoff = 100 * sim::kMillisecond;
     double multiplier = 2.0;
@@ -32,8 +33,6 @@ struct RetryConfig
     int breaker_threshold = 3;
     /** How long a tripped breaker fails offloads fast. */
     sim::Time breaker_cooldown = 5 * sim::kSecond;
-
-    bool operator==(const RetryConfig&) const = default;
 };
 
 /** One device's offload retry policy and circuit breaker. */
@@ -41,8 +40,6 @@ class OffloadRetrier
 {
   public:
     explicit OffloadRetrier(RetryConfig config = {}) : config_(config) {}
-
-    const RetryConfig& config() const { return config_; }
 
     /** Whether the breaker is open (still cooling down) at `now`. */
     bool circuit_open(sim::Time now) const { return now < open_until_; }

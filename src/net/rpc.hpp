@@ -70,9 +70,6 @@ class RpcProcessor
     /** Messages processed. */
     std::uint64_t messages() const { return messages_; }
 
-    /** The active configuration. */
-    const RpcConfig& config() const { return config_; }
-
   private:
     sim::Simulator* simulator_;
     RpcConfig config_;

@@ -4,39 +4,45 @@
 
 namespace hivemind::net {
 
+namespace {
+
+constexpr double kServerNicBps = 10e9;
+constexpr double kTorBps = 40e9;
+/** One-way wired latency per hop inside the cluster. */
+constexpr sim::Time kLanProp = sim::from_micros(20.0);
+
+}  // namespace
+
 SwarmTopology::SwarmTopology(sim::Simulator& simulator,
                              const TopologyConfig& config, sim::Rng* rng)
     : simulator_(&simulator),
       config_(config),
       rng_(rng),
       device_bytes_(config.devices, 0),
-      air_meter_(sim::kSecond),
       flows_(simulator)
 {
     double scale = config.infra_scale;
     for (std::size_t i = 0; i < config.devices; ++i) {
         device_up_.push_back(std::make_unique<Link>(
-            simulator, config.device_radio_bps, config.wireless_prop));
+            simulator, kDeviceRadioBps, kWirelessProp));
         device_down_.push_back(std::make_unique<Link>(
-            simulator, config.device_radio_bps, config.wireless_prop));
+            simulator, kDeviceRadioBps, kWirelessProp));
         device_rpc_.push_back(std::make_unique<RpcProcessor>(
             simulator, RpcConfig::software_stack(1)));
     }
     for (std::size_t r = 0; r < config.routers; ++r) {
         router_up_.push_back(std::make_unique<Link>(
-            simulator, config.router_bps * scale, config.lan_prop));
+            simulator, kRouterBps * scale, kLanProp));
         router_down_.push_back(std::make_unique<Link>(
-            simulator, config.router_bps * scale, config.lan_prop));
+            simulator, kRouterBps * scale, kLanProp));
     }
-    tor_up_ = std::make_unique<Link>(simulator, config.tor_bps * scale,
-                                     config.lan_prop);
-    tor_down_ = std::make_unique<Link>(simulator, config.tor_bps * scale,
-                                       config.lan_prop);
+    tor_up_ = std::make_unique<Link>(simulator, kTorBps * scale, kLanProp);
+    tor_down_ = std::make_unique<Link>(simulator, kTorBps * scale, kLanProp);
     for (std::size_t s = 0; s < config.servers; ++s) {
         nic_in_.push_back(std::make_unique<Link>(
-            simulator, config.server_nic_bps, config.lan_prop));
+            simulator, kServerNicBps, kLanProp));
         nic_out_.push_back(std::make_unique<Link>(
-            simulator, config.server_nic_bps, config.lan_prop));
+            simulator, kServerNicBps, kLanProp));
         server_rpc_.push_back(std::make_unique<RpcProcessor>(
             simulator,
             config.cloud_rpc_offload ? RpcConfig::fpga_offload(2)
@@ -61,7 +67,7 @@ SwarmTopology::with_retransmits(std::function<void(DeliveryCallback)> attempt,
         }
         ++retransmissions_;
         simulator_->schedule_in(
-            config_.retransmit_timeout,
+            kRetransmitTimeout,
             [self, attempt = std::move(attempt), done = std::move(done),
              tries_left]() mutable {
                 self->with_retransmits(std::move(attempt), std::move(done),
@@ -85,7 +91,7 @@ SwarmTopology::with_retransmits(std::function<void(DeliveryCallback)> attempt,
             }
             ++self->retransmissions_;
             self->simulator_->schedule_in(
-                self->config_.retransmit_timeout,
+                kRetransmitTimeout,
                 [self, attempt = std::move(attempt),
                  done = std::move(done), tries_left]() mutable {
                     self->with_retransmits(std::move(attempt),

@@ -27,22 +27,21 @@
 
 namespace hivemind::net {
 
-/** Static description of the deployment's network. */
+/** Effective per-device radio rate (802.11ac client, ~600 Mbps). */
+inline constexpr double kDeviceRadioBps = 600e6;
+/** Per-router shared medium capacity (LinkSys AC2200). */
+inline constexpr double kRouterBps = 867e6;
+/** One-way wireless latency (media access + air). */
+inline constexpr sim::Time kWirelessProp = sim::from_millis(2.0);
+/** Wait before a corrupted wireless transfer is retransmitted. */
+inline constexpr sim::Time kRetransmitTimeout = sim::from_millis(50.0);
+
+/** The deployment's network; link rates and delays are constants. */
 struct TopologyConfig
 {
     std::size_t devices = 16;
     std::size_t routers = 2;
     std::size_t servers = 12;
-    /** Effective per-device radio rate (802.11ac client, ~600 Mbps). */
-    double device_radio_bps = 600e6;
-    /** Per-router shared medium capacity (LinkSys AC2200). */
-    double router_bps = 867e6;
-    double server_nic_bps = 10e9;
-    double tor_bps = 40e9;
-    /** One-way wireless latency (media access + air). */
-    sim::Time wireless_prop = sim::from_millis(2.0);
-    /** One-way wired latency per hop inside the cluster. */
-    sim::Time lan_prop = sim::from_micros(20.0);
     /** Use the FPGA RPC offload on cloud servers (Sec. 4.5). */
     bool cloud_rpc_offload = false;
     /**
@@ -53,11 +52,11 @@ struct TopologyConfig
     /**
      * Wireless unreliability (Sec. 1: devices "are prone to
      * unreliable network connections"): probability that a wireless
-     * transfer is corrupted and must be retransmitted after a
-     * timeout. Applied per attempt, up to max_retransmits retries.
+     * transfer is corrupted and must be retransmitted after
+     * kRetransmitTimeout. Applied per attempt, up to max_retransmits
+     * retries.
      */
     double wireless_loss = 0.0;
-    sim::Time retransmit_timeout = sim::from_millis(50.0);
     int max_retransmits = 3;
 };
 

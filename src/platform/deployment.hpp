@@ -121,7 +121,6 @@ class CloudTier
     cloud::DataStore& store() { return *store_; }
     cloud::FaasRuntime& faas() { return *faas_; }
     const cloud::FaasRuntime& faas() const { return *faas_; }
-    cloud::IaasPool& iaas() { return *iaas_; }
     /** Non-null when the HiveMind scheduler is installed. */
     core::HiveMindScheduler* scheduler() { return scheduler_.get(); }
     const PlatformOptions& options() const { return options_; }
@@ -160,9 +159,7 @@ class Deployment
     sim::Rng& rng() { return rng_; }
     net::SwarmTopology& network() { return cloud_.network(); }
     cloud::Cluster& cluster() { return cloud_.cluster(); }
-    cloud::DataStore& store() { return cloud_.store(); }
     cloud::FaasRuntime& faas() { return cloud_.faas(); }
-    cloud::IaasPool& iaas() { return cloud_.iaas(); }
     /** Non-null when the HiveMind scheduler is installed. */
     core::HiveMindScheduler* scheduler() { return cloud_.scheduler(); }
     edge::Device& device(std::size_t i) { return *devices_[i]; }

@@ -234,6 +234,8 @@ struct ControllerTier
     core::LearningCoordinator learning;
     std::unique_ptr<apps::ItemField> items;
     std::unique_ptr<apps::CrowdField> crowd;
+    /** Targets in the current report's view, reused across reports. */
+    std::vector<std::size_t> visible;
     /** Rover kinds: true once, immutable after construction (safe to
      *  read from any shard). */
     bool rover = false;
@@ -281,7 +283,7 @@ struct ControllerTier
           balancer(geo::Rect{0.0, 0.0, sc.field_size_m, sc.field_size_m},
                    devices),
           detector(shard, devices),
-          learning(devices, apps::DetectionConfig{}, sc.retrain),
+          learning(devices, sc.retrain),
           pass(devices, 0), alive_known(devices, 1),
           inflight_known(devices, 0), started_known(devices, 0)
     {
@@ -451,9 +453,7 @@ class ShardedScenarioEngine
     /** core::HaConfig's defaults with the scenario's checkpoint period. */
     core::HaConfig ha_config() const
     {
-        core::HaConfig ha;
-        ha.checkpoint_interval = sc_.checkpoint_interval;
-        return ha;
+        return core::HaConfig{.checkpoint_interval = sc_.checkpoint_interval};
     }
     core::ControllerCheckpoint make_checkpoint() const;
     core::ReconcileReport reconcile_after_takeover(
@@ -478,7 +478,7 @@ class ShardedScenarioEngine
     sim::Rng cloud_rng_;  ///< The cloud tier's stream (cloud shard).
     CloudTier cloud_;
     // Air-side ledger, metered on the cloud shard.
-    sim::RateMeter air_meter_{sim::kSecond};
+    sim::RateMeter air_meter_;
     std::uint64_t corrupt_frames_ = 0;
     ControllerTier ctrl_;
     /** Per-shard slabs of frame round trips (FrameTrip). */
@@ -523,7 +523,7 @@ void
 ShardedScenarioEngine::wire_devices(const DeploymentConfig& dep)
 {
     const std::size_t n = dep.devices;
-    const net::TopologyConfig& net = cloud_.network().config();
+    const double loss = cloud_.network().config().wireless_loss;
     devices_.reserve(n);
     data_up_.reserve(n);
     data_down_.reserve(n);
@@ -536,20 +536,20 @@ ShardedScenarioEngine::wire_devices(const DeploymentConfig& dep)
             shard, dep.seed ^ (0x9e3779b97f4a7c15ull * (d + 1)), d,
             dep.device_spec));
         DeviceActor* a = devices_.back().get();
-        a->configured_loss = net.wireless_loss;
+        a->configured_loss = loss;
         // Data plane to/from the cloud shard; control plane to/from
         // shard 0. All four share the radio's propagation delay, which
         // doubles as the declared channel lookahead.
         data_up_.emplace_back(runtime_, owner, cloud_shard_,
-                              kDataUpOrigin + d, net.device_radio_bps,
-                              net.wireless_prop);
+                              kDataUpOrigin + d, net::kDeviceRadioBps,
+                              net::kWirelessProp);
         data_down_.emplace_back(runtime_, cloud_shard_, owner,
-                                kDataDownOrigin + d, net.device_radio_bps,
-                                net.wireless_prop);
+                                kDataDownOrigin + d, net::kDeviceRadioBps,
+                                net::kWirelessProp);
         ctrl_up_.emplace_back(runtime_, owner, 0, kCtrlUpOrigin + d,
-                              net.device_radio_bps, net.wireless_prop);
+                              net::kDeviceRadioBps, net::kWirelessProp);
         ctrl_down_.emplace_back(runtime_, 0, owner, kCtrlDownOrigin + d,
-                                net.device_radio_bps, net.wireless_prop);
+                                net::kDeviceRadioBps, net::kWirelessProp);
     }
     trips_.resize(static_cast<std::size_t>(runtime_.shards()));
     results_.resize(static_cast<std::size_t>(runtime_.shards()));
@@ -677,15 +677,14 @@ ShardedScenarioEngine::wire_ha(const DeploymentConfig& dep)
     // plans on every platform but HiveMind.
     if (!plan_has_controller_faults(sc_.faults))
         return;
-    const net::TopologyConfig& net = cloud_.network().config();
     // The checkpoint plane shares the radio propagation so it never
     // tightens the declared lookahead below the existing channels.
     ckpt_up_ = std::make_unique<net::ShardLink>(
         runtime_, 0, cloud_shard_, kCkptUpOrigin, kCkptLinkBps,
-        net.wireless_prop);
+        net::kWirelessProp);
     ckpt_down_ = std::make_unique<net::ShardLink>(
         runtime_, cloud_shard_, 0, kCkptDownOrigin, kCkptLinkBps,
-        net.wireless_prop);
+        net::kWirelessProp);
     ckpt_rng_ = std::make_unique<sim::Rng>(dep.seed ^ 0xc4ec9017ull);
 
     ha_ = std::make_unique<core::HaCluster>(*ctrl_.sim, ha_config());
@@ -1087,7 +1086,6 @@ ShardedScenarioEngine::air_attempt(FrameTrip* trip, int tries_left)
 {
     DeviceActor& a = *trip->actor;
     const double loss = a.loss_now();
-    const sim::Time timeout = cloud_.network().config().retransmit_timeout;
     if (loss >= 1.0) {
         // Radio blackout: nothing reaches the air; each retry burns a
         // retransmit timeout until the budget is gone.
@@ -1097,7 +1095,7 @@ ShardedScenarioEngine::air_attempt(FrameTrip* trip, int tries_left)
             return;
         }
         ++a.retransmits;
-        a.sim->schedule_in(timeout, [this, trip, tries_left] {
+        a.sim->schedule_in(net::kRetransmitTimeout, [this, trip, tries_left] {
             air_attempt(trip, tries_left - 1);
         });
         return;
@@ -1116,7 +1114,8 @@ ShardedScenarioEngine::air_attempt(FrameTrip* trip, int tries_left)
             return;
         }
         ++a.retransmits;
-        a.sim->schedule_at(arrival + timeout, [this, trip, tries_left] {
+        const sim::Time retry = arrival + net::kRetransmitTimeout;
+        a.sim->schedule_at(retry, [this, trip, tries_left] {
             air_attempt(trip, tries_left - 1);
         });
         return;
@@ -1133,7 +1132,7 @@ ShardedScenarioEngine::air_failed(FrameTrip* trip)
     sim::Time now = a.sim->now();
     if (a.retrier.record_failure(now))
         ++a.breaker_opens;
-    if (trip->attempt + 1 >= a.retrier.config().max_attempts ||
+    if (trip->attempt + 1 >= fault::kMaxOffloadAttempts ||
         a.retrier.circuit_open(now)) {
         ++a.abandoned;
         drop_trip(trip);
@@ -1247,7 +1246,6 @@ ShardedScenarioEngine::drain_attempt(DeviceActor& a, std::uint64_t bytes,
                                      std::uint64_t frames, int tries_left)
 {
     const double loss = a.loss_now();
-    const sim::Time timeout = cloud_.network().config().retransmit_timeout;
     if (loss > 0.0 && (loss >= 1.0 || a.rng.chance(loss))) {
         if (tries_left <= 0) {
             ++a.wireless_drops;  // Backlog lost on the air.
@@ -1256,7 +1254,7 @@ ShardedScenarioEngine::drain_attempt(DeviceActor& a, std::uint64_t bytes,
             return;
         }
         ++a.retransmits;
-        a.sim->schedule_in(timeout,
+        a.sim->schedule_in(net::kRetransmitTimeout,
                            [this, ap = &a, bytes, frames, tries_left] {
                                drain_attempt(*ap, bytes, frames,
                                              tries_left - 1);
@@ -1439,19 +1437,17 @@ ShardedScenarioEngine::on_report(std::size_t device, geo::Vec2 pos,
         return;
     ++ctrl_.reports;
     const edge::DeviceSpec& spec = devices_[device]->dev.spec();
-    std::vector<std::size_t> visible;
     if (ctrl_.items) {
-        visible = ctrl_.items->items_in_view(pos, spec.footprint_w,
-                                             spec.footprint_h);
+        ctrl_.items->items_in_view(pos, spec.footprint_w, spec.footprint_h,
+                                   ctrl_.visible);
     } else {
         // Visibility is judged at capture time: the crowd is evaluated
         // where it stood when the frame was taken, not at report time.
-        visible = ctrl_.crowd->people_in_view(t0, pos,
-                                              spec.footprint_w,
-                                              spec.footprint_h);
+        ctrl_.crowd->people_in_view(t0, pos, spec.footprint_w,
+                                    spec.footprint_h, ctrl_.visible);
     }
     const apps::DetectionModel& model = ctrl_.learning.model(device);
-    for (std::size_t target : visible) {
+    for (std::size_t target : ctrl_.visible) {
         if (ctrl_.rng.chance(model.p_correct())) {
             if (ctrl_.items)
                 ctrl_.items->mark_found(target);

@@ -5,6 +5,13 @@
 
 namespace hivemind::sim {
 
+namespace {
+
+/** RateMeter's averaging interval: every figure reports per-second rates. */
+constexpr Time kRateWindow = kSecond;
+
+}  // namespace
+
 void
 Summary::add(double x)
 {
@@ -125,7 +132,7 @@ RateMeter::add(Time t, double amount)
 {
     if (t < 0)
         return;
-    std::size_t i = static_cast<std::size_t>(t / window_);
+    std::size_t i = static_cast<std::size_t>(t / kRateWindow);
     if (i >= per_window_.size())
         per_window_.resize(i + 1, 0.0);
     per_window_[i] += amount;
@@ -136,9 +143,9 @@ std::vector<double>
 RateMeter::rates(Time until) const
 {
     std::size_t n =
-        static_cast<std::size_t>((until + window_ - 1) / window_);
+        static_cast<std::size_t>((until + kRateWindow - 1) / kRateWindow);
     std::vector<double> out(n, 0.0);
-    double wsec = to_seconds(window_);
+    double wsec = to_seconds(kRateWindow);
     for (std::size_t i = 0; i < n && i < per_window_.size(); ++i)
         out[i] = per_window_[i] / wsec;
     return out;

@@ -109,15 +109,12 @@ class TimeSeries
 };
 
 /**
- * Converts discrete arrivals (bytes, requests) into per-window rates.
+ * Converts discrete arrivals (bytes, requests) into per-second rates.
  * Used for the bandwidth-utilization figures (3b, 14b, 17).
  */
 class RateMeter
 {
   public:
-    /** @p window is the averaging interval. */
-    explicit RateMeter(Time window) : window_(window) {}
-
     /** Record @p amount units arriving at time @p t. */
     void add(Time t, double amount);
 
@@ -134,7 +131,6 @@ class RateMeter
     double total() const { return total_; }
 
   private:
-    Time window_;
     std::vector<double> per_window_;
     double total_ = 0.0;
 };

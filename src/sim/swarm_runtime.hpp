@@ -127,9 +127,6 @@ class SwarmRuntime
      */
     void set_adaptive_lookahead(bool on) { adaptive_ = on; }
 
-    /** Whether adaptive per-pair windows are active. */
-    bool adaptive_lookahead() const { return adaptive_; }
-
     /**
      * The window shard @p dst ran to in the most recent epoch
      * (introspection for window-math tests).

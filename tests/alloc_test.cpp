@@ -324,10 +324,9 @@ TEST(AllocationGuard, MissionTaskRoundTripAllocatesLittle)
                 static_cast<unsigned long long>(shorter.tasks),
                 static_cast<unsigned long long>(longer.tasks), per_task);
     // One heap cell per frame anywhere on the round trip would read
-    // about 1.0 here. What is left is the controller's per-report list
-    // of visible items (about 0.04 per task) and pools and logs that
-    // grow to a longer run's peak.
-    EXPECT_LE(per_task, 0.5);
+    // about 1.0 here. What is left (about 0.04 per task) is pools and
+    // logs that grow to a longer run's peak.
+    EXPECT_LE(per_task, 0.25);
 }
 
 }  // namespace

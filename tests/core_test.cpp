@@ -367,10 +367,9 @@ TEST(SchedulerProbation, MaxFractionCapsBenching)
 
 TEST(Learning, SwarmConvergesFasterThanSelf)
 {
-    apps::DetectionConfig cfg;
-    LearningCoordinator self(16, cfg, apps::RetrainMode::Self);
-    LearningCoordinator swarm(16, cfg, apps::RetrainMode::Swarm);
-    LearningCoordinator none(16, cfg, apps::RetrainMode::None);
+    LearningCoordinator self(16, apps::RetrainMode::Self);
+    LearningCoordinator swarm(16, apps::RetrainMode::Swarm);
+    LearningCoordinator none(16, apps::RetrainMode::None);
     for (int round = 0; round < 10; ++round) {
         for (std::size_t d = 0; d < 16; ++d) {
             self.record(d, 10);
@@ -383,7 +382,7 @@ TEST(Learning, SwarmConvergesFasterThanSelf)
     }
     EXPECT_GT(swarm.swarm_p_correct(), self.swarm_p_correct());
     EXPECT_GT(self.swarm_p_correct(), none.swarm_p_correct());
-    EXPECT_DOUBLE_EQ(none.swarm_p_correct(), cfg.base_correct);
+    EXPECT_DOUBLE_EQ(none.swarm_p_correct(), apps::kBaseCorrect);
     // Fig. 15: swarm-wide retraining nearly eliminates errors.
     EXPECT_GT(swarm.swarm_p_correct(), 0.97);
     EXPECT_LT(swarm.swarm_p_false_negative(), 0.02);
@@ -392,8 +391,7 @@ TEST(Learning, SwarmConvergesFasterThanSelf)
 
 TEST(Learning, BuffersResetAfterRetrain)
 {
-    apps::DetectionConfig cfg;
-    LearningCoordinator c(2, cfg, apps::RetrainMode::Self);
+    LearningCoordinator c(2, apps::RetrainMode::Self);
     c.record(0, 100);
     c.retrain();
     double after_first = c.model(0).p_correct();

@@ -98,7 +98,7 @@ TEST(PlanFuzzer, PlansValidSortedAndBounded)
         FaultPlan plan = fuzzer.generate(seed);
         EXPECT_TRUE(plan.validate(fuzzer.bounds()).empty())
             << "seed " << seed;
-        EXPECT_GE(plan.events.size(), cfg.min_events);
+        EXPECT_GE(plan.events.size(), fault::kMinFuzzEvents);
         std::size_t permanent = 0;
         for (std::size_t i = 0; i < plan.events.size(); ++i) {
             const fault::FaultEvent& e = plan.events[i];

@@ -860,7 +860,7 @@ TEST(TimeSeries, WindowMeans)
 
 TEST(RateMeter, RatesPerWindow)
 {
-    RateMeter m(kSecond);
+    RateMeter m;
     m.add(0, 100.0);
     m.add(kSecond / 2, 100.0);
     m.add(3 * kSecond / 2, 50.0);
