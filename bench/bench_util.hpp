@@ -11,8 +11,11 @@
  * reproduction target — see EXPERIMENTS.md.
  */
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,27 @@
 #include "util/json.hpp"
 
 namespace hivemind::bench {
+
+/** CPU-seconds stolen from all of the host's CPUs since boot: the
+ *  steal field of /proc/stat's aggregate `cpu` line, in USER_HZ
+ *  ticks. Empty when the file cannot be read. Read it around a timed
+ *  leg: on a shared VM a multi-shard wall follows it. */
+inline std::optional<double>
+host_steal_cpu_s()
+{
+    std::FILE* f = std::fopen("/proc/stat", "r");
+    if (f == nullptr)
+        return std::nullopt;
+    unsigned long long t[8] = {};
+    const int fields = std::fscanf(
+        f, "cpu %llu %llu %llu %llu %llu %llu %llu %llu", &t[0], &t[1],
+        &t[2], &t[3], &t[4], &t[5], &t[6], &t[7]);
+    std::fclose(f);
+    const long hz = sysconf(_SC_CLK_TCK);
+    if (fields != 8 || hz <= 0)
+        return std::nullopt;
+    return static_cast<double>(t[7]) / static_cast<double>(hz);
+}
 
 /** The paper's reference deployment, DeploymentConfig's defaults:
  *  16 drones, 12 servers of 40 cores. */

@@ -31,14 +31,19 @@
  * unreadable): on a shared VM the shards=4 wall follows it, so read
  * the speedup verdict beside it.
  *
+ * And every row reports where its wall went (RunResult::profile): the
+ * runtime's serial between-epoch time, each shard kernel's busy time
+ * (cloud shard first; it holds the cloud tier alone once shards > 1),
+ * and the cloud shard's share of the summed busy time. The busiest
+ * shard's busy time plus the serial time bounds the wall from below.
+ *
  * Writes BENCH_scenario_shards.json (hw_threads included) for
  * scripts/bench_diff.py to diff and for EXPERIMENTS.md's multi-core
  * section.
  */
 
-#include <unistd.h>
-
 #include <optional>
+#include <string>
 #include <thread>
 
 #include "bench_util.hpp"
@@ -89,26 +94,6 @@ shard_counts()
     return counts;
 }
 
-/** CPU-seconds stolen from all of the host's CPUs since boot: the
- *  steal field of /proc/stat's aggregate `cpu` line, in USER_HZ
- *  ticks. Empty when the file cannot be read. */
-std::optional<double>
-host_steal_cpu_s()
-{
-    std::FILE* f = std::fopen("/proc/stat", "r");
-    if (f == nullptr)
-        return std::nullopt;
-    unsigned long long t[8] = {};
-    const int fields = std::fscanf(
-        f, "cpu %llu %llu %llu %llu %llu %llu %llu %llu", &t[0], &t[1],
-        &t[2], &t[3], &t[4], &t[5], &t[6], &t[7]);
-    std::fclose(f);
-    const long hz = sysconf(_SC_CLK_TCK);
-    if (fields != 8 || hz <= 0)
-        return std::nullopt;
-    return static_cast<double>(t[7]) / static_cast<double>(hz);
-}
-
 /** One leg's result and the CPU-seconds stolen while it ran. */
 struct Leg
 {
@@ -130,6 +115,19 @@ run_leg(const platform::ScenarioConfig& sc,
     return leg;
 }
 
+/** The cloud shard's share of the summed shard busy time. */
+double
+cloud_busy_share(const platform::RunProfile& p)
+{
+    double total = 0.0;
+    for (const auto& s : p.shards)
+        total += s.busy_s;
+    return total > 0.0
+        ? p.shards[static_cast<std::size_t>(platform::kCloudShard)].busy_s /
+            total
+        : 0.0;
+}
+
 void
 print_row(const char* label, const Leg& leg, double speedup,
           const char* digest)
@@ -140,11 +138,37 @@ print_row(const char* label, const Leg& leg, double speedup,
         std::snprintf(steal, sizeof steal, "%.2f", *leg.steal_cpu_s);
     else
         std::snprintf(steal, sizeof steal, "n/a");
-    std::printf("%-10s %-7d %10.2f %9s %9.2fx %10llu %12llu %12.1f  %s\n",
+    std::string busy;
+    for (const auto& s : r.profile.shards) {
+        char cell[16];
+        std::snprintf(cell, sizeof cell, "%s%.2f", busy.empty() ? "" : "/",
+                      s.busy_s);
+        busy += cell;
+    }
+    std::printf("%-10s %-7d %10.2f %9s %9.2fx %10llu %12llu %12.1f  %s "
+                "%9.3f %6.0f%%  %s\n",
                 label, r.shards, r.wall_s, steal, speedup,
                 static_cast<unsigned long long>(r.epochs),
                 static_cast<unsigned long long>(r.forwarded),
-                r.metrics.completion_s, digest);
+                r.metrics.completion_s, digest, r.profile.serial_s,
+                100.0 * cloud_busy_share(r.profile), busy.c_str());
+}
+
+/** A row's profile columns for the json. */
+Json
+profile_json(const platform::RunProfile& p)
+{
+    Json busy = Json::array();
+    Json events = Json::array();
+    for (const auto& s : p.shards) {
+        busy.push(s.busy_s);
+        events.push(s.events);
+    }
+    return Json::object()
+        .kv("serial_s", p.serial_s)
+        .kv("busy_s", busy)
+        .kv("events", events)
+        .kv("cloud_busy_share", cloud_busy_share(p));
 }
 
 }  // namespace
@@ -157,9 +181,11 @@ main()
                  "Scenario A (8192 drones) on the sharded runtime: "
                  "wall-clock vs shard count, checksum-verified");
     std::printf("host hardware threads: %u\n\n", hw);
-    std::printf("%-10s %-7s %10s %9s %10s %10s %12s %12s  %s\n", "config",
-                "shards", "wall(s)", "steal(s)", "speedup", "epochs",
-                "forwarded", "sim-compl(s)", "checksum");
+    std::printf("%-10s %-7s %10s %9s %10s %10s %12s %12s  %-16s %9s %7s  "
+                "%s\n",
+                "config", "shards", "wall(s)", "steal(s)", "speedup",
+                "epochs", "forwarded", "sim-compl(s)", "checksum",
+                "serial(s)", "cloud", "busy(s) per shard, cloud first");
 
     platform::DeploymentConfig dep = shard_deployment();
     platform::PlatformOptions opt = platform::PlatformOptions::hivemind();
@@ -209,7 +235,8 @@ main()
                       .kv("forwarded", r.forwarded)
                       .kv("completion_s", r.metrics.completion_s)
                       .kv("tasks_completed", r.metrics.tasks_completed)
-                      .kv("checksum", std::string(digest)));
+                      .kv("checksum", std::string(digest))
+                      .kv("profile", profile_json(r.profile)));
     }
 
     // --- Rover row: the ported rover kinds ride the same engine and
@@ -250,7 +277,8 @@ main()
                             .kv("completion_s", r.metrics.completion_s)
                             .kv("tasks_completed",
                                 r.metrics.tasks_completed)
-                            .kv("checksum", std::string(digest)));
+                            .kv("checksum", std::string(digest))
+                            .kv("profile", profile_json(r.profile)));
     }
 
     // --- Gates ---
@@ -299,7 +327,8 @@ main()
                                 .kv("steal_cpu_s", base_leg.steal_cpu_s)
                                 .kv("epochs", baseline.epochs)
                                 .kv("forwarded", baseline.forwarded)
-                                .kv("checksum", std::string(base_digest)))
+                                .kv("checksum", std::string(base_digest))
+                                .kv("profile", profile_json(baseline.profile)))
             .kv("epoch_reduction", epoch_reduction)
             .kv("speedup_at_4", speedup_at_4)
             .kv("speedup_gate",

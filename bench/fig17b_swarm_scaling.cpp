@@ -15,12 +15,15 @@
  *
  * A second table runs Scenario A itself on the sharded scenario
  * engine at {512, 1024, 2048} drones x {1, 2, 4} shard kernels and
- * writes BENCH_shard_scaling.json. The exit code is that table's
+ * writes BENCH_shard_scaling.json, each leg beside the CPU-seconds the
+ * hypervisor stole from the host while it ran (n/a, and null in the
+ * json, where /proc/stat is unreadable). The exit code is that table's
  * checksum gate alone: every shard count must reproduce the one-shard
  * digest of its swarm size.
  */
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "analytic/model.hpp"
@@ -154,9 +157,9 @@ main()
                  "verified across counts");
     const unsigned hw_threads = std::thread::hardware_concurrency();
     std::printf("host hardware threads: %u\n\n", hw_threads);
-    std::printf("%-8s %-7s %10s %12s %10s %9s  %s\n", "devices",
-                "shards", "tasks", "epochs", "wall(s)", "speedup",
-                "checksum");
+    std::printf("%-8s %-7s %10s %12s %10s %9s %9s  %s\n", "devices",
+                "shards", "tasks", "epochs", "wall(s)", "steal(s)",
+                "speedup", "checksum");
 
     Json shard_rows = Json::array();
     const std::size_t device_counts[] = {512, 1024, 2048};
@@ -172,8 +175,18 @@ main()
         std::uint64_t reference = 0;
         double wall_one = 0.0;
         for (int shards : shard_counts) {
+            const std::optional<double> steal0 = host_steal_cpu_s();
             platform::ShardedScenarioResult r =
                 platform::run_scenario_sharded(sc, opt, dep, shards);
+            const std::optional<double> steal1 = host_steal_cpu_s();
+            std::optional<double> steal;
+            if (steal0 && steal1)
+                steal = *steal1 - *steal0;
+            char steal_col[16];
+            if (steal)
+                std::snprintf(steal_col, sizeof steal_col, "%.2f", *steal);
+            else
+                std::snprintf(steal_col, sizeof steal_col, "n/a");
             if (shards == 1) {
                 reference = r.checksum;
                 wall_one = r.wall_s;
@@ -192,12 +205,12 @@ main()
             else
                 std::snprintf(speedup_col, sizeof speedup_col, "%8.2fx",
                               speedup);
-            std::printf("%-8zu %-7d %10llu %12llu %10.3f %s  %016llx\n",
+            std::printf("%-8zu %-7d %10llu %12llu %10.3f %9s %s  %016llx\n",
                         devices, shards,
                         static_cast<unsigned long long>(
                             r.metrics.tasks_completed),
                         static_cast<unsigned long long>(r.epochs),
-                        r.wall_s, speedup_col,
+                        r.wall_s, steal_col, speedup_col,
                         static_cast<unsigned long long>(r.checksum));
             shard_rows.push(
                 Json::object()
@@ -207,6 +220,7 @@ main()
                     .kv("epochs", r.epochs)
                     .kv("forwarded", r.forwarded)
                     .kv("wall_s", r.wall_s)
+                    .kv("steal_cpu_s", steal)
                     .kv("speedup_vs_1shard", speedup)
                     .kv("checksum_matches_1shard",
                         static_cast<std::uint64_t>(

@@ -10,8 +10,8 @@ SAN="${1:-address}"
 BUILD_DIR="build-${SAN}"
 
 # The default RelWithDebInfo flags carry -DNDEBUG; drop it so the
-# runtime's causality asserts (SwarmRuntime::drain/release_staged) run
-# under the sanitizer too.
+# runtime's causality asserts (SwarmRuntime::release) run under the
+# sanitizer too.
 cmake -B "$BUILD_DIR" -S . -DHIVEMIND_SANITIZE="$SAN" \
     -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 cmake --build "$BUILD_DIR" -j "$(nproc)"

@@ -64,7 +64,8 @@ schedule_ge_chain(sim::Simulator& shard, const FaultEvent& e,
 ShardChaosReport
 route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
            const std::function<int(std::size_t)>& owner,
-           const ShardChaosHooks& hooks, int cloud_shard)
+           const ShardChaosHooks& hooks, int cloud_shard,
+           int controller_shard)
 {
     // Fail loudly on malformed plans before anything lands on a shard
     // kernel. Device targets are checked when the hooks declare the
@@ -114,7 +115,7 @@ route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
                                   hooks.set_device_loss);
             }
             if (hooks.note_link_burst)
-                runtime.shard(0).schedule_at(
+                runtime.shard(controller_shard).schedule_at(
                     e.at, [fn = hooks.note_link_burst] { fn(); });
             ++report.link_bursts;
             ++report.routed;
@@ -173,7 +174,7 @@ route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
                 ++report.unsupported;
                 break;
             }
-            runtime.shard(0).schedule_at(
+            runtime.shard(controller_shard).schedule_at(
                 e.at, [fn = hooks.partition_controller, d = e.duration] {
                     fn(d);
                 });
@@ -185,7 +186,7 @@ route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
                 ++report.unsupported;
                 break;
             }
-            runtime.shard(0).schedule_at(
+            runtime.shard(controller_shard).schedule_at(
                 e.at, [fn = hooks.crash_controller] { fn(); });
             ++report.routed;
             break;

@@ -22,12 +22,12 @@
  *    Partition blacks out one device's radio the same way.
  *  - ServerCrash / DatastoreOutage fire on the cloud shard, where the
  *    FaaS cluster and DataStore live in a sharded scenario.
- *  - ControllerCrash / ControllerPartition fire on shard 0, where the
- *    scenario engine's controller tier lives (load balancer, failure
- *    detector, HA cluster). route_plan() schedules only the fault:
- *    the HA stack's election, checkpoint replay and reconcile own the
- *    recovery, and a partitioned controller returns by itself when
- *    its window closes.
+ *  - ControllerCrash / ControllerPartition fire on the controller
+ *    shard, where the scenario engine's controller tier lives (load
+ *    balancer, failure detector, HA cluster). route_plan() schedules
+ *    only the fault: the HA stack's election, checkpoint replay and
+ *    reconcile own the recovery, and a partitioned controller returns
+ *    by itself when its window closes.
  *
  * Events a scenario gives no hook for are counted as unsupported, not
  * dropped silently.
@@ -48,7 +48,10 @@ struct ShardChaosHooks
     std::function<void(std::size_t)> crash_device;
     /** Bring device @p d back; runs on the owner shard. */
     std::function<void(std::size_t)> rejoin_device;
-    /** Controller crash (the HA standby takes over); runs on shard 0. */
+    /**
+     * Controller crash (the HA standby takes over); runs on the
+     * controller shard.
+     */
     std::function<void()> crash_controller;
     /**
      * Wireless loss override for device @p d (negative restores the
@@ -66,16 +69,16 @@ struct ShardChaosHooks
     /** Datastore outage for a duration; runs on the cloud shard. */
     std::function<void(sim::Time)> datastore_outage;
     /**
-     * Controller partition for a duration; runs on shard 0. The HA
-     * stack models the same instance going dark and returning (no
-     * election).
+     * Controller partition for a duration; runs on the controller
+     * shard. The HA stack models the same instance going dark and
+     * returning (no election).
      */
     std::function<void(sim::Time)> partition_controller;
     /**
-     * A LinkBurst window opened; runs on shard 0 at the window's
-     * injection time. Lets the scenario count burst windows when they
-     * actually fire rather than at routing time, so a run that
-     * finishes before a window opens does not count it.
+     * A LinkBurst window opened; runs on the controller shard at the
+     * window's injection time. Lets the scenario count burst windows
+     * when they actually fire rather than at routing time, so a run
+     * that finishes before a window opens does not count it.
      */
     std::function<void()> note_link_burst;
     /** Device ids the LinkBurst loss window must cover. */
@@ -98,12 +101,13 @@ struct ShardChaosReport
 /**
  * Schedule @p plan's events onto the owning shards. @p owner maps a
  * device id to its shard; @p cloud_shard owns the FaaS cluster and
- * DataStore. Call before SwarmRuntime::run_until().
+ * DataStore, @p controller_shard the controller tier. Call before
+ * SwarmRuntime::run_until().
  */
 ShardChaosReport route_plan(sim::SwarmRuntime& runtime,
                             const FaultPlan& plan,
                             const std::function<int(std::size_t)>& owner,
                             const ShardChaosHooks& hooks,
-                            int cloud_shard = 0);
+                            int cloud_shard = 0, int controller_shard = 0);
 
 }  // namespace hivemind::fault

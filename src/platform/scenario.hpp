@@ -31,6 +31,7 @@
  */
 
 #include <cstdint>
+#include <vector>
 
 #include "apps/detection.hpp"
 #include "core/ha.hpp"
@@ -41,6 +42,7 @@
 #include "platform/metrics.hpp"
 #include "platform/options.hpp"
 #include "platform/scenario_kind.hpp"
+#include "sim/swarm_runtime.hpp"
 
 namespace hivemind::platform {
 
@@ -97,6 +99,20 @@ struct ScenarioConfig
 bool plan_has_controller_faults(const fault::FaultPlan& plan);
 
 /**
+ * Where a run's host time went. It holds the runtime's slice today:
+ * each shard kernel's busy time and executed events, and the
+ * between-epoch section's time, from the steady clock. No checksum,
+ * metric or oracle reads them.
+ */
+struct RunProfile
+{
+    /** Per shard kernel, indexed by shard; the cloud tier's is 0. */
+    std::vector<sim::SwarmRuntime::ShardLoad> shards;
+    /** Host seconds in the runtime's between-epoch section. */
+    double serial_s = 0.0;
+};
+
+/**
  * Everything one swarm run reports. platform::run() and
  * run_scenario_sharded() return this same struct (the latter under its
  * second name, ShardedScenarioResult).
@@ -117,6 +133,7 @@ struct RunResult
     double wall_s = 0.0;
     std::uint64_t epochs = 0;     ///< Conservative-sync barrier rounds.
     std::uint64_t forwarded = 0;  ///< Cross-shard envelopes delivered.
+    RunProfile profile;
     /** What fault::route_plan() scheduled from the plan. */
     fault::ShardChaosReport chaos;
     /** Everything the invariant oracles need about this run. */

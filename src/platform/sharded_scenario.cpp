@@ -213,8 +213,8 @@ struct DeviceActor
 /**
  * One injected device crash: an effective DeviceCrash of the plan,
  * the unit of the MTTD/MTTR ledger. The times are fixed at wiring;
- * the two flags change on shard 0 only, so each incident yields at
- * most one detection and one repair sample.
+ * the two flags change on the controller's shard only, so each
+ * incident yields at most one detection and one repair sample.
  */
 struct DeviceIncident
 {
@@ -224,7 +224,7 @@ struct DeviceIncident
     bool repaired = false;  ///< MTTR sampled.
 };
 
-/** Controller tier state, pinned to shard 0. */
+/** Controller tier state, pinned to controller_shard(). */
 struct ControllerTier
 {
     sim::Simulator* sim;
@@ -370,14 +370,15 @@ class ShardedScenarioEngine
         : sc_(sc), opt_(opt),
           pipe_(pipeline_for(sc.kind, sc.frame_bytes_override)),
           runtime_(shards),
-          cloud_shard_(shards > 1 ? 1 : 0),
+          ctrl_shard_(controller_shard(shards)),
           cloud_rng_(dep.seed ^ 0x5eedc0deull),
           // The radio segment is simulated device-side on the owner
           // shards, so the cloud topology only carries the wired legs
           // and needs no loss RNG.
-          cloud_(runtime_.shard(cloud_shard_), cloud_rng_, dep, opt,
+          cloud_(runtime_.shard(kCloudShard), cloud_rng_, dep, opt,
                  nullptr),
-          ctrl_(runtime_.shard(0), sc, dep.devices, dep.seed ^ 0x5ca1ab1eull)
+          ctrl_(runtime_.shard(ctrl_shard_), sc, dep.devices,
+                dep.seed ^ 0x5ca1ab1eull)
     {
         // The plan's targets, against the cloud this run built:
         // scale_infra grows the server count with the swarm.
@@ -431,7 +432,7 @@ class ShardedScenarioEngine
     /** The result's wired downlink ended: put it on the air. */
     void result_downlinked(FrameTrip* trip);
 
-    // --- Controller side (shard 0) ---
+    // --- Controller side (controller shard) ---
     void controller_tick();
     void on_beat(std::size_t device, std::uint32_t inflight,
                  std::uint64_t started, bool rover_finished);
@@ -444,12 +445,12 @@ class ShardedScenarioEngine
     void on_device_recovered(std::size_t device);
     void finish(bool goal);
 
-    // --- Device-crash MTTD/MTTR ledger (shard 0) ---
+    // --- Device-crash MTTD/MTTR ledger (controller shard) ---
     DeviceIncident* incident_at(std::size_t device, sim::Time now);
     void note_detected(std::size_t device);
     void note_restored(std::size_t device, bool repartitioned);
 
-    // --- Controller HA (shard 0, checkpoint RPCs to the cloud shard) ---
+    // --- Controller HA (controller shard, RPCs to the cloud shard) ---
     /** core::HaConfig's defaults with the scenario's checkpoint period. */
     core::HaConfig ha_config() const
     {
@@ -474,7 +475,7 @@ class ShardedScenarioEngine
     PlatformOptions opt_;
     PipelineSpec pipe_;
     sim::SwarmRuntime runtime_;
-    int cloud_shard_;
+    int ctrl_shard_;  ///< controller_shard(): the controller tier's.
     sim::Rng cloud_rng_;  ///< The cloud tier's stream (cloud shard).
     CloudTier cloud_;
     // Air-side ledger, metered on the cloud shard.
@@ -504,15 +505,17 @@ class ShardedScenarioEngine
     std::uint64_t link_bursts_fired_ = 0;  ///< Windows actually opened.
 
     // Crash ledger. Device incidents are indexed by device id (empty
-    // when the plan crashes no device) and sampled on shard 0; the
-    // restored server crashes' down times accrue on the cloud shard.
+    // when the plan crashes no device) and sampled on the controller's
+    // shard; the restored server crashes' down times accrue on the
+    // cloud shard.
     std::vector<std::vector<DeviceIncident>> incidents_;
     sim::Summary device_mttd_, device_mttr_;
     sim::Summary server_mttr_;
 
-    // Controller HA: the cluster lives on shard 0, its checkpoints on
-    // the cloud shard's DataStore, reached over a dedicated ShardLink
-    // plane so checkpoint traffic is metered like everything else.
+    // Controller HA: the cluster lives on the controller's shard, its
+    // checkpoints on the cloud shard's DataStore, reached over a
+    // dedicated ShardLink plane so checkpoint traffic is metered like
+    // everything else.
     std::unique_ptr<core::HaCluster> ha_;
     std::unique_ptr<net::ShardLink> ckpt_up_, ckpt_down_;
     std::unique_ptr<sim::Rng> ckpt_rng_;  ///< Shard-0 write-loss rolls.
@@ -530,7 +533,7 @@ ShardedScenarioEngine::wire_devices(const DeploymentConfig& dep)
     ctrl_up_.reserve(n);
     ctrl_down_.reserve(n);
     for (std::size_t d = 0; d < n; ++d) {
-        const int owner = runtime_.owner_of(d);
+        const int owner = device_shard(d, runtime_.shards());
         sim::Simulator& shard = runtime_.shard(owner);
         devices_.push_back(std::make_unique<DeviceActor>(
             shard, dep.seed ^ (0x9e3779b97f4a7c15ull * (d + 1)), d,
@@ -538,24 +541,28 @@ ShardedScenarioEngine::wire_devices(const DeploymentConfig& dep)
         DeviceActor* a = devices_.back().get();
         a->configured_loss = loss;
         // Data plane to/from the cloud shard; control plane to/from
-        // shard 0. All four share the radio's propagation delay, which
-        // doubles as the declared channel lookahead.
-        data_up_.emplace_back(runtime_, owner, cloud_shard_,
+        // the controller's shard. All four share the radio's
+        // propagation delay, which doubles as the declared channel
+        // lookahead.
+        data_up_.emplace_back(runtime_, owner, kCloudShard,
                               kDataUpOrigin + d, net::kDeviceRadioBps,
                               net::kWirelessProp);
-        data_down_.emplace_back(runtime_, cloud_shard_, owner,
+        data_down_.emplace_back(runtime_, kCloudShard, owner,
                                 kDataDownOrigin + d, net::kDeviceRadioBps,
                                 net::kWirelessProp);
-        ctrl_up_.emplace_back(runtime_, owner, 0, kCtrlUpOrigin + d,
-                              net::kDeviceRadioBps, net::kWirelessProp);
-        ctrl_down_.emplace_back(runtime_, 0, owner, kCtrlDownOrigin + d,
-                                net::kDeviceRadioBps, net::kWirelessProp);
+        ctrl_up_.emplace_back(runtime_, owner, ctrl_shard_,
+                              kCtrlUpOrigin + d, net::kDeviceRadioBps,
+                              net::kWirelessProp);
+        ctrl_down_.emplace_back(runtime_, ctrl_shard_, owner,
+                                kCtrlDownOrigin + d, net::kDeviceRadioBps,
+                                net::kWirelessProp);
     }
     trips_.resize(static_cast<std::size_t>(runtime_.shards()));
     results_.resize(static_cast<std::size_t>(runtime_.shards()));
     for (std::size_t d = 0; d < n; ++d) {
         DeviceActor* a = devices_[d].get();
-        const auto owner = static_cast<std::size_t>(runtime_.owner_of(d));
+        const auto owner =
+            static_cast<std::size_t>(device_shard(d, runtime_.shards()));
         a->data_up = &data_up_[d];
         a->ctrl_up = &ctrl_up_[d];
         a->engine = this;
@@ -570,7 +577,8 @@ ShardedScenarioEngine::wire_devices(const DeploymentConfig& dep)
     // same-time ties resolve tick-first on every shard count.
     tick_groups_.resize(static_cast<std::size_t>(runtime_.shards()));
     for (std::size_t d = 0; d < n; ++d)
-        tick_groups_[static_cast<std::size_t>(runtime_.owner_of(d))]
+        tick_groups_[static_cast<std::size_t>(
+                         device_shard(d, runtime_.shards()))]
             .push_back(d);
     for (int s = 0; s < runtime_.shards(); ++s) {
         const auto* grp = &tick_groups_[static_cast<std::size_t>(s)];
@@ -680,17 +688,18 @@ ShardedScenarioEngine::wire_ha(const DeploymentConfig& dep)
     // The checkpoint plane shares the radio propagation so it never
     // tightens the declared lookahead below the existing channels.
     ckpt_up_ = std::make_unique<net::ShardLink>(
-        runtime_, 0, cloud_shard_, kCkptUpOrigin, kCkptLinkBps,
+        runtime_, ctrl_shard_, kCloudShard, kCkptUpOrigin, kCkptLinkBps,
         net::kWirelessProp);
     ckpt_down_ = std::make_unique<net::ShardLink>(
-        runtime_, cloud_shard_, 0, kCkptDownOrigin, kCkptLinkBps,
+        runtime_, kCloudShard, ctrl_shard_, kCkptDownOrigin, kCkptLinkBps,
         net::kWirelessProp);
     ckpt_rng_ = std::make_unique<sim::Rng>(dep.seed ^ 0xc4ec9017ull);
 
     ha_ = std::make_unique<core::HaCluster>(*ctrl_.sim, ha_config());
     // Checkpoint writes ride the RPC plane to the cloud DataStore and
-    // commit on shard 0 once the ack returns; a write lost on the
-    // plane simply never becomes durable (the next interval retries).
+    // commit on the controller's shard once the ack returns; a write
+    // lost on the plane simply never becomes durable (the next
+    // interval retries).
     ha_->checkpoint_store().set_transport(
         [this](std::uint64_t bytes, std::function<void()> commit) {
             const double loss = ckpt_up_->loss();
@@ -814,8 +823,8 @@ ShardedScenarioEngine::arm_chaos()
     }
     chaos_ = fault::route_plan(
         runtime_, sc_.faults,
-        [this](std::size_t d) { return runtime_.owner_of(d); }, hooks,
-        cloud_shard_);
+        [this](std::size_t d) { return device_shard(d, runtime_.shards()); },
+        hooks, kCloudShard, ctrl_shard_);
 }
 
 void
@@ -1532,7 +1541,7 @@ ShardedScenarioEngine::on_device_recovered(std::size_t device)
 }
 
 // ---------------------------------------------------------------------
-// Device-crash MTTD/MTTR ledger (shard 0)
+// Device-crash MTTD/MTTR ledger (controller shard)
 // ---------------------------------------------------------------------
 
 /** The incident with the latest injection at or before @p now. */
@@ -1549,7 +1558,7 @@ ShardedScenarioEngine::incident_at(std::size_t device, sim::Time now)
 }
 
 /**
- * Shard 0 flagged @p device dead. The first flag while an injected
+ * The controller flagged @p device dead. The first flag while an injected
  * crash still holds the device down is that incident's detection; a
  * battery death, a crash that already rejoined, or a reconcile that
  * re-finds a flagged device adds nothing.
@@ -1567,10 +1576,11 @@ ShardedScenarioEngine::note_detected(std::size_t device)
 }
 
 /**
- * Shard 0 restored service around @p device: it repartitioned the
- * device's region away (@p repartitioned) or saw the device live. A
- * detected permanent crash closes at its repartition; a detected
- * transient crash only once shard 0 sees the device after its rejoin.
+ * The controller restored service around @p device: it repartitioned
+ * the device's region away (@p repartitioned) or saw the device live.
+ * A detected permanent crash closes at its repartition; a detected
+ * transient crash only once the controller sees the device after its
+ * rejoin.
  */
 void
 ShardedScenarioEngine::note_restored(std::size_t device, bool repartitioned)
@@ -1755,14 +1765,20 @@ ShardedScenarioEngine::run()
     // runs to the same simulated instant and the first boundary at
     // which `done` holds is a property of the simulation state alone.
     const sim::Time end = sc_.time_cap + 10 * sim::kSecond;
-    sim::SwarmRuntime::Report report;
+    std::uint64_t epochs = 0;
+    std::uint64_t forwarded = 0;
+    RunProfile profile;
+    profile.shards.resize(static_cast<std::size_t>(runtime_.shards()));
     for (sim::Time t = sim::kSecond;; t += sim::kSecond) {
         const sim::Time slice = t < end ? t : end;
         const sim::SwarmRuntime::Report r = runtime_.run_until(slice);
-        report.epochs += r.epochs;
-        report.executed += r.executed;
-        report.forwarded += r.forwarded;
-        report.horizon = r.horizon;
+        epochs += r.epochs;
+        forwarded += r.forwarded;
+        for (std::size_t i = 0; i < r.shards.size(); ++i) {
+            profile.shards[i].busy_s += r.shards[i].busy_s;
+            profile.shards[i].events += r.shards[i].events;
+        }
+        profile.serial_s += r.serial_s;
         if (ctrl_.done || slice == end || runtime_.pending() == 0)
             break;
     }
@@ -1775,8 +1791,9 @@ ShardedScenarioEngine::run()
     result.checksum = checksum();
     result.audit = build_audit(result.metrics);
     result.audit.checksum = result.checksum;
-    result.epochs = report.epochs;
-    result.forwarded = report.forwarded;
+    result.epochs = epochs;
+    result.forwarded = forwarded;
+    result.profile = std::move(profile);
     result.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
     result.shards = runtime_.shards();
     result.chaos = chaos_;
@@ -1802,7 +1819,8 @@ ShardedScenarioEngine::collect_metrics()
     sim::Summary latency, network, mgmt, data, exec;
     for (const auto& ap : devices_) {
         const DeviceActor& a = *ap;
-        const auto owner = static_cast<std::size_t>(runtime_.owner_of(a.id));
+        const auto owner =
+            static_cast<std::size_t>(device_shard(a.id, runtime_.shards()));
         const std::vector<TaskResult>& log = results_[owner];
         std::size_t& at = cursor[owner];
         for (sim::Summary* s : {&latency, &network, &mgmt, &data, &exec})

@@ -8,17 +8,19 @@
  * Items, Moving People, Treasure Hunt, Rover Maze) as a distributed
  * system on sim::SwarmRuntime:
  *
- *  - Each edge device is a shard-local actor (motion, sensing,
- *    on-board execution, offload decisions, battery, and the rover
- *    leg state machine) on shard `id % N`, with net::ShardLink
- *    uplinks for frames and control.
+ *  - The cloud tier (a platform::CloudTier: wired topology, FaaS
+ *    runtime + DataStore, IaaS pool, scheduler) lives on kCloudShard,
+ *    shard 0, and alone there when N > 1. It is most of a mission's
+ *    work, so the caller's thread, which drives the runtime's epochs,
+ *    runs it.
  *  - The swarm controller tier (load balancer, failure detector,
  *    learning coordinator, HA cluster, the ground-truth world) is
- *    pinned to shard 0 and reachable only through control-plane links.
- *  - The cloud tier (a platform::CloudTier: wired topology, FaaS
- *    runtime + DataStore, IaaS pool, scheduler) lives on its own shard
- *    (shard 1 when N > 1), with the data-plane radio links declared as
- *    runtime channels.
+ *    pinned to controller_shard(N), shard 1 when N > 1, and reachable
+ *    only through control-plane links.
+ *  - Each edge device is a shard-local actor (motion, sensing,
+ *    on-board execution, offload decisions, battery, and the rover
+ *    leg state machine) on device_shard(id, N), with net::ShardLink
+ *    uplinks for frames and control.
  *
  * All cross-actor interaction rides ShardLinks, so a run is
  * checksum-identical for any shard count (N = 1 included); the
@@ -33,6 +35,8 @@
  * one RunResult.
  */
 
+#include <cstddef>
+
 #include "platform/deployment.hpp"
 #include "platform/options.hpp"
 #include "platform/scenario.hpp"
@@ -42,6 +46,32 @@ namespace hivemind::platform {
 /** A second name for RunResult, which the repository benchmark and
  *  the shard-axis callers spell. */
 using ShardedScenarioResult = RunResult;
+
+/** The shard that holds the cloud tier, at any shard count. */
+inline constexpr int kCloudShard = 0;
+
+/** The shard that holds the controller tier: off the cloud shard
+ *  whenever there is another. */
+constexpr int
+controller_shard(int shards)
+{
+    return shards > 1 ? 1 : 0;
+}
+
+/**
+ * The shard that holds device @p device at @p shards kernels: every
+ * shard at N = 1, else round-robin over the N - 1 shards that do not
+ * hold the cloud tier, so no two of them differ by more than one
+ * device. The wiring, the 1 Hz tick groups, the fault router and the
+ * post-run metric sweep all place devices through it.
+ */
+constexpr int
+device_shard(std::size_t device, int shards)
+{
+    return shards > 1
+        ? 1 + static_cast<int>(device % static_cast<std::size_t>(shards - 1))
+        : 0;
+}
 
 /**
  * Run @p scenario (any ScenarioKind) on max(@p runtime_shards, 1)

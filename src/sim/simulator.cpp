@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <utility>
 
 namespace hivemind::sim {
@@ -158,6 +159,31 @@ Simulator::bucket_compact(Bucket& b)
 }
 
 void
+Simulator::settle_late()
+{
+    const std::size_t fresh = late_.size() - late_heaped_;
+    if (fresh >= kLateBatch && fresh >= late_heaped_ &&
+        fresh >= ready_.size() - ready_pos_) {
+        std::sort(late_.begin(), late_.end(), EntryEarlier{});
+        merged_.clear();
+        merged_.reserve(ready_.size() - ready_pos_ + late_.size());
+        std::merge(ready_.begin() + static_cast<std::ptrdiff_t>(ready_pos_),
+                   ready_.end(), late_.begin(), late_.end(),
+                   std::back_inserter(merged_), EntryEarlier{});
+        ready_.swap(merged_);
+        ready_pos_ = 0;
+        late_.clear();
+        late_heaped_ = 0;
+        return;
+    }
+    while (late_heaped_ < late_.size())
+        std::push_heap(late_.begin(),
+                       late_.begin() +
+                           static_cast<std::ptrdiff_t>(++late_heaped_),
+                       EntryLater{});
+}
+
+void
 Simulator::wheel_insert_slow(Entry e, std::uint64_t tick)
 {
     ++wheel_count_;
@@ -167,9 +193,15 @@ Simulator::wheel_insert_slow(Entry e, std::uint64_t tick)
         // cursor's 131 us tick, or the cursor ran ahead of now_
         // hunting for the wheel head while a heap event executed): it
         // sorts before the ready run's tail, so it joins the same-tick
-        // lane, and peek takes the smaller of the two heads.
+        // lane, and peek takes the smaller of the two heads. While
+        // the lane is small and settled it joins the heap at once;
+        // otherwise the next peek orders it (settle_late), so a bulk
+        // batch can be sorted once.
         late_.push_back(e);
-        std::push_heap(late_.begin(), late_.end(), EntryLater{});
+        if (late_heaped_ + 1 == late_.size() && late_heaped_ < kLateBatch) {
+            std::push_heap(late_.begin(), late_.end(), EntryLater{});
+            ++late_heaped_;
+        }
         return;
     }
     const bool same_lap =
@@ -179,6 +211,18 @@ Simulator::wheel_insert_slow(Entry e, std::uint64_t tick)
         same_lap ? tick & kBucketMask : (tick >> kBucketBits) & kBucketMask;
     bucket_push(level.buckets[static_cast<std::size_t>(index)], e);
     level.occupied[index >> 6] |= std::uint64_t{1} << (index & 63);
+}
+
+void
+Simulator::stage_live(const Entry& e)
+{
+    // While the wheel holds no cancelled entry, skip the slab read.
+    if (wheel_dead_ == 0 || slot_live(e.id)) {
+        ready_.push_back(e);
+    } else {
+        --wheel_count_;
+        --wheel_dead_;
+    }
 }
 
 bool
@@ -192,39 +236,43 @@ Simulator::wheel_advance()
     // occupied bucket, so bucket order equals time order.
     while (true) {
         if (ready_pos_ < ready_.size() || !late_.empty()) {
-            // A cascade re-inserted lap-start entries, which took
-            // wheel_insert's tick <= cur_tick_ routes straight into
-            // the ready run or the same-tick lane (no bucket, no
-            // occupancy bit): they ARE the staged head.
+            // The bucket staged below held a live entry, or a cascade
+            // re-inserted lap-start entries, which took wheel_insert's
+            // tick <= cur_tick_ routes straight into the ready run or
+            // the same-tick lane (no bucket, no occupancy bit): they
+            // ARE the staged head.
             return true;
         }
         Level& l0 = levels_[0];
         const int idx0 = static_cast<int>(cur_tick_ & kBucketMask);
         const int j = next_bit(l0.occupied, idx0 + 1);
         if (j >= 0) {
-            // Land on bucket j and stage it into the (empty) ready
-            // run. Most buckets of a sparse run hold one event, which
-            // needs no sort; a fuller one is copied out of its chunks
-            // and sorted.
+            // Land on bucket j and stage its live entries into the
+            // (empty) ready run; cancelled ones leave the wheel here
+            // instead of being sorted and skipped one by one. Most
+            // buckets of a sparse run hold one event, which needs no
+            // sort; a fuller one is copied out of its chunks and
+            // sorted. A bucket that held only cancelled entries
+            // stages nothing, and the cursor moves on.
             cur_tick_ += static_cast<std::uint64_t>(j - idx0);
             Bucket& b = l0.buckets[static_cast<std::size_t>(j)];
             ready_.clear();
             ready_.reserve(b.size);
-            ready_.push_back(b.first);
-            if (b.size > 1) {
-                for (std::uint32_t c = b.head; c != kNoChunk;
-                     c = chunks_[c].next) {
-                    const Chunk& chunk = chunks_[c];
-                    ready_.insert(ready_.end(), chunk.entries.begin(),
-                                  chunk.entries.begin() + chunk_used(b, c));
-                }
-                std::sort(ready_.begin(), ready_.end(), EntryEarlier{});
+            stage_live(b.first);
+            for (std::uint32_t c = b.head; c != kNoChunk;
+                 c = chunks_[c].next) {
+                const Chunk& chunk = chunks_[c];
+                const std::uint32_t used = chunk_used(b, c);
+                for (std::uint32_t i = 0; i < used; ++i)
+                    stage_live(chunk.entries[i]);
             }
+            if (ready_.size() > 1)
+                std::sort(ready_.begin(), ready_.end(), EntryEarlier{});
             bucket_free(b);
             ready_pos_ = 0;
             l0.occupied[static_cast<std::size_t>(j) >> 6] &=
                 ~(std::uint64_t{1} << (j & 63));
-            return true;
+            continue;
         }
         // Level-0 lap exhausted: cascade the next occupied level-1
         // bucket. Its span is exactly one level-0 lap, so every entry
@@ -244,16 +292,23 @@ Simulator::wheel_advance()
             steps = static_cast<std::uint64_t>(k - idx1) + kBuckets;
         }
         cur_tick_ = ((cur_tick_ >> kBucketBits) + steps) << kBucketBits;
-        // Every entry lands inside the new lap (level 0, the ready run
-        // or the same-tick lane), never back in level 1. Each chunk is
-        // copied out and freed before its entries re-insert, so the
-        // level-0 buckets they fill reuse it at once.
+        // Every live entry lands inside the new lap (level 0, the
+        // ready run or the same-tick lane), never back in level 1;
+        // cancelled ones leave the wheel. Each chunk is copied out and
+        // freed before its entries re-insert, so the level-0 buckets
+        // they fill reuse it at once.
         Bucket b = l1.buckets[static_cast<std::size_t>(k)];
         l1.buckets[static_cast<std::size_t>(k)] = Bucket{};
         l1.occupied[static_cast<std::size_t>(k) >> 6] &=
             ~(std::uint64_t{1} << (k & 63));
-        --wheel_count_;
-        wheel_insert(b.first);
+        auto cascade = [this](const Entry& e) {
+            --wheel_count_;
+            if (wheel_dead_ == 0 || slot_live(e.id))
+                wheel_insert(e);
+            else
+                --wheel_dead_;
+        };
+        cascade(b.first);
         std::array<Entry, kChunkEntries> batch;
         for (std::uint32_t c = b.head; c != kNoChunk;) {
             const std::uint32_t used = chunk_used(b, c);
@@ -262,11 +317,11 @@ Simulator::wheel_advance()
             chunks_[c].next = free_chunk_;
             free_chunk_ = c;
             c = next;
-            for (std::uint32_t i = 0; i < used; ++i) {
-                --wheel_count_;
-                wheel_insert(batch[i]);
-            }
+            for (std::uint32_t i = 0; i < used; ++i)
+                cascade(batch[i]);
         }
+        if (wheel_count_ == 0)
+            return false;  // The lap held only cancelled entries.
     }
 }
 
@@ -274,6 +329,8 @@ const Simulator::Entry*
 Simulator::wheel_peek_slow()
 {
     while (true) {
+        if (late_heaped_ < late_.size())
+            settle_late();
         // Drop cancelled tombstones from both heads.
         while (ready_pos_ < ready_.size() &&
                !slot_live(ready_[ready_pos_].id)) {
@@ -284,6 +341,7 @@ Simulator::wheel_peek_slow()
         while (!late_.empty() && !slot_live(late_.front().id)) {
             std::pop_heap(late_.begin(), late_.end(), EntryLater{});
             late_.pop_back();
+            --late_heaped_;
             --wheel_count_;
             --wheel_dead_;
         }
@@ -313,6 +371,7 @@ Simulator::wheel_compact()
     std::erase_if(ready_, stale);
     std::erase_if(late_, stale);
     std::make_heap(late_.begin(), late_.end(), EntryLater{});
+    late_heaped_ = late_.size();
     std::size_t count = ready_.size() + late_.size();
     for (Level& level : levels_) {
         for (std::size_t i = 0; i < static_cast<std::size_t>(kBuckets);

@@ -16,7 +16,7 @@
  *    remains available as a fallback.
  *  - Adaptive per-pair windows (the default): each epoch samples
  *    every shard's *horizon* s_i = min(next_time(), earliest envelope
- *    staged for i) — any pending event may send — closes the
+ *    staged or mailed to i) — any pending event may send — closes the
  *    horizons transitively under the channel graph (the LBTS
  *    relaxation s_i <- min(s_i, s_j + L(j,i)), so a shard's horizon
  *    also covers sends *provoked* by messages it has not received
@@ -37,14 +37,22 @@
  *    every shard gets the classic
  *    W = min(until, H + lookahead - 1), H = min next_time(), and
  *    every post, self-posts included, hops through the mailbox.
- *  - Shards run run_until(W) in parallel (shard 0 on the caller's
- *    thread, shards 1..N-1 on persistent worker threads bracketed by
- *    two std::barrier phases). Messages sent during the epoch land in
- *    per-(src,dst) mailboxes that only the source shard's thread
- *    writes; the coordinator drains them between epochs, so no locks
- *    are needed on the hot path.
- *  - At the barrier, each destination's envelopes are stable-sorted
- *    by (delivery time, origin actor) and scheduled in that order.
+ *  - Shards run run_until(W) in parallel: shard 0 on the caller's
+ *    thread, shards 1..N-1 on persistent worker threads. One
+ *    std::barrier phase separates two epochs; its completion step
+ *    (the between-epoch section) runs on whichever thread arrives
+ *    last, with every other thread parked in the barrier. It reads
+ *    only what the shards sampled for it and computes the next
+ *    windows, so it touches no shard's kernel. A caller that puts its
+ *    busiest actors on shard 0 therefore drives the epochs with them
+ *    and never waits for a wake-up while it is the last to arrive.
+ *  - Messages sent during an epoch land in per-(src,dst) mailboxes
+ *    that only the source shard's thread writes, one set per epoch
+ *    parity, so no locks are needed on the hot path. At the start of
+ *    its next epoch each destination shard takes its own mail, and
+ *    stable-sorts what its window covers by (delivery time, origin
+ *    actor) into its kernel; the rest waits in its staging buffer.
+ *    At the end of the epoch it samples its own horizon.
  *
  * Determinism across shard counts: windows only decide *when* staged
  * envelopes are released, never in what order they run. Every
@@ -58,6 +66,7 @@
  * included.
  */
 
+#include <array>
 #include <barrier>
 #include <cstdint>
 #include <functional>
@@ -83,13 +92,28 @@ class SwarmRuntime
         InlineFn fn;                ///< Runs on the destination shard.
     };
 
+    /** One shard's share of a run_until() call. */
+    struct ShardLoad
+    {
+        /**
+         * Host seconds the shard spent on its epochs: releasing its
+         * mail, running its kernel to the window and sampling its
+         * horizon. The steady clock is read twice per epoch, never
+         * per event; no result depends on it.
+         */
+        double busy_s = 0.0;
+        std::uint64_t events = 0;  ///< Events its kernel executed.
+    };
+
     /** What one run_until() call did. */
     struct Report
     {
         std::uint64_t epochs = 0;     ///< Barrier rounds executed.
         std::uint64_t executed = 0;   ///< Events run across all shards.
         std::uint64_t forwarded = 0;  ///< Envelopes delivered.
-        Time horizon = 0;             ///< Last window upper bound.
+        std::vector<ShardLoad> shards;  ///< Indexed by shard.
+        /** Host seconds in the between-epoch section (serial). */
+        double serial_s = 0.0;
     };
 
     explicit SwarmRuntime(int shards);
@@ -102,12 +126,6 @@ class SwarmRuntime
 
     /** The shard kernels. Schedule shard-local work directly on them. */
     Simulator& shard(int i) { return *sims_[static_cast<std::size_t>(i)]; }
-
-    /** Default round-robin owner for an actor id. */
-    int owner_of(std::uint64_t actor) const
-    {
-        return static_cast<int>(actor % sims_.size());
-    }
 
     /**
      * Declare a channel between two shards (src == dst allowed — and
@@ -138,10 +156,11 @@ class SwarmRuntime
 
     /**
      * Send @p fn to run on shard @p dst at absolute time @p when.
-     * Must be called from @p src's thread (shard 0 = the coordinator
-     * thread) during an epoch or before run_until(). @p when must
-     * respect the declared channel latency; the drain step enforces
-     * that it lands strictly beyond the current window.
+     * Must be called from @p src's thread (shard 0 = the caller's
+     * thread) during an epoch, or from the caller's thread between
+     * run_until() calls. @p when must respect the declared channel
+     * latency; the destination asserts that it lands strictly beyond
+     * the window it last ran.
      */
     void post(int src, int dst, Time when, std::uint64_t origin,
               InlineFn fn);
@@ -154,9 +173,12 @@ class SwarmRuntime
     Report run_until(Time until);
 
     /**
-     * Like run_until(), but additionally evaluates @p stop on the
-     * coordinator thread between epochs (after the drain) and returns
-     * early once it yields true. With adaptive lookahead OFF the
+     * Like run_until(), but additionally evaluates @p stop between
+     * epochs, in the between-epoch section (on whichever shard thread
+     * arrived last, with every other one parked), and returns early
+     * once it yields true. @p stop must only read simulation state:
+     * an event it scheduled would escape the horizon sampled before
+     * it. With adaptive lookahead OFF the
      * epoch window sequence depends only on the global event horizon
      * and the declared lookahead, so the epoch in which a
      * deterministic simulation-time condition is first observed is
@@ -173,19 +195,62 @@ class SwarmRuntime
     std::size_t pending() const;
 
   private:
+    /**
+     * A per-(src, dst) mailbox. alignas keeps two sources' boxes off
+     * one cache line: each is written by its source's thread only.
+     */
+    struct alignas(64) Mailbox
+    {
+        std::vector<Envelope> box;
+        Time min = Simulator::kNever;  ///< Earliest delivery in box.
+    };
+
+    /**
+     * What one shard's thread owns across epochs; alignas keeps two
+     * shards' states off one cache line.
+     */
+    struct alignas(64) ShardState
+    {
+        /// Envelopes awaiting a window that covers them.
+        std::vector<Envelope> staged;
+        std::vector<Envelope> merge;  ///< Release scratch.
+        Time next = Simulator::kNever;        ///< Kernel horizon.
+        Time staged_min = Simulator::kNever;  ///< Earliest staged.
+        Time ran_to = -1;  ///< The window its last epoch ran to.
+        ShardLoad load;
+        std::uint64_t forwarded = 0;
+    };
+
+    /** The barrier's completion step: plan() on the last arriver. */
+    struct Plan
+    {
+        SwarmRuntime* rt;
+        void operator()() noexcept { rt->plan(); }
+    };
+
     void worker(int i);
+    /**
+     * The between-epoch section. Books the epoch that just ended,
+     * evaluates the stop predicate, then either ends the run (step_ =
+     * idle) or computes the next windows and flips the mailbox
+     * parity (step_ = run). Reads each shard's sampled horizon and the
+     * mailboxes' minima; samples the kernels only on a run's first
+     * call, when the caller may have scheduled work between runs.
+     */
+    void plan();
+    /** Shard @p i's part of an epoch (on its own thread). */
+    void epoch(int i);
     /**
      * Compute this epoch's per-shard windows into windows_ from the
      * global horizon @p h (global mode) or the per-shard horizons
-     * run_until() sampled into horizons_ (adaptive mode, which closes
+     * plan() sampled into horizons_ (adaptive mode, which closes
      * them in place).
      */
     void compute_windows(Time until, Time h);
-    /** Move all mailboxes into the per-dst staging buffers. */
-    void drain();
     /**
-     * Schedule staged envelopes with when <= the dst's window, in
-     * (when, origin) order; returns envelopes released.
+     * Schedule shard @p i's staged envelopes and last epoch's mail
+     * with when <= its window, in (when, origin) order; stage the
+     * rest.
      *
      * Staging + sorted release is what keeps tie-breaking invariant
      * across shard counts under adaptive windows: the epoch at which
@@ -198,30 +263,38 @@ class SwarmRuntime
      * ties) makes same-time execution order independent of arrival
      * timing.
      */
-    std::uint64_t release_staged();
-    /** Earliest staged delivery time for @p dst, or kNever. */
-    Time staged_min(std::size_t dst) const;
+    void release(int i);
 
     std::vector<std::unique_ptr<Simulator>> sims_;
-    /// mail_[src * N + dst]: written only by src's thread in-epoch.
-    std::vector<std::vector<Envelope>> mail_;
-    /// staged_[dst]: envelopes awaiting a window that covers them.
-    std::vector<std::vector<Envelope>> staged_;
-    std::vector<Envelope> merge_;  ///< Release scratch, one dst at a time.
+    std::vector<ShardState> state_;
+    /// mail_[parity][src * N + dst]: written only by src's thread.
+    std::array<std::vector<Mailbox>, 2> mail_;
+    /// The parity posts go to; the other one is this epoch's inbox.
+    int post_parity_ = 0;
     Time lookahead_ = Simulator::kNever;
     /// lat_[src * N + dst]: declared channel latency (kNever = none).
     std::vector<Time> lat_;
     bool adaptive_ = true;
     std::vector<Time> horizons_;  ///< Per-epoch per-shard horizons.
+    /// Per-shard epoch windows; written by plan(), read by epoch().
+    std::vector<Time> windows_;
+
+    // The current run_until() call, written by the caller before it
+    // arrives and read by plan().
+    Time until_ = 0;
+    const std::function<bool()>* stop_ = nullptr;
+    bool first_plan_ = false;
+    Report report_;
+    /// plan()'s verdict, read by every thread after the barrier.
+    enum class Step { run, idle, quit };
+    Step step_ = Step::idle;
+    /// Set by the destructor before it arrives; only plan() reads it
+    /// (a worker still leaving the last phase must not see it).
+    bool quit_ = false;
 
     // Parallel machinery (absent for N == 1).
+    std::unique_ptr<std::barrier<Plan>> sync_;
     std::vector<std::jthread> threads_;
-    std::unique_ptr<std::barrier<>> start_;
-    std::unique_ptr<std::barrier<>> finish_;
-    /// Per-shard epoch windows; written by the coordinator before the
-    /// start barrier, read by workers after it.
-    std::vector<Time> windows_;
-    bool quit_ = false;  ///< Read by workers after the start barrier.
 };
 
 }  // namespace hivemind::sim

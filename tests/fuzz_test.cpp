@@ -102,8 +102,9 @@ TEST(PlanFuzzer, PlansValidSortedAndBounded)
         std::size_t permanent = 0;
         for (std::size_t i = 0; i < plan.events.size(); ++i) {
             const fault::FaultEvent& e = plan.events[i];
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_LE(plan.events[i - 1].at, e.at) << "seed " << seed;
+            }
             if (e.kind == FaultKind::DeviceCrash && e.duration == 0)
                 ++permanent;
         }
@@ -121,8 +122,9 @@ TEST(PlanFuzzer, ConfigGatesControllerAndPermanent)
         for (const fault::FaultEvent& e : fuzzer.generate(seed).events) {
             EXPECT_NE(e.kind, FaultKind::ControllerCrash);
             EXPECT_NE(e.kind, FaultKind::ControllerPartition);
-            if (e.kind == FaultKind::DeviceCrash)
+            if (e.kind == FaultKind::DeviceCrash) {
                 EXPECT_GT(e.duration, 0) << "seed " << seed;
+            }
         }
     }
 }

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -109,7 +111,7 @@ TEST(SwarmRuntimeTest, MergeOrdersByTimeThenOrigin)
 TEST(SwarmRuntimeTest, SortedStagedFastPathKeepsDeliveryOrder)
 {
     // Envelopes staged already in (when, origin) order take the
-    // no-sort fast path in release_staged(); the delivery order must
+    // no-sort fast path in release(); the delivery order must
     // be exactly what the sorting path would produce.
     sim::SwarmRuntime rt(2);
     rt.set_adaptive_lookahead(false);
@@ -128,6 +130,67 @@ TEST(SwarmRuntimeTest, SortedStagedFastPathKeepsDeliveryOrder)
 }
 
 // --- Adaptive per-pair window math ------------------------------------
+
+/**
+ * Which shard (and so which thread) runs an actor never shows in what
+ * it receives: three actors exchange chains of messages, with
+ * same-time sends from two origins and self-posts, and each actor's
+ * delivery trace is the same under every placement. The shard-0
+ * placements put an actor on the thread that drives the epochs, as
+ * the scenario engine does with its cloud tier.
+ */
+TEST(SwarmRuntimeTest, ActorPlacementDoesNotChangeDeliveryTrace)
+{
+    struct Hit
+    {
+        sim::Time when;
+        int hop;
+        int from;
+        bool operator==(const Hit&) const = default;
+    };
+    using Trace = std::array<std::vector<Hit>, 3>;
+    auto run = [](int shards, std::array<int, 3> place) {
+        sim::SwarmRuntime rt(shards);
+        for (int a = 0; a < shards; ++a)
+            for (int b = 0; b < shards; ++b)
+                rt.declare_channel(a, b, 5);
+        Trace trace;
+        std::function<void(int, int, int)> deliver;
+        auto send = [&](int from, int to, int hop, sim::Time when) {
+            rt.post(place[static_cast<std::size_t>(from)],
+                    place[static_cast<std::size_t>(to)], when,
+                    static_cast<std::uint64_t>(from),
+                    sim::InlineFn([&deliver, to, hop, from] {
+                        deliver(to, hop, from);
+                    }));
+        };
+        deliver = [&](int to, int hop, int from) {
+            const sim::Time now =
+                rt.shard(place[static_cast<std::size_t>(to)]).now();
+            trace[static_cast<std::size_t>(to)].push_back({now, hop, from});
+            if (hop >= 300)
+                return;
+            if (hop % 7 == 0)
+                send(to, to, hop + 1, now + 5);
+            else
+                send(to, (to + 1 + hop % 2) % 3, hop + 1, now + 5 + hop % 3);
+        };
+        send(0, 2, 0, 10);
+        send(1, 2, 0, 10);
+        send(2, 0, 0, 10);
+        rt.run_until(100000);
+        return trace;
+    };
+    const Trace ref = run(1, {0, 0, 0});
+    std::size_t hits = 0;
+    for (const auto& t : ref)
+        hits += t.size();
+    EXPECT_EQ(hits, 3u * 301u);
+    EXPECT_EQ(run(2, {0, 1, 1}), ref);
+    EXPECT_EQ(run(2, {1, 1, 0}), ref);
+    EXPECT_EQ(run(3, {0, 1, 2}), ref);
+    EXPECT_EQ(run(3, {2, 0, 1}), ref);
+}
 
 TEST(AdaptiveWindowTest, AsymmetricLatenciesGiveAsymmetricWindows)
 {
@@ -289,7 +352,9 @@ TEST(ShardChaosTest, RoutesDeviceAndControllerFaults)
     };
     hooks.crash_controller = [&] { note(0, "ctrl-down"); };
     fault::ShardChaosReport rep = fault::route_plan(
-        rt, plan, [&rt](std::size_t d) { return rt.owner_of(d); }, hooks);
+        rt, plan,
+        [&rt](std::size_t d) { return platform::device_shard(d, rt.shards()); },
+        hooks);
     EXPECT_EQ(rep.routed, 2u);
     EXPECT_EQ(rep.unsupported, 1u);
     rt.run_until(100 * sim::kSecond);
@@ -323,7 +388,9 @@ TEST(ShardChaosTest, ControllerFaultsReachOnlyTheirOwnHooks)
         log.emplace_back(rt.shard(0).now(), "crash");
     };
     fault::ShardChaosReport rep = fault::route_plan(
-        rt, plan, [&rt](std::size_t d) { return rt.owner_of(d); }, hooks);
+        rt, plan,
+        [&rt](std::size_t d) { return platform::device_shard(d, rt.shards()); },
+        hooks);
     EXPECT_EQ(rep.routed, 2u);
     EXPECT_EQ(rep.unsupported, 0u);
     rt.run_until(30 * sim::kSecond);
@@ -341,7 +408,9 @@ TEST(ShardChaosTest, ControllerFaultsReachOnlyTheirOwnHooks)
     fault::ShardChaosHooks none;
     none.crash_device = [](std::size_t) {};
     fault::ShardChaosReport skipped = fault::route_plan(
-        bare, plan, [&bare](std::size_t d) { return bare.owner_of(d); },
+        bare, plan, [&bare](std::size_t d) {
+            return platform::device_shard(d, bare.shards());
+        },
         none);
     EXPECT_EQ(skipped.routed, 0u);
     EXPECT_EQ(skipped.unsupported, 2u);
@@ -371,7 +440,9 @@ TEST(ShardChaosTest, OverlappingServerCrashIsOneIncident)
         log.emplace_back(rt.shard(1).now(), "restore" + std::to_string(s));
     };
     fault::route_plan(
-        rt, plan, [&rt](std::size_t d) { return rt.owner_of(d); }, hooks,
+        rt, plan,
+        [&rt](std::size_t d) { return platform::device_shard(d, rt.shards()); },
+        hooks,
         /*cloud_shard=*/1);
     rt.run_until(30 * sim::kSecond);
     const std::vector<std::pair<sim::Time, std::string>> want = {
@@ -527,6 +598,51 @@ TEST(ShardedScenarioTest, RunsTheScenarioToAVerdict)
     EXPECT_GT(r.metrics.bandwidth_MBps.count(), 0u);
 }
 
+TEST(ShardLayout, DevicesAvoidTheCloudShardAndSpreadEvenly)
+{
+    EXPECT_EQ(platform::controller_shard(1), platform::kCloudShard);
+    for (int n = 1; n <= 8; ++n) {
+        if (n > 1) {
+            EXPECT_NE(platform::controller_shard(n), platform::kCloudShard);
+        }
+        for (std::size_t devices : {1u, 3u, 7u, 8u, 100u}) {
+            std::vector<std::size_t> load(static_cast<std::size_t>(n), 0);
+            for (std::size_t d = 0; d < devices; ++d) {
+                const int s = platform::device_shard(d, n);
+                ASSERT_GE(s, 0);
+                ASSERT_LT(s, n);
+                if (n > 1) {
+                    EXPECT_NE(s, platform::kCloudShard)
+                        << "device " << d << " shards " << n;
+                }
+                ++load[static_cast<std::size_t>(s)];
+            }
+            // Over the shards that may hold devices: all of them at
+            // N = 1, every one but the cloud shard above.
+            const auto [lo, hi] = std::minmax_element(
+                load.begin() + (n > 1 ? 1 : 0), load.end());
+            EXPECT_LE(*hi - *lo, 1u)
+                << devices << " devices at " << n << " shards";
+        }
+    }
+}
+
+TEST(ShardedScenarioTest, ProfileReportsEveryShard)
+{
+    for (int n : {1, 3}) {
+        const platform::ShardedScenarioResult r =
+            platform::run_scenario_sharded(
+                scenario_config(), platform::PlatformOptions::hivemind(),
+                scenario_deployment(), n);
+        ASSERT_EQ(r.profile.shards.size(), static_cast<std::size_t>(n));
+        for (const auto& shard : r.profile.shards) {
+            EXPECT_GT(shard.events, 0u) << "shards=" << n;
+            EXPECT_GT(shard.busy_s, 0.0) << "shards=" << n;
+        }
+        EXPECT_GT(r.profile.serial_s, 0.0) << "shards=" << n;
+    }
+}
+
 TEST(ShardedScenarioTest, ChecksumInvariantAcrossShardCounts)
 {
     platform::ShardedScenarioResult ref = platform::run_scenario_sharded(
@@ -565,9 +681,9 @@ TEST(ShardedScenarioTest, InvariantUnderChaosPlan)
 {
     // Mid-run device crashes (with rejoins), a cloud server crash and a
     // controller failover all cross shard boundaries; the checksum must
-    // not care where the victims live. Device 3 is owned by shard 0, 1
-    // and 3 at N = 1, 2 and 4, so its crash and rejoin land on a
-    // different kernel at every shard count.
+    // not care where the victims live. Devices 2 and 3 live on shard 0
+    // at N = 1, both on shard 1 at N = 2, and on shards 3 and 1 at
+    // N = 4, never beside the cloud tier on shard 0 once N > 1.
     platform::ScenarioConfig sc = scenario_config();
     sc.faults.device_crash(3 * sim::kSecond, 2, 4 * sim::kSecond);
     sc.faults.server_crash(4 * sim::kSecond, 1, 3 * sim::kSecond);
@@ -851,6 +967,44 @@ TEST(ShardedHa, ChecksumInvariantWithFullChaosPlan)
             << "shards=" << n << "\n"
             << fault::metrics_diff_string(ref.metrics.recovery,
                                           run.metrics.recovery);
+    }
+}
+
+TEST(ShardedHa, ChecksumAndRecoveryInvariantAtOneToFiveShards)
+{
+    // Every layout from one shard to the cloud shard beside four device
+    // shards, 3 and 5 included, under a device crash and rejoin, a
+    // server crash, a link burst and a controller crash (HA on); then
+    // the same with fewer drones than shards, so some device shards
+    // hold nobody.
+    platform::ScenarioConfig sc = scenario_config();
+    sc.faults.device_crash(3 * sim::kSecond, 2, 4 * sim::kSecond)
+        .server_crash(4 * sim::kSecond, 1, 3 * sim::kSecond)
+        .link_burst(5 * sim::kSecond, 6 * sim::kSecond, 0.9)
+        .controller_crash(12 * sim::kSecond);
+    for (std::size_t devices : {8u, 3u}) {
+        platform::DeploymentConfig dep = scenario_deployment();
+        dep.devices = devices;
+        const platform::ShardedScenarioResult ref =
+            platform::run_scenario_sharded(
+                sc, platform::PlatformOptions::hivemind(), dep, 1);
+        const fault::RecoveryMetrics& r = ref.metrics.recovery;
+        EXPECT_EQ(r.device_crashes, 1u) << devices << " devices";
+        EXPECT_EQ(r.device_rejoins, 1u) << devices << " devices";
+        EXPECT_GE(r.server_crashes, 1u) << devices << " devices";
+        EXPECT_EQ(r.link_burst_windows, 1u) << devices << " devices";
+        EXPECT_EQ(r.controller_failovers, 1u) << devices << " devices";
+        for (int n = 2; n <= 5; ++n) {
+            const platform::ShardedScenarioResult run =
+                platform::run_scenario_sharded(
+                    sc, platform::PlatformOptions::hivemind(), dep, n);
+            EXPECT_EQ(run.checksum, ref.checksum)
+                << devices << " devices, shards=" << n;
+            EXPECT_TRUE(run.metrics.recovery == ref.metrics.recovery)
+                << devices << " devices, shards=" << n << "\n"
+                << fault::metrics_diff_string(ref.metrics.recovery,
+                                              run.metrics.recovery);
+        }
     }
 }
 

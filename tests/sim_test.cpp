@@ -381,6 +381,81 @@ TEST_P(SameTickProperty, WheelAndHeapOnlyKernelsAgree)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SameTickProperty, ::testing::Range(1, 7));
 
+/**
+ * Bulk pre-scheduling into the cursor's own tick: thousands of
+ * arrivals in random order (some cancelled), and events that each add
+ * a batch of same-tick children, large and small. The wheel sorts a
+ * large batch once into its ready run and heapifies a small one; both
+ * must execute exactly what a heap-only kernel does.
+ */
+TEST(SameTickBatch, WheelAndHeapOnlyKernelsAgree)
+{
+    struct TraceRecord
+    {
+        Time when;
+        int tag;
+        bool operator==(const TraceRecord&) const = default;
+    };
+    auto run_workload = [](bool use_wheel) {
+        KernelConfig cfg;
+        cfg.use_timer_wheel = use_wheel;
+        Simulator s(cfg);
+        Rng rng(271828);
+        std::vector<TraceRecord> trace;
+        int tag = 0;
+        auto add = [&](Time when) {
+            const int t = tag++;
+            return s.schedule_at(when, [&trace, &s, t] {
+                trace.push_back({s.now(), t});
+            });
+        };
+        for (int i = 0; i < 5000; ++i) {
+            const EventId id = add(rng.uniform_int(0, 100 * kMicrosecond));
+            if (rng.chance(0.2))
+                s.cancel(id);
+        }
+        for (int burst = 0; burst < 40; ++burst) {
+            s.schedule_at(rng.uniform_int(0, 10 * kMillisecond), [&, burst] {
+                const int children = burst % 2 == 0 ? 200 : 3;
+                for (int c = 0; c < children; ++c)
+                    add(s.now() + rng.uniform_int(0, 100 * kMicrosecond));
+            });
+        }
+        s.run();
+        return trace;
+    };
+    const auto with_wheel = run_workload(true);
+    const auto heap_only = run_workload(false);
+    ASSERT_GT(with_wheel.size(), 4000u);
+    EXPECT_EQ(with_wheel, heap_only);
+}
+
+/**
+ * A wheel bucket drops its cancelled entries when it is staged, and a
+ * level-1 bucket when it cascades: once the first event of each
+ * bucket has run, only its live entries are left in the wheel.
+ */
+TEST(WheelStaging, CancelledEntriesLeaveWhenTheirBucketIsStaged)
+{
+    for (Time at : {5 * kMillisecond, 200 * kMillisecond}) {
+        Simulator s;
+        int ran = 0;
+        for (int i = 0; i < 10; ++i)
+            s.schedule_at(at + i, [&ran] { ++ran; });
+        std::vector<EventId> doomed;
+        for (int i = 0; i < 9; ++i)
+            doomed.push_back(s.schedule_at(at + 20 + i, [] {}));
+        for (EventId id : doomed)
+            s.cancel(id);
+        ASSERT_EQ(s.wheel_entries(), 19u) << "no compaction yet";
+        ASSERT_TRUE(s.step());
+        EXPECT_EQ(ran, 1);
+        EXPECT_EQ(s.wheel_entries(), 9u) << "at " << at;
+        EXPECT_EQ(s.run(), 9u);
+        EXPECT_EQ(ran, 10);
+    }
+}
+
 TEST(InlineFn, SmallCapturesStayInline)
 {
     int hits = 0;
