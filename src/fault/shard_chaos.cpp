@@ -64,8 +64,7 @@ schedule_ge_chain(sim::Simulator& shard, const FaultEvent& e,
 ShardChaosReport
 route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
            const std::function<int(std::size_t)>& owner,
-           const ShardChaosHooks& hooks, int cloud_shard,
-           int controller_shard)
+           const ShardChaosHooks& hooks, int controller_shard)
 {
     // Fail loudly on malformed plans before anything lands on a shard
     // kernel. Device targets are checked when the hooks declare the
@@ -144,7 +143,7 @@ route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
                 break;
             }
             const std::size_t server = e.target;
-            sim::Simulator& shard = runtime.shard(cloud_shard);
+            sim::Simulator& shard = runtime.shard(0);
             if (crash_fires[i])
                 shard.schedule_at(e.at, [fn = hooks.crash_server, server,
                                          down = e.duration] {
@@ -163,7 +162,7 @@ route_plan(sim::SwarmRuntime& runtime, const FaultPlan& plan,
                 ++report.unsupported;
                 break;
             }
-            sim::Simulator& shard = runtime.shard(cloud_shard);
+            sim::Simulator& shard = runtime.shard(0);
             shard.schedule_at(e.at, [fn = hooks.datastore_outage,
                                      until = e.duration] { fn(until); });
             ++report.routed;

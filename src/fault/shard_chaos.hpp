@@ -20,8 +20,8 @@
  *    therefore local to the device's owner shard (its uplink
  *    ShardLink), and the chain is identical at any shard count.
  *    Partition blacks out one device's radio the same way.
- *  - ServerCrash / DatastoreOutage fire on the cloud shard, where the
- *    FaaS cluster and DataStore live in a sharded scenario.
+ *  - ServerCrash / DatastoreOutage fire on shard 0, the cloud shard,
+ *    where the FaaS cluster and DataStore live in a sharded scenario.
  *  - ControllerCrash / ControllerPartition fire on the controller
  *    shard, where the scenario engine's controller tier lives (load
  *    balancer, failure detector, HA cluster). route_plan() schedules
@@ -100,7 +100,7 @@ struct ShardChaosReport
 
 /**
  * Schedule @p plan's events onto the owning shards. @p owner maps a
- * device id to its shard; @p cloud_shard owns the FaaS cluster and
+ * device id to its shard; shard 0 owns the FaaS cluster and
  * DataStore, @p controller_shard the controller tier. Call before
  * SwarmRuntime::run_until().
  */
@@ -108,6 +108,6 @@ ShardChaosReport route_plan(sim::SwarmRuntime& runtime,
                             const FaultPlan& plan,
                             const std::function<int(std::size_t)>& owner,
                             const ShardChaosHooks& hooks,
-                            int cloud_shard = 0, int controller_shard = 0);
+                            int controller_shard = 0);
 
 }  // namespace hivemind::fault

@@ -518,7 +518,8 @@ class ShardedScenarioEngine
     // everything else.
     std::unique_ptr<core::HaCluster> ha_;
     std::unique_ptr<net::ShardLink> ckpt_up_, ckpt_down_;
-    std::unique_ptr<sim::Rng> ckpt_rng_;  ///< Shard-0 write-loss rolls.
+    /** Write-loss rolls on the controller's shard. */
+    std::unique_ptr<sim::Rng> ckpt_rng_;
     std::uint64_t ckpt_writes_lost_ = 0;
 };
 
@@ -824,7 +825,7 @@ ShardedScenarioEngine::arm_chaos()
     chaos_ = fault::route_plan(
         runtime_, sc_.faults,
         [this](std::size_t d) { return device_shard(d, runtime_.shards()); },
-        hooks, kCloudShard, ctrl_shard_);
+        hooks, ctrl_shard_);
 }
 
 void

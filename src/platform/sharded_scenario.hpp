@@ -28,7 +28,7 @@
  * engine models per-frame pipelines, retry/breaker offload,
  * heartbeat-driven repartitioning and continuous learning, and keeps
  * the recovery ledger of every injected fault — device crashes get
- * heartbeat MTTD/MTTR samples on shard 0.
+ * heartbeat MTTD/MTTR samples on the controller's shard.
  *
  * platform::run() forwards here, so this is the one implementation of
  * the scenario path: it holds the path's plan checks and returns the
@@ -47,7 +47,8 @@ namespace hivemind::platform {
  *  the shard-axis callers spell. */
 using ShardedScenarioResult = RunResult;
 
-/** The shard that holds the cloud tier, at any shard count. */
+/** The shard that holds the cloud tier, at any shard count; it is
+ *  shard 0 because fault::route_plan() fires cloud faults there. */
 inline constexpr int kCloudShard = 0;
 
 /** The shard that holds the controller tier: off the cloud shard

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <iterator>
 #include <utility>
 
 namespace hivemind::sim {
@@ -159,31 +158,6 @@ Simulator::bucket_compact(Bucket& b)
 }
 
 void
-Simulator::settle_late()
-{
-    const std::size_t fresh = late_.size() - late_heaped_;
-    if (fresh >= kLateBatch && fresh >= late_heaped_ &&
-        fresh >= ready_.size() - ready_pos_) {
-        std::sort(late_.begin(), late_.end(), EntryEarlier{});
-        merged_.clear();
-        merged_.reserve(ready_.size() - ready_pos_ + late_.size());
-        std::merge(ready_.begin() + static_cast<std::ptrdiff_t>(ready_pos_),
-                   ready_.end(), late_.begin(), late_.end(),
-                   std::back_inserter(merged_), EntryEarlier{});
-        ready_.swap(merged_);
-        ready_pos_ = 0;
-        late_.clear();
-        late_heaped_ = 0;
-        return;
-    }
-    while (late_heaped_ < late_.size())
-        std::push_heap(late_.begin(),
-                       late_.begin() +
-                           static_cast<std::ptrdiff_t>(++late_heaped_),
-                       EntryLater{});
-}
-
-void
 Simulator::wheel_insert_slow(Entry e, std::uint64_t tick)
 {
     ++wheel_count_;
@@ -193,15 +167,9 @@ Simulator::wheel_insert_slow(Entry e, std::uint64_t tick)
         // cursor's 131 us tick, or the cursor ran ahead of now_
         // hunting for the wheel head while a heap event executed): it
         // sorts before the ready run's tail, so it joins the same-tick
-        // lane, and peek takes the smaller of the two heads. While
-        // the lane is small and settled it joins the heap at once;
-        // otherwise the next peek orders it (settle_late), so a bulk
-        // batch can be sorted once.
+        // lane, and peek takes the smaller of the two heads.
         late_.push_back(e);
-        if (late_heaped_ + 1 == late_.size() && late_heaped_ < kLateBatch) {
-            std::push_heap(late_.begin(), late_.end(), EntryLater{});
-            ++late_heaped_;
-        }
+        std::push_heap(late_.begin(), late_.end(), EntryLater{});
         return;
     }
     const bool same_lap =
@@ -211,18 +179,6 @@ Simulator::wheel_insert_slow(Entry e, std::uint64_t tick)
         same_lap ? tick & kBucketMask : (tick >> kBucketBits) & kBucketMask;
     bucket_push(level.buckets[static_cast<std::size_t>(index)], e);
     level.occupied[index >> 6] |= std::uint64_t{1} << (index & 63);
-}
-
-void
-Simulator::stage_live(const Entry& e)
-{
-    // While the wheel holds no cancelled entry, skip the slab read.
-    if (wheel_dead_ == 0 || slot_live(e.id)) {
-        ready_.push_back(e);
-    } else {
-        --wheel_count_;
-        --wheel_dead_;
-    }
 }
 
 bool
@@ -247,24 +203,31 @@ Simulator::wheel_advance()
         const int idx0 = static_cast<int>(cur_tick_ & kBucketMask);
         const int j = next_bit(l0.occupied, idx0 + 1);
         if (j >= 0) {
-            // Land on bucket j and stage its live entries into the
-            // (empty) ready run; cancelled ones leave the wheel here
-            // instead of being sorted and skipped one by one. Most
-            // buckets of a sparse run hold one event, which needs no
-            // sort; a fuller one is copied out of its chunks and
-            // sorted. A bucket that held only cancelled entries
-            // stages nothing, and the cursor moves on.
+            // Land on bucket j and stage it into the (empty) ready
+            // run: copy it out of its chunks, drop its cancelled
+            // entries (only while the wheel holds any) and sort the
+            // rest, so cancelled entries are never sorted or skipped
+            // one by one. Most buckets of a sparse run hold one event,
+            // which needs no sort. A bucket that held only cancelled
+            // entries stages nothing, and the cursor moves on.
             cur_tick_ += static_cast<std::uint64_t>(j - idx0);
             Bucket& b = l0.buckets[static_cast<std::size_t>(j)];
             ready_.clear();
             ready_.reserve(b.size);
-            stage_live(b.first);
+            ready_.push_back(b.first);
             for (std::uint32_t c = b.head; c != kNoChunk;
                  c = chunks_[c].next) {
                 const Chunk& chunk = chunks_[c];
-                const std::uint32_t used = chunk_used(b, c);
-                for (std::uint32_t i = 0; i < used; ++i)
-                    stage_live(chunk.entries[i]);
+                ready_.insert(ready_.end(), chunk.entries.begin(),
+                              chunk.entries.begin() + chunk_used(b, c));
+            }
+            if (wheel_dead_ != 0) {
+                const std::size_t dropped =
+                    std::erase_if(ready_, [this](const Entry& e) {
+                        return !slot_live(e.id);
+                    });
+                wheel_count_ -= dropped;
+                wheel_dead_ -= dropped;
             }
             if (ready_.size() > 1)
                 std::sort(ready_.begin(), ready_.end(), EntryEarlier{});
@@ -329,8 +292,6 @@ const Simulator::Entry*
 Simulator::wheel_peek_slow()
 {
     while (true) {
-        if (late_heaped_ < late_.size())
-            settle_late();
         // Drop cancelled tombstones from both heads.
         while (ready_pos_ < ready_.size() &&
                !slot_live(ready_[ready_pos_].id)) {
@@ -341,7 +302,6 @@ Simulator::wheel_peek_slow()
         while (!late_.empty() && !slot_live(late_.front().id)) {
             std::pop_heap(late_.begin(), late_.end(), EntryLater{});
             late_.pop_back();
-            --late_heaped_;
             --wheel_count_;
             --wheel_dead_;
         }
@@ -371,7 +331,6 @@ Simulator::wheel_compact()
     std::erase_if(ready_, stale);
     std::erase_if(late_, stale);
     std::make_heap(late_.begin(), late_.end(), EntryLater{});
-    late_heaped_ = late_.size();
     std::size_t count = ready_.size() + late_.size();
     for (Level& level : levels_) {
         for (std::size_t i = 0; i < static_cast<std::size_t>(kBuckets);

@@ -23,12 +23,10 @@
  *    or irregular events fall back to a binary heap. Arrivals for a
  *    tick the cursor already reached append to the sorted ready run
  *    when they sort after its tail and otherwise enter a reusable
- *    same-tick min-heap beside it. That lane heapifies its arrivals
- *    at the next peek; a batch at least as large as the heap and the
- *    rest of the ready run is sorted once and merged into the run
- *    instead. The merge rule that preserves determinism: whichever
- *    lane, the next event executed is always the globally smallest
- *    (time, seq) pair, and seq is assigned once, at schedule time.
+ *    same-tick min-heap beside it. The merge rule
+ *    that preserves determinism: whichever lane, the next event
+ *    executed is always the globally smallest (time, seq) pair, and
+ *    seq is assigned once, at schedule time.
  *  - Cancellation is lazy in both lanes (stale generation tags are
  *    skipped on pop). A wheel bucket drops its cancelled entries
  *    when it is staged or cascaded, and both lanes compact
@@ -508,18 +506,6 @@ class Simulator
     /** Drop @p b's cancelled entries; @return the live entries left. */
     std::size_t bucket_compact(Bucket& b);
 
-    /**
-     * Order the same-tick lane's unheapified arrivals (those that came
-     * while its heap held kLateBatch entries or more, or behind other
-     * unheapified ones): push them onto its heap, or, when they form
-     * a batch of at least kLateBatch and at least as large as the heap
-     * and the rest of the ready run, sort everything once and merge
-     * it into the ready run (bulk pre-scheduling into the cursor's
-     * tick then pops in O(1), not through the heap).
-     */
-    void settle_late();
-    /** Append wheel entry @p e to ready_ if live, else drop it. */
-    void stage_live(const Entry& e);
     /** Stage the next occupied bucket into ready_; false if empty. */
     bool wheel_advance();
     /** Out-of-line wheel head: skip stale heads, advance the cursor. */
@@ -532,15 +518,14 @@ class Simulator
      */
     const Entry* wheel_peek()
     {
-        // Fast path: both heads live (the lane is usually empty) and
-        // no same-tick arrival waits to be heapified.
+        // Fast path: both heads live (the lane is usually empty).
         if (ready_pos_ < ready_.size()) {
             const Entry& r = ready_[ready_pos_];
             if (slot_live(r.id)) {
                 if (late_.empty())
                     return &r;
                 const Entry& l = late_.front();
-                if (late_heaped_ == late_.size() && slot_live(l.id))
+                if (slot_live(l.id))
                     return entry_earlier(l, r) ? &l : &r;
             }
         }
@@ -550,9 +535,7 @@ class Simulator
     /**
      * Consume the wheel head @p e that wheel_peek returned: the lane's
      * top when it points at late_'s first element, else the ready
-     * run's head. A ready-run pop prefetches the slab slot of the
-     * entry kReadyPrefetch places after the new head, so the peek
-     * that reaches it finds the slot's cache line already loaded.
+     * run's head.
      */
     void wheel_pop(const Entry* e)
     {
@@ -560,12 +543,8 @@ class Simulator
         if (e == late_.data()) {
             std::pop_heap(late_.begin(), late_.end(), EntryLater{});
             late_.pop_back();
-            --late_heaped_;
         } else {
             ++ready_pos_;
-            if (ready_pos_ + kReadyPrefetch < ready_.size())
-                __builtin_prefetch(
-                    &slots_[slot_of(ready_[ready_pos_ + kReadyPrefetch].id)]);
         }
     }
 
@@ -608,13 +587,6 @@ class Simulator
     static constexpr std::uint64_t kEnvelopeSeqClass = 1ull << 63;
     /** Origin field width inside an envelope seq (see above). */
     static constexpr int kEnvelopeOriginBits = 25;
-    /**
-     * Same-tick lane heap size below which an arrival joins the heap
-     * at once, and the fewest fresh arrivals settle_late() sorts.
-     */
-    static constexpr std::size_t kLateBatch = 64;
-    /** How far past the ready run's head wheel_pop prefetches. */
-    static constexpr std::size_t kReadyPrefetch = 2;
 
     KernelConfig config_;
     Time now_ = 0;
@@ -640,19 +612,13 @@ class Simulator
     std::uint64_t cur_tick_ = 0;
     /**
      * Wheel entries with tick <= cur_tick_ live in two lanes: ready_
-     * is a sorted run consumed from ready_pos_, and late_ holds the
-     * arrivals that sorted before the run's tail when they came: a
-     * min-heap (EntryLater order) over its first late_heaped_
-     * entries, then the arrivals left unheapified since the last peek,
-     * which settle_late() orders. Buckets hold only ticks past the
-     * cursor.
+     * is a sorted run consumed from ready_pos_, and late_ is a min-heap
+     * (EntryLater order) of arrivals that sorted before the run's tail
+     * when they came. Buckets hold only ticks past the cursor.
      */
     std::vector<Entry> ready_;
     std::size_t ready_pos_ = 0;
     std::vector<Entry> late_;
-    std::size_t late_heaped_ = 0;
-    /** settle_late()'s merge target, swapped with ready_. */
-    std::vector<Entry> merged_;
     /**
      * The bucket chunk pool. A drained or cascaded bucket returns its
      * chain to the free list, so the pool holds what the wheel's

@@ -428,22 +428,22 @@ TEST(ShardChaosTest, OverlappingServerCrashIsOneIncident)
     fault::FaultPlan plan;
     plan.server_crash(4 * sim::kSecond, 1, 8 * sim::kSecond);
     plan.server_crash(6 * sim::kSecond, 1, 2 * sim::kSecond);
-    // Both hooks run on the cloud shard, one thread: no lock needed.
+    // Both hooks run on the cloud shard, shard 0, one thread: no lock
+    // needed.
     std::vector<std::pair<sim::Time, std::string>> log;
     fault::ShardChaosHooks hooks;
     hooks.crash_server = [&](std::size_t s, sim::Time down_for) {
-        log.emplace_back(rt.shard(1).now(),
+        log.emplace_back(rt.shard(0).now(),
                          "crash" + std::to_string(s) + " for " +
                              std::to_string(down_for / sim::kSecond) + "s");
     };
     hooks.recover_server = [&](std::size_t s) {
-        log.emplace_back(rt.shard(1).now(), "restore" + std::to_string(s));
+        log.emplace_back(rt.shard(0).now(), "restore" + std::to_string(s));
     };
     fault::route_plan(
         rt, plan,
         [&rt](std::size_t d) { return platform::device_shard(d, rt.shards()); },
-        hooks,
-        /*cloud_shard=*/1);
+        hooks);
     rt.run_until(30 * sim::kSecond);
     const std::vector<std::pair<sim::Time, std::string>> want = {
         {4 * sim::kSecond, "crash1 for 8s"},
@@ -498,8 +498,7 @@ record_chains(int shards, std::size_t devices, const fault::FaultPlan& plan)
     hooks.set_device_loss = [&rt, &rec, owner](std::size_t d, double loss) {
         rec[d].push_back({rt.shard(owner(d)).now(), loss});
     };
-    fault::ShardChaosReport rep =
-        fault::route_plan(rt, plan, owner, hooks, 0);
+    fault::ShardChaosReport rep = fault::route_plan(rt, plan, owner, hooks);
     EXPECT_EQ(rep.link_bursts, 1u);
     rt.run_until(120 * sim::kSecond);
     return rec;

@@ -384,9 +384,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SameTickProperty, ::testing::Range(1, 7));
 /**
  * Bulk pre-scheduling into the cursor's own tick: thousands of
  * arrivals in random order (some cancelled), and events that each add
- * a batch of same-tick children, large and small. The wheel sorts a
- * large batch once into its ready run and heapifies a small one; both
- * must execute exactly what a heap-only kernel does.
+ * a batch of same-tick children, large and small. Whatever the batch
+ * size, the wheel's ready run and same-tick lane must execute exactly
+ * what a heap-only kernel does.
  */
 TEST(SameTickBatch, WheelAndHeapOnlyKernelsAgree)
 {
